@@ -14,12 +14,13 @@ from fractions import Fraction
 
 from . import jsonio
 from .actions import (
+    Isometry,
     enumerate_isometries,
     moving_gap,
     orbit,
     orbit_diameter,
 )
-from .errors import ExactMetricError, StructuralError
+from .errors import ExactMetricError
 from .freespace import (
     Molecule,
     aell_norm_dual,
@@ -38,25 +39,20 @@ from .katetov import (
     star_fragment,
     tower,
 )
-from .metric import validate
+from .metric import PointedSpace, set_distance, validate
 from .proptest import run_suite
 from .quotients import min_fvf_cover, pullback_pseudometric, quotient_space
 
 
 def _load_input(args) -> dict:
     data: dict = {}
-    if args.inputs:
-        for path in args.inputs:
+    for path in args.inputs or [None]:
+        if path is None:
+            part = json.load(sys.stdin)
+        else:
             with open(path, "r", encoding="utf-8") as fh:
                 part = json.load(fh)
-            if not isinstance(part, dict):
-                raise StructuralError(f"{path}: top-level JSON must be an object")
-            data.update(part)
-    else:
-        part = json.load(sys.stdin)
-        if not isinstance(part, dict):
-            raise StructuralError("stdin: top-level JSON must be an object")
-        data.update(part)
+        data.update(jsonio.mapping(part, f"{path or 'stdin'}: top-level JSON"))
     return data
 
 
@@ -69,33 +65,13 @@ def _emit(args, payload) -> None:
         sys.stdout.write(text)
 
 
-def _require(data, *keys):
-    for key in keys:
-        if key not in data:
-            raise StructuralError(f"input is missing the {key!r} key")
-    return [data[key] for key in keys]
-
-
 def cmd_validate(args):
-    (raw,) = _require(_load_input(args), "space")
-    try:
-        space = jsonio.space_from_json(raw)
-    except StructuralError:
-        raise
-    except ExactMetricError:
-        # re-run the plain validator for the structured axiom report
-        from .metric import FiniteMetricSpace
-
-        points = tuple(str(p) for p in raw["points"])
-        dist = tuple(
-            tuple(jsonio.parse_rational(v) for v in row) for row in raw["dist"]
-        )
-        space = FiniteMetricSpace(points, dist, bool(raw.get("pseudo", False)))
-    _emit(args, validate(space).as_json())
+    (raw,) = jsonio.require(_load_input(args), "space")
+    _emit(args, validate(jsonio.parse_space(raw)).as_json())
 
 
 def cmd_norm(args):
-    (raw,) = _require(_load_input(args), "molecule")
+    (raw,) = jsonio.require(_load_input(args), "molecule")
     m = jsonio.molecule_from_json(raw)
     dual, witness = aell_norm_dual(m)
     primal, plan = aell_norm_primal(m)
@@ -113,40 +89,38 @@ def cmd_norm(args):
 
 
 def cmd_katetov_check(args):
-    (raw,) = _require(_load_input(args), "function")
-    space = jsonio.space_from_json(raw["space"])
-    support = tuple(str(x) for x in raw["support"])
-    values = {str(k): jsonio.parse_rational(v) for k, v in raw["values"].items()}
+    (raw,) = jsonio.require(_load_input(args), "function")
+    (raw_space,) = jsonio.require(raw, "space", what="function record")
+    space = jsonio.space_from_json(raw_space)
+    support, values = jsonio.function_parts(raw)
     _emit(args, is_katetov(space, values, support).as_json())
 
 
 def cmd_hat_extend(args):
-    (raw,) = _require(_load_input(args), "function")
+    (raw,) = jsonio.require(_load_input(args), "function")
     f = jsonio.katetov_from_json(raw)
     _emit(args, jsonio.katetov_to_json(hat_extension(f)))
 
 
 def cmd_star(args):
-    data = _load_input(args)
-    raw_space, raw_atts = _require(data, "space", "attachments")
+    raw_space, raw_atts = jsonio.require(
+        _load_input(args), "space", "attachments"
+    )
     space = jsonio.space_from_json(raw_space)
-    attachments = []
-    for att in raw_atts:
-        support = tuple(str(x) for x in att["support"])
-        values = {
-            str(k): jsonio.parse_rational(v) for k, v in att["values"].items()
-        }
-        attachments.append(KatetovFunction(space, support, values))
+    attachments = [
+        KatetovFunction(space, *jsonio.function_parts(att))
+        for att in jsonio.array(raw_atts, "attachments")
+    ]
     _emit(args, jsonio.star_fragment_to_json(star_fragment(space, attachments)))
 
 
 def cmd_tower(args):
-    (raw,) = _require(_load_input(args), "space")
+    (raw,) = jsonio.require(_load_input(args), "space")
     space = jsonio.space_from_json(raw)
     policy = TowerPolicy(
         support_size=args.support_size,
-        grid_step=Fraction(args.grid_step),
-        value_cap=Fraction(args.value_cap),
+        grid_step=args.grid_step,
+        value_cap=args.value_cap,
         point_budget=args.budget,
     )
     result = tower(space, args.depth, policy)
@@ -154,7 +128,7 @@ def cmd_tower(args):
 
 
 def cmd_iso_enum(args):
-    (raw,) = _require(_load_input(args), "space")
+    (raw,) = jsonio.require(_load_input(args), "space")
     space = jsonio.space_from_json(raw)
     isos = enumerate_isometries(space)
     _emit(args, {"count": len(isos), "isometries": [list(g.perm) for g in isos]})
@@ -162,37 +136,37 @@ def cmd_iso_enum(args):
 
 def cmd_moving_gap(args):
     data = _load_input(args)
-    raw_action, f = _require(data, "action", "set")
+    raw_action, f = jsonio.require(data, "action", "set")
     action = jsonio.action_from_json(raw_action)
-    gap, witness = moving_gap(action, [str(x) for x in f])
+    gap, witness = moving_gap(action, jsonio.labels(f, "set"))
     out = {"gap": str(gap), "witness": witness}
     if data.get("orbit_of") is not None:
-        x = str(data["orbit_of"])
+        x = jsonio.label(data["orbit_of"], "orbit_of")
         out["orbit"] = orbit(action, x)
         out["orbit_diameter"] = str(orbit_diameter(action, x))
     _emit(args, out)
 
 
 def cmd_extend_affine(args):
-    data = _load_input(args)
-    raw_mol, raw_perm = _require(data, "molecule", "isometry")
+    raw_mol, raw_perm = jsonio.require(
+        _load_input(args), "molecule", "isometry"
+    )
     m = jsonio.molecule_from_json(raw_mol)
-    from .actions import Isometry
-
-    g = Isometry(m.pointed.space, tuple(int(v) for v in raw_perm))
+    g = Isometry(m.pointed.space, jsonio.indices(raw_perm, "isometry"))
     _emit(args, jsonio.molecule_to_json(affine_extend(g, m)))
 
 
 def cmd_fixed_point(args):
-    data = _load_input(args)
-    raw_action, raw_mol = _require(data, "action", "molecule")
+    raw_action, raw_mol = jsonio.require(
+        _load_input(args), "action", "molecule"
+    )
     action = jsonio.action_from_json(raw_action)
     m = jsonio.molecule_from_json(raw_mol)
     _emit(args, jsonio.molecule_to_json(fixed_point(action, m)))
 
 
 def cmd_quotient(args):
-    (raw,) = _require(_load_input(args), "group")
+    (raw,) = jsonio.require(_load_input(args), "group")
     pm = jsonio.pseudometric_from_json(raw)
     space, action = quotient_space(pm)
     _emit(args, {
@@ -202,85 +176,62 @@ def cmd_quotient(args):
 
 
 def cmd_pullback(args):
-    data = _load_input(args)
-    raw_action, point = _require(data, "action", "point")
+    raw_action, point = jsonio.require(_load_input(args), "action", "point")
     action = jsonio.action_from_json(raw_action)
-    pm = pullback_pseudometric(action, str(point))
+    pm = pullback_pseudometric(action, jsonio.label(point, "point"))
     _emit(args, jsonio.pseudometric_to_json(pm))
 
 
 def cmd_fvf(args):
-    data = _load_input(args)
-    raw_group, v_labels = _require(data, "group", "V")
+    raw_group, v_labels = jsonio.require(_load_input(args), "group", "V")
     group = jsonio.group_from_json(raw_group)
-    v = [group.index(str(x)) for x in v_labels]
+    v = [group.index(x) for x in jsonio.labels(v_labels, "V")]
     k, f = min_fvf_cover(group, v)
     _emit(args, {"k": k, "F": [group.elements[i] for i in f]})
 
 
 def cmd_prop_k(args):
-    data = _load_input(args)
-    raw_space, a, b, phi_vals, psi_vals = _require(
-        data, "space", "A", "B", "phi", "psi"
+    raw_space, a, b, phi_vals, psi_vals = jsonio.require(
+        _load_input(args), "space", "A", "B", "phi", "psi"
     )
     space = jsonio.space_from_json(raw_space)
     phi = KatetovFunction(
-        space, tuple(str(x) for x in a),
-        {str(k): jsonio.parse_rational(v) for k, v in phi_vals.items()},
+        space, jsonio.labels(a, "A"), jsonio.rationals(phi_vals, "phi")
     )
     psi = KatetovFunction(
-        space, tuple(str(x) for x in b),
-        {str(k): jsonio.parse_rational(v) for k, v in psi_vals.items()},
+        space, jsonio.labels(b, "B"), jsonio.rationals(psi_vals, "psi")
     )
     _emit(args, prop_k_gap(phi, psi).as_json())
 
 
 def cmd_th_extension_check(args):
     data = _load_input(args)
-    raw_action, phi, raw_v, raw_w = _require(
-        data, "action", "phi_set", "v", "w"
+    raw_action, phi, raw_v, raw_w, bp = jsonio.require(
+        data, "action", "phi_set", "v", "w", "basepoint"
     )
     action = jsonio.action_from_json(raw_action)
-    if "basepoint" not in data:
-        raise StructuralError("input is missing the 'basepoint' key")
-    from .metric import PointedSpace
-
     space = action.space
-    pointed = PointedSpace(space, space.index(str(data["basepoint"])))
-    v = Molecule.make(
-        pointed, {str(k): jsonio.parse_rational(x) for k, x in raw_v.items()}
-    )
-    w = Molecule.make(
-        pointed, {str(k): jsonio.parse_rational(x) for k, x in raw_w.items()}
-    )
-    phi_labels = [str(x) for x in phi]
-    element = data.get("element")
-    if element is not None:
-        candidates = [action.group.index(str(element))]
+    pointed = PointedSpace(space, space.index(jsonio.label(bp, "basepoint")))
+    v = Molecule.make(pointed, jsonio.rationals(raw_v, "v"))
+    w = Molecule.make(pointed, jsonio.rationals(raw_w, "w"))
+    phi_labels = jsonio.labels(phi, "phi_set")
+    phi_plus = sorted(set(phi_labels) | {pointed.basepoint_label})
+    if data.get("element") is not None:
+        best = action.group.index(jsonio.label(data["element"], "element"))
+        gap = set_distance(space, phi_plus, action.translate(best, phi_plus))
     else:
-        candidates = range(action.group.order)
-    from .metric import set_distance
-
-    bp = pointed.basepoint_label
-    phi_plus = sorted(set(phi_labels) | {bp})
-    best_gap = Fraction(0)
-    best = action.group.identity
-    for gi in candidates:
-        iso = action.images[gi]
-        gap = set_distance(
-            space, phi_plus, [iso.apply_label(x) for x in phi_plus]
-        )
-        if gap > best_gap:
-            best_gap, best = gap, gi
+        # the identity stands for "no element moves phi" (gap 0)
+        gap, witness = moving_gap(action, phi_plus)
+        best = action.group.index(witness) if gap else action.group.identity
     iso = action.images[best]
     bound = moving_lower_bound(pointed, phi_labels, iso, v, w)
     lp = norm_distance(affine_extend(iso, v), w)
     _emit(args, {
         "element": action.group.elements[best],
-        "epsilon0": str(best_gap),
+        "epsilon0": str(gap),
         "witness_bound": str(bound),
         "norm_distance": str(lp),
-        "certified": bound == best_gap and lp >= bound,
+        "certified": bound == gap and lp >= bound,
     })
 
 
@@ -289,6 +240,13 @@ def cmd_proptest(args):
     _emit(args, report)
     if not report["passed"]:
         sys.exit(1)
+
+
+def _rational_arg(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("tower", cmd_tower)
     p.add_argument("--depth", type=int, default=1)
     p.add_argument("--support-size", type=int, default=1)
-    p.add_argument("--grid-step", default="1")
-    p.add_argument("--value-cap", default="2")
+    p.add_argument("--grid-step", type=_rational_arg, default="1")
+    p.add_argument("--value-cap", type=_rational_arg, default="2")
     p.add_argument("--budget", type=int, default=64)
     add("iso-enum", cmd_iso_enum)
     add("moving-gap", cmd_moving_gap)
@@ -340,8 +298,9 @@ def main(argv=None) -> int:
     except ExactMetricError as exc:
         sys.stdout.write(json.dumps(exc.as_json(), sort_keys=True) + "\n")
         return 1
-    except json.JSONDecodeError as exc:
-        payload = {"error": {"kind": "JSONDecodeError", "message": str(exc)}}
+    except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+        # unreadable or undecodable input
+        payload = {"error": {"kind": type(exc).__name__, "message": str(exc)}}
         sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
         return 1
     except SystemExit as exc:

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .actions import GroupAction, Isometry
 from .errors import DomainError, InternalCheckError
-from .metric import FiniteMetricSpace, PointedSpace, set_distance
+from .metric import PointedSpace, set_distance
 from .simplex import simplex_max
 
 ZERO = Fraction(0)
@@ -62,9 +62,6 @@ class Molecule:
 
     def as_dict(self) -> dict[str, Fraction]:
         return dict(self.coeffs)
-
-    def coeff(self, label: str) -> Fraction:
-        return dict(self.coeffs).get(label, ZERO)
 
     @property
     def support(self) -> tuple[str, ...]:

@@ -21,38 +21,96 @@ from .quotients import InvariantPseudometric
 
 
 def parse_rational(value: Any) -> Fraction:
-    if isinstance(value, bool):
-        raise StructuralError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) or type(value) is int:
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise StructuralError(f"not a rational: {value!r}") from exc
+        except (ValueError, ZeroDivisionError):
+            pass
     raise StructuralError(f"not a rational: {value!r}")
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q)
+# Readers: one per JSON shape.  Each raises StructuralError on a wrong type;
+# ``what`` names the field in the message.
+
+
+def mapping(value: Any, what: str) -> dict:
+    if isinstance(value, dict):
+        return value
+    raise StructuralError(f"{what} must be a JSON object")
+
+
+def array(value: Any, what: str) -> list:
+    if isinstance(value, list):
+        return value
+    raise StructuralError(f"{what} must be a JSON array")
+
+
+def require(data: Any, *keys: str, what: str = "input") -> list:
+    """The values at ``keys`` of a JSON object, in order."""
+    record = mapping(data, what)
+    for key in keys:
+        if key not in record:
+            raise StructuralError(f"{what} is missing the {key!r} key")
+    return [record[key] for key in keys]
+
+
+def label(value: Any, what: str) -> str:
+    """A point or element label: a JSON string, or an integer read as one."""
+    if isinstance(value, str) or type(value) is int:
+        return str(value)
+    raise StructuralError(f"{what} must hold string or integer labels")
+
+
+def labels(value: Any, what: str) -> tuple[str, ...]:
+    return tuple(label(x, what) for x in array(value, what))
+
+
+def rationals(value: Any, what: str) -> dict[str, Fraction]:
+    """A label -> rational object."""
+    return {str(k): parse_rational(v) for k, v in mapping(value, what).items()}
+
+
+def rational_matrix(value: Any, what: str) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(
+        tuple(parse_rational(v) for v in array(row, what))
+        for row in array(value, what)
+    )
+
+
+def indices(value: Any, what: str) -> tuple[int, ...]:
+    """A list of JSON integers (point or element indices)."""
+    out = tuple(array(value, what))
+    if any(type(v) is not int for v in out):
+        raise StructuralError(f"{what} must hold JSON integers")
+    return out
+
+
+def parse_space(data: Any) -> FiniteMetricSpace:
+    """A space record as written; the metric axioms are not checked."""
+    points, dist = require(data, "points", "dist", what="space record")
+    return FiniteMetricSpace(
+        labels(points, "points"),
+        rational_matrix(dist, "dist"),
+        bool(data.get("pseudo", False)),
+    )
+
+
+def function_parts(data: Any) -> tuple[tuple[str, ...], dict[str, Fraction]]:
+    """The (support, values) pair of a function record."""
+    support, values = require(
+        data, "support", "values", what="function record"
+    )
+    return labels(support, "support"), rationals(values, "values")
 
 
 def space_from_json(data: Mapping[str, Any]) -> FiniteMetricSpace:
-    try:
-        points = tuple(str(p) for p in data["points"])
-        dist = tuple(
-            tuple(parse_rational(v) for v in row) for row in data["dist"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise StructuralError(f"malformed space record: {exc}") from exc
-    pseudo = bool(data.get("pseudo", False))
-    return require_valid(FiniteMetricSpace(points, dist, pseudo))
+    return require_valid(parse_space(data))
 
 
 def space_to_json(space: FiniteMetricSpace, basepoint: Optional[str] = None):
     out = {
         "points": list(space.points),
-        "dist": [[format_rational(v) for v in row] for row in space.dist],
+        "dist": [[str(v) for v in row] for row in space.dist],
         "pseudo": space.pseudo,
     }
     if basepoint is not None:
@@ -62,28 +120,21 @@ def space_to_json(space: FiniteMetricSpace, basepoint: Optional[str] = None):
 
 def pointed_from_json(data: Mapping[str, Any]) -> PointedSpace:
     space = space_from_json(data)
-    if "basepoint" not in data:
-        raise StructuralError("pointed space requires a basepoint")
-    return PointedSpace(space, space.index(str(data["basepoint"])))
+    (bp,) = require(data, "basepoint", what="pointed space record")
+    return PointedSpace(space, space.index(label(bp, "basepoint")))
 
 
 def katetov_from_json(data: Mapping[str, Any]) -> KatetovFunction:
-    try:
-        space = space_from_json(data["space"])
-        support = tuple(str(x) for x in data["support"])
-        values = {
-            str(k): parse_rational(v) for k, v in data["values"].items()
-        }
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise StructuralError(f"malformed function record: {exc}") from exc
-    return KatetovFunction(space, support, values)
+    (raw_space,) = require(data, "space", what="function record")
+    space = space_from_json(raw_space)
+    return KatetovFunction(space, *function_parts(data))
 
 
 def katetov_to_json(f: KatetovFunction):
     return {
         "space": space_to_json(f.space),
         "support": list(f.support),
-        "values": {x: format_rational(f.value(x)) for x in f.support},
+        "values": {x: str(f.value(x)) for x in f.support},
     }
 
 
@@ -94,7 +145,7 @@ def star_fragment_to_json(frag: StarFragment):
             {
                 "support": list(rec.support),
                 "values": {
-                    x: format_rational(v) for x, v in rec.values.items()
+                    x: str(v) for x, v in rec.values.items()
                 },
                 "point": rec.point,
                 "fresh": rec.fresh,
@@ -105,12 +156,11 @@ def star_fragment_to_json(frag: StarFragment):
 
 
 def group_from_json(data: Mapping[str, Any]) -> FiniteGroup:
-    try:
-        elements = tuple(str(e) for e in data["elements"])
-        table = tuple(tuple(int(v) for v in row) for row in data["table"])
-    except (KeyError, TypeError) as exc:
-        raise StructuralError(f"malformed group record: {exc}") from exc
-    return FiniteGroup(elements, table)
+    elements, table = require(data, "elements", "table", what="group record")
+    return FiniteGroup(
+        labels(elements, "elements"),
+        tuple(indices(row, "table") for row in array(table, "table")),
+    )
 
 
 def group_to_json(group: FiniteGroup):
@@ -122,11 +172,8 @@ def group_to_json(group: FiniteGroup):
 
 def pseudometric_from_json(data: Mapping[str, Any]) -> InvariantPseudometric:
     group = group_from_json(data)
-    if "pseudometric" not in data:
-        raise StructuralError("group record lacks a pseudometric matrix")
-    d = tuple(
-        tuple(parse_rational(v) for v in row) for row in data["pseudometric"]
-    )
+    (raw,) = require(data, "pseudometric", what="group record")
+    d = rational_matrix(raw, "pseudometric")
     if len(d) != group.order or any(len(row) != group.order for row in d):
         raise StructuralError("pseudometric matrix shape mismatch")
     return InvariantPseudometric(group, d)
@@ -134,7 +181,7 @@ def pseudometric_from_json(data: Mapping[str, Any]) -> InvariantPseudometric:
 
 def pseudometric_to_json(pm: InvariantPseudometric):
     out = group_to_json(pm.group)
-    out["pseudometric"] = [[format_rational(v) for v in row] for row in pm.d]
+    out["pseudometric"] = [[str(v) for v in row] for row in pm.d]
     return out
 
 
@@ -145,20 +192,16 @@ def action_from_json(data: Mapping[str, Any]) -> GroupAction:
     multiplying known images until the table closes, then the homomorphism
     law is verified as usual.
     """
-    try:
-        group = group_from_json(data["group"])
-        space = space_from_json(data["space"])
-        given = {
-            str(k): tuple(int(v) for v in perm)
-            for k, perm in data["images"].items()
-        }
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise StructuralError(f"malformed action record: {exc}") from exc
+    raw_group, raw_space, raw_images = require(
+        data, "group", "space", "images", what="action record"
+    )
+    group = group_from_json(raw_group)
+    space = space_from_json(raw_space)
     images: dict[int, Isometry] = {
         group.identity: Isometry.identity(space)
     }
-    for label, perm in given.items():
-        images[group.index(label)] = Isometry(space, perm)
+    for name, perm in mapping(raw_images, "images").items():
+        images[group.index(name)] = Isometry(space, indices(perm, "images"))
     changed = True
     while changed:
         changed = False
@@ -193,17 +236,15 @@ def action_to_json(action: GroupAction):
 
 
 def molecule_from_json(data: Mapping[str, Any]) -> Molecule:
-    try:
-        space = space_from_json(data["space"])
-        coeffs = {
-            str(k): parse_rational(v) for k, v in data["coeffs"].items()
-        }
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise StructuralError(f"malformed molecule record: {exc}") from exc
-    bp = data.get("basepoint", data["space"].get("basepoint"))
+    raw_space, raw_coeffs = require(
+        data, "space", "coeffs", what="molecule record"
+    )
+    space = space_from_json(raw_space)
+    coeffs = rationals(raw_coeffs, "coeffs")
+    bp = data.get("basepoint", raw_space.get("basepoint"))
     if bp is None:
         raise StructuralError("molecule requires a basepoint")
-    pointed = PointedSpace(space, space.index(str(bp)))
+    pointed = PointedSpace(space, space.index(label(bp, "basepoint")))
     return Molecule.make(pointed, coeffs)
 
 
@@ -211,5 +252,5 @@ def molecule_to_json(m: Molecule):
     return {
         "space": space_to_json(m.pointed.space),
         "basepoint": m.pointed.basepoint_label,
-        "coeffs": {x: format_rational(v) for x, v in m.coeffs},
+        "coeffs": {x: str(v) for x, v in m.coeffs},
     }

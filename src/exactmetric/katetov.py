@@ -75,6 +75,8 @@ def is_katetov(
     """Check both Katetov inequalities on all pairs of the support."""
     pts = tuple(support) if support is not None else space.points
     for x in pts:
+        if x not in values:
+            raise DomainError(f"no value given at {x!r}")
         if values[x] < ZERO:
             raise DomainError(f"negative value at {x!r}")
     for x, y in combinations(pts, 2):
@@ -222,12 +224,8 @@ class TowerPolicy:
     def grid(self) -> list[Fraction]:
         if self.grid_step <= 0:
             raise DomainError("grid step must be positive")
-        out = []
-        v = self.grid_step
-        while v <= self.value_cap:
-            out.append(v)
-            v += self.grid_step
-        return out
+        count = self.value_cap // self.grid_step
+        return [k * self.grid_step for k in range(1, count + 1)]
 
 
 def tower(
@@ -241,6 +239,13 @@ def tower(
     if depth < 0:
         raise DomainError("depth must be non-negative")
     current = space
+    if depth and policy.support_size >= 1 and space.n and policy.grid_step > 0 \
+            and policy.value_cap // policy.grid_step > policy.point_budget:
+        # level one realizes each grid value on a one-point support as a
+        # distinct hat, at most n of them existing points
+        raise BudgetExceededError(
+            f"the value grid alone exceeds the budget {policy.point_budget}"
+        )
     grid = policy.grid()
     for _ in range(depth):
         attachments: list[KatetovFunction] = []

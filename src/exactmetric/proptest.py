@@ -15,7 +15,6 @@ from . import jsonio
 from .actions import enumerate_isometries, moving_gap
 from .errors import DomainError
 from .freespace import (
-    AffineMap,
     Molecule,
     aell_norm_dual,
     aell_norm_primal,
@@ -34,7 +33,7 @@ from .katetov import (
     star_fragment,
     sup_distance,
 )
-from .metric import PointedSpace, set_distance, validate
+from .metric import validate
 from .quotients import (
     min_fvf_cover,
     orbit_isomorphism,
@@ -329,16 +328,10 @@ def suite_extension(trials: int, seed: int):
         rng.shuffle(pts)
         phi = sorted(pts[: rng.randint(1, max(1, space.n // 2))])
         phi_plus = sorted(set(phi) | {pointed.basepoint_label})
-        best_gap, best_g = ZERO, None
-        for gi in range(action.group.order):
-            iso = action.images[gi]
-            gap = set_distance(
-                space, phi_plus, [iso.apply_label(x) for x in phi_plus]
-            )
-            if gap > best_gap:
-                best_gap, best_g = gap, iso
-        if best_g is None:
+        best_gap, witness = moving_gap(action, phi_plus)
+        if best_gap == ZERO:
             return None  # nothing to certify for this instance
+        best_g = action.images[action.group.index(witness)]
         sub = phi_plus
         v = Molecule.make(
             pointed,

@@ -42,9 +42,6 @@ class InvariantPseudometric:
                             f"({g.elements[k]}, {g.elements[a]}, {g.elements[b]})"
                         )
 
-    def as_space(self) -> FiniteMetricSpace:
-        return FiniteMetricSpace(self.group.elements, self.d, pseudo=True)
-
 
 def kernel_subgroup(pm: InvariantPseudometric) -> tuple[int, ...]:
     """Indices of the null subgroup {g : d(g, e) = 0}; closure verified."""

@@ -136,6 +136,15 @@ def test_th_extension_check():
     assert out["certified"] is True
 
 
+def test_th_extension_check_uses_the_given_element():
+    doc = json.loads((FIXTURES / "th_ext.json").read_text())
+    doc["element"] = "g1"  # g1 does not move phi: its gap is 0
+    out = run_json("th-extension-check", stdin=json.dumps(doc))
+    assert out["element"] == "g1"
+    assert out["epsilon0"] == "0" and out["witness_bound"] == "0"
+    assert out["norm_distance"] == "7/2"
+
+
 def test_proptest_subcommand():
     out = run_json("proptest", "--suite", "duality", "--trials", "5", "--seed", "1")
     assert out["passed"] is True and out["failures"] == []

@@ -1,0 +1,182 @@
+"""The CLI contract on malformed input: exit 0, 1 or 2 with a JSON object on
+stdout for 0 and 1, never a traceback and never a hang.
+
+Most checks call ``cli.main`` in-process; the tower budget regression runs
+in a subprocess so that a hang is cut off by a timeout.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import subprocess
+import sys
+
+import pytest
+
+from conftest import FIXTURES
+from exactmetric import cli
+
+
+def run_main(argv, doc=None):
+    """(exit code, stdout) of ``cli.main``; ``doc`` is fed on stdin."""
+    out = io.StringIO()
+    stdin = sys.stdin
+    if doc is not None:
+        sys.stdin = io.StringIO(json.dumps(doc))
+    try:
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue()
+
+
+def load(name):
+    return json.loads((FIXTURES / name).read_text())
+
+
+def error_kind(argv, doc=None):
+    code, out = run_main(argv, doc)
+    assert code == 1, out
+    return json.loads(out)["error"]["kind"]
+
+
+def _edit(name, path, value=None, drop=False):
+    """A fixture with the value at ``path`` replaced (or its key dropped)."""
+    doc = load(name)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if drop:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+MALFORMED = {
+    "function-without-space": (
+        "katetov-check", {"function": {}}),
+    "attachment-without-values": (
+        "star", _edit("star.json", ["attachments", 0, "values"], drop=True)),
+    "attachments-not-a-list": (
+        "star", _edit("star.json", ["attachments"], 5)),
+    "phi-not-an-object": (
+        "prop-k", _edit("prop_k.json", ["phi"], 5)),
+    "v-not-an-object": (
+        "th-extension-check", _edit("th_ext.json", ["v"], [1])),
+    "isometry-of-labels": (
+        "extend-affine", _edit("extend_affine.json", ["isometry"], ["a", "b", "c"])),
+    "isometry-not-a-list": (
+        "extend-affine", _edit("extend_affine.json", ["isometry"], 5)),
+    "group-table-entry": (
+        "fvf", _edit("group_z5.json", ["group", "table", 0, 0], "x")),
+    "action-image-entry": (
+        "moving-gap", _edit("action_c6.json", ["action", "images", "g1", 0], "x")),
+    "points-as-a-string": (
+        "validate", {"space": {"points": "ab", "dist": [[0, 1], [1, 0]]}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_a_structural_error(case):
+    command, doc = MALFORMED[case]
+    assert error_kind([command], doc) == "StructuralError"
+
+
+def test_support_label_without_value_is_a_domain_error():
+    doc = load("function.json")
+    doc["function"]["support"] = ["a", "b"]
+    assert error_kind(["katetov-check"], doc) == "DomainError"
+
+
+def test_unreadable_input_file_is_an_error_object(tmp_path):
+    assert error_kind(["validate", "--in", str(tmp_path / "absent.json")]) \
+        == "FileNotFoundError"
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    assert error_kind(["validate", "--in", str(binary)]) == "UnicodeDecodeError"
+
+
+@pytest.mark.parametrize("flag", ["--grid-step", "--value-cap"])
+@pytest.mark.parametrize("value", ["abc", "1/0"])
+def test_non_rational_tower_flag_is_a_usage_error(flag, value):
+    code, out = run_main(["tower", "--in", str(FIXTURES / "space_line.json"),
+                          flag, value])
+    assert code == 2 and out == ""
+
+
+def test_huge_tower_grid_fails_fast_on_the_budget():
+    proc = subprocess.run(
+        [sys.executable, "-m", "exactmetric.cli", "tower",
+         "--in", str(FIXTURES / "space_line.json"),
+         "--grid-step", "1/1000000", "--value-cap", "1000000", "--budget", "3"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"]["kind"] == "BudgetExceededError"
+
+
+FUZZ_CASES = [
+    ("validate", "space_line.json"),
+    ("norm", "molecule.json"),
+    ("katetov-check", "function.json"),
+    ("hat-extend", "function.json"),
+    ("star", "star.json"),
+    ("tower", "space_line.json"),
+    ("iso-enum", "space_line.json"),
+    ("moving-gap", "action_c6.json"),
+    ("extend-affine", "extend_affine.json"),
+    ("fixed-point", "fixed_point.json"),
+    ("quotient", "pseudometric_s3.json"),
+    ("pullback", "action_c6.json"),
+    ("fvf", "group_z5.json"),
+    ("prop-k", "prop_k.json"),
+    ("th-extension-check", "th_ext.json"),
+]
+REPLACEMENTS = [5, "x", "ab", [], {}, None, True, 1.5]
+
+
+def test_mutated_fixtures_keep_the_cli_contract():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    docs = {name: load(name) for _, name in FUZZ_CASES}
+
+    @st.composite
+    def mutated(draw):
+        command, name = draw(st.sampled_from(FUZZ_CASES))
+        doc = copy.deepcopy(docs[name])
+        for _ in range(draw(st.integers(1, 2))):
+            node = doc
+            while True:
+                key = draw(st.sampled_from(
+                    sorted(node) if isinstance(node, dict) else range(len(node))
+                ))
+                child = node[key]
+                if not (child and isinstance(child, (dict, list))
+                        and draw(st.booleans())):
+                    break
+                node = child
+            if isinstance(node, dict) and draw(st.booleans()):
+                del node[key]
+            else:
+                node[key] = draw(st.sampled_from(REPLACEMENTS))
+            if not doc:
+                break
+        return command, doc
+
+    @hypothesis.settings(max_examples=300, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(mutated())
+    def check(case):
+        command, doc = case
+        code, out = run_main([command], doc)
+        assert code in (0, 1, 2)
+        if code in (0, 1):
+            assert isinstance(json.loads(out), dict)
+
+    check()

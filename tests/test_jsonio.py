@@ -8,7 +8,6 @@ from exactmetric import DomainError, StructuralError
 from exactmetric.jsonio import (
     action_from_json,
     action_to_json,
-    format_rational,
     group_from_json,
     group_to_json,
     katetov_from_json,
@@ -32,6 +31,7 @@ from exactmetric.randgen import (
     rotation_action,
 )
 from exactmetric.freespace import Molecule
+from exactmetric.metric import PointedSpace
 
 F = Fraction
 
@@ -49,10 +49,12 @@ def test_parse_rational_rejections():
             parse_rational(bad)
 
 
-def test_format_rational_is_reduced():
-    assert format_rational(F(4, 6)) == "2/3"
-    assert format_rational(F(5)) == "5"
-    assert format_rational(F(-1, 2)) == "-1/2"
+def test_rationals_are_written_reduced():
+    sp = rand_metric_space(Random(7), 4)
+    pointed = PointedSpace(sp, 0)
+    a, b, c = sp.points[1:]
+    m = Molecule.make(pointed, {a: F(4, 6), b: F(5), c: F(-1, 2)})
+    assert molecule_to_json(m)["coeffs"] == {a: "2/3", b: "5", c: "-1/2"}
 
 
 def test_space_round_trip_is_bit_exact():
