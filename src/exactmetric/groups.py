@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, InternalCheckError, StructuralError
+from .errors import DomainError, StructuralError
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,10 @@ class FiniteGroup:
                             "multiplication table is not associative"
                         )
         for g in range(n):
-            if not any(t[g][h] == e for h in range(n)):
+            if e not in t[g]:
                 raise DomainError(f"element {self.elements[g]!r} has no inverse")
         object.__setattr__(self, "_identity", e)
+        object.__setattr__(self, "_inverses", tuple(row.index(e) for row in t))
 
     def _find_identity(self) -> int:
         n = len(self.elements)
@@ -61,10 +62,7 @@ class FiniteGroup:
         return self.table[g][h]
 
     def inv(self, g: int) -> int:
-        for h in range(self.order):
-            if self.table[g][h] == self.identity:
-                return h
-        raise InternalCheckError("inverse missing despite construction check")
+        return self._inverses[g]
 
     def index(self, label: str) -> int:
         try:

@@ -174,14 +174,24 @@ def pseudometric_from_json(data: Mapping[str, Any]) -> InvariantPseudometric:
     group = group_from_json(data)
     (raw,) = require(data, "pseudometric", what="group record")
     d = rational_matrix(raw, "pseudometric")
-    if len(d) != group.order or any(len(row) != group.order for row in d):
+    n = group.order
+    if len(d) != n or any(len(row) != n for row in d):
         raise StructuralError("pseudometric matrix shape mismatch")
-    return InvariantPseudometric(group, d)
+    pm = InvariantPseudometric(group, d[group.identity])
+    for a in range(n):
+        for b in range(n):
+            if d[a][b] != pm.dist(a, b):
+                raise DomainError(
+                    "pseudometric is not left-invariant: d(a, b) != "
+                    f"d(e, a^-1 b) at ({group.elements[a]}, {group.elements[b]})"
+                )
+    return pm
 
 
 def pseudometric_to_json(pm: InvariantPseudometric):
+    n = pm.group.order
     out = group_to_json(pm.group)
-    out["pseudometric"] = [[str(v) for v in row] for row in pm.d]
+    out["pseudometric"] = [[str(pm.dist(a, b)) for b in range(n)] for a in range(n)]
     return out
 
 

@@ -9,7 +9,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .actions import GroupAction, Isometry
-from .errors import DomainError
+from .errors import DomainError, StructuralError
 from .groups import FiniteGroup
 from .metric import FiniteMetricSpace, set_distance, validate
 
@@ -18,36 +18,43 @@ ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class InvariantPseudometric:
-    """A pseudometric on the elements of a finite group with
-    d(kg, kh) = d(g, h) for all k; verified at construction."""
+    """A left-invariant pseudometric on a finite group, held as its length
+    function ``delta[g] = d(e, g)`` (indexed like ``group.elements``), so
+    d(a, b) = delta[a^-1 b] and d(ka, kb) = d(a, b) hold by construction.
+    The length axioms delta(e) = 0, delta(g^-1) = delta(g) and
+    delta(gh) <= delta(g) + delta(h), which make d a pseudometric, are
+    verified at construction."""
 
     group: FiniteGroup
-    d: tuple[tuple[Fraction, ...], ...]
+    delta: tuple[Fraction, ...]
 
     def __post_init__(self):
         g = self.group
-        n = g.order
-        space = FiniteMetricSpace(g.elements, self.d, pseudo=True)
-        report = validate(space)
-        if not report.ok:
-            raise DomainError(
-                f"pseudometric axiom violated: {report.axiom} at {report.witness}"
-            )
-        for k in range(n):
-            for a in range(n):
-                for b in range(n):
-                    if self.d[g.mul(k, a)][g.mul(k, b)] != self.d[a][b]:
-                        raise DomainError(
-                            "pseudometric is not left-invariant at "
-                            f"({g.elements[k]}, {g.elements[a]}, {g.elements[b]})"
-                        )
+        delta = self.delta
+        if len(delta) != g.order:
+            raise StructuralError("length function size does not match group order")
+        if delta[g.identity] != ZERO:
+            raise DomainError("pseudometric length is nonzero at the identity")
+        for a in range(g.order):
+            if delta[g.inv(a)] != delta[a]:
+                raise DomainError(f"pseudometric is not symmetric at {g.elements[a]}")
+        for a, row in enumerate(g.table):
+            da = delta[a]
+            for b, ab in enumerate(row):
+                if delta[ab] > da + delta[b]:
+                    raise DomainError(
+                        "pseudometric triangle inequality fails at "
+                        f"({g.elements[a]}, {g.elements[b]})"
+                    )
+
+    def dist(self, a: int, b: int) -> Fraction:
+        return self.delta[self.group.mul(self.group.inv(a), b)]
 
 
 def kernel_subgroup(pm: InvariantPseudometric) -> tuple[int, ...]:
     """Indices of the null subgroup {g : d(g, e) = 0}; closure verified."""
     g = pm.group
-    e = g.identity
-    h = tuple(i for i in range(g.order) if pm.d[i][e] == ZERO)
+    h = tuple(i for i in range(g.order) if pm.delta[i] == ZERO)
     members = set(h)
     for a in h:
         if g.inv(a) not in members:
@@ -84,10 +91,10 @@ def quotient_space(
     dist = [[ZERO] * k for _ in range(k)]
     for i in range(k):
         for j in range(k):
-            expected = pm.d[reps[i]][reps[j]]
+            expected = pm.dist(reps[i], reps[j])
             for a in cosets[i]:
                 for b in cosets[j]:
-                    if pm.d[a][b] != expected:
+                    if pm.dist(a, b) != expected:
                         raise DomainError(
                             "quotient metric not constant on coset pair "
                             f"({labels[i]}, {labels[j]})"
@@ -113,15 +120,13 @@ def quotient_space(
 def pullback_pseudometric(
     action: GroupAction, xi: str
 ) -> InvariantPseudometric:
-    """The pseudometric d(g, h) = d_X(g xi, h xi) induced by an orbit."""
-    g = action.group
+    """The pseudometric d(g, h) = d_X(g xi, h xi) induced by an orbit, with
+    length delta(g) = d_X(xi, g xi)."""
     i = action.space.index(xi)
-    images = [iso.apply(i) for iso in action.images]
-    d = tuple(
-        tuple(action.space.dist[images[a]][images[b]] for b in range(g.order))
-        for a in range(g.order)
+    row = action.space.dist[i]
+    return InvariantPseudometric(
+        action.group, tuple(row[iso.apply(i)] for iso in action.images)
     )
-    return InvariantPseudometric(g, d)
 
 
 def orbit_isomorphism(
@@ -200,12 +205,11 @@ def moving_certificate(
     if radius <= ZERO:
         raise DomainError("ball radius must be positive")
     g = pm.group
-    e = g.identity
-    ball = [i for i in range(g.order) if pm.d[i][e] < radius]
+    ball = [i for i in range(g.order) if pm.delta[i] < radius]
     qspace, action = quotient_space(pm)
     reps = [g.index(label[:-1]) for label in qspace.points]
     elem_coset = [
-        next(j for j, r in enumerate(reps) if pm.d[i][r] == ZERO)
+        next(j for j, r in enumerate(reps) if pm.dist(i, r) == ZERO)
         for i in range(g.order)
     ]
 

@@ -158,11 +158,7 @@ def rand_invariant_pseudometric(
                 if via < delta[c]:
                     delta[c] = via
                     changed = True
-    d = tuple(
-        tuple(delta[group.mul(group.inv(a), b)] for b in range(n))
-        for a in range(n)
-    )
-    return InvariantPseudometric(group, d)
+    return InvariantPseudometric(group, tuple(delta))
 
 
 def cycle_space(n: int) -> FiniteMetricSpace:

@@ -1,3 +1,4 @@
+import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from exactmetric import FiniteMetricSpace, PointedSpace
 
 FIXTURES = Path(__file__).parent / "fixtures"
+BENCH = Path(__file__).parent.parent / "bench"
 
 
 def F(v):
@@ -18,6 +20,15 @@ def space_from_rows(labels, rows, pseudo=False):
         tuple(tuple(Fraction(v) for v in row) for row in rows),
         pseudo,
     )
+
+
+def bench_module(name):
+    """A module of the benchmark harness, loaded from its file (``bench`` is
+    a directory of scripts, not a package)."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -95,14 +95,7 @@ def main():
 
     s3 = symmetric_group(3)
     h = {s3.index("012"), s3.index("021")}
-    d = tuple(
-        tuple(
-            F(0) if s3.mul(s3.inv(i), j) in h else F(1)
-            for j in range(s3.order)
-        )
-        for i in range(s3.order)
-    )
-    pm = InvariantPseudometric(s3, d)
+    pm = InvariantPseudometric(s3, tuple(F(g not in h) for g in range(s3.order)))
     dump("pseudometric_s3.json", {"group": pseudometric_to_json(pm)})
 
     dump("prop_k.json", {

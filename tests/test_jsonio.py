@@ -31,7 +31,7 @@ from exactmetric.randgen import (
     rotation_action,
 )
 from exactmetric.freespace import Molecule
-from exactmetric.metric import PointedSpace
+from exactmetric.metric import FiniteMetricSpace, PointedSpace, validate
 
 F = Fraction
 
@@ -119,6 +119,52 @@ def test_pseudometric_round_trip_and_shape_check():
     data["pseudometric"] = data["pseudometric"][:-1]
     with pytest.raises(StructuralError):
         pseudometric_from_json(data)
+
+
+def cubic_pseudometric_check(group, d):
+    """The matrix check the loader replaced, kept as its oracle: the
+    pseudometric axioms, then d(ka, kb) = d(a, b) for every k, a and b."""
+    if not validate(FiniteMetricSpace(group.elements, d, pseudo=True)).ok:
+        return False
+    n = range(group.order)
+    return all(
+        d[group.mul(k, a)][group.mul(k, b)] == d[a][b]
+        for k in n for a in n for b in n
+    )
+
+
+def test_pseudometric_loader_matches_the_cubic_check():
+    """Valid matrices, one symmetric pair perturbed, and right-invariant
+    matrices d(a, b) = delta(b a^-1) on non-abelian groups."""
+    rng = Random(97)
+    seen = set()
+    for trial in range(201):
+        kind = ("valid", "perturbed", "right")[trial % 3]
+        group = rand_group(rng, max_order=12)
+        while kind == "right" and group.table == tuple(zip(*group.table)):
+            group = rand_group(rng, max_order=12)
+        delta = rand_invariant_pseudometric(rng, group).delta
+        n = range(group.order)
+        if kind == "right":
+            d = [[delta[group.mul(b, group.inv(a))] for b in n] for a in n]
+        else:
+            d = [[delta[group.mul(group.inv(a), b)] for b in n] for a in n]
+        if kind == "perturbed":
+            a, b = rng.sample(n, 2)
+            step = rng.choice([F(-1), F(-1, 2), F(1, 2), F(2)])
+            d[a][b] = d[b][a] = d[a][b] + step
+        rows = [[str(v) for v in row] for row in d]
+        record = dict(group_to_json(group), pseudometric=rows)
+        ok = cubic_pseudometric_check(group, tuple(map(tuple, d)))
+        if ok:
+            assert pseudometric_to_json(pseudometric_from_json(record)) == record
+        else:
+            with pytest.raises(DomainError):
+                pseudometric_from_json(record)
+        seen.add((kind, ok))
+    # a perturbed pair on Z_2 and a conjugation-invariant delta stay valid
+    assert seen == {("valid", True), ("perturbed", True), ("perturbed", False),
+                    ("right", True), ("right", False)}
 
 
 def test_action_round_trip():

@@ -6,6 +6,7 @@ import pytest
 from exactmetric import (
     DomainError,
     InvariantPseudometric,
+    StructuralError,
     cyclic_group,
     kernel_subgroup,
     min_fvf_cover,
@@ -15,6 +16,7 @@ from exactmetric import (
     quotient_space,
     symmetric_group,
 )
+from exactmetric.jsonio import group_to_json, pseudometric_from_json
 from exactmetric.randgen import (
     rand_action,
     rand_group,
@@ -26,52 +28,46 @@ F = Fraction
 
 
 def discrete(group):
-    n = group.order
-    d = tuple(
-        tuple(F(0) if i == j else F(1) for j in range(n)) for i in range(n)
-    )
-    return InvariantPseudometric(group, d)
+    delta = tuple(F(g != group.identity) for g in range(group.order))
+    return InvariantPseudometric(group, delta)
 
 
 def zero_pm(group):
-    n = group.order
-    return InvariantPseudometric(group, ((F(0),) * n,) * n)
+    return InvariantPseudometric(group, (F(0),) * group.order)
 
 
 def cycle_pm(n):
     """Word metric on Z_n with respect to {1, -1}."""
-    group = cyclic_group(n)
-    d = tuple(
-        tuple(F(min((i - j) % n, (j - i) % n)) for j in range(n))
-        for i in range(n)
-    )
-    return InvariantPseudometric(group, d)
+    delta = tuple(F(min(g, n - g)) for g in range(n))
+    return InvariantPseudometric(cyclic_group(n), delta)
 
 
 def coset_indicator_pm(group, subgroup):
-    """Distance 0 inside a coset, 1 across cosets; needs a normal subgroup
-    for left-invariance, which holds for index two."""
-    members = set(subgroup)
-    n = group.order
-    d = tuple(
-        tuple(
-            F(0) if group.mul(group.inv(i), j) in members else F(1)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return InvariantPseudometric(group, d)
+    """Distance 0 inside a left coset of the subgroup, 1 across cosets."""
+    delta = tuple(F(g not in subgroup) for g in range(group.order))
+    return InvariantPseudometric(group, delta)
+
+
+@pytest.mark.parametrize("order, delta, error, match", [
+    (3, (1, 1, 1), DomainError, "identity"),
+    (3, (0, 1, 2), DomainError, "symmetric"),
+    (4, (0, 1, 3, 1), DomainError, "triangle"),
+    (3, (0, 1), StructuralError, "size"),
+])
+def test_length_function_axioms_enforced(order, delta, error, match):
+    with pytest.raises(error, match=match):
+        InvariantPseudometric(cyclic_group(order), tuple(map(F, delta)))
 
 
 def test_left_invariance_enforced():
     group = cyclic_group(3)
-    d = (
-        (F(0), F(1), F(2)),
-        (F(1), F(0), F(1)),
-        (F(2), F(1), F(0)),
-    )
-    with pytest.raises(DomainError):
-        InvariantPseudometric(group, d)
+    # a path metric (identity row not symmetric) and a metric whose identity
+    # row is a valid length function but whose other rows are not its translate
+    for d, match in ((["012", "101", "210"], "symmetric"),
+                     (["011", "102", "120"], "left-invariant")):
+        record = dict(group_to_json(group), pseudometric=[list(row) for row in d])
+        with pytest.raises(DomainError, match=match):
+            pseudometric_from_json(record)
 
 
 def test_kernel_discrete_is_trivial():
@@ -134,7 +130,7 @@ def test_quotient_cycle_metric():
 def test_pullback_of_rotation_action_is_cycle_metric():
     action = rotation_action(6)
     pm = pullback_pseudometric(action, "0")
-    assert pm.d == cycle_pm(6).d
+    assert pm.delta == cycle_pm(6).delta
 
 
 def test_pullback_then_quotient_matches_orbit():
@@ -226,9 +222,7 @@ def test_moving_certificate_gap_verified_random():
     for _ in range(20):
         pm = rand_invariant_pseudometric(rng, rand_group(rng, max_order=12))
         group = pm.group
-        positive = sorted(
-            {v for row in pm.d for v in row if v > 0}
-        )
+        positive = sorted({v for v in pm.delta if v > 0})
         if not positive:
             continue
         radius = positive[0]
