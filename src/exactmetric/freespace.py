@@ -128,16 +128,14 @@ def aell_norm_dual(m: Molecule) -> tuple[Fraction, LipschitzWitness]:
     """
     pointed = m.pointed
     space = pointed.space
-    bp = pointed.basepoint_label
-    supp = list(m.support)
-    if not supp:
-        witness = LipschitzWitness(
-            pointed, {x: ZERO for x in space.points}
-        )
-        return ZERO, witness
+    if not m.coeffs:
+        return ZERO, LipschitzWitness(pointed, dict.fromkeys(space.points, ZERO))
 
-    dbp = {x: space.d_label(x, bp) for x in supp}
-    coeff = m.as_dict()
+    d = space.dist
+    bp = pointed.basepoint
+    supp = [space.index(x) for x, _ in m.coeffs]
+    c = [v for _, v in m.coeffs]
+    dbp = [d[x][bp] for x in supp]
     nvar = len(supp)
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
@@ -146,7 +144,7 @@ def aell_norm_dual(m: Molecule) -> tuple[Fraction, LipschitzWitness]:
         row = [ZERO] * nvar
         row[i] = ONE
         rows.append(row)
-        rhs.append(2 * dbp[x])
+        rhs.append(2 * dbp[i])
         for j, y in enumerate(supp):
             if i == j:
                 continue
@@ -155,16 +153,16 @@ def aell_norm_dual(m: Molecule) -> tuple[Fraction, LipschitzWitness]:
             row[i] = ONE
             row[j] = -ONE
             rows.append(row)
-            rhs.append(space.d_label(x, y) + dbp[x] - dbp[y])
-    c = [coeff[x] for x in supp]
+            rhs.append(d[x][y] + dbp[i] - dbp[j])
     value, g = simplex_max(c, rows, rhs)
-    shift = sum((coeff[x] * dbp[x] for x in supp), ZERO)
+    shift = sum((ci * di for ci, di in zip(c, dbp)), ZERO)
     norm = value - shift
-    f = {x: g[i] - dbp[x] for i, x in enumerate(supp)}
-    f[bp] = ZERO
-    full = {}
-    for x in space.points:
-        full[x] = min(f[y] + space.d_label(y, x) for y in f)
+    # the optimum on support + basepoint, extended by min-plus to every point
+    f = [(x, g[i] - dbp[i]) for i, x in enumerate(supp)] + [(bp, ZERO)]
+    full = {
+        label: min(fy + d[y][i] for y, fy in f)
+        for i, label in enumerate(space.points)
+    }
     witness = LipschitzWitness(pointed, full)
     paired = witness.pair(m)
     if paired != norm:
@@ -181,106 +179,72 @@ def aell_norm_primal(
     absorbs the total.  Costs obey the triangle inequality, so only direct
     source-to-sink arcs are needed; successive shortest augmenting paths on
     the bipartite residual network (Bellman-Ford, exact rationals) give the
-    minimum cost.
+    minimum cost.  Each path runs from a live source to the nearest live
+    sink, the smallest index among equals.
     """
-    pointed = m.pointed
-    space = pointed.space
-    bp = pointed.basepoint_label
-    balance = m.as_dict()
-    balance[bp] = balance.get(bp, ZERO) - m.total()
-    sources = [x for x in space.points if balance.get(x, ZERO) > ZERO]
-    sinks = [x for x in space.points if balance.get(x, ZERO) < ZERO]
-    supply = {x: balance[x] for x in sources}
-    deficit = {x: -balance[x] for x in sinks}
-    flow: dict[tuple[str, str], Fraction] = {}
+    space = m.pointed.space
+    d = space.dist
+    # remaining supply (> 0) or demand (< 0) of each point
+    excess = [ZERO] * space.n
+    for x, v in m.coeffs:
+        excess[space.index(x)] = v
+    excess[m.pointed.basepoint] -= m.total()
+    sources = [i for i, v in enumerate(excess) if v > ZERO]
+    sinks = [i for i, v in enumerate(excess) if v < ZERO]
+    # (source, sink) -> shipped amount, in the order the arcs were first used
+    flow: dict[tuple[int, int], Fraction] = {}
 
-    while any(v > ZERO for v in supply.values()):
-        path = _shortest_augmenting_path(space, sources, sinks, supply, deficit, flow)
-        if path is None:
+    while any(excess[s] > ZERO for s in sources):
+        # Bellman-Ford from the live sources: forward arcs source -> sink cost
+        # d(s, t), residual arcs sink -> source with flow cost -d(s, t).
+        dist = {s: ZERO for s in sources if excess[s] > ZERO}
+        pred: dict[int, int] = {}
+        for _ in range(len(sources) + len(sinks)):
+            changed = False
+            for s in sources:
+                if s in dist:
+                    ds = dist[s]
+                    row = d[s]
+                    for t in sinks:
+                        nd = ds + row[t]
+                        if t not in dist or nd < dist[t]:
+                            dist[t] = nd
+                            pred[t] = s
+                            changed = True
+            for (s, t), amount in flow.items():
+                if amount > ZERO and t in dist:
+                    nd = dist[t] - d[s][t]
+                    if s not in dist or nd < dist[s]:
+                        dist[s] = nd
+                        pred[s] = t
+                        changed = True
+            if not changed:
+                break
+        live = [t for t in sinks if excess[t] < ZERO and t in dist]
+        if not live:
             raise InternalCheckError("imbalance left unshipped")
-        amount, arcs = path
-        for s, t, forward in arcs:
-            key = (s, t)
-            if forward:
-                flow[key] = flow.get(key, ZERO) + amount
-            else:
-                flow[key] -= amount
-        first = arcs[0]
-        last = arcs[-1]
-        supply[first[0]] -= amount
-        deficit[last[1] if last[2] else last[0]] -= amount
+        # path alternates source, sink, source, ..., sink
+        path = [min(live, key=dist.__getitem__)]
+        while path[-1] in pred:
+            path.append(pred[path[-1]])
+        path.reverse()
+        forward = list(zip(path[0::2], path[1::2]))
+        backward = list(zip(path[2::2], path[1::2]))
+        amount = min([excess[path[0]], -excess[path[-1]]] + [flow[a] for a in backward])
+        for arc in forward:
+            flow[arc] = flow.get(arc, ZERO) + amount
+        for arc in backward:
+            flow[arc] -= amount
+        excess[path[0]] -= amount
+        excess[path[-1]] += amount
 
     cost = ZERO
     plan = []
-    for (s, t), amount in sorted(
-        flow.items(), key=lambda kv: (space.index(kv[0][0]), space.index(kv[0][1]))
-    ):
+    for (s, t), amount in sorted(flow.items()):
         if amount != ZERO:
-            cost += amount * space.d_label(s, t)
-            plan.append((s, t, amount))
+            cost += amount * d[s][t]
+            plan.append((space.points[s], space.points[t], amount))
     return cost, tuple(plan)
-
-
-def _shortest_augmenting_path(space, sources, sinks, supply, deficit, flow):
-    """Bellman-Ford from live sources to the nearest live sink in the
-    residual network; returns (bottleneck, arcs) with arcs as
-    (source, sink, is_forward) triples along the path."""
-    INF = None
-    dist: dict[str, Fraction] = {}
-    pred: dict[str, tuple[str, bool]] = {}
-    for s in sources:
-        if supply[s] > ZERO:
-            dist[s] = ZERO
-    if not dist:
-        return None
-    nodes = sources + sinks
-    for _ in range(len(nodes)):
-        changed = False
-        for s in sources:
-            if s in dist:
-                ds = dist[s]
-                for t in sinks:
-                    nd = ds + space.d_label(s, t)
-                    if t not in dist or nd < dist[t]:
-                        dist[t] = nd
-                        pred[t] = (s, True)
-                        changed = True
-        for (s, t), amount in flow.items():
-            if amount > ZERO and t in dist:
-                nd = dist[t] - space.d_label(s, t)
-                if s not in dist or nd < dist[s]:
-                    dist[s] = nd
-                    pred[s] = (t, False)
-                    changed = True
-        if not changed:
-            break
-    best = None
-    for t in sinks:
-        if deficit[t] > ZERO and t in dist:
-            if best is None or dist[t] < dist[best] or (
-                dist[t] == dist[best] and space.index(t) < space.index(best)
-            ):
-                best = t
-    if best is None:
-        return None
-    arcs = []
-    node = best
-    while node in pred:
-        prev, forward = pred[node]
-        if forward:
-            arcs.append((prev, node, True))
-        else:
-            arcs.append((node, prev, False))
-        node = prev
-    arcs.reverse()
-    start = arcs[0][0]
-    bottleneck = supply[start]
-    end = arcs[-1]
-    bottleneck = min(bottleneck, deficit[end[1] if end[2] else end[0]])
-    for s, t, forward in arcs:
-        if not forward:
-            bottleneck = min(bottleneck, flow[(s, t)])
-    return bottleneck, arcs
 
 
 def aell_norm(m: Molecule) -> Fraction:

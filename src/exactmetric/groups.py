@@ -20,7 +20,8 @@ class FiniteGroup:
 
     def __post_init__(self):
         n = len(self.elements)
-        if len(set(self.elements)) != n:
+        index = {label: i for i, label in enumerate(self.elements)}
+        if len(index) != n:
             raise StructuralError("duplicate element labels")
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise StructuralError("multiplication table shape mismatch")
@@ -40,6 +41,7 @@ class FiniteGroup:
         for g in range(n):
             if e not in t[g]:
                 raise DomainError(f"element {self.elements[g]!r} has no inverse")
+        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_identity", e)
         object.__setattr__(self, "_inverses", tuple(row.index(e) for row in t))
 
@@ -66,8 +68,8 @@ class FiniteGroup:
 
     def index(self, label: str) -> int:
         try:
-            return self.elements.index(label)
-        except ValueError:
+            return self._index[label]
+        except (KeyError, TypeError):
             raise DomainError(f"unknown group element {label!r}") from None
 
 

@@ -30,12 +30,14 @@ class FiniteMetricSpace:
 
     def __post_init__(self):
         n = len(self.points)
-        if len(set(self.points)) != n:
+        index = {label: i for i, label in enumerate(self.points)}
+        if len(index) != n:
             raise StructuralError("duplicate point labels")
         if len(self.dist) != n or any(len(row) != n for row in self.dist):
             raise StructuralError(
                 "distance matrix shape does not match point count"
             )
+        object.__setattr__(self, "_index", index)
 
     @property
     def n(self) -> int:
@@ -43,8 +45,8 @@ class FiniteMetricSpace:
 
     def index(self, label: str) -> int:
         try:
-            return self.points.index(label)
-        except ValueError:
+            return self._index[label]
+        except (KeyError, TypeError):
             raise DomainError(f"unknown point label {label!r}") from None
 
     def d(self, i: int, j: int) -> Fraction:

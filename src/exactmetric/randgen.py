@@ -130,21 +130,19 @@ def rand_invariant_pseudometric(
     rng: Random, group: FiniteGroup
 ) -> InvariantPseudometric:
     """Random left-invariant pseudometric: symmetric word weights pushed
-    through shortest paths on the (complete) Cayley graph."""
+    through shortest paths on the (complete) Cayley graph.  Every letter
+    weighs more than 0 except one random non-identity letter and its inverse,
+    so the kernel {delta = 0} is the cyclic subgroup that letter generates."""
     n = group.order
     e = group.identity
-    weight = [ZERO] * n
-    for i in range(n):
-        if i == e:
-            continue
-        if rng.random() < 0.25:
-            weight[i] = ZERO
-        else:
-            weight[i] = rand_fraction(rng, 1, 6, max_den=2)
+    weight = [ZERO if i == e else rand_fraction(rng, 1, 6, max_den=2) for i in range(n)]
     for i in range(n):
         j = group.inv(i)
         low = min(weight[i], weight[j])
         weight[i] = weight[j] = low
+    if n > 1:
+        z = rng.choice([i for i in range(n) if i != e])
+        weight[z] = weight[group.inv(z)] = ZERO
     # delta(x) = cheapest factorization of x into weighted letters
     delta = list(weight)
     delta[e] = ZERO

@@ -33,16 +33,16 @@ def simplex_max(
 
     # tableau rows: m constraint rows of [A | I | b], then the objective row
     # holding reduced costs (maximization: stop when none positive).
-    width = n + m + 1
     rows = []
     for i in range(m):
-        row = [ZERO] * width
+        row = [ZERO] * (n + m + 1)
         for j in range(n):
             row[j] = Fraction(a[i][j])
         row[n + i] = Fraction(1)
         row[-1] = Fraction(b[i])
         rows.append(row)
     obj = [Fraction(c[j]) for j in range(n)] + [ZERO] * (m + 1)
+    rows.append(obj)
     basis = list(range(n, n + m))
 
     dantzig_budget = 20 * (m + n)
@@ -81,7 +81,7 @@ def simplex_max(
                     leave = i
         if leave < 0:
             raise DomainError("linear program is unbounded")
-        pivot(rows, obj, leave, enter)
+        pivot(rows, leave, enter)
         basis[leave] = enter
         pivots += 1
 
@@ -93,24 +93,18 @@ def simplex_max(
     return value, x
 
 
-def pivot(rows, obj, r, col):
+def pivot(rows, r, col):
+    """Scale row ``r`` to a 1 in column ``col`` and eliminate that column
+    from every other row, the objective row included."""
     prow = rows[r]
     inv = Fraction(1) / prow[col]
     if inv != 1:
         rows[r] = prow = [v * inv for v in prow]
-    width = len(prow)
+    nonzero = [(j, pj) for j, pj in enumerate(prow) if pj]
     for row in rows:
         if row is prow:
             continue
         factor = row[col]
-        if factor != ZERO:
-            for j in range(width):
-                pj = prow[j]
-                if pj:
-                    row[j] -= factor * pj
-    factor = obj[col]
-    if factor != ZERO:
-        for j in range(width):
-            pj = prow[j]
-            if pj:
-                obj[j] -= factor * pj
+        if factor:
+            for j, pj in nonzero:
+                row[j] -= factor * pj

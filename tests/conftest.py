@@ -1,4 +1,5 @@
 import importlib.util
+import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import pytest
 from exactmetric import FiniteMetricSpace, PointedSpace
 
 FIXTURES = Path(__file__).parent / "fixtures"
-BENCH = Path(__file__).parent.parent / "bench"
+ROOT = Path(__file__).parent.parent
+BENCH = ROOT / "bench"
 
 
 def F(v):
@@ -22,13 +24,32 @@ def space_from_rows(labels, rows, pseudo=False):
     )
 
 
-def bench_module(name):
-    """A module of the benchmark harness, loaded from its file (``bench`` is
-    a directory of scripts, not a package)."""
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+def _load_script(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def bench_module(name):
+    """A module of the benchmark harness, loaded from its file (``bench`` is
+    a directory of scripts, not a package)."""
+    return _load_script(f"bench_{name}", BENCH / f"{name}.py")
+
+
+def fixture_generator():
+    """``tests/fixtures/generate.py``, which also lists the recorded CLI
+    invocations and solver cases."""
+    return _load_script("fixture_generator", FIXTURES / "generate.py")
+
+
+def cli_env():
+    """The environment for a ``python -m exactmetric.cli`` subprocess, with
+    ``src`` on ``PYTHONPATH`` so that no install is needed."""
+    env = dict(os.environ)
+    paths = [str(ROOT / "src"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    return env
 
 
 @pytest.fixture

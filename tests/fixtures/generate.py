@@ -1,14 +1,22 @@
-"""Regenerate the JSON fixtures used by the CLI tests.
+"""Regenerate the JSON fixtures used by the CLI tests, the recorded solver
+answers and the golden CLI outputs.
 
-Run from the repository root:  python3 tests/fixtures/generate.py
+Run from the repository root:  PYTHONPATH=src python3 tests/fixtures/generate.py
+
+The solver answers and the golden outputs pin what the library returns
+today, so regenerate them only for an intended change of output.
 """
 
+import io
 import json
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 from exactmetric import FiniteMetricSpace, PointedSpace, cyclic_group, symmetric_group
-from exactmetric.freespace import Molecule
+from exactmetric import cli
+from exactmetric.freespace import Molecule, aell_norm_dual, aell_norm_primal
 from exactmetric.jsonio import (
     action_to_json,
     group_to_json,
@@ -17,10 +25,76 @@ from exactmetric.jsonio import (
     space_to_json,
 )
 from exactmetric.quotients import InvariantPseudometric
-from exactmetric.randgen import cycle_space, rotation_action
+from exactmetric.randgen import (
+    cycle_space,
+    rand_coeffs,
+    rand_metric_space,
+    rand_pointed,
+    rotation_action,
+)
 
 HERE = Path(__file__).parent
+GOLDEN = HERE / "golden"
 F = Fraction
+
+# The CLI invocations of acceptance criterion 10; fixture names are relative
+# to this directory.
+CLI_INVOCATIONS = [
+    ("validate", "--in", "space_line.json"),
+    ("validate", "--in", "space_bad.json"),
+    ("norm", "--in", "molecule.json"),
+    ("katetov-check", "--in", "function.json"),
+    ("hat-extend", "--in", "function.json"),
+    ("star", "--in", "star.json"),
+    ("tower", "--in", "space_line.json", "--depth", "1"),
+    ("iso-enum", "--in", "space_line.json"),
+    ("moving-gap", "--in", "action_c6.json"),
+    ("extend-affine", "--in", "extend_affine.json"),
+    ("fixed-point", "--in", "fixed_point.json"),
+    ("quotient", "--in", "pseudometric_s3.json"),
+    ("pullback", "--in", "action_c6.json"),
+    ("fvf", "--in", "group_z5.json"),
+    ("prop-k", "--in", "prop_k.json"),
+    ("th-extension-check", "--in", "th_ext.json"),
+    ("proptest", "--suite", "duality", "--trials", "5", "--seed", "3"),
+]
+
+
+def cli_argv(invocation):
+    """The invocation with its fixture names made absolute."""
+    return [str(HERE / a) if a.endswith(".json") else a for a in invocation]
+
+
+def golden_path(invocation):
+    """Where the stdout of an invocation is recorded, e.g.
+    ``golden/tower_space_line_1.out``."""
+    words = [a.removesuffix(".json") for a in invocation if not a.startswith("--")]
+    return GOLDEN / ("_".join(words) + ".out")
+
+
+def solver_cases():
+    """300 seeded molecules over spaces of 2..10 points.  Every other space
+    draws its distances from {1, 2, 3}, where optimal plans and optimal
+    witnesses tie, so the recorded answers pin each solver's tie-breaks."""
+    rng = Random(4004)
+    palette = [F(1), F(2), F(3)]
+    cases = []
+    for k in range(300):
+        space = rand_metric_space(rng, 2 + k % 9, palette=palette if k % 2 else None)
+        pointed = rand_pointed(rng, space)
+        cases.append(Molecule.make(pointed, rand_coeffs(rng, pointed, space.n)))
+    return cases
+
+
+def solver_answer(m):
+    """The primal (cost, plan) and the dual (value, witness values) of a
+    molecule, as JSON."""
+    cost, plan = aell_norm_primal(m)
+    value, witness = aell_norm_dual(m)
+    return {
+        "primal": [str(cost), [[s, t, str(a)] for s, t, a in plan]],
+        "dual": [str(value), {x: str(v) for x, v in witness.values.items()}],
+    }
 
 
 def dump(name, payload):
@@ -118,6 +192,19 @@ def main():
     })
 
     (HERE / "malformed.json").write_text("{not json", encoding="utf-8")
+
+    answers = [json.dumps(solver_answer(m), sort_keys=True) for m in solver_cases()]
+    (HERE / "solver_answers.json").write_text(
+        "[\n" + ",\n".join(answers) + "\n]\n", encoding="utf-8"
+    )
+
+    GOLDEN.mkdir(exist_ok=True)
+    for invocation in CLI_INVOCATIONS:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            if cli.main(cli_argv(invocation)) != 0:
+                raise SystemExit(f"{invocation} did not exit 0")
+        golden_path(invocation).write_bytes(out.getvalue().encode("utf-8"))
 
 
 if __name__ == "__main__":

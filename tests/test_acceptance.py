@@ -48,7 +48,7 @@ from exactmetric.randgen import (
     rotation_action,
 )
 
-from conftest import FIXTURES
+from conftest import cli_env, fixture_generator
 
 F = Fraction
 
@@ -279,34 +279,15 @@ def test_criterion_9_katetov():
         assert validate(frag.result).ok
 
 
-@criterion(10, "CLI output is byte-identical across runs")
+@criterion(10, "CLI output is byte-identical across runs and to its golden file")
 def test_criterion_10_cli_determinism():
-    invocations = [
-        ("validate", "--in", "space_line.json"),
-        ("validate", "--in", "space_bad.json"),
-        ("norm", "--in", "molecule.json"),
-        ("katetov-check", "--in", "function.json"),
-        ("hat-extend", "--in", "function.json"),
-        ("star", "--in", "star.json"),
-        ("tower", "--in", "space_line.json", "--depth", "1"),
-        ("iso-enum", "--in", "space_line.json"),
-        ("moving-gap", "--in", "action_c6.json"),
-        ("extend-affine", "--in", "extend_affine.json"),
-        ("fixed-point", "--in", "fixed_point.json"),
-        ("quotient", "--in", "pseudometric_s3.json"),
-        ("pullback", "--in", "action_c6.json"),
-        ("fvf", "--in", "group_z5.json"),
-        ("prop-k", "--in", "prop_k.json"),
-        ("th-extension-check", "--in", "th_ext.json"),
-        ("proptest", "--suite", "duality", "--trials", "5", "--seed", "3"),
-    ]
-    for argv in invocations:
-        argv = [
-            a if not a.endswith(".json") else str(FIXTURES / a) for a in argv
-        ]
-        cmd = [sys.executable, "-m", "exactmetric.cli"] + argv
-        first = subprocess.run(cmd, capture_output=True)
-        second = subprocess.run(cmd, capture_output=True)
+    generate = fixture_generator()
+    env = cli_env()
+    for invocation in generate.CLI_INVOCATIONS:
+        cmd = [sys.executable, "-m", "exactmetric.cli"] + generate.cli_argv(invocation)
+        first = subprocess.run(cmd, capture_output=True, env=env)
+        second = subprocess.run(cmd, capture_output=True, env=env)
         assert first.returncode == 0, first.stdout
+        assert first.stdout == generate.golden_path(invocation).read_bytes(), invocation
         assert first.stdout == second.stdout
         json.loads(first.stdout)  # well-formed output

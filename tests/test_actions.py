@@ -6,8 +6,10 @@ import pytest
 
 from exactmetric import (
     DomainError,
+    FiniteGroup,
     GroupAction,
     Isometry,
+    StructuralError,
     action_from_closure,
     cyclic_group,
     enumerate_isometries,
@@ -34,6 +36,21 @@ def brute_force_isometries(space):
         ):
             out.append(perm)
     return out
+
+
+@pytest.mark.parametrize("labels", [("a", "a"), (1, True)])
+def test_duplicate_group_labels_are_structural(labels):
+    # 1 == True, so a label map would merge them just as a set does
+    with pytest.raises(StructuralError, match="duplicate"):
+        FiniteGroup(labels, ((0, 1), (1, 0)))
+
+
+@pytest.mark.parametrize("label", ["5", ["0"]])
+def test_group_index_of_unknown_or_unhashable_label_is_a_domain_error(label):
+    z5 = cyclic_group(5)
+    assert z5.index("3") == 3
+    with pytest.raises(DomainError, match="unknown group element"):
+        z5.index(label)
 
 
 def test_rigid_space_has_only_identity(line013):

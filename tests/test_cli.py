@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, cli_env
 
 CMD = [sys.executable, "-m", "exactmetric.cli"]
 
@@ -15,6 +15,7 @@ def run_cli(*argv, stdin=None):
         input=stdin,
         capture_output=True,
         text=True,
+        env=cli_env(),
     )
 
 

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, cli_env
 from exactmetric import cli
 
 
@@ -115,7 +115,7 @@ def test_huge_tower_grid_fails_fast_on_the_budget():
         [sys.executable, "-m", "exactmetric.cli", "tower",
          "--in", str(FIXTURES / "space_line.json"),
          "--grid-step", "1/1000000", "--value-cap", "1000000", "--budget", "3"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=cli_env(),
     )
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["error"]["kind"] == "BudgetExceededError"

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from random import Random
 
@@ -29,7 +30,7 @@ from exactmetric.randgen import (
     rotation_action,
 )
 
-from conftest import space_from_rows
+from conftest import FIXTURES, fixture_generator, space_from_rows
 
 F = Fraction
 
@@ -38,6 +39,17 @@ def test_point_molecule_norm_is_basepoint_distance(line013_pointed):
     m = Molecule.point(line013_pointed, "3")
     assert aell_norm_dual(m)[0] == 3
     assert aell_norm_primal(m)[0] == 3
+
+
+def test_solver_answers_match_the_recorded_fixture():
+    """Plans and witnesses, not only norms: each solver's tie-breaks among
+    optimal answers stay as recorded in ``fixtures/solver_answers.json``."""
+    generate = fixture_generator()
+    recorded = json.loads((FIXTURES / "solver_answers.json").read_text())
+    cases = generate.solver_cases()
+    assert len(cases) == len(recorded) == 300
+    for m, want in zip(cases, recorded):
+        assert generate.solver_answer(m) == want, m
 
 
 def test_point_difference_norm_is_distance(line013_pointed):

@@ -50,6 +50,28 @@ def test_shape_mismatch_is_structural():
         FiniteMetricSpace(("a", "a"), ((Fraction(0), Fraction(0)),) * 2)
 
 
+@pytest.mark.parametrize("labels", [("a", "a"), (1, True)])
+def test_duplicate_labels_are_structural(labels):
+    # 1 == True, so a label map would merge them just as a set does
+    with pytest.raises(StructuralError, match="duplicate"):
+        space_from_rows(labels, [[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize("label", ["c", ["a"]])
+def test_index_of_unknown_or_unhashable_label_is_a_domain_error(label):
+    sp = space_from_rows(["a", "b"], [[0, 1], [1, 0]])
+    assert sp.index("b") == 1
+    with pytest.raises(DomainError, match="unknown point label"):
+        sp.index(label)
+
+
+def test_label_map_is_not_part_of_equality():
+    a = space_from_rows(["a", "b"], [[0, 1], [1, 0]])
+    b = space_from_rows(["a", "b"], [[0, 1], [1, 0]])
+    assert a == b and hash(a) == hash(b)
+    assert a != space_from_rows(["b", "a"], [[0, 1], [1, 0]])
+
+
 def test_set_distance_examples(line013):
     assert set_distance(line013, ["0"], ["3"]) == 3
     assert set_distance(line013, ["0", "1"], ["1", "3"]) == 0

@@ -148,6 +148,19 @@ def test_orbit_isomorphism_random():
         assert len(mapping) == len(set(mapping.values()))
 
 
+@pytest.mark.parametrize("max_order", [12, 24])
+def test_random_pseudometrics_mostly_have_a_proper_kernel(max_order):
+    rng = Random(4242 + max_order)
+    one_point = proper = 0
+    for _ in range(400):
+        group = rand_group(rng, max_order=max_order)
+        size = len(kernel_subgroup(rand_invariant_pseudometric(rng, group)))
+        one_point += size == group.order
+        proper += 1 < size < group.order
+    assert one_point <= 400 / 3
+    assert proper >= 400 / 2
+
+
 def test_quotient_random_pseudometrics():
     rng = Random(59)
     for _ in range(40):
