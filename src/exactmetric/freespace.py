@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from random import Random
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -132,33 +133,36 @@ def aell_norm_dual(m: Molecule) -> tuple[Fraction, LipschitzWitness]:
         return ZERO, LipschitzWitness(pointed, dict.fromkeys(space.points, ZERO))
 
     d = space.dist
+    den, sd = space.scaled
     bp = pointed.basepoint
     supp = [space.index(x) for x, _ in m.coeffs]
     c = [v for _, v in m.coeffs]
-    dbp = [d[x][bp] for x in supp]
+    # the LP on distances times den: its optimum and vertex are den times
+    # those of the LP on the distances themselves
+    dbp = [sd[x][bp] for x in supp]
     nvar = len(supp)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list[int]] = []
+    rhs: list[int] = []
     for i, x in enumerate(supp):
         # g(x) <= 2 d(x, *)
-        row = [ZERO] * nvar
-        row[i] = ONE
+        row = [0] * nvar
+        row[i] = 1
         rows.append(row)
         rhs.append(2 * dbp[i])
         for j, y in enumerate(supp):
             if i == j:
                 continue
             # g(x) - g(y) <= d(x, y) + d(x, *) - d(y, *)
-            row = [ZERO] * nvar
-            row[i] = ONE
-            row[j] = -ONE
+            row = [0] * nvar
+            row[i] = 1
+            row[j] = -1
             rows.append(row)
-            rhs.append(d[x][y] + dbp[i] - dbp[j])
+            rhs.append(sd[x][y] + dbp[i] - dbp[j])
     value, g = simplex_max(c, rows, rhs)
     shift = sum((ci * di for ci, di in zip(c, dbp)), ZERO)
-    norm = value - shift
+    norm = (value - shift) / den
     # the optimum on support + basepoint, extended by min-plus to every point
-    f = [(x, g[i] - dbp[i]) for i, x in enumerate(supp)] + [(bp, ZERO)]
+    f = [(x, (g[i] - dbp[i]) / den) for i, x in enumerate(supp)] + [(bp, ZERO)]
     full = {
         label: min(fy + d[y][i] for y, fy in f)
         for i, label in enumerate(space.points)
@@ -178,26 +182,29 @@ def aell_norm_primal(
     Positive coefficients are sources, negative ones sinks, and the basepoint
     absorbs the total.  Costs obey the triangle inequality, so only direct
     source-to-sink arcs are needed; successive shortest augmenting paths on
-    the bipartite residual network (Bellman-Ford, exact rationals) give the
-    minimum cost.  Each path runs from a live source to the nearest live
-    sink, the smallest index among equals.
+    the bipartite residual network (Bellman-Ford) give the minimum cost.
+    Each path runs from a live source to the nearest live sink, the smallest
+    index among equals.  Costs come from ``space.scaled`` and amounts are
+    counted in units of 1/lcm of the coefficient denominators, so the search
+    runs on ints; the plan and cost become Fractions on return.
     """
     space = m.pointed.space
-    d = space.dist
-    # remaining supply (> 0) or demand (< 0) of each point
-    excess = [ZERO] * space.n
+    den, d = space.scaled
+    unit = lcm(*(v.denominator for _, v in m.coeffs))
+    # remaining supply (> 0) or demand (< 0) of each point, times unit
+    excess = [0] * space.n
     for x, v in m.coeffs:
-        excess[space.index(x)] = v
-    excess[m.pointed.basepoint] -= m.total()
-    sources = [i for i, v in enumerate(excess) if v > ZERO]
-    sinks = [i for i, v in enumerate(excess) if v < ZERO]
+        excess[space.index(x)] = v.numerator * (unit // v.denominator)
+    excess[m.pointed.basepoint] -= sum(excess)
+    sources = [i for i, v in enumerate(excess) if v > 0]
+    sinks = [i for i, v in enumerate(excess) if v < 0]
     # (source, sink) -> shipped amount, in the order the arcs were first used
-    flow: dict[tuple[int, int], Fraction] = {}
+    flow: dict[tuple[int, int], int] = {}
 
-    while any(excess[s] > ZERO for s in sources):
+    while any(excess[s] > 0 for s in sources):
         # Bellman-Ford from the live sources: forward arcs source -> sink cost
         # d(s, t), residual arcs sink -> source with flow cost -d(s, t).
-        dist = {s: ZERO for s in sources if excess[s] > ZERO}
+        dist = {s: 0 for s in sources if excess[s] > 0}
         pred: dict[int, int] = {}
         for _ in range(len(sources) + len(sinks)):
             changed = False
@@ -212,7 +219,7 @@ def aell_norm_primal(
                             pred[t] = s
                             changed = True
             for (s, t), amount in flow.items():
-                if amount > ZERO and t in dist:
+                if amount > 0 and t in dist:
                     nd = dist[t] - d[s][t]
                     if s not in dist or nd < dist[s]:
                         dist[s] = nd
@@ -220,7 +227,7 @@ def aell_norm_primal(
                         changed = True
             if not changed:
                 break
-        live = [t for t in sinks if excess[t] < ZERO and t in dist]
+        live = [t for t in sinks if excess[t] < 0 and t in dist]
         if not live:
             raise InternalCheckError("imbalance left unshipped")
         # path alternates source, sink, source, ..., sink
@@ -232,19 +239,19 @@ def aell_norm_primal(
         backward = list(zip(path[2::2], path[1::2]))
         amount = min([excess[path[0]], -excess[path[-1]]] + [flow[a] for a in backward])
         for arc in forward:
-            flow[arc] = flow.get(arc, ZERO) + amount
+            flow[arc] = flow.get(arc, 0) + amount
         for arc in backward:
             flow[arc] -= amount
         excess[path[0]] -= amount
         excess[path[-1]] += amount
 
-    cost = ZERO
+    cost = 0
     plan = []
     for (s, t), amount in sorted(flow.items()):
-        if amount != ZERO:
+        if amount:
             cost += amount * d[s][t]
-            plan.append((space.points[s], space.points[t], amount))
-    return cost, tuple(plan)
+            plan.append((space.points[s], space.points[t], Fraction(amount, unit)))
+    return Fraction(cost, den * unit), tuple(plan)
 
 
 def aell_norm(m: Molecule) -> Fraction:

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, StructuralError
@@ -48,6 +50,21 @@ class FiniteMetricSpace:
             return self._index[label]
         except (KeyError, TypeError):
             raise DomainError(f"unknown point label {label!r}") from None
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """``(den, rows)``: the lcm of the distance denominators and the int
+        matrix ``rows[i][j] == den * dist[i][j]`` that the solvers read.
+        Cached on first use; not a field, so ``==`` and hashing ignore it."""
+        try:
+            den = lcm(*{v.denominator for row in self.dist for v in row})
+            rows = tuple(
+                tuple(v.numerator * (den // v.denominator) for v in row)
+                for row in self.dist
+            )
+        except AttributeError:
+            raise DomainError("distances must be exact rationals") from None
+        return den, rows
 
     def d(self, i: int, j: int) -> Fraction:
         return self.dist[i][j]

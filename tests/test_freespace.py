@@ -7,6 +7,7 @@ import pytest
 from exactmetric import (
     AffineMap,
     DomainError,
+    FiniteMetricSpace,
     Isometry,
     LipschitzWitness,
     Molecule,
@@ -76,6 +77,15 @@ def test_primal_sum_ships_from_basepoint(line013_pointed):
     m = Molecule.make(line013_pointed, {"1": F(1), "3": F(1)})
     cost, _ = aell_norm_primal(m)
     assert cost == 4  # one unit each from the basepoint
+
+
+def test_float_distance_is_a_domain_error():
+    # no float reaches either solver, nor comes back as the norm
+    space = FiniteMetricSpace(("a", "b"), ((F(0), 0.5), (0.5, F(0))))
+    m = Molecule.point(PointedSpace(space, 0), "b")
+    for solve in (aell_norm_primal, aell_norm_dual):
+        with pytest.raises(DomainError, match="exact rationals"):
+            solve(m)
 
 
 def test_zero_molecule(line013_pointed):

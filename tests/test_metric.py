@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
@@ -14,6 +15,8 @@ from exactmetric import (
 from exactmetric.randgen import rand_metric_space
 
 from conftest import space_from_rows
+
+F = Fraction
 
 
 def test_two_point_space_is_valid():
@@ -70,6 +73,44 @@ def test_label_map_is_not_part_of_equality():
     b = space_from_rows(["a", "b"], [[0, 1], [1, 0]])
     assert a == b and hash(a) == hash(b)
     assert a != space_from_rows(["b", "a"], [[0, 1], [1, 0]])
+
+
+def test_scaled_is_an_integer_matrix_over_the_lcm():
+    sp = space_from_rows(
+        ["a", "b", "c"],
+        [[0, F(1, 2), F(5, 6)], [F(1, 2), 0, F(1, 3)], [F(5, 6), F(1, 3), 0]],
+    )
+    assert sp.scaled == (6, ((0, 3, 5), (3, 0, 2), (5, 2, 0)))
+    rng = Random(7)
+    for _ in range(20):
+        sp = rand_metric_space(rng, rng.randint(1, 6))
+        den, rows = sp.scaled
+        assert den == lcm(*(v.denominator for row in sp.dist for v in row))
+        assert all(type(v) is int for row in rows for v in row)
+        assert all(
+            rows[i][j] == den * sp.dist[i][j]
+            for i in range(sp.n) for j in range(sp.n)
+        )
+
+
+def test_scaled_of_an_integer_space_has_denominator_one(line013):
+    den, rows = line013.scaled
+    assert den == 1 and rows == line013.dist
+
+
+def test_scaled_is_not_part_of_equality():
+    a = space_from_rows(["a", "b"], [[0, F(1, 2)], [F(1, 2), 0]])
+    b = space_from_rows(["a", "b"], [[0, F(1, 2)], [F(1, 2), 0]])
+    before = hash(a)
+    assert a.scaled == (2, ((0, 1), (1, 0)))
+    assert a == b and hash(a) == hash(b) == before
+    assert repr(a) == repr(b)
+
+
+def test_float_distance_is_a_domain_error():
+    sp = FiniteMetricSpace(("a", "b"), ((F(0), 0.5), (0.5, F(0))))
+    with pytest.raises(DomainError, match="exact rationals"):
+        sp.scaled
 
 
 def test_set_distance_examples(line013):

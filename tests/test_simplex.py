@@ -3,10 +3,22 @@ from random import Random
 
 import pytest
 
-from exactmetric import DomainError
+from exactmetric import DomainError, InternalCheckError, Molecule, freespace, simplex
+from exactmetric.randgen import rand_coeffs, rand_fraction, rand_metric_space, rand_pointed
 from exactmetric.simplex import simplex_max
 
 F = Fraction
+ZERO = F(0)
+
+BEALE = (
+    [F(3, 4), F(-150), F(1, 50), F(-6)],
+    [
+        [F(1, 4), F(-60), F(-1, 25), F(9)],
+        [F(1, 2), F(-90), F(-1, 50), F(3)],
+        [F(0), F(0), F(1), F(0)],
+    ],
+    [F(0), F(0), F(1)],
+)
 
 
 def test_single_variable():
@@ -57,16 +69,165 @@ def test_dimension_mismatch_rejected():
 
 def test_degenerate_cycling_candidate():
     # classic Beale-style degeneracy; must terminate with the right optimum
-    value, _ = simplex_max(
-        [F(3, 4), F(-150), F(1, 50), F(-6)],
-        [
-            [F(1, 4), F(-60), F(-1, 25), F(9)],
-            [F(1, 2), F(-90), F(-1, 50), F(3)],
-            [F(0), F(0), F(1), F(0)],
-        ],
-        [F(0), F(0), F(1)],
-    )
+    value, _ = simplex_max(*BEALE)
     assert value == F(1, 20)
+
+
+@pytest.mark.parametrize("c, a, b", [
+    ([0.1], [[1]], [1]),
+    ([1], [[F(1)]], [0.5]),
+    ([1], [[1.0]], [1]),
+])
+def test_float_data_is_a_domain_error(c, a, b):
+    with pytest.raises(DomainError, match="exact rationals"):
+        simplex_max(c, a, b)
+
+
+def _rational_simplex_max(c, a, b, pivots):
+    """The simplex on a ``Fraction`` tableau that the integer tableau
+    replaced, kept as the oracle: the same rules, with each pivot's
+    ``(row, column)`` appended to ``pivots``."""
+    m = len(a)
+    n = len(c)
+    if len(b) != m or any(len(row) != n for row in a):
+        raise DomainError("inconsistent LP dimensions")
+    if any(bi < ZERO for bi in b):
+        raise DomainError("right-hand side must be non-negative")
+    rows = []
+    for i in range(m):
+        row = [ZERO] * (n + m + 1)
+        for j in range(n):
+            row[j] = Fraction(a[i][j])
+        row[n + i] = Fraction(1)
+        row[-1] = Fraction(b[i])
+        rows.append(row)
+    obj = [Fraction(c[j]) for j in range(n)] + [ZERO] * (m + 1)
+    rows.append(obj)
+    basis = list(range(n, n + m))
+    dantzig_budget = 20 * (m + n)
+    max_pivots = 2000 * (m + n)
+    while True:
+        if len(pivots) > max_pivots:
+            raise InternalCheckError("simplex pivot budget exhausted")
+        enter = -1
+        if len(pivots) > dantzig_budget:
+            for j in range(n + m):
+                if obj[j] > ZERO:
+                    enter = j
+                    break
+        else:
+            best = ZERO
+            for j in range(n + m):
+                if obj[j] > best:
+                    best = obj[j]
+                    enter = j
+        if enter < 0:
+            break
+        leave = -1
+        best_ratio = None
+        for i in range(m):
+            aij = rows[i][enter]
+            if aij > ZERO:
+                ratio = rows[i][-1] / aij
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave < 0:
+            raise DomainError("linear program is unbounded")
+        pivots.append((leave, enter))
+        prow = rows[leave]
+        inv = Fraction(1) / prow[enter]
+        if inv != 1:
+            rows[leave] = prow = [v * inv for v in prow]
+        nonzero = [(j, pj) for j, pj in enumerate(prow) if pj]
+        for row in rows:
+            if row is not prow and row[enter]:
+                factor = row[enter]
+                for j, pj in nonzero:
+                    row[j] -= factor * pj
+        basis[leave] = enter
+    x = [ZERO] * n
+    for i, bi in enumerate(basis):
+        if bi < n:
+            x[bi] = rows[i][-1]
+    return sum((Fraction(c[j]) * x[j] for j in range(n)), ZERO), x
+
+
+def _dual_lps(monkeypatch, count):
+    """The LPs ``aell_norm_dual`` solves for seeded molecules over spaces of
+    2..10 points, every other space with distances from {1, 2, 3}."""
+    rng = Random(5005)
+    lps = []
+
+    def capture(c, a, b):
+        lps.append((c, a, b))
+        return simplex_max(c, a, b)
+
+    palette = [F(1), F(2), F(3)]
+    with monkeypatch.context() as patch:
+        patch.setattr(freespace, "simplex_max", capture)
+        while len(lps) < count:
+            k = len(lps)
+            space = rand_metric_space(rng, 2 + k % 9, palette=palette if k % 2 else None)
+            pointed = rand_pointed(rng, space)
+            freespace.aell_norm_dual(Molecule.make(pointed, rand_coeffs(rng, pointed, space.n)))
+    return lps
+
+
+def _random_lps(count):
+    """Seeded LPs with fractional data; zeros in b make degenerate vertices,
+    and a column of A with no positive entry can make the LP unbounded."""
+    rng = Random(6006)
+    lps = []
+    for _ in range(count):
+        m, n = rng.randint(1, 6), rng.randint(1, 5)
+        a = [
+            [rand_fraction(rng, -3, 3) if rng.random() < 0.7 else ZERO for _ in range(n)]
+            for _ in range(m)
+        ]
+        b = [ZERO if rng.random() < 0.3 else rand_fraction(rng, 0, 5) for _ in range(m)]
+        c = [rand_fraction(rng, -3, 4) for _ in range(n)]
+        lps.append((c, a, b))
+    return lps
+
+
+def test_integer_tableau_matches_the_rational_tableau(monkeypatch):
+    """Same optimum, same vertex and the same pivots, in order, as the
+    ``Fraction`` tableau, on dual-norm LPs, random fractional LPs and Beale's
+    cycling example (which reaches Bland's rule)."""
+    lps = _dual_lps(monkeypatch, 150) + _random_lps(150) + [BEALE]
+    seen = []
+    unit_pivot = set()
+    real_pivot = simplex.pivot
+
+    def record(rows, r, col, det):
+        seen.append((r, col))
+        unit_pivot.add(rows[r][col] == det)
+        return real_pivot(rows, r, col, det)
+
+    monkeypatch.setattr(simplex, "pivot", record)
+    outcomes = set()
+    for c, a, b in lps:
+        want_pivots = []
+        seen.clear()
+        try:
+            want = _rational_simplex_max(c, a, b, want_pivots)
+        except DomainError:
+            want = "unbounded"
+        try:
+            got = simplex_max(c, a, b)
+        except DomainError:
+            got = "unbounded"
+        assert got == want and seen == want_pivots, (c, a, b)
+        outcomes.add(want if want == "unbounded" else bool(want_pivots))
+    assert len(seen) > 20 * 7  # Beale's LP, last, went past the Dantzig budget
+    # both branches of the pivot ran, and all three kinds of outcome occurred
+    assert unit_pivot == {True, False}
+    assert outcomes == {"unbounded", True, False}
 
 
 def test_against_brute_force_vertices():
