@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from numbers import Rational
 from random import Random
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -48,6 +49,8 @@ class Molecule:
         items = []
         for label, value in mapping.items():
             pointed.space.index(label)
+            if not isinstance(value, Rational):
+                raise DomainError("molecule coefficients must be exact rationals")
             if label != bp and value != ZERO:
                 items.append((label, Fraction(value)))
         items.sort(key=lambda kv: pointed.space.index(kv[0]))
@@ -105,12 +108,21 @@ class LipschitzWitness:
             raise DomainError("witness must assign a value to every point")
         if self.values[self.pointed.basepoint_label] != ZERO:
             raise DomainError("witness must vanish at the basepoint")
-        for i, x in enumerate(space.points):
+        # compare as ints, in units of 1/unit
+        pts = space.points
+        den, sd = space.scaled
+        values = [self.values[x] for x in pts]
+        try:
+            unit = lcm(den, *(v.denominator for v in values))
+            f = [v.numerator * (unit // v.denominator) for v in values]
+        except AttributeError:
+            raise DomainError("witness values must be exact rationals") from None
+        step = unit // den
+        for i, fi in enumerate(f):
             for j in range(i + 1, space.n):
-                y = space.points[j]
-                if abs(self.values[x] - self.values[y]) > space.dist[i][j]:
+                if abs(fi - f[j]) > step * sd[i][j]:
                     raise DomainError(
-                        f"witness is not 1-Lipschitz at ({x}, {y})"
+                        f"witness is not 1-Lipschitz at ({pts[i]}, {pts[j]})"
                     )
 
     def pair(self, m: Molecule) -> Fraction:
@@ -132,7 +144,6 @@ def aell_norm_dual(m: Molecule) -> tuple[Fraction, LipschitzWitness]:
     if not m.coeffs:
         return ZERO, LipschitzWitness(pointed, dict.fromkeys(space.points, ZERO))
 
-    d = space.dist
     den, sd = space.scaled
     bp = pointed.basepoint
     supp = [space.index(x) for x, _ in m.coeffs]
@@ -161,10 +172,15 @@ def aell_norm_dual(m: Molecule) -> tuple[Fraction, LipschitzWitness]:
     value, g = simplex_max(c, rows, rhs)
     shift = sum((ci * di for ci, di in zip(c, dbp)), ZERO)
     norm = (value - shift) / den
-    # the optimum on support + basepoint, extended by min-plus to every point
-    f = [(x, (g[i] - dbp[i]) / den) for i, x in enumerate(supp)] + [(bp, ZERO)]
+    # the optimum on support + basepoint, extended by min-plus to every
+    # point, as ints in units of 1/(den * unit)
+    unit = lcm(*(gi.denominator for gi in g))
+    f = [
+        (sd[x], gi.numerator * (unit // gi.denominator) - unit * dbp[i])
+        for i, (x, gi) in enumerate(zip(supp, g))
+    ] + [(sd[bp], 0)]
     full = {
-        label: min(fy + d[y][i] for y, fy in f)
+        label: Fraction(min(fy + unit * row[i] for row, fy in f), den * unit)
         for i, label in enumerate(space.points)
     }
     witness = LipschitzWitness(pointed, full)

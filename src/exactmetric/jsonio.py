@@ -71,8 +71,22 @@ def rationals(value: Any, what: str) -> dict[str, Fraction]:
 
 
 def rational_matrix(value: Any, what: str) -> tuple[tuple[Fraction, ...], ...]:
+    # A distance matrix repeats its entries (it is symmetric, and random
+    # spaces draw from a few values), so each distinct string is parsed once.
+    # Only strings are memoized: True == 1 with the same hash, and a JSON
+    # boolean must still be rejected.
+    parsed: dict[str, Fraction] = {}
+
+    def entry(v: Any) -> Fraction:
+        if type(v) is not str:
+            return parse_rational(v)
+        q = parsed.get(v)
+        if q is None:
+            q = parsed[v] = parse_rational(v)
+        return q
+
     return tuple(
-        tuple(parse_rational(v) for v in array(row, what))
+        tuple(entry(v) for v in array(row, what))
         for row in array(value, what)
     )
 

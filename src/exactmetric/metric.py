@@ -108,22 +108,32 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
     Checks run in the order symmetry, zero diagonal, triangle inequality,
     separation (skipped for pseudometrics).  Negative entries surface as
     triangle violations via d(x, x) <= 2 d(x, y).
+
+    The witness is the lexicographically first violating index tuple, and
+    each scan visits only the half of the tuples that can be first.  A pair
+    (i, j) is asymmetric exactly when (j, i) is, so symmetry scans j > i.
+    Once d is symmetric, d(i, k) > d(i, j) + d(j, k) holds exactly when
+    d(k, i) > d(k, j) + d(j, i), so the first violating triple has i <= k and
+    the triangle scan runs k from i; k = i still tests d(i, i) <= 2 d(i, j).
     """
     pts = space.points
     d = space.dist
     n = space.n
     for i in range(n):
-        for j in range(n):
-            if d[i][j] != d[j][i]:
+        di = d[i]
+        for j in range(i + 1, n):
+            if di[j] != d[j][i]:
                 return ValidationReport(False, "symmetry", (pts[i], pts[j]))
     for i in range(n):
         if d[i][i] != ZERO:
             return ValidationReport(False, "diagonal", (pts[i],))
     for i in range(n):
+        di = d[i]
         for j in range(n):
-            dij = d[i][j]
-            for k in range(n):
-                if d[i][k] > dij + d[j][k]:
+            dij = di[j]
+            dj = d[j]
+            for k in range(i, n):
+                if di[k] > dij + dj[k]:
                     return ValidationReport(
                         False, "triangle", (pts[i], pts[j], pts[k])
                     )

@@ -2,6 +2,8 @@
 a rename or a wrong answer fail tier-1, not only a benchmark run."""
 
 import importlib
+import subprocess
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -16,7 +18,7 @@ from exactmetric.randgen import (
     rotation_action,
 )
 
-from conftest import bench_module
+from conftest import BENCH, bench_module, cli_env
 
 
 def test_tracing_wraps_every_layer_entry_point():
@@ -53,3 +55,13 @@ def test_norms_match_the_network_simplex_oracle():
         expected = oracles.transport_cost(space.points, space.dist, balance)
         assert aell_norm_primal(m)[0] == expected
         assert aell_norm_dual(m)[0] == expected
+
+
+def test_bench_selftest_passes():
+    """Every bench handler and oracle still runs against the library: the
+    self-test answers each workload at tiny sizes and checks the answers."""
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "selftest.py")],
+        capture_output=True, text=True, timeout=120, env=cli_env(),
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

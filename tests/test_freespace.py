@@ -115,6 +115,16 @@ def test_witness_validation(line013_pointed):
         LipschitzWitness(line013_pointed, {"0": F(0), "1": F(2), "3": F(0)})
 
 
+def test_float_coefficient_is_a_domain_error(line013_pointed):
+    with pytest.raises(DomainError, match="exact rationals"):
+        Molecule.make(line013_pointed, {"1": 0.1})
+
+
+def test_float_witness_value_is_a_domain_error(line013_pointed):
+    with pytest.raises(DomainError, match="exact rationals"):
+        LipschitzWitness(line013_pointed, {"0": F(0), "1": 0.5, "3": F(1)})
+
+
 def test_affine_extend_identity(line013_pointed):
     m = Molecule.make(line013_pointed, {"1": F(2)})
     g = Isometry.identity(line013_pointed.space)

@@ -15,9 +15,11 @@ from exactmetric.jsonio import (
     molecule_from_json,
     molecule_to_json,
     parse_rational,
+    parse_space,
     pointed_from_json,
     pseudometric_from_json,
     pseudometric_to_json,
+    rational_matrix,
     space_from_json,
     space_to_json,
 )
@@ -47,6 +49,33 @@ def test_parse_rational_rejections():
     for bad in (True, None, 1.5, "x", "1/0", []):
         with pytest.raises(StructuralError):
             parse_rational(bad)
+
+
+@pytest.mark.parametrize("dist", [[[0, True], [True, 0]], [[0, 1], [True, 0]]])
+def test_rational_matrix_still_rejects_booleans(dist):
+    # True == 1 with the same hash, so a memo keyed on any entry would
+    # hand back the Fraction parsed for 1
+    with pytest.raises(StructuralError):
+        rational_matrix(dist, "dist")
+
+
+def test_rational_matrix_reads_equal_forms_as_equal_fractions():
+    rows = rational_matrix([[1, "1", "2/2"], ["2/2", "1", 1]], "dist")
+    assert rows == ((F(1),) * 3,) * 2
+    assert all(type(v) is Fraction for row in rows for v in row)
+
+
+def test_loaded_space_equals_the_space_built_from_its_entries():
+    rng = Random(5)
+    for _ in range(20):
+        palette = [F(1, 2), F(1), F(3, 2)]
+        sp = rand_metric_space(rng, rng.randint(2, 9), palette=palette)
+        doc = json.loads(json.dumps(space_to_json(sp)))
+        built = FiniteMetricSpace(
+            tuple(doc["points"]),
+            tuple(tuple(Fraction(v) for v in row) for row in doc["dist"]),
+        )
+        assert parse_space(doc) == built == space_from_json(doc) == sp
 
 
 def test_rationals_are_written_reduced():

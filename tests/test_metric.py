@@ -12,7 +12,7 @@ from exactmetric import (
     set_distance,
     validate,
 )
-from exactmetric.randgen import rand_metric_space
+from exactmetric.randgen import rand_fraction, rand_metric_space
 
 from conftest import space_from_rows
 
@@ -44,6 +44,67 @@ def test_symmetry_and_diagonal_checks():
     assert validate(sp).axiom == "symmetry"
     sp = space_from_rows(["a", "b"], [[1, 1], [1, 0]])
     assert validate(sp).axiom == "diagonal"
+
+
+def full_scan_validate(space):
+    """``validate`` scanning every ordered pair and triple, kept as the oracle
+    for the halved scans."""
+    pts, d, n = space.points, space.dist, space.n
+    for i in range(n):
+        for j in range(n):
+            if d[i][j] != d[j][i]:
+                return False, "symmetry", (pts[i], pts[j])
+    for i in range(n):
+        if d[i][i] != 0:
+            return False, "diagonal", (pts[i],)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if d[i][k] > d[i][j] + d[j][k]:
+                    return False, "triangle", (pts[i], pts[j], pts[k])
+    if not space.pseudo:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if d[i][j] == 0:
+                    return False, "separation", (pts[i], pts[j])
+    return True, None, None
+
+
+def plant_faults(rng, space):
+    """``space`` with up to three faults planted at random pairs."""
+    d = [list(row) for row in space.dist]
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.sample(range(space.n), 2)
+        fault = rng.choice(
+            ["asymmetric", "diagonal", "oversized", "negative", "zero"]
+        )
+        if fault == "asymmetric":
+            d[i][j] += rand_fraction(rng, 1, 3) * rng.choice([-1, 1])
+        elif fault == "diagonal":
+            d[i][i] = rand_fraction(rng, 1, 3) * rng.choice([-1, 1])
+        elif fault == "oversized":
+            d[i][j] = d[j][i] = d[i][j] + rand_fraction(rng, 1, 10)
+        elif fault == "negative":
+            d[i][j] = d[j][i] = -rand_fraction(rng, 1, 3)
+        else:
+            d[i][j] = d[j][i] = F(0)
+    return FiniteMetricSpace(space.points, tuple(map(tuple, d)), space.pseudo)
+
+
+def test_halved_scans_report_the_full_scan_witness():
+    rng = Random(11)
+    seen = set()
+    for case in range(400):
+        palette = [F(1), F(2), F(3)] if case % 2 else None
+        space = rand_metric_space(
+            rng, rng.randint(2, 12), pseudo=rng.random() < 0.3, palette=palette
+        )
+        space = plant_faults(rng, space)
+        report = validate(space)
+        expected = full_scan_validate(space)
+        assert (report.ok, report.axiom, report.witness) == expected, space
+        seen.add(expected[1])
+    assert seen == {None, "symmetry", "diagonal", "triangle", "separation"}
 
 
 def test_shape_mismatch_is_structural():
