@@ -18,6 +18,22 @@ from .errors import DomainError, StructuralError
 ZERO = Fraction(0)
 
 
+def scale_rows(
+    rows: Sequence[Sequence[Fraction]],
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(den, ints)``: the lcm of the denominators of a rational matrix and
+    the int matrix ``ints[i][j] == den * rows[i][j]``."""
+    try:
+        den = lcm(*{v.denominator for row in rows for v in row})
+        ints = tuple(
+            tuple(v.numerator * (den // v.denominator) for v in row)
+            for row in rows
+        )
+    except AttributeError:
+        raise DomainError("distances must be exact rationals") from None
+    return den, ints
+
+
 @dataclass(frozen=True)
 class FiniteMetricSpace:
     """Labeled points with a square rational distance matrix.
@@ -53,18 +69,10 @@ class FiniteMetricSpace:
 
     @cached_property
     def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """``(den, rows)``: the lcm of the distance denominators and the int
-        matrix ``rows[i][j] == den * dist[i][j]`` that the solvers read.
-        Cached on first use; not a field, so ``==`` and hashing ignore it."""
-        try:
-            den = lcm(*{v.denominator for row in self.dist for v in row})
-            rows = tuple(
-                tuple(v.numerator * (den // v.denominator) for v in row)
-                for row in self.dist
-            )
-        except AttributeError:
-            raise DomainError("distances must be exact rationals") from None
-        return den, rows
+        """``scale_rows(dist)``, the int form of the distances that the
+        solvers read.  Cached on first use; not a field, so ``==`` and
+        hashing ignore it."""
+        return scale_rows(self.dist)
 
     def d(self, i: int, j: int) -> Fraction:
         return self.dist[i][j]

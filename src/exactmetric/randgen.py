@@ -7,6 +7,8 @@ reproduce from a 64-bit seed.  All generated data is exact rational.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import add
 from random import Random
 from typing import Optional
 
@@ -20,7 +22,7 @@ from .groups import (
     symmetric_group,
 )
 from .katetov import KatetovFunction, is_katetov
-from .metric import FiniteMetricSpace, PointedSpace
+from .metric import FiniteMetricSpace, PointedSpace, scale_rows
 from .quotients import InvariantPseudometric
 
 ZERO = Fraction(0)
@@ -43,8 +45,16 @@ def rand_metric_space(
     so the triangle inequality holds by construction.
 
     A small distance palette yields symmetric-rich spaces; the default draws
-    positive rationals with denominator up to 4.
+    positive rationals with denominator up to 4.  Palette entries must be
+    positive, or zero when ``pseudo`` is set.  The closure (Floyd-Warshall)
+    runs on the weights scaled to ints, one row at a time.
     """
+    if palette is not None and any(
+        v < 0 or (v == 0 and not pseudo) for v in palette
+    ):
+        raise DomainError(
+            "palette entries must be positive (zero only for a pseudometric)"
+        )
     labels = tuple(f"x{i}" for i in range(n))
     w = [[ZERO] * n for _ in range(n)]
     for i in range(n):
@@ -56,18 +66,20 @@ def rand_metric_space(
             if pseudo and rng.random() < 0.2:
                 v = ZERO
             w[i][j] = w[j][i] = v
+    den, rows = scale_rows(w)
+    s = list(rows)
     for k in range(n):
+        sk = s[k]
         for i in range(n):
-            for j in range(n):
-                via = w[i][k] + w[k][j]
-                if via < w[i][j]:
-                    w[i][j] = via
-    if not pseudo:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if w[i][j] == ZERO:
-                    w[i][j] = w[j][i] = Fraction(1)
-    return FiniteMetricSpace(labels, tuple(tuple(row) for row in w), pseudo)
+            s[i] = list(map(min, s[i], map(add, repeat(s[i][k]), sk)))
+    return FiniteMetricSpace(labels, _fractions(den, s), pseudo)
+
+
+def _fractions(den: int, rows) -> tuple[tuple[Fraction, ...], ...]:
+    """The int matrix ``rows`` divided by ``den``, making one ``Fraction``
+    per distinct value."""
+    value = {v: Fraction(v, den) for v in set(chain.from_iterable(rows))}
+    return tuple(tuple(map(value.__getitem__, row)) for row in rows)
 
 
 def rand_pointed(rng: Random, space: FiniteMetricSpace) -> PointedSpace:
@@ -143,20 +155,18 @@ def rand_invariant_pseudometric(
     if n > 1:
         z = rng.choice([i for i in range(n) if i != e])
         weight[z] = weight[group.inv(z)] = ZERO
-    # delta(x) = cheapest factorization of x into weighted letters
-    delta = list(weight)
-    delta[e] = ZERO
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            for b in range(n):
-                c = group.mul(a, b)
-                via = delta[a] + delta[b]
-                if via < delta[c]:
-                    delta[c] = via
-                    changed = True
-    return InvariantPseudometric(group, tuple(delta))
+    # delta(x) = cheapest factorization of x into weighted letters: lower
+    # delta(c) to delta(a) + delta(a^-1 c), for every letter a, as ints,
+    # until nothing changes
+    den, (delta,) = scale_rows([weight])
+    shifts = [group.table[group.inv(a)] for a in range(n)]
+    settled = None
+    while delta != settled:
+        settled = delta
+        for a, shift in enumerate(shifts):
+            via = map(add, repeat(delta[a]), map(delta.__getitem__, shift))
+            delta = tuple(map(min, delta, via))
+    return InvariantPseudometric(group, _fractions(den, [delta])[0])
 
 
 def cycle_space(n: int) -> FiniteMetricSpace:

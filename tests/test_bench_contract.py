@@ -1,15 +1,17 @@
 """The benchmark harness reaches into the library by name; these tests make
 a rename or a wrong answer fail tier-1, not only a benchmark run."""
 
+import hashlib
 import importlib
+import json
 import subprocess
 import sys
-from fractions import Fraction
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
-from exactmetric import quotients
+from exactmetric import quotients, randgen
 from exactmetric.freespace import Molecule, aell_norm_dual, aell_norm_primal
 from exactmetric.randgen import (
     rand_coeffs,
@@ -65,3 +67,27 @@ def test_bench_selftest_passes():
         capture_output=True, text=True, timeout=120, env=cli_env(),
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# sha256 of each workload's full-scale request list at seed 1, recorded
+# before the random generators moved to integer closures.
+PINNED_REQUESTS = {
+    "norm": "30a9a727684e86a69cd8845341a8e014b281dea97f1df2ffa0d690fd4d3500ff",
+    "distance": "d333ff0cde351e2615dd341e53aa7fc26e902513388f3f7b7aa8351d0853ec4e",
+    "extension": "a1eb1bf8e6cfb7529ae130a9cc3d5929bfcf93705ca6516dca8c5de418c3596f",
+    "quotient": "39ce2b8cb073e642c4ffd15ca37848540a4e0d8ace959b3306fecd9741cb390f",
+}
+
+
+def test_benchmark_requests_are_pinned(monkeypatch):
+    """The benchmark compares documents only within one run, so a generator
+    change could silently give two commits different inputs.  This hashes
+    the requests as ``run.timed_setup`` serializes them."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = bench_module("workloads")
+    L = SimpleNamespace(randgen=randgen)
+    for workload, expected in PINNED_REQUESTS.items():
+        h = hashlib.sha256()
+        for kind, doc in workloads.generate(L, workload, 1):
+            h.update(f"{kind}\n{json.dumps(doc, sort_keys=True)}\n".encode())
+        assert h.hexdigest() == expected, workload

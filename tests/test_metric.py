@@ -217,3 +217,75 @@ def test_restrict_of_random_valid_space_always_validates():
         rng.shuffle(pts)
         sub = pts[: rng.randint(1, len(pts))]
         assert validate(restrict(sp, sub)).ok
+
+
+def fraction_closure_metric_space(rng, n, pseudo=False, palette=None):
+    """``rand_metric_space`` as it was with a ``Fraction`` Floyd-Warshall
+    closure, kept as the oracle for the integer closure.  On the palettes
+    the generator accepts, the final zero rewrite never fires."""
+    zero = F(0)
+    labels = tuple(f"x{i}" for i in range(n))
+    w = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if palette is not None:
+                v = rng.choice(palette)
+            else:
+                v = rand_fraction(rng, 1, 10)
+            if pseudo and rng.random() < 0.2:
+                v = zero
+            w[i][j] = w[j][i] = v
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                via = w[i][k] + w[k][j]
+                if via < w[i][j]:
+                    w[i][j] = via
+    if not pseudo:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if w[i][j] == zero:
+                    w[i][j] = w[j][i] = F(1)
+    return FiniteMetricSpace(labels, tuple(tuple(row) for row in w), pseudo)
+
+
+def test_integer_closure_matches_the_fraction_closure():
+    """Same space and same RNG state afterwards, so every seeded caller
+    (benchmark documents included) draws the same instances as before."""
+    driver = Random(2024)
+    for draw in range(400):
+        # every eighth draw up to n = 30; the Fraction oracle is cubic
+        n = driver.randint(0, 30 if draw % 8 == 0 else 10)
+        pseudo = driver.random() < 0.3
+        palette = [F(1), F(2), F(3)] if driver.random() < 0.4 else None
+        seed = driver.getrandbits(64)
+        rng, ref = Random(seed), Random(seed)
+        space = rand_metric_space(rng, n, pseudo=pseudo, palette=palette)
+        expected = fraction_closure_metric_space(ref, n, pseudo, palette)
+        assert space == expected, (seed, n, pseudo, palette)
+        assert rng.getstate() == ref.getstate()
+        assert all(type(v) is Fraction for row in space.dist for v in row)
+
+
+@pytest.mark.parametrize(
+    "palette, pseudo",
+    [
+        ([F(0), F(1, 4), F(1)], False),
+        ([F(-1), F(1)], False),
+        ([F(-1), F(1)], True),
+    ],
+)
+def test_generator_rejects_palettes_that_break_the_axioms(palette, pseudo):
+    """Closing such weights gave spaces that fail ``validate``: a zero
+    rewritten to 1 after the closure can break the triangle inequality."""
+    with pytest.raises(DomainError, match="palette"):
+        rand_metric_space(Random(0), 4, pseudo=pseudo, palette=palette)
+
+
+def test_zero_palette_entry_gives_a_valid_pseudometric():
+    rng = Random(3)
+    for _ in range(200):
+        space = rand_metric_space(
+            rng, 4, pseudo=True, palette=[F(0), F(1, 4), F(1)]
+        )
+        assert validate(space).ok

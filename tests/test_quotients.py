@@ -19,6 +19,7 @@ from exactmetric import (
 from exactmetric.jsonio import group_to_json, pseudometric_from_json
 from exactmetric.randgen import (
     rand_action,
+    rand_fraction,
     rand_group,
     rand_invariant_pseudometric,
     rotation_action,
@@ -159,6 +160,47 @@ def test_random_pseudometrics_mostly_have_a_proper_kernel(max_order):
         proper += 1 < size < group.order
     assert one_point <= 400 / 3
     assert proper >= 400 / 2
+
+
+def fraction_closure_pseudometric(rng, group):
+    """``rand_invariant_pseudometric`` as it was with its ``Fraction``
+    closure over all products, kept as the oracle for the integer one."""
+    n = group.order
+    e = group.identity
+    weight = [F(0) if i == e else rand_fraction(rng, 1, 6, max_den=2) for i in range(n)]
+    for i in range(n):
+        j = group.inv(i)
+        low = min(weight[i], weight[j])
+        weight[i] = weight[j] = low
+    if n > 1:
+        z = rng.choice([i for i in range(n) if i != e])
+        weight[z] = weight[group.inv(z)] = F(0)
+    delta = list(weight)
+    delta[e] = F(0)
+    changed = True
+    while changed:
+        changed = False
+        for a in range(n):
+            for b in range(n):
+                c = group.mul(a, b)
+                via = delta[a] + delta[b]
+                if via < delta[c]:
+                    delta[c] = via
+                    changed = True
+    return InvariantPseudometric(group, tuple(delta))
+
+
+def test_integer_closure_matches_the_fraction_closure():
+    """Same length function and same RNG state afterwards."""
+    driver = Random(77)
+    for draw in range(200):
+        group = rand_group(driver, max_order=24 if draw % 2 else 12)
+        seed = driver.getrandbits(64)
+        rng, ref = Random(seed), Random(seed)
+        pm = rand_invariant_pseudometric(rng, group)
+        assert pm == fraction_closure_pseudometric(ref, group), seed
+        assert rng.getstate() == ref.getstate()
+        assert all(type(v) is Fraction for v in pm.delta)
 
 
 def test_quotient_random_pseudometrics():
