@@ -46,6 +46,7 @@ CLI_INVOCATIONS = [
     ("katetov-check", "--in", "function.json"),
     ("hat-extend", "--in", "function.json"),
     ("star", "--in", "star.json"),
+    ("star", "--in", "star_dedup.json"),
     ("tower", "--in", "space_line.json", "--depth", "1"),
     ("iso-enum", "--in", "space_line.json"),
     ("moving-gap", "--in", "action_c6.json"),
@@ -135,6 +136,32 @@ def main():
         "space": space_to_json(line),
         "attachments": [
             {"support": ["0", "3"], "values": {"0": "2", "3": "2"}},
+        ],
+    })
+
+    # A pseudometric with equal rows c and c2, and a base point named p1, so
+    # the first fresh label needs a suffix.  The attachments hit every dedup
+    # case: a profile of c2 (absorbed into c, the first equal row), a fresh
+    # hat, another fresh hat, the first hat again, and the first hat reached
+    # from a different support.
+    dedup = FiniteMetricSpace(
+        ("a", "p1", "c", "c2"),
+        (
+            (F(0), F(2), F(1), F(1)),
+            (F(2), F(0), F(1), F(1)),
+            (F(1), F(1), F(0), F(0)),
+            (F(1), F(1), F(0), F(0)),
+        ),
+        pseudo=True,
+    )
+    dump("star_dedup.json", {
+        "space": space_to_json(dedup),
+        "attachments": [
+            {"support": ["c2"], "values": {"c2": "0"}},
+            {"support": ["a"], "values": {"a": "3"}},
+            {"support": ["a", "p1"], "values": {"a": "1", "p1": "1"}},
+            {"support": ["a"], "values": {"a": "3"}},
+            {"support": ["a", "c"], "values": {"a": "3", "c": "4"}},
         ],
     })
 
