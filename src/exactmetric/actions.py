@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, permutation_table
 from .metric import FiniteMetricSpace, set_distance
 
 
@@ -171,33 +171,26 @@ def action_from_closure(
     lexicographically by permutation (so the labeling is deterministic), with
     an abstract multiplication table read off from composition.
     """
-    from .groups import FiniteGroup
-
-    ident = Isometry.identity(space)
-    seen = {ident.perm: ident}
-    frontier = [ident]
     for gen in generators:
-        if gen.perm not in seen:
-            seen[gen.perm] = gen
-            frontier.append(gen)
+        if gen.space is not space and gen.space != space:
+            raise DomainError("cannot compose isometries of different spaces")
+    gens = [gen.perm for gen in generators]
+    frontier = [tuple(range(space.n))]
+    seen = set(frontier)
     while frontier:
         nxt = []
-        for a in list(seen.values()):
-            for b in frontier:
-                c = a.compose(b)
-                if c.perm not in seen:
-                    seen[c.perm] = c
+        for a in frontier:
+            for b in gens:
+                c = tuple(map(a.__getitem__, b))
+                if c not in seen:
+                    seen.add(c)
                     nxt.append(c)
         frontier = nxt
     perms = sorted(seen)
-    index = {p: i for i, p in enumerate(perms)}
-    labels = tuple(f"g{i}" for i in range(len(perms)))
-    table = tuple(
-        tuple(index[tuple(p[q[k]] for k in range(space.n))] for q in perms)
-        for p in perms
+    group = FiniteGroup(
+        tuple(f"g{i}" for i in range(len(perms))), permutation_table(perms)
     )
-    group = FiniteGroup(labels, table)
-    images = tuple(seen[p] for p in perms)
+    images = tuple(Isometry(space, p) for p in perms)
     return GroupAction(group, space, images)
 
 

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
+from operator import itemgetter
+from typing import Sequence
 
 from .errors import DomainError, StructuralError
 
@@ -31,13 +34,15 @@ class FiniteGroup:
                     raise StructuralError("table entry out of range")
         t = self.table
         e = self._find_identity()
-        for g in range(n):
-            for h in range(n):
-                for k in range(n):
-                    if t[t[g][h]][k] != t[g][t[h][k]]:
-                        raise DomainError(
-                            "multiplication table is not associative"
-                        )
+        # (gh)k == g(hk) for all k at once: row gh against row g gathered
+        # through row h.  An itemgetter of one index returns a bare entry,
+        # so a one-element table (associative anyway) is skipped.
+        rows = tuple(map(tuple, t))
+        gathers = [itemgetter(*row) for row in rows] if n > 1 else []
+        for tg in rows:
+            for gh, gather in zip(tg, gathers):
+                if rows[gh] != gather(tg):
+                    raise DomainError("multiplication table is not associative")
         for g in range(n):
             if e not in t[g]:
                 raise DomainError(f"element {self.elements[g]!r} has no inverse")
@@ -94,17 +99,22 @@ def dihedral_group(n: int) -> FiniteGroup:
     return FiniteGroup(labels, table)
 
 
-def symmetric_group(n: int) -> FiniteGroup:
-    from itertools import permutations
-
-    perms = sorted(permutations(range(n)))
+def permutation_table(
+    perms: Sequence[tuple[int, ...]],
+) -> tuple[tuple[int, ...], ...]:
+    """The multiplication table of permutations closed under composition:
+    entry (i, j) indexes ``perms[i]`` after ``perms[j]``."""
     index = {p: i for i, p in enumerate(perms)}
-    labels = tuple("".join(map(str, p)) for p in perms)
-    table = tuple(
-        tuple(index[tuple(p[q[i]] for i in range(n))] for q in perms)
+    return tuple(
+        tuple(index[tuple(map(p.__getitem__, q))] for q in perms)
         for p in perms
     )
-    return FiniteGroup(labels, table)
+
+
+def symmetric_group(n: int) -> FiniteGroup:
+    perms = sorted(permutations(range(n)))
+    labels = tuple("".join(map(str, p)) for p in perms)
+    return FiniteGroup(labels, permutation_table(perms))
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:

@@ -102,10 +102,13 @@ def indices(value: Any, what: str) -> tuple[int, ...]:
 def parse_space(data: Any) -> FiniteMetricSpace:
     """A space record as written; the metric axioms are not checked."""
     points, dist = require(data, "points", "dist", what="space record")
+    pseudo = data.get("pseudo", False)
+    if type(pseudo) is not bool:
+        raise StructuralError("pseudo must be a JSON boolean")
     return FiniteMetricSpace(
         labels(points, "points"),
         rational_matrix(dist, "dist"),
-        bool(data.get("pseudo", False)),
+        pseudo,
     )
 
 

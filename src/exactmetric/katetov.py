@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from operator import sub
 from typing import Mapping, Optional, Sequence
 
 from .actions import Isometry
@@ -43,8 +44,6 @@ class KatetovFunction:
             raise DomainError("a Katetov function needs a non-empty support")
         if set(self.support) != set(self.values):
             raise DomainError("values must be given exactly on the support")
-        for x in self.support:
-            self.space.index(x)
         report = is_katetov(self.space, self.values, self.support)
         if not report.ok:
             raise DomainError(
@@ -72,15 +71,20 @@ def is_katetov(
     values: Mapping[str, Fraction],
     support: Optional[Sequence[str]] = None,
 ) -> KatetovReport:
-    """Check both Katetov inequalities on all pairs of the support."""
+    """Check both Katetov inequalities on all pairs of the support.
+
+    Every support label must be a point of the space and carry a
+    non-negative value; otherwise :class:`DomainError` is raised.
+    """
     pts = tuple(support) if support is not None else space.points
+    idx = [space.index(x) for x in pts]
     for x in pts:
         if x not in values:
             raise DomainError(f"no value given at {x!r}")
         if values[x] < ZERO:
             raise DomainError(f"negative value at {x!r}")
-    for x, y in combinations(pts, 2):
-        d = space.d_label(x, y)
+    for (x, i), (y, j) in combinations(zip(pts, idx), 2):
+        d = space.dist[i][j]
         if abs(values[x] - values[y]) > d:
             return KatetovReport(False, (x, y), "upper")
         if d > values[x] + values[y]:
@@ -122,7 +126,6 @@ def sup_distance(f: KatetovFunction, g: KatetovFunction) -> Fraction:
 class AttachmentRecord:
     support: tuple[str, ...]
     values: Mapping[str, Fraction]
-    hat: Mapping[str, Fraction]
     point: str          # label in the result (new, or an absorbing duplicate)
     fresh: bool         # False when deduplicated against an earlier function
 
@@ -144,59 +147,42 @@ def star_fragment(
     sup distances of the hats.  Attachments whose hat coincides with an
     earlier hat, or with the distance profile of an existing point, are
     deduplicated (the extension is a set of functions, so duplicates collapse
-    rather than forcing a pseudometric).
+    rather than forcing a pseudometric).  Profiles are compared as value
+    tuples in point order; among equal rows of a pseudometric the first
+    point absorbs.
     """
     for f in attachments:
         if f.space != space:
             raise DomainError("attachment lives on a different space")
-    base_hats = [point_function(space, x).values for x in space.points]
-    kept: list[tuple[str, KatetovFunction, dict]] = []
+    pts = space.points
+    owner: dict[tuple[Fraction, ...], str] = {}
+    for x, row in zip(pts, space.dist):
+        owner.setdefault(row, x)
+    existing = set(pts)
+    hats: list[tuple[Fraction, ...]] = []
     records: list[AttachmentRecord] = []
-    existing = set(space.points)
-    fresh_count = 0
     for f in attachments:
-        hat = hat_extension(f)
-        hv = dict(hat.values)
-        dup_label = None
-        for j, bh in enumerate(base_hats):
-            if hv == bh:
-                dup_label = space.points[j]
-                break
-        if dup_label is None:
-            for label, _, kv in kept:
-                if hv == kv:
-                    dup_label = label
-                    break
-        if dup_label is not None:
-            records.append(
-                AttachmentRecord(f.support, dict(f.values), hv, dup_label, False)
-            )
-            continue
-        fresh_count += 1
-        label = f"p{fresh_count}"
-        while label in existing:
-            label += "_"
-        existing.add(label)
-        kept.append((label, hat, hv))
-        records.append(
-            AttachmentRecord(f.support, dict(f.values), hv, label, True)
-        )
-    pts = space.points + tuple(label for label, _, _ in kept)
-    n0 = space.n
-    n = len(pts)
-    dist = [[ZERO] * n for _ in range(n)]
-    for i in range(n0):
-        for j in range(n0):
-            dist[i][j] = space.dist[i][j]
-    for a, (_, hat_a, _) in enumerate(kept):
-        ia = n0 + a
-        for j, x in enumerate(space.points):
-            dist[ia][j] = dist[j][ia] = hat_a.value(x)
-        for b in range(a):
-            ib = n0 + b
-            dd = sup_distance(hat_a, kept[b][1])
-            dist[ia][ib] = dist[ib][ia] = dd
-    result = FiniteMetricSpace(pts, tuple(tuple(r) for r in dist), space.pseudo)
+        hat = tuple(map(hat_extension(f).value, pts))
+        label = owner.get(hat)
+        fresh = label is None
+        if fresh:
+            label = f"p{len(hats) + 1}"
+            while label in existing:
+                label += "_"
+            existing.add(label)
+            owner[hat] = label
+            hats.append(hat)
+        records.append(AttachmentRecord(f.support, dict(f.values), label, fresh))
+    sups = [[ZERO] * len(hats) for _ in hats]
+    for a, b in combinations(range(len(hats)), 2):
+        sups[a][b] = sups[b][a] = max(map(abs, map(sub, hats[a], hats[b])))
+    dist = [
+        row + tuple(h[i] for h in hats) for i, row in enumerate(space.dist)
+    ]
+    dist += [h + tuple(s) for h, s in zip(hats, sups)]
+    result = FiniteMetricSpace(
+        pts + tuple(owner[h] for h in hats), tuple(dist), space.pseudo
+    )
     report = validate(result)
     if not report.ok:
         raise InternalCheckError(

@@ -74,9 +74,6 @@ class FiniteMetricSpace:
         hashing ignore it."""
         return scale_rows(self.dist)
 
-    def d(self, i: int, j: int) -> Fraction:
-        return self.dist[i][j]
-
     def d_label(self, a: str, b: str) -> Fraction:
         return self.dist[self.index(a)][self.index(b)]
 

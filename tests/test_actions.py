@@ -7,6 +7,7 @@ import pytest
 from exactmetric import (
     DomainError,
     FiniteGroup,
+    FiniteMetricSpace,
     GroupAction,
     Isometry,
     StructuralError,
@@ -172,3 +173,89 @@ def test_epsilon_net_bounds_gap():
     net = ["0", "2", "4"]  # every point lies within distance 1 < 3/2
     gap, _ = moving_gap(action, net)
     assert gap < F(3, 2)
+
+
+# A loop of order 5: 0 is an identity and every row holds 0, yet
+# (gh)k != g(hk) at 36 of the 125 triples.
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+@pytest.mark.parametrize("rows", [tuple, list])
+def test_non_associative_table_is_a_domain_error(rows):
+    with pytest.raises(DomainError, match="^multiplication table is not associative$"):
+        FiniteGroup(tuple("abcde"), tuple(rows(r) for r in LOOP5))
+
+
+def test_table_rows_may_be_lists():
+    c2 = FiniteGroup(("a", "b"), [[0, 1], [1, 0]])
+    assert c2.identity == 0 and c2.inv(1) == 1
+
+
+def closure_by_composition(space, generators):
+    """``action_from_closure`` as written before it closed permutation
+    tuples, kept as the oracle: a verified ``Isometry`` for every product
+    tried, and the table read off inline."""
+    ident = Isometry.identity(space)
+    seen = {ident.perm: ident}
+    frontier = [ident]
+    for gen in generators:
+        if gen.perm not in seen:
+            seen[gen.perm] = gen
+            frontier.append(gen)
+    while frontier:
+        nxt = []
+        for a in list(seen.values()):
+            for b in frontier:
+                c = a.compose(b)
+                if c.perm not in seen:
+                    seen[c.perm] = c
+                    nxt.append(c)
+        frontier = nxt
+    perms = sorted(seen)
+    index = {p: i for i, p in enumerate(perms)}
+    labels = tuple(f"g{i}" for i in range(len(perms)))
+    table = tuple(
+        tuple(index[tuple(p[q[k]] for k in range(space.n))] for q in perms)
+        for p in perms
+    )
+    group = FiniteGroup(labels, table)
+    images = tuple(seen[p] for p in perms)
+    return GroupAction(group, space, images)
+
+
+def test_closure_matches_the_composition_oracle():
+    rng = Random(5)
+    palette = [F(1), F(2), F(3)]
+    for trial in range(120):
+        kind = trial % 3
+        if kind == 0:
+            space = cycle_space(rng.randint(1, 8))
+        elif kind == 1:  # discrete: every permutation is an isometry
+            space = rand_metric_space(rng, rng.randint(1, 4), palette=[F(1)])
+        else:
+            space = rand_metric_space(rng, rng.randint(2, 6), palette=palette)
+        isos = enumerate_isometries(space)
+        gens = [rng.choice(isos) for _ in range(rng.randint(0, 3))]
+        if trial % 4 == 0:
+            gens.append(Isometry.identity(space))
+        if gens and trial % 5 == 0:
+            gens.append(gens[0])
+        # generators on an equal but distinct space object are accepted
+        twin = FiniteMetricSpace(space.points, space.dist, space.pseudo)
+        if trial % 6 == 0:
+            gens = [Isometry(twin, g.perm) for g in gens]
+        assert action_from_closure(space, gens) == closure_by_composition(space, gens)
+
+
+def test_closure_rejects_a_generator_on_another_space():
+    space = cycle_space(5)
+    other = space_from_rows([str(i) for i in range(5)],
+                            [[int(i != j) for j in range(5)] for i in range(5)])
+    foreign = Isometry(other, (1, 0, 2, 3, 4))
+    for closure in (action_from_closure, closure_by_composition):
+        with pytest.raises(DomainError, match="^cannot compose isometries of different spaces$"):
+            closure(space, [foreign])
+    # checked up front, so a foreign identity is no longer skipped silently
+    with pytest.raises(DomainError, match="^cannot compose isometries of different spaces$"):
+        action_from_closure(space, [Isometry.identity(other)])

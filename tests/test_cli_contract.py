@@ -79,6 +79,10 @@ MALFORMED = {
         "moving-gap", _edit("action_c6.json", ["action", "images", "g1", 0], "x")),
     "points-as-a-string": (
         "validate", {"space": {"points": "ab", "dist": [[0, 1], [1, 0]]}}),
+    "pseudo-as-a-string": (
+        "validate", {"space": {"points": ["a", "b"],
+                               "dist": [["0", "0"], ["0", "0"]],
+                               "pseudo": "false"}}),
 }
 
 
@@ -92,6 +96,17 @@ def test_support_label_without_value_is_a_domain_error():
     doc = load("function.json")
     doc["function"]["support"] = ["a", "b"]
     assert error_kind(["katetov-check"], doc) == "DomainError"
+
+
+def test_support_label_outside_the_space_is_a_domain_error():
+    doc = load("function.json")
+    doc["function"]["support"] = ["zzz"]
+    doc["function"]["values"] = {"zzz": "1"}
+    for command in ("katetov-check", "hat-extend"):
+        code, out = run_main([command], doc)
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "kind": "DomainError", "message": "unknown point label 'zzz'"}
 
 
 def test_unreadable_input_file_is_an_error_object(tmp_path):

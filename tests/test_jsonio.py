@@ -113,6 +113,15 @@ def test_space_loader_shape_errors():
         space_from_json({"points": ["a", "b"], "dist": [["0", "1"]]})
 
 
+@pytest.mark.parametrize("pseudo", ["false", "true", 0, 1, None, [True]])
+def test_pseudo_flag_must_be_a_json_boolean(pseudo):
+    data = {"points": ["a", "b"], "dist": [["0", "0"], ["0", "0"]]}
+    assert not parse_space(data).pseudo
+    assert parse_space({**data, "pseudo": True}).pseudo
+    with pytest.raises(StructuralError, match="pseudo must be a JSON boolean"):
+        parse_space({**data, "pseudo": pseudo})
+
+
 def test_pointed_requires_basepoint():
     data = space_to_json(rand_metric_space(Random(1), 3))
     with pytest.raises(StructuralError):

@@ -6,6 +6,7 @@ import pytest
 from exactmetric import (
     BudgetExceededError,
     DomainError,
+    FiniteMetricSpace,
     Isometry,
     KatetovFunction,
     TowerPolicy,
@@ -237,3 +238,119 @@ def test_star_fragment_always_metric_random():
             fns.append(rand_katetov(rng, sp, supp))
         frag = star_fragment(sp, fns)
         assert validate(frag.result).ok
+
+
+def test_support_label_outside_the_space_is_a_domain_error(two_points):
+    with pytest.raises(DomainError, match="unknown point label 'zzz'"):
+        is_katetov(two_points, {"zzz": F(1)}, ["zzz"])
+    # checks run in order: support/values mismatch, unknown label, sign
+    with pytest.raises(DomainError, match="exactly on the support"):
+        KatetovFunction(two_points, ("zzz",), {"a": F(-1)})
+    with pytest.raises(DomainError, match="unknown point label"):
+        KatetovFunction(two_points, ("zzz",), {"zzz": F(-1)})
+    with pytest.raises(DomainError, match="negative value"):
+        KatetovFunction(two_points, ("a",), {"a": F(-1)})
+
+
+def star_fragment_scan(space, attachments):
+    """``star_fragment`` as written before profiles were hashed, kept as the
+    oracle: every hat is compared with each base point's profile, then with
+    each kept hat, and new/new distances come from ``sup_distance``.
+    Returns the result space and the (point, fresh) pair of each
+    attachment."""
+    for f in attachments:
+        if f.space != space:
+            raise DomainError("attachment lives on a different space")
+    base_hats = [point_function(space, x).values for x in space.points]
+    kept = []
+    records = []
+    existing = set(space.points)
+    fresh_count = 0
+    for f in attachments:
+        hat = hat_extension(f)
+        hv = dict(hat.values)
+        dup_label = None
+        for j, bh in enumerate(base_hats):
+            if hv == bh:
+                dup_label = space.points[j]
+                break
+        if dup_label is None:
+            for label, _, kv in kept:
+                if hv == kv:
+                    dup_label = label
+                    break
+        if dup_label is not None:
+            records.append((dup_label, False))
+            continue
+        fresh_count += 1
+        label = f"p{fresh_count}"
+        while label in existing:
+            label += "_"
+        existing.add(label)
+        kept.append((label, hat, hv))
+        records.append((label, True))
+    pts = space.points + tuple(label for label, _, _ in kept)
+    n0 = space.n
+    n = len(pts)
+    dist = [[F(0)] * n for _ in range(n)]
+    for i in range(n0):
+        for j in range(n0):
+            dist[i][j] = space.dist[i][j]
+    for a, (_, hat_a, _) in enumerate(kept):
+        ia = n0 + a
+        for j, x in enumerate(space.points):
+            dist[ia][j] = dist[j][ia] = hat_a.value(x)
+        for b in range(a):
+            ib = n0 + b
+            dd = sup_distance(hat_a, kept[b][1])
+            dist[ia][ib] = dist[ib][ia] = dd
+    result = FiniteMetricSpace(pts, tuple(tuple(r) for r in dist), space.pseudo)
+    return result, records
+
+
+def _dedup_attachments(rng, sp):
+    """Random attachments that hit every dedup case: fresh hats, a point's
+    own profile, the same function twice, and an earlier hat restricted to a
+    larger support (whose hat is that hat again)."""
+    out = []
+    for _ in range(rng.randint(0, 7)):
+        kind = rng.randrange(4)
+        pts = list(sp.points)
+        rng.shuffle(pts)
+        supp = tuple(pts[: rng.randint(1, sp.n)])
+        if kind == 1:
+            x = supp[0]
+            out.append(KatetovFunction(
+                sp, supp, {y: sp.d_label(x, y) for y in supp}))
+        elif kind == 2 and out:
+            out.append(rng.choice(out))
+        elif kind == 3 and out:
+            f = rng.choice(out)
+            hat = hat_extension(f)
+            wider = tuple(dict.fromkeys(f.support + supp))
+            out.append(KatetovFunction(
+                sp, wider, {y: hat.value(y) for y in wider}))
+        else:
+            out.append(rand_katetov(rng, sp, supp))
+    return out
+
+
+def test_star_fragment_matches_the_scan_oracle():
+    rng = Random(8)
+    pool = ["p1", "p1_", "p2", "p3", "a", "b", "c"]
+    for trial in range(200):
+        n = rng.randint(1, 6)
+        pseudo = trial % 2 == 0
+        palette = [F(0), F(1), F(2)] if pseudo else [F(1), F(2)]
+        base = rand_metric_space(
+            rng, n, pseudo=pseudo, palette=palette if trial % 3 else None
+        )
+        sp = FiniteMetricSpace(tuple(rng.sample(pool, n)), base.dist, pseudo)
+        fns = _dedup_attachments(rng, sp)
+        frag = star_fragment(sp, fns)
+        result, records = star_fragment_scan(sp, fns)
+        assert frag.result == result
+        assert [(r.point, r.fresh) for r in frag.attached] == records
+        assert [(r.support, r.values) for r in frag.attached] == [
+            (f.support, f.values) for f in fns
+        ]
