@@ -8,7 +8,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError
 from .groups import FiniteGroup, permutation_table
-from .metric import FiniteMetricSpace, set_distance
+from .metric import FiniteMetricSpace
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,9 @@ class GroupAction:
         g = self.group
         if len(self.images) != g.order:
             raise DomainError("one isometry per group element required")
+        space = self.space
+        if any(iso.space is not space and iso.space != space for iso in self.images):
+            raise DomainError("images must act on the action's space")
         ident = tuple(range(self.space.n))
         if self.images[g.identity].perm != ident:
             raise DomainError("identity element must act as the identity map")
@@ -134,13 +137,14 @@ def moving_gap(
     """
     if not f:
         raise DomainError("moving_gap requires a non-empty set")
-    best: Optional[Fraction] = None
-    witness = action.group.identity
-    for g in range(action.group.order):
-        gap = set_distance(action.space, f, action.translate(g, f))
-        if best is None or gap > best:
-            best, witness = gap, g
-    return best, action.group.elements[witness]
+    idx = [action.space.index(x) for x in f]
+    rows = [action.space.dist[i] for i in idx]
+    gaps = [
+        min(row[iso.perm[j]] for row in rows for j in idx)
+        for iso in action.images
+    ]
+    best = max(range(len(gaps)), key=gaps.__getitem__)
+    return gaps[best], action.group.elements[best]
 
 
 def is_strongly_moving_on(

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from numbers import Rational
 from random import Random
 from typing import Callable, Mapping, Sequence
 
 from .actions import GroupAction, Isometry
 from .errors import DomainError, InternalCheckError
-from .metric import PointedSpace, set_distance
+from .metric import PointedSpace, scale, set_distance
 from .simplex import simplex_max
 
 ZERO = Fraction(0)
@@ -112,11 +111,7 @@ class LipschitzWitness:
         pts = space.points
         den, sd = space.scaled
         values = [self.values[x] for x in pts]
-        try:
-            unit = lcm(den, *(v.denominator for v in values))
-            f = [v.numerator * (unit // v.denominator) for v in values]
-        except AttributeError:
-            raise DomainError("witness values must be exact rationals") from None
+        unit, f = scale(values, "witness values", den)
         step = unit // den
         for i, fi in enumerate(f):
             for j in range(i + 1, space.n):
@@ -174,10 +169,9 @@ def aell_norm_dual(m: Molecule) -> tuple[Fraction, LipschitzWitness]:
     norm = (value - shift) / den
     # the optimum on support + basepoint, extended by min-plus to every
     # point, as ints in units of 1/(den * unit)
-    unit = lcm(*(gi.denominator for gi in g))
+    unit, gs = scale(g, "LP optimum")
     f = [
-        (sd[x], gi.numerator * (unit // gi.denominator) - unit * dbp[i])
-        for i, (x, gi) in enumerate(zip(supp, g))
+        (sd[x], gi - unit * dbp[i]) for i, (x, gi) in enumerate(zip(supp, gs))
     ] + [(sd[bp], 0)]
     full = {
         label: Fraction(min(fy + unit * row[i] for row, fy in f), den * unit)
@@ -206,11 +200,11 @@ def aell_norm_primal(
     """
     space = m.pointed.space
     den, d = space.scaled
-    unit = lcm(*(v.denominator for _, v in m.coeffs))
+    unit, amounts = scale([v for _, v in m.coeffs], "molecule coefficients")
     # remaining supply (> 0) or demand (< 0) of each point, times unit
     excess = [0] * space.n
-    for x, v in m.coeffs:
-        excess[space.index(x)] = v.numerator * (unit // v.denominator)
+    for (x, _), a in zip(m.coeffs, amounts):
+        excess[space.index(x)] = a
     excess[m.pointed.basepoint] -= sum(excess)
     sources = [i for i, v in enumerate(excess) if v > 0]
     sinks = [i for i, v in enumerate(excess) if v < 0]

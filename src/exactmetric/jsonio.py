@@ -9,7 +9,7 @@ violating the mathematical contracts.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
 from .actions import GroupAction, Isometry
 from .errors import DomainError, StructuralError
@@ -124,15 +124,12 @@ def space_from_json(data: Mapping[str, Any]) -> FiniteMetricSpace:
     return require_valid(parse_space(data))
 
 
-def space_to_json(space: FiniteMetricSpace, basepoint: Optional[str] = None):
-    out = {
+def space_to_json(space: FiniteMetricSpace):
+    return {
         "points": list(space.points),
         "dist": [[str(v) for v in row] for row in space.dist],
         "pseudo": space.pseudo,
     }
-    if basepoint is not None:
-        out["basepoint"] = basepoint
-    return out
 
 
 def pointed_from_json(data: Mapping[str, Any]) -> PointedSpace:

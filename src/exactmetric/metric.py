@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import islice, product
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -18,20 +18,27 @@ from .errors import DomainError, StructuralError
 ZERO = Fraction(0)
 
 
+def scale(
+    values: Sequence[Fraction], what: str, unit: int = 1
+) -> tuple[int, list[int]]:
+    """``(den, ints)``: the lcm of ``unit`` and the denominators of the
+    values, and the values times it, ``ints[i] == den * values[i]``.  Raises
+    ``DomainError`` naming ``what`` when a value is not an exact rational."""
+    try:
+        den = lcm(unit, *{v.denominator for v in values})
+        return den, [v.numerator * (den // v.denominator) for v in values]
+    except AttributeError:
+        raise DomainError(f"{what} must be exact rationals") from None
+
+
 def scale_rows(
     rows: Sequence[Sequence[Fraction]],
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """``(den, ints)``: the lcm of the denominators of a rational matrix and
-    the int matrix ``ints[i][j] == den * rows[i][j]``."""
-    try:
-        den = lcm(*{v.denominator for row in rows for v in row})
-        ints = tuple(
-            tuple(v.numerator * (den // v.denominator) for v in row)
-            for row in rows
-        )
-    except AttributeError:
-        raise DomainError("distances must be exact rationals") from None
-    return den, ints
+    """``scale`` over a rational matrix: ``(den, ints)`` with the int matrix
+    ``ints[i][j] == den * rows[i][j]``."""
+    den, flat = scale([v for row in rows for v in row], "distances")
+    it = iter(flat)
+    return den, tuple(tuple(islice(it, len(row))) for row in rows)
 
 
 @dataclass(frozen=True)

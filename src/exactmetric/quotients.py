@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 from .actions import GroupAction, Isometry
 from .errors import DomainError, StructuralError
 from .groups import FiniteGroup
-from .metric import FiniteMetricSpace, set_distance, validate
+from .metric import FiniteMetricSpace, scale, validate
 
 ZERO = Fraction(0)
 
@@ -38,10 +38,11 @@ class InvariantPseudometric:
         for a in range(g.order):
             if delta[g.inv(a)] != delta[a]:
                 raise DomainError(f"pseudometric is not symmetric at {g.elements[a]}")
+        _, ints = scale(delta, "pseudometric lengths")
         for a, row in enumerate(g.table):
-            da = delta[a]
+            da = ints[a]
             for b, ab in enumerate(row):
-                if delta[ab] > da + delta[b]:
+                if ints[ab] > da + ints[b]:
                     raise DomainError(
                         "pseudometric triangle inequality fails at "
                         f"({g.elements[a]}, {g.elements[b]})"
@@ -149,6 +150,12 @@ def orbit_isomorphism(
     return mapping
 
 
+def _fvf(group: FiniteGroup, f: Sequence[int], v: Sequence[int]) -> set[int]:
+    """The product set F V F, as F V and then (F V) F."""
+    fv = {group.mul(a, b) for a in f for b in v}
+    return {group.mul(a, b) for a in fv for b in f}
+
+
 def min_fvf_cover(
     group: FiniteGroup, v: Sequence[int]
 ) -> tuple[int, tuple[int, ...]]:
@@ -165,12 +172,9 @@ def min_fvf_cover(
     for x in vset:
         if not 0 <= x < n:
             raise DomainError("V contains an invalid element index")
-    everything = set(range(n))
     for size in range(1, n + 1):
         for f in combinations(range(n), size):
-            fv = {group.mul(a, b) for a in f for b in vset}
-            fvf = {group.mul(a, b) for a in fv for b in f}
-            if fvf == everything:
+            if len(_fvf(group, f, vset)) == n:
                 return size, f
     raise DomainError("no cover found")  # unreachable for non-empty V
 
@@ -197,8 +201,9 @@ def moving_certificate(
     """For each queried finite set of elements, exhibit a translation that
     moves its coset image by at least the ball radius, when one exists.
 
-    V is the open ball of the given radius around the identity.  Each phi is
-    symmetrized internally (the displacement argument needs inverses).  When
+    V is the open ball of the given radius around the identity.  Each phi
+    must be non-empty and is symmetrized internally (the displacement
+    argument needs inverses).  When
     phi V phi already covers the group no witness exists, which is the
     expected outcome for large phi on a finite group.
     """
@@ -206,33 +211,21 @@ def moving_certificate(
         raise DomainError("ball radius must be positive")
     g = pm.group
     ball = [i for i in range(g.order) if pm.delta[i] < radius]
-    qspace, action = quotient_space(pm)
-    reps = [g.index(label[:-1]) for label in qspace.points]
-    elem_coset = [
-        next(j for j, r in enumerate(reps) if pm.dist(i, r) == ZERO)
-        for i in range(g.order)
-    ]
-
     entries = []
     for phi in phis:
         idx = sorted({g.index(x) for x in phi})
+        if not idx:
+            raise DomainError("moving_certificate requires non-empty sets")
         sym = sorted(set(idx) | {g.inv(i) for i in idx})
-        covered = set()
-        for a in sym:
-            for vv in ball:
-                av = g.mul(a, vv)
-                for b in sym:
-                    covered.add(g.mul(av, b))
+        covered = _fvf(g, sym, ball)
         outside = [i for i in range(g.order) if i not in covered]
         if not outside:
             entries.append(CertificateEntry(tuple(g.elements[i] for i in idx), None, None))
             continue
         witness = outside[0]
-        phi_cosets = [qspace.points[elem_coset[i]] for i in sym]
-        moved = [
-            qspace.points[elem_coset[g.mul(witness, i)]] for i in sym
-        ]
-        gap = set_distance(qspace, phi_cosets, moved)
+        # d(aH, wbH) = d(a, wb): the gap between the coset images of phi and
+        # w phi, read on the group
+        gap = min(pm.dist(a, g.mul(witness, b)) for a in sym for b in sym)
         if gap < radius:
             raise DomainError(
                 "exhibited element fails the quotient gap bound"

@@ -16,18 +16,12 @@ one the rational tableau makes.  Fractions appear only in the result.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .errors import DomainError, InternalCheckError
+from .metric import scale
 
 ZERO = Fraction(0)
-
-
-def _scale(values) -> tuple[int, list[int]]:
-    """The lcm of the denominators and the values times it, as ints."""
-    scale = lcm(*{v.denominator for v in values})
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def simplex_max(
@@ -40,12 +34,9 @@ def simplex_max(
     n = len(c)
     if len(b) != m or any(len(row) != n for row in a):
         raise DomainError("inconsistent LP dimensions")
-    try:
-        la, flat = _scale([v for row in a for v in row])
-        lb, scaled_b = _scale(b)
-        _, obj = _scale(c)
-    except AttributeError:
-        raise DomainError("LP data must be exact rationals") from None
+    la, flat = scale([v for row in a for v in row], "LP data")
+    lb, scaled_b = scale(b, "LP data")
+    _, obj = scale(c, "LP data")
     if any(bi < 0 for bi in scaled_b):
         raise DomainError("right-hand side must be non-negative")
 

@@ -18,8 +18,14 @@ from exactmetric import (
     moving_gap,
     orbit,
     orbit_diameter,
+    set_distance,
 )
-from exactmetric.randgen import cycle_space, rand_metric_space, rotation_action
+from exactmetric.randgen import (
+    cycle_space,
+    rand_action,
+    rand_metric_space,
+    rotation_action,
+)
 
 from conftest import space_from_rows
 
@@ -114,6 +120,18 @@ def test_homomorphism_law_enforced():
     )
     with pytest.raises(DomainError):
         GroupAction(group, c4, bad)
+
+
+def test_images_on_another_space_rejected():
+    action = rotation_action(4)
+    discrete4 = space_from_rows(
+        ["0", "1", "2", "3"],
+        [[int(i != j) for j in range(4)] for i in range(4)],
+    )
+    with pytest.raises(DomainError, match="action's space"):
+        GroupAction(action.group, discrete4, action.images)
+    # an equal space object is the same space
+    GroupAction(action.group, cycle_space(4), action.images)
 
 
 def test_moving_gap_whole_space_is_zero():
@@ -259,3 +277,35 @@ def test_closure_rejects_a_generator_on_another_space():
     # checked up front, so a foreign identity is no longer skipped silently
     with pytest.raises(DomainError, match="^cannot compose isometries of different spaces$"):
         action_from_closure(space, [Isometry.identity(other)])
+
+
+def reference_moving_gap(action, f):
+    """The gap read through labels: ``set_distance`` between f and each
+    translate ``action.translate(g, f)``, keeping the earliest maximum."""
+    if not f:
+        raise DomainError("moving_gap requires a non-empty set")
+    best, witness = None, action.group.identity
+    for g in range(action.group.order):
+        gap = set_distance(action.space, f, action.translate(g, f))
+        if best is None or gap > best:
+            best, witness = gap, g
+    return best, action.group.elements[witness]
+
+
+def test_moving_gap_matches_the_label_reference():
+    rng = Random(229)
+    ties = 0
+    for _ in range(80):
+        action = rand_action(rng, max_points=8)
+        points = action.space.points
+        for _ in range(4):
+            # duplicates kept
+            f = [rng.choice(points) for _ in range(rng.randint(1, 4))]
+            got = moving_gap(action, f)
+            assert got == reference_moving_gap(action, f)
+            gaps = [
+                set_distance(action.space, f, action.translate(g, f))
+                for g in range(action.group.order)
+            ]
+            ties += gaps.count(got[0]) > 1
+    assert ties > 0

@@ -238,7 +238,7 @@ def test_molecule_basepoint_inside_space_record():
     rng = Random(101)
     sp = rand_metric_space(rng, 3)
     data = {
-        "space": space_to_json(sp, basepoint=sp.points[0]),
+        "space": {**space_to_json(sp), "basepoint": sp.points[0]},
         "coeffs": {sp.points[1]: "1"},
     }
     m = molecule_from_json(data)

@@ -14,6 +14,7 @@ from exactmetric import (
     orbit_isomorphism,
     pullback_pseudometric,
     quotient_space,
+    set_distance,
     symmetric_group,
 )
 from exactmetric.jsonio import group_to_json, pseudometric_from_json
@@ -286,3 +287,116 @@ def test_moving_certificate_gap_verified_random():
         for entry in moving_certificate(pm, radius, [phi]):
             if entry.gap is not None:
                 assert entry.gap >= radius
+
+
+def test_moving_certificate_rejects_an_empty_phi():
+    pm = cycle_pm(6)
+    with pytest.raises(DomainError, match="non-empty"):
+        moving_certificate(pm, F(1), [["1"], []])
+
+
+def reference_moving_certificate(pm, radius, phis):
+    """The certificate read on the quotient space built by ``quotient_space``:
+    each coset's element is parsed back from its label, each element's coset
+    is searched for, and the gap is ``set_distance`` on coset labels."""
+    if radius <= 0:
+        raise DomainError("ball radius must be positive")
+    g = pm.group
+    ball = [i for i in range(g.order) if pm.delta[i] < radius]
+    qspace, _ = quotient_space(pm)
+    reps = [g.index(label[:-1]) for label in qspace.points]
+    elem_coset = [
+        next(j for j, r in enumerate(reps) if pm.dist(i, r) == 0)
+        for i in range(g.order)
+    ]
+    entries = []
+    for phi in phis:
+        idx = sorted({g.index(x) for x in phi})
+        sym = sorted(set(idx) | {g.inv(i) for i in idx})
+        covered = set()
+        for a in sym:
+            for vv in ball:
+                av = g.mul(a, vv)
+                for b in sym:
+                    covered.add(g.mul(av, b))
+        outside = [i for i in range(g.order) if i not in covered]
+        phi_labels = tuple(g.elements[i] for i in idx)
+        if not outside:
+            entries.append((phi_labels, None, None))
+            continue
+        witness = outside[0]
+        phi_cosets = [qspace.points[elem_coset[i]] for i in sym]
+        moved = [qspace.points[elem_coset[g.mul(witness, i)]] for i in sym]
+        gap = set_distance(qspace, phi_cosets, moved)
+        if gap < radius:
+            raise DomainError("exhibited element fails the quotient gap bound")
+        entries.append((phi_labels, g.elements[witness], gap))
+    return entries
+
+
+def test_moving_certificate_matches_the_quotient_space_reference():
+    rng = Random(211)
+    seen = set()
+    for _ in range(60):
+        group = rand_group(rng, max_order=24)
+        pm = rand_invariant_pseudometric(rng, group)
+        n = group.order
+        elems = group.elements
+        phis = [list(elems)]
+        for _ in range(3):
+            # duplicates kept
+            phis.append([elems[rng.randrange(n)] for _ in range(rng.randint(1, 4))])
+        closed = {rng.randrange(n) for _ in range(rng.randint(1, 3))}
+        phis.append([elems[i] for i in sorted(closed | {group.inv(i) for i in closed})])
+        values = sorted(set(pm.delta))
+        radii = [v for v in values if v > 0] + [values[-1] + 1, F(1, 3)]
+        for radius in radii:
+            got = [
+                (e.phi, e.witness, e.gap)
+                for e in moving_certificate(pm, radius, phis)
+            ]
+            assert got == reference_moving_certificate(pm, radius, phis)
+            seen |= {entry[1] is None for entry in got}
+    # both a covered phi and an exhibited witness occur
+    assert seen == {True, False}
+
+
+def reference_triangle_failure(group, delta):
+    """The first pair (a, b) with delta(ab) > delta(a) + delta(b), compared
+    as Fractions."""
+    for a, row in enumerate(group.table):
+        for b, ab in enumerate(row):
+            if delta[ab] > delta[a] + delta[b]:
+                return (
+                    "pseudometric triangle inequality fails at "
+                    f"({group.elements[a]}, {group.elements[b]})"
+                )
+    return None
+
+
+def test_length_triangle_check_matches_the_fraction_loop():
+    rng = Random(223)
+    outcomes = set()
+    for _ in range(150):
+        group = rand_group(rng, max_order=16)
+        delta = list(rand_invariant_pseudometric(rng, group).delta)
+        # plant a violation: move one symmetric pair, keeping delta(e) = 0
+        # and delta(g^-1) = delta(g)
+        for _ in range(rng.randint(0, 2)):
+            g = rng.randrange(group.order)
+            if g != group.identity:
+                delta[g] = delta[group.inv(g)] = rand_fraction(rng, 0, 8, max_den=3)
+        expected = reference_triangle_failure(group, delta)
+        outcomes.add(expected is None)
+        if expected is None:
+            InvariantPseudometric(group, tuple(delta))
+        else:
+            with pytest.raises(DomainError) as info:
+                InvariantPseudometric(group, tuple(delta))
+            assert str(info.value) == expected
+    assert outcomes == {True, False}
+
+
+def test_non_exact_lengths_are_rejected():
+    with pytest.raises(DomainError, match="exact rationals"):
+        InvariantPseudometric(cyclic_group(3), (F(0), 0.5, 0.5))

@@ -1,0 +1,81 @@
+"""Leftovers in the library source: imports a module never uses, and private
+module-level functions that nothing in ``src/`` calls."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE = SRC / "exactmetric"
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def referenced_names(tree):
+    """Every name a module reads: bare names, attribute names, and the names
+    inside string annotations such as ``"Isometry"``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    for annotation in annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                inner = ast.parse(node.value, mode="eval")
+                names |= {n.id for n in ast.walk(inner) if isinstance(n, ast.Name)}
+    return names
+
+
+def imported_names(tree):
+    """``(bound name, line)`` of every import outside ``__future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                yield bound, node.lineno
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = parse(path)
+        used = referenced_names(tree)
+        unused += [
+            f"{path.name}:{line} {name}"
+            for name, line in imported_names(tree)
+            if name not in used
+        ]
+    assert unused == []
+
+
+def test_every_private_function_is_referenced():
+    trees = {path: parse(path) for path in sorted(SRC.rglob("*.py"))}
+    used = set().union(*(referenced_names(t) for t in trees.values()))
+    unreferenced = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in used
+    ]
+    assert unreferenced == []
