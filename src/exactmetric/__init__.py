@@ -15,6 +15,7 @@ from .actions import (
     moving_gap,
     orbit,
     orbit_diameter,
+    translation_gap,
 )
 from .errors import (
     BudgetExceededError,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DomainError
 from .groups import FiniteGroup, permutation_table
@@ -123,9 +123,16 @@ class GroupAction:
                         f"({g.elements[a]}, {g.elements[b]})"
                     )
 
-    def translate(self, g: int, labels: Iterable[str]) -> list[str]:
-        iso = self.images[g]
-        return [iso.apply_label(x) for x in labels]
+
+def translation_gap(
+    action: GroupAction, idx: Sequence[int], g: int
+) -> Fraction:
+    """d(F, gF) for the non-empty set F of points given by index."""
+    if not idx:
+        raise DomainError("a translation gap requires a non-empty set")
+    d = action.space.dist
+    perm = action.images[g].perm
+    return min(d[i][perm[j]] for i in idx for j in idx)
 
 
 def moving_gap(
@@ -138,11 +145,7 @@ def moving_gap(
     if not f:
         raise DomainError("moving_gap requires a non-empty set")
     idx = [action.space.index(x) for x in f]
-    rows = [action.space.dist[i] for i in idx]
-    gaps = [
-        min(row[iso.perm[j]] for row in rows for j in idx)
-        for iso in action.images
-    ]
+    gaps = [translation_gap(action, idx, g) for g in range(action.group.order)]
     best = max(range(len(gaps)), key=gaps.__getitem__)
     return gaps[best], action.group.elements[best]
 

@@ -19,6 +19,7 @@ from .actions import (
     moving_gap,
     orbit,
     orbit_diameter,
+    translation_gap,
 )
 from .errors import ExactMetricError
 from .freespace import (
@@ -39,9 +40,14 @@ from .katetov import (
     star_fragment,
     tower,
 )
-from .metric import PointedSpace, set_distance, validate
+from .metric import PointedSpace, validate
 from .proptest import run_suite
-from .quotients import min_fvf_cover, pullback_pseudometric, quotient_space
+from .quotients import (
+    FVF_BUDGET,
+    min_fvf_cover,
+    pullback_pseudometric,
+    quotient_space,
+)
 
 
 def _load_input(args) -> dict:
@@ -186,7 +192,7 @@ def cmd_fvf(args):
     raw_group, v_labels = jsonio.require(_load_input(args), "group", "V")
     group = jsonio.group_from_json(raw_group)
     v = [group.index(x) for x in jsonio.labels(v_labels, "V")]
-    k, f = min_fvf_cover(group, v)
+    k, f = min_fvf_cover(group, v, budget=args.budget)
     _emit(args, {"k": k, "F": [group.elements[i] for i in f]})
 
 
@@ -218,7 +224,7 @@ def cmd_th_extension_check(args):
     phi_plus = sorted(set(phi_labels) | {pointed.basepoint_label})
     if data.get("element") is not None:
         best = action.group.index(jsonio.label(data["element"], "element"))
-        gap = set_distance(space, phi_plus, action.translate(best, phi_plus))
+        gap = translation_gap(action, [space.index(x) for x in phi_plus], best)
     else:
         # the identity stands for "no element moves phi" (gap 0)
         gap, witness = moving_gap(action, phi_plus)
@@ -280,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("fixed-point", cmd_fixed_point)
     add("quotient", cmd_quotient)
     add("pullback", cmd_pullback)
-    add("fvf", cmd_fvf)
+    p = add("fvf", cmd_fvf)
+    p.add_argument("--budget", type=int, default=FVF_BUDGET)
     add("prop-k", cmd_prop_k)
     add("th-extension-check", cmd_th_extension_check)
     p = add("proptest", cmd_proptest)

@@ -5,11 +5,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from operator import or_
 from typing import Optional, Sequence
 
 from .actions import GroupAction, Isometry
-from .errors import DomainError, StructuralError
+from .errors import BudgetExceededError, DomainError, StructuralError
 from .groups import FiniteGroup
 from .metric import FiniteMetricSpace, scale, validate
 
@@ -66,14 +66,14 @@ def kernel_subgroup(pm: InvariantPseudometric) -> tuple[int, ...]:
     return h
 
 
-def quotient_space(
+def _coset_space(
     pm: InvariantPseudometric,
-) -> tuple[FiniteMetricSpace, GroupAction]:
-    """Cosets of the null subgroup with the induced metric and the left
-    translation action.
+) -> tuple[FiniteMetricSpace, list[int], list[int]]:
+    """Cosets of the null subgroup with the induced metric, the coset of
+    each element, and each coset's least element.
 
     Well-definedness of the metric is asserted across all representative
-    pairs, and the action is verified to be isometric and transitive.
+    pairs, and the quotient is validated as a metric space.
     """
     g = pm.group
     h = set(kernel_subgroup(pm))
@@ -107,13 +107,27 @@ def quotient_space(
         raise DomainError(
             f"quotient is not a metric space: {report.axiom} at {report.witness}"
         )
+    return space, coset_of, reps
+
+
+def quotient_space(
+    pm: InvariantPseudometric,
+) -> tuple[FiniteMetricSpace, GroupAction]:
+    """Cosets of the null subgroup with the induced metric and the left
+    translation action.
+
+    Well-definedness of the metric is asserted across all representative
+    pairs, and the action is verified to be isometric and transitive.
+    """
+    g = pm.group
+    space, coset_of, reps = _coset_space(pm)
     images = []
     for a in range(g.order):
-        perm = tuple(coset_of[g.mul(a, reps[i])] for i in range(k))
+        perm = tuple(coset_of[g.mul(a, r)] for r in reps)
         images.append(Isometry(space, perm))
     action = GroupAction(g, space, tuple(images))
     reached = {iso.apply(0) for iso in images}
-    if reached != set(range(k)):
+    if reached != set(range(space.n)):
         raise DomainError("left translation action is not transitive")
     return space, action
 
@@ -136,18 +150,17 @@ def orbit_isomorphism(
     """Isometric identification of the quotient by the pullback pseudometric
     with the orbit of the chosen point; verified exactly."""
     pm = pullback_pseudometric(action, xi)
-    qspace, _ = quotient_space(pm)
-    g = action.group
+    qspace, _, reps = _coset_space(pm)
     i = action.space.index(xi)
-    mapping = {}
-    for label in qspace.points:
-        rep = g.index(label[:-1])
-        mapping[label] = action.space.points[action.images[rep].apply(i)]
-    for la, ra in mapping.items():
-        for lb, rb in mapping.items():
-            if qspace.d_label(la, lb) != action.space.d_label(ra, rb):
+    # the coset aH goes to a xi, read at its least element a
+    orb = [action.images[r].apply(i) for r in reps]
+    qd, d = qspace.dist, action.space.dist
+    for p, a in enumerate(orb):
+        for q, b in enumerate(orb):
+            if qd[p][q] != d[a][b]:
                 raise DomainError("quotient and orbit fail to match isometrically")
-    return mapping
+    points = action.space.points
+    return {label: points[a] for label, a in zip(qspace.points, orb)}
 
 
 def _fvf(group: FiniteGroup, f: Sequence[int], v: Sequence[int]) -> set[int]:
@@ -156,14 +169,23 @@ def _fvf(group: FiniteGroup, f: Sequence[int], v: Sequence[int]) -> set[int]:
     return {group.mul(a, b) for a in fv for b in f}
 
 
+FVF_BUDGET = 1_000_000
+
+
 def min_fvf_cover(
-    group: FiniteGroup, v: Sequence[int]
+    group: FiniteGroup, v: Sequence[int], budget: int = FVF_BUDGET
 ) -> tuple[int, tuple[int, ...]]:
     """Smallest F (by size, then lexicographic) with F V F = G.
 
-    Exhaustive search over subsets in size order; V = G is covered by the
-    identity alone, and any non-empty V admits some cover since the group is
-    finite.
+    For each size in turn, a depth-first search over subsets in lexicographic
+    order, on int bitmasks: ``pair[a][b]`` is the bitmask of a V b, and adding
+    c to F adds c V c and a V c, c V a for each a already in F.  A size is
+    skipped, and a branch cut, when the pairs still to come cannot reach |G|:
+    each diagonal c V c brings |V| elements, and each unordered pair of
+    distinct elements at most the largest a V c | c V a, which is 2|V| or
+    less.  V = G is covered by one element alone, and any non-empty V admits
+    some cover since the group is finite.  Reaching more than ``budget``
+    subsets raises ``BudgetExceededError``.
     """
     if not v:
         raise DomainError("V must be non-empty")
@@ -172,10 +194,66 @@ def min_fvf_cover(
     for x in vset:
         if not 0 <= x < n:
             raise DomainError("V contains an invalid element index")
+    if budget < 1:
+        raise DomainError("the FVF budget must be positive")
+    m = len(vset)
+    full = (1 << n) - 1
+    bits = [[1 << x for x in row] for row in group.table]
+    # x -> a x b is a bijection, so the m bits of a V b are distinct and
+    # their sum is their union
+    pair = []
+    for a in range(n):
+        av = [bits[group.mul(a, x)] for x in vset]
+        pair.append([sum(row[b] for row in av) for b in range(n)])
+    # both[c][a]: the new pairs (a, c) and (c, a) when c joins a set holding a;
+    # at most 2|V| elements, and |V| when a V c = c V a (as in abelian groups)
+    both = [[pair[a][c] | pair[c][a] for a in range(n)] for c in range(n)]
+    most = max((both[c][a].bit_count() for c in range(n) for a in range(c)), default=0)
+    nodes = 0
+
+    def spend(count, size):
+        nonlocal nodes
+        nodes += count
+        if nodes > budget:
+            raise BudgetExceededError(
+                f"FVF search on |G| = {n} with |V| = {m} exceeded its budget "
+                f"of {budget} subsets at size {size} ({nodes} visited)"
+            )
+
+    def search(size, start, depth, cover, gain, chosen):
+        # gain[c] is what adding c brings: c V c and the pairs with chosen
+        stop = n - size + depth + 1
+        if depth + 1 == size:
+            for c in range(start, stop):
+                if cover | gain[c] == full:
+                    spend(c - start + 1, size)
+                    return chosen + (c,)
+            spend(stop - start, size)
+            return None
+        # r elements still to come bring r diagonals c V c, and r (depth + 1)
+        # pairs with the chosen plus r (r - 1) / 2 among themselves
+        r = size - depth - 1
+        slack = r * m + most * (r * (depth + 1) + r * (r - 1) // 2)
+        for c in range(start, stop):
+            spend(1, size)
+            new = cover | gain[c]
+            if new.bit_count() + slack < n:
+                continue
+            found = search(
+                size, c + 1, depth + 1, new,
+                list(map(or_, gain, both[c])), chosen + (c,),
+            )
+            if found:
+                return found
+        return None
+
+    diagonal = [pair[c][c] for c in range(n)]
     for size in range(1, n + 1):
-        for f in combinations(range(n), size):
-            if len(_fvf(group, f, vset)) == n:
-                return size, f
+        if size * m + most * (size * (size - 1) // 2) < n:
+            continue
+        found = search(size, 0, 0, 0, diagonal, ())
+        if found:
+            return size, found
     raise DomainError("no cover found")  # unreachable for non-empty V
 
 

@@ -14,7 +14,13 @@ from fractions import Fraction
 from pathlib import Path
 from random import Random
 
-from exactmetric import FiniteMetricSpace, PointedSpace, cyclic_group, symmetric_group
+from exactmetric import (
+    FiniteMetricSpace,
+    PointedSpace,
+    cyclic_group,
+    dihedral_group,
+    symmetric_group,
+)
 from exactmetric import cli
 from exactmetric.freespace import Molecule, aell_norm_dual, aell_norm_primal
 from exactmetric.jsonio import (
@@ -55,6 +61,7 @@ CLI_INVOCATIONS = [
     ("quotient", "--in", "pseudometric_s3.json"),
     ("pullback", "--in", "action_c6.json"),
     ("fvf", "--in", "group_z5.json"),
+    ("fvf", "--in", "group_d12.json"),
     ("prop-k", "--in", "prop_k.json"),
     ("th-extension-check", "--in", "th_ext.json"),
     ("proptest", "--suite", "duality", "--trials", "5", "--seed", "3"),
@@ -192,6 +199,14 @@ def main():
     dump("group_z5.json", {
         "group": group_to_json(z5),
         "V": ["0", "1", "4"],
+    })
+
+    # the symmetries of the 12-gon with V the stabilizer {r0, s0} of vertex
+    # 0, the ball the quotient benchmark searches on C12: a cover of size 4
+    d12 = dihedral_group(12)
+    dump("group_d12.json", {
+        "group": group_to_json(d12),
+        "V": ["r0", "s0"],
     })
 
     s3 = symmetric_group(3)

@@ -19,6 +19,7 @@ from exactmetric import (
     orbit,
     orbit_diameter,
     set_distance,
+    translation_gap,
 )
 from exactmetric.randgen import (
     cycle_space,
@@ -279,14 +280,20 @@ def test_closure_rejects_a_generator_on_another_space():
         action_from_closure(space, [Isometry.identity(other)])
 
 
+def label_translate(action, g, labels):
+    """The image of a list of point labels under element g."""
+    iso = action.images[g]
+    return [iso.apply_label(x) for x in labels]
+
+
 def reference_moving_gap(action, f):
     """The gap read through labels: ``set_distance`` between f and each
-    translate ``action.translate(g, f)``, keeping the earliest maximum."""
+    translate of f, keeping the earliest maximum."""
     if not f:
         raise DomainError("moving_gap requires a non-empty set")
     best, witness = None, action.group.identity
     for g in range(action.group.order):
-        gap = set_distance(action.space, f, action.translate(g, f))
+        gap = set_distance(action.space, f, label_translate(action, g, f))
         if best is None or gap > best:
             best, witness = gap, g
     return best, action.group.elements[witness]
@@ -304,8 +311,27 @@ def test_moving_gap_matches_the_label_reference():
             got = moving_gap(action, f)
             assert got == reference_moving_gap(action, f)
             gaps = [
-                set_distance(action.space, f, action.translate(g, f))
+                set_distance(action.space, f, label_translate(action, g, f))
                 for g in range(action.group.order)
             ]
             ties += gaps.count(got[0]) > 1
     assert ties > 0
+
+
+def test_translation_gap_matches_the_label_translate():
+    rng = Random(233)
+    for _ in range(60):
+        action = rand_action(rng, max_points=8)
+        points = action.space.points
+        f = [rng.choice(points) for _ in range(rng.randint(1, 4))]
+        idx = [action.space.index(x) for x in f]
+        for g in range(action.group.order):
+            assert translation_gap(action, idx, g) == set_distance(
+                action.space, f, label_translate(action, g, f)
+            )
+
+
+def test_translation_gap_rejects_an_empty_set():
+    action = rotation_action(4)
+    with pytest.raises(DomainError, match="non-empty"):
+        translation_gap(action, [], 1)

@@ -210,6 +210,7 @@ def test_multiple_inputs_merge():
     ("quotient", "--in", "pseudometric_s3.json"),
     ("pullback", "--in", "action_c6.json"),
     ("fvf", "--in", "group_z5.json"),
+    ("fvf", "--in", "group_d12.json"),
     ("prop-k", "--in", "prop_k.json"),
     ("th-extension-check", "--in", "th_ext.json"),
     ("proptest", "--suite", "metric-fuzz", "--trials", "3", "--seed", "7"),

@@ -1,13 +1,22 @@
+import json
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
 
+from conftest import cli_env
 from exactmetric import (
+    BudgetExceededError,
     DomainError,
+    GroupAction,
     InvariantPseudometric,
     StructuralError,
     cyclic_group,
+    dihedral_group,
     kernel_subgroup,
     min_fvf_cover,
     moving_certificate,
@@ -150,6 +159,46 @@ def test_orbit_isomorphism_random():
         assert len(mapping) == len(set(mapping.values()))
 
 
+def reference_orbit_isomorphism(action, xi):
+    """The orbit map read through the quotient space and its action: each
+    coset's element is parsed back from its label."""
+    qspace, _ = quotient_space(pullback_pseudometric(action, xi))
+    g = action.group
+    i = action.space.index(xi)
+    return {
+        label: action.space.points[action.images[g.index(label[:-1])].apply(i)]
+        for label in qspace.points
+    }
+
+
+def test_orbit_isomorphism_matches_the_label_route():
+    rng = Random(239)
+    for _ in range(40):
+        action = rand_action(rng)
+        for xi in action.space.points:
+            got = orbit_isomorphism(action, xi)
+            want = reference_orbit_isomorphism(action, xi)
+            assert got == want and list(got) == list(want)
+
+
+def test_orbit_isomorphism_builds_no_group_action(monkeypatch):
+    action = rand_action(Random(241), max_points=6)
+    built = []
+    check = GroupAction.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(GroupAction, "__post_init__", counted)
+    quotient_space(pullback_pseudometric(action, action.space.points[0]))
+    assert len(built) == 1  # the counter sees the quotient's own action
+    built.clear()
+    for xi in action.space.points:
+        orbit_isomorphism(action, xi)
+    assert built == []
+
+
 @pytest.mark.parametrize("max_order", [12, 24])
 def test_random_pseudometrics_mostly_have_a_proper_kernel(max_order):
     rng = Random(4242 + max_order)
@@ -254,6 +303,89 @@ def test_fvf_monotone_random():
         ks, _ = min_fvf_cover(group, small)
         kl, _ = min_fvf_cover(group, extra)
         assert kl <= ks
+
+
+def reference_min_fvf_cover(group, v):
+    """The exhaustive search: every subset in size order, then
+    lexicographic, with F V F rebuilt as a set for each."""
+    n = group.order
+    vset = sorted(set(v))
+    for size in range(1, n + 1):
+        for f in combinations(range(n), size):
+            fv = {group.mul(a, b) for a in f for b in vset}
+            if len({group.mul(a, b) for a in fv for b in f}) == n:
+                return size, f
+    raise AssertionError("no cover found")
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_fvf_matches_the_exhaustive_search_on_dihedral_stabilizers(n):
+    group = dihedral_group(n)
+    for x in range(n):
+        # r_k maps i to i + k and s_k maps i to k - i, so the stabilizer of
+        # the vertex x is {r0, s_2x}
+        ball = [group.index("r0"), group.index(f"s{2 * x % n}")]
+        assert min_fvf_cover(group, ball) == reference_min_fvf_cover(group, ball)
+
+
+def test_fvf_matches_the_exhaustive_search_on_c20():
+    group = cyclic_group(20)
+    v = [group.identity]
+    assert min_fvf_cover(group, v) == reference_min_fvf_cover(group, v)
+
+
+def test_fvf_matches_the_exhaustive_search_on_random_groups():
+    rng = Random(1013)
+    sizes = set()
+    for draw in range(60):
+        group = rand_group(rng, 24)
+        n = group.order
+        # every other V is small, so the search goes several sizes deep
+        k = rng.randint(1, n) if draw % 2 else min(n, rng.randint(2, 4))
+        v = rng.sample(range(n), k)
+        got = min_fvf_cover(group, v)
+        assert got == reference_min_fvf_cover(group, v), (group.elements, v)
+        sizes.add(got[0])
+    assert len(sizes) >= 4
+
+
+def test_fvf_c24_identity_finishes_within_the_default_budget():
+    group = cyclic_group(24)
+    assert min_fvf_cover(group, [group.identity]) == (8, (0, 1, 2, 3, 4, 9, 13, 19))
+
+
+def test_fvf_budget_is_enforced():
+    group = cyclic_group(36)
+    with pytest.raises(BudgetExceededError, match=(
+        r"^FVF search on \|G\| = 36 with \|V\| = 1 exceeded its budget of 500 "
+        r"subsets at size 8 \(501 visited\)$"
+    )):
+        min_fvf_cover(group, [group.identity], budget=500)
+    with pytest.raises(DomainError, match="budget must be positive"):
+        min_fvf_cover(group, [group.identity], budget=0)
+
+
+def test_fvf_c36_identity_fails_fast_under_the_default_budget():
+    group = cyclic_group(36)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=r"\|G\| = 36"):
+        min_fvf_cover(group, [group.identity])
+    # the exhaustive search ran for minutes without an answer
+    assert time.perf_counter() - start < 60
+
+
+def test_fvf_budget_through_the_cli():
+    doc = json.dumps({"group": group_to_json(cyclic_group(36)), "V": ["0"]})
+    for extra in ([], ["--budget", "500"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "exactmetric.cli", "fvf", *extra],
+            input=doc, capture_output=True, text=True, env=cli_env(),
+        )
+        assert proc.returncode == 1, proc.stderr
+        err = json.loads(proc.stdout)["error"]
+        assert err["kind"] == "BudgetExceededError"
+        assert "|G| = 36 with |V| = 1" in err["message"]
+    assert "budget of 500 subsets" in err["message"]
 
 
 def test_moving_certificate_z12():
