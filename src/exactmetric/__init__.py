@@ -11,7 +11,6 @@ from .actions import (
     Isometry,
     action_from_closure,
     enumerate_isometries,
-    is_strongly_moving_on,
     moving_gap,
     orbit,
     orbit_diameter,
@@ -25,14 +24,12 @@ from .errors import (
     StructuralError,
 )
 from .freespace import (
-    AffineMap,
     LipschitzWitness,
     Molecule,
     aell_norm,
     aell_norm_dual,
     aell_norm_primal,
     affine_extend,
-    decompose_affine,
     fixed_point,
     moving_lower_bound,
     norm_distance,
@@ -61,7 +58,6 @@ from .katetov import (
 from .metric import (
     FiniteMetricSpace,
     PointedSpace,
-    restrict,
     set_distance,
     validate,
 )

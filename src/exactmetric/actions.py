@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DomainError
 from .groups import FiniteGroup, permutation_table
@@ -148,25 +148,6 @@ def moving_gap(
     gaps = [translation_gap(action, idx, g) for g in range(action.group.order)]
     best = max(range(len(gaps)), key=gaps.__getitem__)
     return gaps[best], action.group.elements[best]
-
-
-def is_strongly_moving_on(
-    action: GroupAction,
-    family: Sequence[Sequence[str]],
-    eps0: Fraction,
-) -> tuple[bool, Optional[list[str]]]:
-    """Certify the moving property for each set of a finite family.
-
-    For a finite group on a finite space F = X always fails, so this is a
-    per-family certificate, never a global claim.
-    """
-    if eps0 <= 0:
-        raise DomainError("the moving constant must be positive")
-    for f in family:
-        gap, _ = moving_gap(action, f)
-        if gap < eps0:
-            return False, list(f)
-    return True, None
 
 
 def action_from_closure(

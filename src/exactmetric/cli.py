@@ -21,7 +21,7 @@ from .actions import (
     orbit_diameter,
     translation_gap,
 )
-from .errors import ExactMetricError
+from .errors import ExactMetricError, StructuralError
 from .freespace import (
     Molecule,
     aell_norm_dual,
@@ -250,9 +250,9 @@ def cmd_proptest(args):
 
 def _rational_arg(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
+        return jsonio.parse_rational(text)
+    except StructuralError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,8 +305,8 @@ def main(argv=None) -> int:
     except ExactMetricError as exc:
         sys.stdout.write(json.dumps(exc.as_json(), sort_keys=True) + "\n")
         return 1
-    except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
-        # unreadable or undecodable input
+    except (json.JSONDecodeError, UnicodeDecodeError, OSError, RecursionError) as exc:
+        # unreadable, undecodable or too deeply nested input
         payload = {"error": {"kind": type(exc).__name__, "message": str(exc)}}
         sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
         return 1

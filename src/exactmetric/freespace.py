@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from random import Random
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .actions import GroupAction, Isometry
 from .errors import DomainError, InternalCheckError
@@ -292,65 +291,6 @@ def affine_extend(g: Isometry, m: Molecule) -> Molecule:
     gbp = g.apply_label(pointed.basepoint_label)
     out[gbp] = out.get(gbp, ZERO) + (ONE - m.total())
     return Molecule.make(pointed, out)
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """An affine self-map of the free space: a translation plus a linear part
-    given by the images of the basis molecules."""
-
-    pointed: PointedSpace
-    columns: Mapping[str, Molecule]  # basis point -> linear image
-    translation: Molecule
-
-    def apply(self, m: Molecule) -> Molecule:
-        out = self.translation
-        for x, v in m.coeffs:
-            out = out + self.columns[x].scale(v)
-        return out
-
-    @staticmethod
-    def from_isometry(g: Isometry, pointed: PointedSpace) -> "AffineMap":
-        translation = affine_extend(g, Molecule.zero(pointed))
-        columns = {}
-        for x in pointed.space.points:
-            if x == pointed.basepoint_label:
-                continue
-            columns[x] = affine_extend(g, Molecule.point(pointed, x)) - translation
-        return AffineMap(pointed, columns, translation)
-
-
-def decompose_affine(
-    psi: Callable[[Molecule], Molecule],
-    pointed: PointedSpace,
-) -> AffineMap:
-    """Split a map into (linear part, translation), probing affinity first.
-
-    The probe checks psi(t a + (1-t) b) = t psi(a) + (1-t) psi(b) on eight
-    random molecule pairs drawn from a fixed seed, so the verdict is
-    deterministic; failures reject the input as non-affine.
-    """
-    rng = Random(0)
-    labels = [x for x in pointed.space.points if x != pointed.basepoint_label]
-    for _ in range(8):
-        a = _random_probe_molecule(rng, pointed, labels)
-        b = _random_probe_molecule(rng, pointed, labels)
-        t = Fraction(rng.randint(-4, 8), rng.randint(1, 4))
-        mixed = a.scale(t) + b.scale(ONE - t)
-        if psi(mixed) != psi(a).scale(t) + psi(b).scale(ONE - t):
-            raise DomainError("map failed the affinity probe")
-    translation = psi(Molecule.zero(pointed))
-    columns = {
-        x: psi(Molecule.point(pointed, x)) - translation for x in labels
-    }
-    return AffineMap(pointed, columns, translation)
-
-
-def _random_probe_molecule(rng: Random, pointed: PointedSpace, labels):
-    coeffs = {
-        x: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for x in labels
-    }
-    return Molecule.make(pointed, coeffs)
 
 
 def rebase(m: Molecule, new_basepoint: str) -> Molecule:

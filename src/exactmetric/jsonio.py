@@ -21,7 +21,9 @@ from .quotients import InvariantPseudometric
 
 
 def parse_rational(value: Any) -> Fraction:
-    if isinstance(value, str) or type(value) is int:
+    """A JSON integer, or a string ``p``, ``p/q`` or decimal.  Exponents are
+    rejected: ``Fraction("1e10000000")`` would compute 10**10000000."""
+    if type(value) is int or isinstance(value, str) and "e" not in value.lower():
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):

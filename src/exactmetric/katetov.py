@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from numbers import Rational
 from operator import sub
 from typing import Mapping, Optional, Sequence
 
@@ -74,13 +75,15 @@ def is_katetov(
     """Check both Katetov inequalities on all pairs of the support.
 
     Every support label must be a point of the space and carry a
-    non-negative value; otherwise :class:`DomainError` is raised.
+    non-negative exact rational; otherwise :class:`DomainError` is raised.
     """
     pts = tuple(support) if support is not None else space.points
     idx = [space.index(x) for x in pts]
     for x in pts:
         if x not in values:
             raise DomainError(f"no value given at {x!r}")
+        if not isinstance(values[x], Rational):
+            raise DomainError(f"value at {x!r} must be an exact rational")
         if values[x] < ZERO:
             raise DomainError(f"negative value at {x!r}")
     for (x, i), (y, j) in combinations(zip(pts, idx), 2):

@@ -177,20 +177,3 @@ def set_distance(
     if not ia or not ib:
         raise DomainError("set_distance requires non-empty sets")
     return min(space.dist[i][j] for i, j in product(ia, ib))
-
-
-def restrict(space: FiniteMetricSpace, subset: Sequence[str]) -> FiniteMetricSpace:
-    """Induced subspace on ``subset``, keeping the ambient point order."""
-    if not subset:
-        raise DomainError("cannot restrict to an empty subset")
-    keep = set(subset)
-    idx = [i for i, p in enumerate(space.points) if p in keep]
-    missing = keep - {space.points[i] for i in idx}
-    if missing:
-        raise DomainError(f"unknown points in subset: {sorted(missing)}")
-    sub = FiniteMetricSpace(
-        points=tuple(space.points[i] for i in idx),
-        dist=tuple(tuple(space.dist[i][j] for j in idx) for i in idx),
-        pseudo=space.pseudo,
-    )
-    return require_valid(sub)

@@ -3,10 +3,15 @@ answers and the golden CLI outputs.
 
 Run from the repository root:  PYTHONPATH=src python3 tests/fixtures/generate.py
 
+``--only NAME`` records one file, named by its path under this directory
+(``star.json``, ``solver_answers.json``, ``golden/fvf_group_d12.out``), and
+leaves every other file untouched.
+
 The solver answers and the golden outputs pin what the library returns
 today, so regenerate them only for an intended change of output.
 """
 
+import argparse
 import io
 import json
 from contextlib import redirect_stdout
@@ -105,12 +110,25 @@ def solver_answer(m):
     }
 
 
-def dump(name, payload):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    (HERE / name).write_text(text, encoding="utf-8")
+def main(only=None, out=HERE):
+    """Write the fixtures, the solver answers and the goldens under ``out``,
+    or only the file at the relative path ``only``.  The golden invocations
+    read their inputs from this directory whatever ``out`` is."""
+    written = []
 
+    def wanted(name):
+        return only in (None, name)
 
-def main():
+    def write(name, text):
+        if wanted(name):
+            path = out / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(text.encode("utf-8"))
+            written.append(name)
+
+    def dump(name, payload):
+        write(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
     line = FiniteMetricSpace(
         ("0", "1", "3"),
         (
@@ -233,21 +251,28 @@ def main():
         "w": {"1": "-1/2"},
     })
 
-    (HERE / "malformed.json").write_text("{not json", encoding="utf-8")
+    write("malformed.json", "{not json")
 
-    answers = [json.dumps(solver_answer(m), sort_keys=True) for m in solver_cases()]
-    (HERE / "solver_answers.json").write_text(
-        "[\n" + ",\n".join(answers) + "\n]\n", encoding="utf-8"
-    )
+    if wanted("solver_answers.json"):
+        answers = [json.dumps(solver_answer(m), sort_keys=True) for m in solver_cases()]
+        write("solver_answers.json", "[\n" + ",\n".join(answers) + "\n]\n")
 
-    GOLDEN.mkdir(exist_ok=True)
     for invocation in CLI_INVOCATIONS:
-        out = io.StringIO()
-        with redirect_stdout(out):
+        name = golden_path(invocation).relative_to(HERE).as_posix()
+        if not wanted(name):
+            continue
+        stdout = io.StringIO()
+        with redirect_stdout(stdout):
             if cli.main(cli_argv(invocation)) != 0:
                 raise SystemExit(f"{invocation} did not exit 0")
-        golden_path(invocation).write_bytes(out.getvalue().encode("utf-8"))
+        write(name, stdout.getvalue())
+
+    if not written:
+        raise SystemExit(f"no fixture or golden is named {only!r}")
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description="Record the test fixtures.")
+    parser.add_argument("--only", metavar="NAME",
+                        help="record only this file, e.g. golden/star_star.out")
+    main(parser.parse_args().only)

@@ -14,7 +14,6 @@ from exactmetric import (
     action_from_closure,
     cyclic_group,
     enumerate_isometries,
-    is_strongly_moving_on,
     moving_gap,
     orbit,
     orbit_diameter,
@@ -153,18 +152,6 @@ def test_moving_gap_c6_pair():
     gap, witness = moving_gap(action, ["0", "1"])
     assert gap == 2
     assert witness == "g3"
-
-
-def test_strongly_moving_family_certificates():
-    action = rotation_action(6)
-    ok, _ = is_strongly_moving_on(action, [["0"]], F(3))
-    assert ok
-    ok, failing = is_strongly_moving_on(
-        action, [list(action.space.points)], F(1)
-    )
-    assert not ok and set(failing) == set(action.space.points)
-    ok, _ = is_strongly_moving_on(action, [["0"], ["0", "1"]], F(2))
-    assert ok
 
 
 def test_orbit_trivial_action(line013):

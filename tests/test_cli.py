@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from conftest import FIXTURES, cli_env
+from conftest import FIXTURES, cli_env, fixture_generator
 
 CMD = [sys.executable, "-m", "exactmetric.cli"]
 
@@ -221,3 +221,22 @@ def test_output_is_deterministic(argv):
     second = run_cli(*argv)
     assert first.returncode == 0
     assert first.stdout == second.stdout and first.stdout.endswith("\n")
+
+
+
+def test_generate_only_records_one_file(tmp_path):
+    generate = fixture_generator()
+
+    def recorded():
+        return sorted(p.relative_to(tmp_path).as_posix()
+                      for p in tmp_path.rglob("*") if p.is_file())
+
+    generate.main("golden/fvf_group_d12.out", tmp_path)
+    assert recorded() == ["golden/fvf_group_d12.out"]
+    generate.main("star.json", tmp_path)
+    assert recorded() == ["golden/fvf_group_d12.out", "star.json"]
+    for name in recorded():
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes()
+    with pytest.raises(SystemExit, match="absent.json"):
+        generate.main("absent.json", tmp_path)
+    assert recorded() == ["golden/fvf_group_d12.out", "star.json"]

@@ -1,8 +1,8 @@
 """The CLI contract on malformed input: exit 0, 1 or 2 with a JSON object on
 stdout for 0 and 1, never a traceback and never a hang.
 
-Most checks call ``cli.main`` in-process; the tower budget regression runs
-in a subprocess so that a hang is cut off by a timeout.
+Most checks call ``cli.main`` in-process; the tower budget and exponent
+regressions run in a subprocess so that a hang is cut off by a timeout.
 """
 
 import contextlib
@@ -134,6 +134,39 @@ def test_huge_tower_grid_fails_fast_on_the_budget():
     )
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["error"]["kind"] == "BudgetExceededError"
+
+
+HUGE_EXPONENT = "1e100000000"  # Fraction would compute 10**100000000
+
+
+@pytest.mark.parametrize("where", ["field", "flag"])
+def test_exponent_rational_fails_fast(tmp_path, where):
+    space = tmp_path / "space.json"
+    argv = ["validate", "--in", str(space)]
+    doc = load("space_line.json")
+    if where == "field":
+        doc["space"]["dist"][0][1] = doc["space"]["dist"][1][0] = HUGE_EXPONENT
+    else:
+        argv = ["tower", "--in", str(space), "--grid-step", HUGE_EXPONENT]
+    space.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "exactmetric.cli", *argv],
+        capture_output=True, text=True, timeout=30, env=cli_env(),
+    )
+    if where == "field":
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["error"] == {
+            "kind": "StructuralError",
+            "message": f"not a rational: {HUGE_EXPONENT!r}"}
+    else:
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert f"not a rational: {HUGE_EXPONENT!r}" in proc.stderr
+
+
+def test_deeply_nested_input_is_an_error_object(tmp_path):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200000)
+    assert error_kind(["validate", "--in", str(nested)]) == "RecursionError"
 
 
 FUZZ_CASES = [

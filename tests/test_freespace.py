@@ -5,7 +5,6 @@ from random import Random
 import pytest
 
 from exactmetric import (
-    AffineMap,
     DomainError,
     FiniteMetricSpace,
     Isometry,
@@ -16,7 +15,6 @@ from exactmetric import (
     aell_norm_dual,
     aell_norm_primal,
     affine_extend,
-    decompose_affine,
     enumerate_isometries,
     fixed_point,
     moving_lower_bound,
@@ -173,52 +171,20 @@ def test_affine_extension_preserves_norm_distance():
             norm_distance(v, w)
 
 
-def test_decompose_identity(line013_pointed):
-    amap = decompose_affine(lambda m: m, line013_pointed)
-    assert amap.translation == Molecule.zero(line013_pointed)
-    for x in ("1", "3"):
-        assert amap.columns[x] == Molecule.point(line013_pointed, x)
-
-
-def test_decompose_translation(line013_pointed):
-    shift = Molecule.make(line013_pointed, {"1": F(1)})
-    amap = decompose_affine(lambda m: m + shift, line013_pointed)
-    assert amap.translation == shift
-    assert amap.columns["3"] == Molecule.point(line013_pointed, "3")
-
-
-def test_decompose_isometry_extension():
-    sp = space_from_rows(["*", "a", "b"], [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    pointed = PointedSpace(sp, 0)
-    g = Isometry(sp, (0, 2, 1))
-    amap = decompose_affine(lambda m: affine_extend(g, m), pointed)
-    assert amap.translation == Molecule.zero(pointed)
-    assert amap.columns["a"] == Molecule.point(pointed, "b")
-    # recomposition reproduces the map on basis molecules
-    for x in ("a", "b"):
-        assert amap.apply(Molecule.point(pointed, x)) == \
-            affine_extend(g, Molecule.point(pointed, x))
-
-
-def test_decompose_rejects_non_affine(line013_pointed):
-    def squash(m):
-        return Molecule.make(
-            line013_pointed, {x: v * v for x, v in m.coeffs}
-        )
-
-    with pytest.raises(DomainError):
-        decompose_affine(squash, line013_pointed)
-
-
-def test_affine_map_from_isometry_matches_extension():
-    c4 = cycle_space(4)
-    pointed = PointedSpace(c4, 0)
-    rng = Random(31)
-    for g in enumerate_isometries(c4):
-        amap = AffineMap.from_isometry(g, pointed)
-        for _ in range(5):
-            m = Molecule.make(pointed, rand_coeffs(rng, pointed))
-            assert amap.apply(m) == affine_extend(g, m)
+def test_affine_extension_is_affine_and_extends_the_isometry():
+    rng = Random(37)
+    for n in (4, 5):
+        pointed = PointedSpace(cycle_space(n), 0)
+        for g in enumerate_isometries(pointed.space):
+            for x in pointed.space.points:
+                assert affine_extend(g, Molecule.point(pointed, x)) == \
+                    Molecule.point(pointed, g.apply_label(x))
+            for t in (F(-3, 2), F(0), F(1, 3), F(1), F(7, 2)):
+                a = Molecule.make(pointed, rand_coeffs(rng, pointed))
+                b = Molecule.make(pointed, rand_coeffs(rng, pointed))
+                mixed = a.scale(t) + b.scale(1 - t)
+                assert affine_extend(g, mixed) == \
+                    affine_extend(g, a).scale(t) + affine_extend(g, b).scale(1 - t)
 
 
 def test_rebase_same_basepoint_is_identity(line013_pointed):

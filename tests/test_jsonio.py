@@ -43,10 +43,12 @@ def test_parse_rational_forms():
     assert parse_rational("3") == 3
     assert parse_rational("-7/2") == F(-7, 2)
     assert parse_rational("4/6") == F(2, 3)
+    assert parse_rational("1.25") == F(5, 4)
 
 
 def test_parse_rational_rejections():
-    for bad in (True, None, 1.5, "x", "1/0", []):
+    # an exponent would make Fraction compute 10**exponent
+    for bad in (True, None, 1.5, "x", "1/0", [], "1e10000000", "2E-3"):
         with pytest.raises(StructuralError):
             parse_rational(bad)
 

@@ -57,6 +57,15 @@ def test_negative_value_rejected(two_points):
         is_katetov(two_points, {"a": F(-1), "b": F(1)})
 
 
+def test_float_value_rejected(two_points):
+    # a float would reach star_fragment and build a space holding floats
+    with pytest.raises(DomainError, match="exact rational"):
+        KatetovFunction(two_points, ("a",), {"a": 0.5})
+    with pytest.raises(DomainError, match="exact rational"):
+        is_katetov(two_points, {"a": F(1), "b": 1.5})
+    assert is_katetov(two_points, {"a": 1, "b": F(1)}).ok
+
+
 def test_hat_single_support():
     sp = space_from_rows(["a", "b"], [[0, 2], [2, 0]])
     f = KatetovFunction(sp, ("a",), {"a": F(1)})

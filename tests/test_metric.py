@@ -8,7 +8,6 @@ from exactmetric import (
     DomainError,
     FiniteMetricSpace,
     StructuralError,
-    restrict,
     set_distance,
     validate,
 )
@@ -184,39 +183,6 @@ def test_set_distance_examples(line013):
 def test_set_distance_empty_set_rejected(line013):
     with pytest.raises(DomainError):
         set_distance(line013, [], ["0"])
-
-
-def test_restrict_full_is_identity(line013):
-    assert restrict(line013, ["0", "1", "3"]) == line013
-
-
-def test_restrict_line_to_endpoints(line013):
-    sub = restrict(line013, ["0", "3"])
-    assert sub.points == ("0", "3")
-    assert sub.d_label("0", "3") == 3
-
-
-def test_restrict_empty_rejected(line013):
-    with pytest.raises(DomainError):
-        restrict(line013, [])
-
-
-def test_restrict_pseudometric_with_duplicate_point():
-    sp = space_from_rows(
-        ["a", "b", "c"], [[0, 0, 2], [0, 0, 2], [2, 2, 0]], pseudo=True
-    )
-    sub = restrict(sp, ["a", "b"])
-    assert sub.pseudo and validate(sub).ok
-
-
-def test_restrict_of_random_valid_space_always_validates():
-    rng = Random(42)
-    for _ in range(50):
-        sp = rand_metric_space(rng, rng.randint(2, 7))
-        pts = list(sp.points)
-        rng.shuffle(pts)
-        sub = pts[: rng.randint(1, len(pts))]
-        assert validate(restrict(sp, sub)).ok
 
 
 def fraction_closure_metric_space(rng, n, pseudo=False, palette=None):

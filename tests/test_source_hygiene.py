@@ -1,10 +1,12 @@
-"""Leftovers in the library source: imports a module never uses, and private
-module-level functions that nothing in ``src/`` calls."""
+"""Leftovers in the library source: imports a module never uses, private
+module-level functions that nothing in ``src/`` calls, and public functions
+and classes that no caller reads."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 PACKAGE = SRC / "exactmetric"
 
 
@@ -77,5 +79,44 @@ def test_every_private_function_is_referenced():
         and node.name.startswith("_")
         and not node.name.startswith("__")
         and node.name not in used
+    ]
+    assert unreferenced == []
+
+
+def string_names(tree):
+    """The parts of dotted-name string constants, such as the
+    ``"KatetovFunction.__post_init__"`` a benchmark span patches by name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                yield from parts
+
+
+def test_every_public_name_has_a_caller():
+    """A public module-level function or class is read by another top-level
+    statement of the library, by the benchmark, or by the acceptance tests;
+    the ``__init__`` re-export does not count."""
+    statements = [
+        (path, node, referenced_names(node))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for node in parse(path).body
+    ]
+    outside = referenced_names(parse(ROOT / "tests" / "test_acceptance.py"))
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        tree = parse(path)
+        outside |= referenced_names(tree) | set(string_names(tree))
+    unreferenced = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, node, _ in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in outside
+        and not any(
+            node.name in names
+            for _, other, names in statements
+            if other is not node
+        )
     ]
     assert unreferenced == []
