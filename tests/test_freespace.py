@@ -171,6 +171,50 @@ def test_affine_extension_preserves_norm_distance():
             norm_distance(v, w)
 
 
+def _recompose(translation, columns, m):
+    # translation + sum of m_x * columns[x]: an affine map given by its parts
+    out = translation
+    for x, v in m.coeffs:
+        out = out + columns[x].scale(v)
+    return out
+
+
+def test_decompose_isometry_extension():
+    sp = space_from_rows(["*", "a", "b"], [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    pointed = PointedSpace(sp, 0)
+    g = Isometry(sp, (0, 2, 1))
+    translation = affine_extend(g, Molecule.zero(pointed))
+    columns = {
+        x: affine_extend(g, Molecule.point(pointed, x)) - translation
+        for x in ("a", "b")
+    }
+    assert translation == Molecule.zero(pointed)
+    assert columns["a"] == Molecule.point(pointed, "b")
+    # recomposition from (translation, columns) reproduces the map
+    rng = Random(41)
+    for _ in range(5):
+        m = Molecule.make(pointed, rand_coeffs(rng, pointed))
+        assert _recompose(translation, columns, m) == affine_extend(g, m)
+
+
+def test_affine_map_from_isometry_matches_extension():
+    c4 = cycle_space(4)
+    pointed = PointedSpace(c4, 0)
+    bp = pointed.basepoint_label
+    rng = Random(31)
+    for g in enumerate_isometries(c4):
+        # the affine map sending each point molecule x to g(x), built from
+        # g's action on labels alone
+        translation = Molecule.point(pointed, g.apply_label(bp))
+        columns = {
+            x: Molecule.point(pointed, g.apply_label(x)) - translation
+            for x in c4.points if x != bp
+        }
+        for _ in range(5):
+            m = Molecule.make(pointed, rand_coeffs(rng, pointed))
+            assert _recompose(translation, columns, m) == affine_extend(g, m)
+
+
 def test_affine_extension_is_affine_and_extends_the_isometry():
     rng = Random(37)
     for n in (4, 5):
