@@ -53,12 +53,18 @@ from .quotients import (
 def _load_input(args) -> dict:
     data: dict = {}
     for path in args.inputs or [None]:
-        if path is None:
-            part = json.load(sys.stdin)
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                part = json.load(fh)
-        data.update(jsonio.mapping(part, f"{path or 'stdin'}: top-level JSON"))
+        where = path or "stdin"
+        try:
+            if path is None:
+                part = json.load(sys.stdin)
+            else:
+                with open(path, "r", encoding="utf-8") as fh:
+                    part = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise
+        except ValueError as exc:  # an integer literal past int's digit limit
+            raise StructuralError(f"{where}: {exc}") from None
+        data.update(jsonio.mapping(part, f"{where}: top-level JSON"))
     return data
 
 

@@ -16,16 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from functools import partial, reduce
+from itertools import combinations, product, repeat
 from numbers import Rational
-from operator import sub
+from operator import add, sub
 from typing import Mapping, Optional, Sequence
 
 from .actions import Isometry
 from .errors import BudgetExceededError, DomainError, InternalCheckError
-from .metric import FiniteMetricSpace, set_distance, validate
-
-ZERO = Fraction(0)
+from .metric import FiniteMetricSpace, scale, set_distance, unscale_rows, validate
 
 
 @dataclass(frozen=True)
@@ -84,24 +83,40 @@ def is_katetov(
             raise DomainError(f"no value given at {x!r}")
         if not isinstance(values[x], Rational):
             raise DomainError(f"value at {x!r} must be an exact rational")
-        if values[x] < ZERO:
+        if values[x] < 0:
             raise DomainError(f"negative value at {x!r}")
-    for (x, i), (y, j) in combinations(zip(pts, idx), 2):
-        d = space.dist[i][j]
-        if abs(values[x] - values[y]) > d:
+    den, sd = space.scaled
+    unit, v = scale([values[x] for x in pts], "Katetov values", den)
+    step = unit // den
+    for (x, i, vx), (y, j, vy) in combinations(zip(pts, idx, v), 2):
+        d = step * sd[i][j]
+        if abs(vx - vy) > d:
             return KatetovReport(False, (x, y), "upper")
-        if d > values[x] + values[y]:
+        if d > vx + vy:
             return KatetovReport(False, (x, y), "lower")
     return KatetovReport(True)
+
+
+def _hats(space: FiniteMetricSpace, fs: Sequence[KatetovFunction]):
+    """``(unit, rows, hats)``: the distances and the hat extensions of
+    ``fs``, as int tuples in point order times one common ``unit``."""
+    den, sd = space.scaled
+    unit, flat = scale(
+        [f.values[y] for f in fs for y in f.support], "Katetov values", den
+    )
+    rows = tuple(tuple(map((unit // den).__mul__, r)) for r in sd)
+    it = iter(flat)
+    return unit, rows, [tuple(reduce(partial(map, min), [
+        map(add, repeat(next(it)), rows[space.index(y)]) for y in f.support
+    ])) for f in fs]
 
 
 def hat_extension(f: KatetovFunction) -> KatetovFunction:
     """Extend f from its support to the full space via the min-plus formula."""
     space = f.space
-    out = {}
-    for x in space.points:
-        out[x] = min(f.value(y) + space.d_label(y, x) for y in f.support)
-    ext = KatetovFunction(space, space.points, out)
+    unit, _, (hat,) = _hats(space, [f])
+    values = dict(zip(space.points, map(Fraction, hat, repeat(unit))))
+    ext = KatetovFunction(space, space.points, values)
     for y in f.support:
         if ext.value(y) != f.value(y):
             raise InternalCheckError("hat extension failed to restrict to f")
@@ -122,7 +137,10 @@ def sup_distance(f: KatetovFunction, g: KatetovFunction) -> Fraction:
     """max over x of |f(x) - g(x)|; both must live on the same full domain."""
     if f.space != g.space or set(f.support) != set(g.support):
         raise DomainError("sup_distance requires a common domain")
-    return max(abs(f.value(x) - g.value(x)) for x in f.support)
+    k = len(f.support)
+    values = [*map(f.value, f.support), *map(g.value, f.support)]
+    unit, v = scale(values, "Katetov values")
+    return Fraction(max(map(abs, map(sub, v[:k], v[k:]))), unit)
 
 
 @dataclass(frozen=True)
@@ -158,14 +176,14 @@ def star_fragment(
         if f.space != space:
             raise DomainError("attachment lives on a different space")
     pts = space.points
-    owner: dict[tuple[Fraction, ...], str] = {}
-    for x, row in zip(pts, space.dist):
+    unit, rows, all_hats = _hats(space, attachments)
+    owner: dict[tuple[int, ...], str] = {}
+    for x, row in zip(pts, rows):
         owner.setdefault(row, x)
     existing = set(pts)
-    hats: list[tuple[Fraction, ...]] = []
+    hats: list[tuple[int, ...]] = []
     records: list[AttachmentRecord] = []
-    for f in attachments:
-        hat = tuple(map(hat_extension(f).value, pts))
+    for f, hat in zip(attachments, all_hats):
         label = owner.get(hat)
         fresh = label is None
         if fresh:
@@ -176,16 +194,13 @@ def star_fragment(
             owner[hat] = label
             hats.append(hat)
         records.append(AttachmentRecord(f.support, dict(f.values), label, fresh))
-    sups = [[ZERO] * len(hats) for _ in hats]
+    sups = [[0] * len(hats) for _ in hats]
     for a, b in combinations(range(len(hats)), 2):
         sups[a][b] = sups[b][a] = max(map(abs, map(sub, hats[a], hats[b])))
-    dist = [
-        row + tuple(h[i] for h in hats) for i, row in enumerate(space.dist)
-    ]
+    dist = [row + tuple(h[i] for h in hats) for i, row in enumerate(rows)]
     dist += [h + tuple(s) for h, s in zip(hats, sups)]
-    result = FiniteMetricSpace(
-        pts + tuple(owner[h] for h in hats), tuple(dist), space.pseudo
-    )
+    points = pts + tuple(owner[h] for h in hats)
+    result = FiniteMetricSpace(points, unscale_rows(unit, dist), space.pseudo)
     report = validate(result)
     if not report.ok:
         raise InternalCheckError(
@@ -210,9 +225,15 @@ class TowerPolicy:
     value_cap: Fraction = Fraction(2)
     point_budget: int = 64
 
-    def grid(self) -> list[Fraction]:
+    def __post_init__(self):
+        if self.support_size < 1:
+            raise DomainError("support size must be at least 1")
         if self.grid_step <= 0:
             raise DomainError("grid step must be positive")
+        if self.value_cap < self.grid_step:
+            raise DomainError("value cap must be at least the grid step")
+
+    def grid(self) -> list[Fraction]:
         count = self.value_cap // self.grid_step
         return [k * self.grid_step for k in range(1, count + 1)]
 
@@ -228,7 +249,7 @@ def tower(
     if depth < 0:
         raise DomainError("depth must be non-negative")
     current = space
-    if depth and policy.support_size >= 1 and space.n and policy.grid_step > 0 \
+    if depth and space.n \
             and policy.value_cap // policy.grid_step > policy.point_budget:
         # level one realizes each grid value on a one-point support as a
         # distinct hat, at most n of them existing points

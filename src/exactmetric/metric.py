@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice, product
+from itertools import chain, islice, product
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -39,6 +39,13 @@ def scale_rows(
     den, flat = scale([v for row in rows for v in row], "distances")
     it = iter(flat)
     return den, tuple(tuple(islice(it, len(row))) for row in rows)
+
+
+def unscale_rows(den: int, rows) -> tuple[tuple[Fraction, ...], ...]:
+    """The int matrix ``rows`` divided by ``den``, making one ``Fraction``
+    per distinct value."""
+    value = {v: Fraction(v, den) for v in set(chain.from_iterable(rows))}
+    return tuple(tuple(map(value.__getitem__, row)) for row in rows)
 
 
 @dataclass(frozen=True)

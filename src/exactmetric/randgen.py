@@ -7,7 +7,7 @@ reproduce from a 64-bit seed.  All generated data is exact rational.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from operator import add
 from random import Random
 from typing import Optional
@@ -22,7 +22,7 @@ from .groups import (
     symmetric_group,
 )
 from .katetov import KatetovFunction, is_katetov
-from .metric import FiniteMetricSpace, PointedSpace, scale_rows
+from .metric import FiniteMetricSpace, PointedSpace, scale_rows, unscale_rows
 from .quotients import InvariantPseudometric
 
 ZERO = Fraction(0)
@@ -72,14 +72,7 @@ def rand_metric_space(
         sk = s[k]
         for i in range(n):
             s[i] = list(map(min, s[i], map(add, repeat(s[i][k]), sk)))
-    return FiniteMetricSpace(labels, _fractions(den, s), pseudo)
-
-
-def _fractions(den: int, rows) -> tuple[tuple[Fraction, ...], ...]:
-    """The int matrix ``rows`` divided by ``den``, making one ``Fraction``
-    per distinct value."""
-    value = {v: Fraction(v, den) for v in set(chain.from_iterable(rows))}
-    return tuple(tuple(map(value.__getitem__, row)) for row in rows)
+    return FiniteMetricSpace(labels, unscale_rows(den, s), pseudo)
 
 
 def rand_pointed(rng: Random, space: FiniteMetricSpace) -> PointedSpace:
@@ -166,7 +159,7 @@ def rand_invariant_pseudometric(
         for a, shift in enumerate(shifts):
             via = map(add, repeat(delta[a]), map(delta.__getitem__, shift))
             delta = tuple(map(min, delta, via))
-    return InvariantPseudometric(group, _fractions(den, [delta])[0])
+    return InvariantPseudometric(group, unscale_rows(den, [delta])[0])
 
 
 def cycle_space(n: int) -> FiniteMetricSpace:

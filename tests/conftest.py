@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,6 +28,7 @@ def space_from_rows(labels, rows, pseudo=False):
 def _load_script(name, path):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 

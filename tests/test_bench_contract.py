@@ -91,3 +91,29 @@ def test_benchmark_requests_are_pinned(monkeypatch):
         for kind, doc in workloads.generate(L, workload, 1):
             h.update(f"{kind}\n{json.dumps(doc, sort_keys=True)}\n".encode())
         assert h.hexdigest() == expected, workload
+
+
+# sha256 of one tiny-scale pass's answers per workload at seed 0, recorded
+# before the Katetov layer moved to integers.
+PINNED_TINY_ANSWERS = {
+    "norm": "11cb8c2912875c3e5f3e3951938c25c7ec66bdc847230f9bd38b49cfd7f27371",
+    "distance": "8583334918f7e5fff30244ec92c1a66cbf603331ece054cc1671f1d65d1a765b",
+    "extension": "030e6167ac118125b701df305bd2e1eaa9788e39e9d99630f8406a2446c195d7",
+    "quotient": "d9051fdcb0a96735ec88b2f77146947f26bcb762782929ec3da1c642d8f2b21b",
+}
+
+
+def test_tiny_benchmark_answers_are_pinned(monkeypatch):
+    """A change to any answer the benchmark checks fails tier-1, not only a
+    benchmark run.  ``run.timed_setup`` re-imports ``exactmetric``; the
+    modules every other test imported are put back afterwards."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    run = bench_module("run")
+    ours = [m for m in sys.modules if m.split(".")[0] == "exactmetric"]
+    for name in ours:
+        monkeypatch.setitem(sys.modules, name, sys.modules[name])
+    for workload, expected in PINNED_TINY_ANSWERS.items():
+        L, requests, _, problems = run.timed_setup(workload, 0, scale="tiny")
+        answers = run.run_pass(L, requests, run.tracing.NullTracer())
+        assert not problems and not answers.errors, workload
+        assert answers.digest() == expected, workload

@@ -19,11 +19,12 @@ from exactmetric import cli
 
 
 def run_main(argv, doc=None):
-    """(exit code, stdout) of ``cli.main``; ``doc`` is fed on stdin."""
+    """(exit code, stdout) of ``cli.main``; ``doc`` is fed on stdin, as is
+    when it is a string and as JSON otherwise."""
     out = io.StringIO()
     stdin = sys.stdin
     if doc is not None:
-        sys.stdin = io.StringIO(json.dumps(doc))
+        sys.stdin = io.StringIO(doc if isinstance(doc, str) else json.dumps(doc))
     try:
         with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(io.StringIO()):
@@ -125,6 +126,22 @@ def test_non_rational_tower_flag_is_a_usage_error(flag, value):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--depth", "-1", "depth must be non-negative"),
+    ("--grid-step", "0", "grid step must be positive"),
+    ("--support-size", "0", "support size must be at least 1"),
+    ("--support-size", "-2", "support size must be at least 1"),
+    ("--value-cap", "-1", "value cap must be at least the grid step"),
+    ("--value-cap", "1/2", "value cap must be at least the grid step"),
+])
+def test_empty_tower_policy_is_a_domain_error(flag, value, message):
+    # an empty support range or value grid used to print the input unchanged
+    code, out = run_main(["tower", "--in", str(FIXTURES / "space_line.json"),
+                          flag, value])
+    assert code == 1
+    assert json.loads(out)["error"] == {"kind": "DomainError", "message": message}
+
+
 def test_huge_tower_grid_fails_fast_on_the_budget():
     proc = subprocess.run(
         [sys.executable, "-m", "exactmetric.cli", "tower",
@@ -161,6 +178,20 @@ def test_exponent_rational_fails_fast(tmp_path, where):
     else:
         assert proc.returncode == 2 and proc.stdout == ""
         assert f"not a rational: {HUGE_EXPONENT!r}" in proc.stderr
+
+
+def test_integer_literal_past_the_digit_limit_is_a_structural_error(tmp_path):
+    # json.load raises a plain ValueError for more than 4300 digits
+    doc = '{"space": {"points": ["a"], "dist": [[' + "9" * 5000 + ']]}}'
+    path = tmp_path / "long.json"
+    path.write_text(doc)
+    for where, argv, stdin in [(str(path), ["--in", str(path)], None),
+                               ("stdin", [], doc)]:
+        code, out = run_main(["validate", *argv], stdin)
+        assert code == 1, out
+        error = json.loads(out)["error"]
+        assert error["kind"] == "StructuralError"
+        assert error["message"].startswith(f"{where}: Exceeds the limit")
 
 
 def test_deeply_nested_input_is_an_error_object(tmp_path):

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations
+from operator import sub
 from random import Random
 
 import pytest
@@ -20,6 +22,7 @@ from exactmetric import (
     tower,
     validate,
 )
+from exactmetric.katetov import KatetovReport
 from exactmetric.randgen import cycle_space, rand_katetov, rand_metric_space
 
 from conftest import space_from_rows
@@ -344,22 +347,143 @@ def _dedup_attachments(rng, sp):
     return out
 
 
+# The Fraction forms of ``is_katetov``, ``hat_extension`` and the
+# ``star_fragment`` construction, as written before they read
+# ``space.scaled``, kept as oracles for the integer versions.
+
+
+def is_katetov_fractions(space, values, support):
+    for x, y in combinations(support, 2):
+        d = space.d_label(x, y)
+        if abs(values[x] - values[y]) > d:
+            return KatetovReport(False, (x, y), "upper")
+        if d > values[x] + values[y]:
+            return KatetovReport(False, (x, y), "lower")
+    return KatetovReport(True)
+
+
+def hat_fractions(f):
+    return {
+        x: min(f.value(y) + f.space.d_label(y, x) for y in f.support)
+        for x in f.space.points
+    }
+
+
+def star_fragment_fractions(space, attachments):
+    """The result space and the (point, fresh) pair of each attachment."""
+    pts = space.points
+    owner = {}
+    for x, row in zip(pts, space.dist):
+        owner.setdefault(row, x)
+    existing = set(pts)
+    hats = []
+    records = []
+    for f in attachments:
+        hat = tuple(map(hat_fractions(f).__getitem__, pts))
+        label = owner.get(hat)
+        fresh = label is None
+        if fresh:
+            label = f"p{len(hats) + 1}"
+            while label in existing:
+                label += "_"
+            existing.add(label)
+            owner[hat] = label
+            hats.append(hat)
+        records.append((label, fresh))
+    sups = [[F(0)] * len(hats) for _ in hats]
+    for a, b in combinations(range(len(hats)), 2):
+        sups[a][b] = sups[b][a] = max(map(abs, map(sub, hats[a], hats[b])))
+    dist = [
+        row + tuple(h[i] for h in hats) for i, row in enumerate(space.dist)
+    ]
+    dist += [h + tuple(s) for h, s in zip(hats, sups)]
+    result = FiniteMetricSpace(
+        pts + tuple(owner[h] for h in hats), tuple(dist), space.pseudo
+    )
+    return result, records
+
+
+def _oracle_space(rng, trial):
+    """Metric and pseudometric bases, on palettes or on rationals with
+    denominators up to 4."""
+    pseudo = trial % 2 == 0
+    palette = [F(0), F(1), F(2)] if pseudo else [F(1), F(2), F(3, 2)]
+    return rand_metric_space(
+        rng, rng.randint(1, 6), pseudo=pseudo,
+        palette=palette if trial % 3 else None,
+    )
+
+
+def _shifted(rng, f):
+    """f plus a constant whose denominator (5, 7 or 9) divides no base
+    space's denominator; a non-negative constant keeps f Katetov."""
+    shift = F(rng.randint(0, 3), rng.choice([5, 7, 9]))
+    return KatetovFunction(
+        f.space, f.support, {x: v + shift for x, v in f.values.items()})
+
+
+def _katetov_draws(seed, trials):
+    """(space, support, values): shifted Katetov functions, a third with a
+    planted upper failure and a third with a planted lower one."""
+    rng = Random(seed)
+    for trial in range(trials):
+        sp = _oracle_space(rng, trial)
+        pts = list(sp.points)
+        rng.shuffle(pts)
+        supp = tuple(pts[: rng.randint(1, sp.n)])
+        values = dict(_shifted(rng, rand_katetov(rng, sp, supp)).values)
+        plant = trial % 3
+        if plant and len(supp) >= 2:
+            x, y = rng.sample(supp, 2)
+            d = sp.d_label(x, y)
+            if plant == 1:  # f(y) - f(x) > d(x, y)
+                values[y] = values[x] + d + F(1, rng.choice([1, 2, 7]))
+            else:  # f(x) + f(y) < d(x, y) unless d(x, y) = 0
+                values[x] = values[y] = d * F(rng.randint(0, 3), 7)
+        yield sp, supp, values
+
+
+def test_is_katetov_matches_the_fraction_oracle():
+    sides = set()
+    for sp, supp, values in _katetov_draws(21, 600):
+        report = is_katetov(sp, values, supp)
+        assert report == is_katetov_fractions(sp, values, supp)
+        sides.add(report.side)
+    assert sides == {None, "upper", "lower"}
+
+
+def test_hat_extension_matches_the_fraction_oracle():
+    checked = 0
+    for sp, supp, values in _katetov_draws(22, 600):
+        if not is_katetov(sp, values, supp).ok:
+            continue
+        f = KatetovFunction(sp, supp, values)
+        assert dict(hat_extension(f).values) == hat_fractions(f)
+        checked += 1
+    assert checked > 200
+
+
 def test_star_fragment_matches_the_scan_oracle():
+    """Both oracles: the scan before hashing and the Fraction construction."""
     rng = Random(8)
     pool = ["p1", "p1_", "p2", "p3", "a", "b", "c"]
-    for trial in range(200):
-        n = rng.randint(1, 6)
-        pseudo = trial % 2 == 0
-        palette = [F(0), F(1), F(2)] if pseudo else [F(1), F(2)]
-        base = rand_metric_space(
-            rng, n, pseudo=pseudo, palette=palette if trial % 3 else None
-        )
-        sp = FiniteMetricSpace(tuple(rng.sample(pool, n)), base.dist, pseudo)
+    fresh_and_absorbed = set()
+    for trial in range(300):
+        base = _oracle_space(rng, trial)
+        sp = FiniteMetricSpace(
+            tuple(rng.sample(pool, base.n)), base.dist, base.pseudo)
         fns = _dedup_attachments(rng, sp)
+        if fns:
+            g = _shifted(rng, rng.choice(fns))
+            fns += [g, g]
         frag = star_fragment(sp, fns)
-        result, records = star_fragment_scan(sp, fns)
-        assert frag.result == result
-        assert [(r.point, r.fresh) for r in frag.attached] == records
+        points = [(r.point, r.fresh) for r in frag.attached]
+        for oracle in (star_fragment_scan, star_fragment_fractions):
+            result, records = oracle(sp, fns)
+            assert frag.result == result
+            assert points == records
         assert [(r.support, r.values) for r in frag.attached] == [
             (f.support, f.values) for f in fns
         ]
+        fresh_and_absorbed.update(fresh for _, fresh in points)
+    assert fresh_and_absorbed == {True, False}
