@@ -1,7 +1,9 @@
 """Finite (pseudo)metric spaces over exact rationals.
 
-Every distance is a ``fractions.Fraction``; no floating point enters any
-computation, so axiom checks and inequalities are decided exactly.
+Every distance is a ``fractions.Fraction`` at the API; no floating point
+enters any computation, so axiom checks and inequalities are decided exactly.
+The scans and solvers read the int form, ``space.scaled``: the distances
+times the lcm of their denominators.
 """
 
 from __future__ import annotations
@@ -11,11 +13,10 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice, product
 from math import lcm
+from operator import sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, StructuralError
-
-ZERO = Fraction(0)
 
 
 def scale(
@@ -128,38 +129,51 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
     separation (skipped for pseudometrics).  Negative entries surface as
     triangle violations via d(x, x) <= 2 d(x, y).
 
+    The scans read the int matrix of ``space.scaled``, so every comparison
+    is an int comparison.  A distance that is not an exact rational (a
+    float, a string, ``None``) raises ``DomainError("distances must be exact
+    rationals")`` instead of a report.
+
     The witness is the lexicographically first violating index tuple, and
     each scan visits only the half of the tuples that can be first.  A pair
     (i, j) is asymmetric exactly when (j, i) is, so symmetry scans j > i.
     Once d is symmetric, d(i, k) > d(i, j) + d(j, k) holds exactly when
     d(k, i) > d(k, j) + d(j, i), so the first violating triple has i <= k and
     the triangle scan runs k from i; k = i still tests d(i, i) <= 2 d(i, j).
+    Each pair (i, j) is first pre-tested at C level, by the largest
+    d(i, k) - d(j, k) over k >= i, and k is scanned for the first violating
+    index only when that test fires; the witness order is unchanged.
     """
+    return _scan(space, space.scaled[1])
+
+
+def _scan(space: FiniteMetricSpace, d: Sequence[Sequence]) -> ValidationReport:
+    """``validate``'s scans over ``d``, one of ``space``'s own matrices: its
+    int rows, or its ``Fraction`` rows for ``katetov.star_fragment``'s
+    self-check.  Both are the distances up to one positive factor, so they
+    give the same report."""
     pts = space.points
-    d = space.dist
     n = space.n
-    for i in range(n):
-        di = d[i]
+    for i, di in enumerate(d):
         for j in range(i + 1, n):
             if di[j] != d[j][i]:
                 return ValidationReport(False, "symmetry", (pts[i], pts[j]))
-    for i in range(n):
-        if d[i][i] != ZERO:
+    for i, di in enumerate(d):
+        if di[i] != 0:
             return ValidationReport(False, "diagonal", (pts[i],))
-    for i in range(n):
-        di = d[i]
-        for j in range(n):
+    for i, di in enumerate(d):
+        tail = di[i:]
+        for j, dj in enumerate(d):
             dij = di[j]
-            dj = d[j]
-            for k in range(i, n):
-                if di[k] > dij + dj[k]:
-                    return ValidationReport(
-                        False, "triangle", (pts[i], pts[j], pts[k])
-                    )
+            if max(map(sub, tail, dj[i:])) > dij:
+                k = next(k for k in range(i, n) if di[k] > dij + dj[k])
+                return ValidationReport(
+                    False, "triangle", (pts[i], pts[j], pts[k])
+                )
     if not space.pseudo:
-        for i in range(n):
+        for i, di in enumerate(d):
             for j in range(i + 1, n):
-                if d[i][j] == ZERO:
+                if di[j] == 0:
                     return ValidationReport(
                         False, "separation", (pts[i], pts[j])
                     )

@@ -11,6 +11,7 @@ from exactmetric import (
     set_distance,
     validate,
 )
+from exactmetric.metric import _scan
 from exactmetric.randgen import rand_fraction, rand_metric_space
 
 from conftest import space_from_rows
@@ -90,20 +91,76 @@ def plant_faults(rng, space):
     return FiniteMetricSpace(space.points, tuple(map(tuple, d)), space.pseudo)
 
 
+def tight_space(rng, n):
+    """A cycle or path metric on ``n`` points, over mixed denominators.  Many
+    triangles are tight, d(i, k) == d(i, j) + d(j, k), which the triangle
+    scan's pre-test must not take for a violation."""
+    if rng.random() < 0.5:
+        unit = rand_fraction(rng, 1, 10)
+        d = [[unit * min(abs(i - j), n - abs(i - j)) for j in range(n)]
+             for i in range(n)]
+    else:
+        x = [F(0)]
+        for _ in range(n - 1):
+            x.append(x[-1] + rand_fraction(rng, 1, 10))
+        d = [[abs(a - b) for b in x] for a in x]
+    return FiniteMetricSpace(
+        tuple(f"x{i}" for i in range(n)), tuple(map(tuple, d))
+    )
+
+
+MIXED_PALETTE = [F(1, 2), F(2, 3), F(3, 4), F(5, 6), F(7, 5), F(2)]
+
+
 def test_halved_scans_report_the_full_scan_witness():
     rng = Random(11)
     seen = set()
-    for case in range(400):
-        palette = [F(1), F(2), F(3)] if case % 2 else None
-        space = rand_metric_space(
-            rng, rng.randint(2, 12), pseudo=rng.random() < 0.3, palette=palette
-        )
-        space = plant_faults(rng, space)
+    for case in range(460):
+        if case < 400:
+            palette = [F(1), F(2), F(3)] if case % 2 else None
+            space = rand_metric_space(
+                rng, rng.randint(2, 12), pseudo=rng.random() < 0.3,
+                palette=palette,
+            )
+        elif case % 2:
+            space = tight_space(rng, rng.randint(2, 30))
+        else:
+            # up to 30 points, past the distance workload's largest space
+            space = rand_metric_space(
+                rng, rng.randint(13, 30), pseudo=rng.random() < 0.3,
+                palette=MIXED_PALETTE,
+            )
+        if case < 400 or rng.random() < 0.5:
+            space = plant_faults(rng, space)
         report = validate(space)
         expected = full_scan_validate(space)
         assert (report.ok, report.axiom, report.witness) == expected, space
-        seen.add(expected[1])
-    assert seen == {None, "symmetry", "diagonal", "triangle", "separation"}
+        # the same scan on the Fraction rows, as the star self-check runs it
+        assert _scan(space, space.dist) == report
+        seen.add((case < 400, expected[1]))
+    assert {axiom for _, axiom in seen} == {
+        None, "symmetry", "diagonal", "triangle", "separation"
+    }
+    assert (False, None) in seen and (False, "triangle") in seen
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((0.0, 1.0), (1.0, 0.0)),
+        (("0", F(1)), (F(1), F(0))),
+        ((F(0), "1"), ("1", F(0))),
+        ((F(0), None), (None, F(0))),
+    ],
+    ids=["float", "str-diagonal", "str", "none"],
+)
+def test_non_rational_distances_are_a_domain_error(rows):
+    """Floats were once checked in floating point and accepted, a ``"0"``
+    diagonal was reported as a diagonal violation, and a string or ``None``
+    off the diagonal raised ``TypeError``."""
+    space = FiniteMetricSpace(("a", "b"), rows)
+    with pytest.raises(DomainError, match="distances must be exact rationals"):
+        validate(space)
 
 
 def test_shape_mismatch_is_structural():

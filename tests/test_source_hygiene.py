@@ -1,6 +1,6 @@
 """Leftovers in the library source: imports a module never uses, private
-module-level functions that nothing in ``src/`` calls, and public functions
-and classes that no caller reads."""
+module-level functions that nothing in ``src/`` calls, public functions
+and classes that no caller reads, and a second copy of the axiom scans."""
 
 import ast
 from pathlib import Path
@@ -120,3 +120,14 @@ def test_every_public_name_has_a_caller():
         )
     ]
     assert unreferenced == []
+
+
+def test_axiom_violations_are_reported_only_by_metric():
+    """``metric.validate`` holds the one copy of the axiom scans; a module
+    that builds a failing ``ValidationReport`` itself has grown another."""
+    reporters = [
+        path.name
+        for path in sorted(SRC.rglob("*.py"))
+        if "ValidationReport(False" in path.read_text(encoding="utf-8")
+    ]
+    assert reporters == ["metric.py"]
