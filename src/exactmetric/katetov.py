@@ -234,6 +234,8 @@ class TowerPolicy:
             raise DomainError("grid step must be positive")
         if self.value_cap < self.grid_step:
             raise DomainError("value cap must be at least the grid step")
+        if self.point_budget < 0:
+            raise DomainError("point budget must be non-negative")
 
     def grid(self) -> list[Fraction]:
         count = self.value_cap // self.grid_step
@@ -250,19 +252,21 @@ def tower(
     """
     if depth < 0:
         raise DomainError("depth must be non-negative")
-    current = space
-    if depth and space.n \
-            and policy.value_cap // policy.grid_step > policy.point_budget:
+    if not depth or not space.n:
+        # every level of the empty space is the empty space
+        return space
+    if policy.value_cap // policy.grid_step > policy.point_budget:
         # level one realizes each grid value on a one-point support as a
         # distinct hat, at most n of them existing points
         raise BudgetExceededError(
             f"the value grid alone exceeds the budget {policy.point_budget}"
         )
     grid = policy.grid()
+    current = space
     for _ in range(depth):
         attachments: list[KatetovFunction] = []
         pts = current.points
-        for k in range(1, policy.support_size + 1):
+        for k in range(1, min(policy.support_size, current.n) + 1):
             for supp in combinations(pts, k):
                 for vals in product(grid, repeat=k):
                     mapping = dict(zip(supp, vals))

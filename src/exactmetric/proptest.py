@@ -1,9 +1,11 @@
 """Named randomized invariant suites with reproducible seeds.
 
-Each suite runs ``trials`` independent random instances and reports failures
-with the full counterexample serialized as JSON.  These are the library's
-executable invariants; the CLI exposes them under the ``proptest``
-subcommand, and the test suite runs them at reduced trial counts.
+Each suite checks one random instance drawn from the ``Random`` it is given
+and returns ``None``, or the counterexample serialized as JSON.
+``run_suite`` runs ``trials`` independently seeded instances of one suite.
+These are the library's executable invariants; the CLI exposes them under
+the ``proptest`` subcommand, and the test suite runs them at reduced trial
+counts.
 """
 
 from __future__ import annotations
@@ -55,376 +57,291 @@ ZERO = Fraction(0)
 MAX_FAILURES = 5
 
 
-def _report(suite, trials, failures):
-    return {
-        "suite": suite,
-        "trials": trials,
-        "failures": failures,
-        "passed": not failures,
-    }
-
-
-def _run(suite_name, trials, seed, one_trial):
-    rng = Random(seed)
-    failures = []
-    for t in range(trials):
-        trial_seed = rng.getrandbits(64)
-        problem = one_trial(Random(trial_seed))
-        if problem is not None:
-            problem["trial"] = t
-            problem["trial_seed"] = trial_seed
-            failures.append(problem)
-            if len(failures) >= MAX_FAILURES:
-                break
-    return _report(suite_name, trials, failures)
-
-
-def suite_metric_fuzz(trials: int, seed: int):
+def suite_metric_fuzz(rng: Random):
     """validate() accepts valid spaces and pins planted violations."""
-
-    def one(rng: Random):
-        # n >= 3 so a planted oversized distance actually breaks a triangle
-        space = rand_metric_space(rng, rng.randint(3, 7))
-        if not validate(space).ok:
-            return {"what": "valid space rejected",
-                    "space": jsonio.space_to_json(space)}
-        n = space.n
-        d = [list(row) for row in space.dist]
-        kind = rng.choice(["symmetry", "diagonal", "triangle", "separation"])
-        i, j = rng.randrange(n), rng.randrange(n)
-        while j == i:
-            j = rng.randrange(n)
-        if kind == "symmetry":
-            d[i][j] = d[i][j] + 1
-        elif kind == "diagonal":
-            d[i][i] = Fraction(1)
-        elif kind == "triangle":
-            big = 3 * max(max(row) for row in d) + 1
-            d[i][j] = d[j][i] = big
-        else:
-            d[i][j] = d[j][i] = ZERO
-        broken = type(space)(space.points, tuple(tuple(r) for r in d), False)
-        report = validate(broken)
-        if report.ok:
-            return {"what": f"planted {kind} violation not found",
-                    "space": jsonio.space_to_json(broken)}
-        # a planted break may legitimately trip an earlier axiom in the
-        # check order; only the planted kind coming back ok is a failure
-        return None
-
-    return _run("metric-fuzz", trials, seed, one)
+    # n >= 3 so a planted oversized distance actually breaks a triangle
+    space = rand_metric_space(rng, rng.randint(3, 7))
+    if not validate(space).ok:
+        return {"what": "valid space rejected",
+                "space": jsonio.space_to_json(space)}
+    n = space.n
+    d = [list(row) for row in space.dist]
+    kind = rng.choice(["symmetry", "diagonal", "triangle", "separation"])
+    i, j = rng.randrange(n), rng.randrange(n)
+    while j == i:
+        j = rng.randrange(n)
+    if kind == "symmetry":
+        d[i][j] = d[i][j] + 1
+    elif kind == "diagonal":
+        d[i][i] = Fraction(1)
+    elif kind == "triangle":
+        big = 3 * max(max(row) for row in d) + 1
+        d[i][j] = d[j][i] = big
+    else:
+        d[i][j] = d[j][i] = ZERO
+    broken = type(space)(space.points, tuple(tuple(r) for r in d), False)
+    report = validate(broken)
+    if report.ok:
+        return {"what": f"planted {kind} violation not found",
+                "space": jsonio.space_to_json(broken)}
+    # a planted break may legitimately trip an earlier axiom in the
+    # check order; only the planted kind coming back ok is a failure
+    return None
 
 
-def suite_duality(trials: int, seed: int):
+def suite_duality(rng: Random):
     """Exact agreement of the two norm solvers, plus norm axioms."""
-
-    def one(rng: Random):
-        space = rand_metric_space(rng, rng.randint(2, 9))
-        pointed = rand_pointed(rng, space)
-        m = Molecule.make(pointed, rand_coeffs(rng, pointed))
-        dual, witness = aell_norm_dual(m)
-        primal, plan = aell_norm_primal(m)
-        if dual != primal:
-            return {
-                "what": "duality gap",
-                "dual": str(dual),
-                "primal": str(primal),
+    space = rand_metric_space(rng, rng.randint(2, 9))
+    pointed = rand_pointed(rng, space)
+    m = Molecule.make(pointed, rand_coeffs(rng, pointed))
+    dual, witness = aell_norm_dual(m)
+    primal, plan = aell_norm_primal(m)
+    if dual != primal:
+        return {
+            "what": "duality gap",
+            "dual": str(dual),
+            "primal": str(primal),
+            "molecule": jsonio.molecule_to_json(m),
+        }
+    q = rand_fraction(rng, -3, 3)
+    if aell_norm_primal(m.scale(q))[0] != abs(q) * primal:
+        return {"what": "homogeneity failure",
+                "molecule": jsonio.molecule_to_json(m), "q": str(q)}
+    m2 = Molecule.make(pointed, rand_coeffs(rng, pointed))
+    if aell_norm_primal(m + m2)[0] > primal + aell_norm_primal(m2)[0]:
+        return {"what": "triangle inequality failure",
                 "molecule": jsonio.molecule_to_json(m),
-            }
-        q = rand_fraction(rng, -3, 3)
-        if aell_norm_primal(m.scale(q))[0] != abs(q) * primal:
-            return {"what": "homogeneity failure",
-                    "molecule": jsonio.molecule_to_json(m), "q": str(q)}
-        m2 = Molecule.make(pointed, rand_coeffs(rng, pointed))
-        if aell_norm_primal(m + m2)[0] > primal + aell_norm_primal(m2)[0]:
-            return {"what": "triangle inequality failure",
-                    "molecule": jsonio.molecule_to_json(m),
-                    "other": jsonio.molecule_to_json(m2)}
-        if primal == ZERO and m.coeffs:
-            return {"what": "nonzero molecule with zero norm",
-                    "molecule": jsonio.molecule_to_json(m)}
-        return None
-
-    return _run("duality", trials, seed, one)
+                "other": jsonio.molecule_to_json(m2)}
+    if primal == ZERO and m.coeffs:
+        return {"what": "nonzero molecule with zero norm",
+                "molecule": jsonio.molecule_to_json(m)}
+    return None
 
 
-def suite_embedding(trials: int, seed: int):
+def suite_embedding(rng: Random):
     """Point differences recover the distance exactly."""
-
-    def one(rng: Random):
-        space = rand_metric_space(rng, rng.randint(2, 8))
-        pointed = rand_pointed(rng, space)
-        for x in space.points:
-            for y in space.points:
-                got = norm_distance(
-                    Molecule.point(pointed, x) if x != pointed.basepoint_label
-                    else Molecule.zero(pointed),
-                    Molecule.point(pointed, y) if y != pointed.basepoint_label
-                    else Molecule.zero(pointed),
-                )
-                if got != space.d_label(x, y):
-                    return {
-                        "what": "embedding not isometric",
-                        "pair": [x, y],
-                        "got": str(got),
-                        "space": jsonio.space_to_json(space),
-                    }
-        return None
-
-    return _run("embedding", trials, seed, one)
+    space = rand_metric_space(rng, rng.randint(2, 8))
+    pointed = rand_pointed(rng, space)
+    for x in space.points:
+        for y in space.points:
+            got = norm_distance(Molecule.point(pointed, x),
+                                Molecule.point(pointed, y))
+            if got != space.d_label(x, y):
+                return {
+                    "what": "embedding not isometric",
+                    "pair": [x, y],
+                    "got": str(got),
+                    "space": jsonio.space_to_json(space),
+                }
+    return None
 
 
-def suite_katetov(trials: int, seed: int):
+def suite_katetov(rng: Random):
     """Hat extension: validity, restriction, maximality; sup metric on
     point profiles reproduces the distance; fragments validate."""
-
-    def one(rng: Random):
-        space = rand_metric_space(rng, rng.randint(2, 6))
-        pts = list(space.points)
-        rng.shuffle(pts)
-        supp = tuple(sorted(pts[: rng.randint(1, space.n)]))
-        f = rand_katetov(rng, space, supp)
-        hat = hat_extension(f)
-        if not is_katetov(space, hat.values).ok:
-            return {"what": "hat not Katetov",
-                    "f": jsonio.katetov_to_json(f)}
-        if any(hat.value(y) != f.value(y) for y in supp):
-            return {"what": "hat does not restrict to f",
-                    "f": jsonio.katetov_to_json(f)}
-        g = rand_katetov(rng, space, tuple(space.points))
-        if all(g.value(y) == f.value(y) for y in supp):
-            if any(g.value(x) > hat.value(x) for x in space.points):
-                return {"what": "hat not maximal",
-                        "f": jsonio.katetov_to_json(f),
-                        "g": jsonio.katetov_to_json(g)}
-        for x in space.points:
-            for y in space.points:
-                lhs = sup_distance(point_function(space, x),
-                                   point_function(space, y))
-                if lhs != space.d_label(x, y):
-                    return {"what": "point profiles not isometric",
-                            "pair": [x, y],
-                            "space": jsonio.space_to_json(space)}
-        frag = star_fragment(space, [f, g])
-        if not validate(frag.result).ok:
-            return {"what": "fragment failed validation",
-                    "f": jsonio.katetov_to_json(f)}
-        return None
-
-    return _run("katetov", trials, seed, one)
-
-
-def suite_prop_k(trials: int, seed: int):
-    """Hat extensions of functions on separated supports stay separated."""
-
-    def one(rng: Random):
-        space = rand_metric_space(rng, rng.randint(2, 6))
-        pts = list(space.points)
-        rng.shuffle(pts)
-        cut = rng.randint(1, space.n - 1) if space.n > 1 else 1
-        a = tuple(sorted(pts[:cut]))
-        b = tuple(sorted(pts[cut:])) or a
-        phi = rand_katetov(rng, space, a)
-        psi = rand_katetov(rng, space, b)
-        res = prop_k_gap(phi, psi)
-        if not res.certified:
-            return {
-                "what": "gap below separation",
-                "gap": str(res.gap),
-                "epsilon": str(res.epsilon),
-                "phi": jsonio.katetov_to_json(phi),
-                "psi": jsonio.katetov_to_json(psi),
-            }
-        return None
-
-    return _run("prop-k", trials, seed, one)
-
-
-def suite_equivariance(trials: int, seed: int):
-    """Pushing forward then extending equals extending then relabeling."""
-
-    def one(rng: Random):
-        action = rand_action(rng, 6)
-        space = action.space
-        pts = list(space.points)
-        rng.shuffle(pts)
-        supp = tuple(sorted(pts[: rng.randint(1, space.n)]))
-        f = rand_katetov(rng, space, supp)
-        iso = action.images[rng.randrange(action.group.order)]
-        lhs = hat_extension(act_on_katetov(iso, f))
-        rhs_src = hat_extension(f)
-        ginv = iso.inverse()
-        rhs = {x: rhs_src.value(ginv.apply_label(x)) for x in space.points}
-        if dict(lhs.values) != rhs:
-            return {"what": "equivariance failure",
+    space = rand_metric_space(rng, rng.randint(2, 6))
+    pts = list(space.points)
+    rng.shuffle(pts)
+    supp = tuple(sorted(pts[: rng.randint(1, space.n)]))
+    f = rand_katetov(rng, space, supp)
+    hat = hat_extension(f)
+    if not is_katetov(space, hat.values).ok:
+        return {"what": "hat not Katetov", "f": jsonio.katetov_to_json(f)}
+    if any(hat.value(y) != f.value(y) for y in supp):
+        return {"what": "hat does not restrict to f",
+                "f": jsonio.katetov_to_json(f)}
+    g = rand_katetov(rng, space, tuple(space.points))
+    if all(g.value(y) == f.value(y) for y in supp):
+        if any(g.value(x) > hat.value(x) for x in space.points):
+            return {"what": "hat not maximal",
                     "f": jsonio.katetov_to_json(f),
-                    "perm": list(iso.perm)}
-        return None
+                    "g": jsonio.katetov_to_json(g)}
+    for x in space.points:
+        for y in space.points:
+            lhs = sup_distance(point_function(space, x),
+                               point_function(space, y))
+            if lhs != space.d_label(x, y):
+                return {"what": "point profiles not isometric",
+                        "pair": [x, y],
+                        "space": jsonio.space_to_json(space)}
+    frag = star_fragment(space, [f, g])
+    if not validate(frag.result).ok:
+        return {"what": "fragment failed validation",
+                "f": jsonio.katetov_to_json(f)}
+    return None
 
-    return _run("equivariance", trials, seed, one)
+
+def suite_prop_k(rng: Random):
+    """Hat extensions of functions on separated supports stay separated."""
+    space = rand_metric_space(rng, rng.randint(2, 6))
+    pts = list(space.points)
+    rng.shuffle(pts)
+    cut = rng.randint(1, space.n - 1) if space.n > 1 else 1
+    a = tuple(sorted(pts[:cut]))
+    b = tuple(sorted(pts[cut:])) or a
+    phi = rand_katetov(rng, space, a)
+    psi = rand_katetov(rng, space, b)
+    res = prop_k_gap(phi, psi)
+    if not res.certified:
+        return {
+            "what": "gap below separation",
+            "gap": str(res.gap),
+            "epsilon": str(res.epsilon),
+            "phi": jsonio.katetov_to_json(phi),
+            "psi": jsonio.katetov_to_json(psi),
+        }
+    return None
 
 
-def suite_affine_laws(trials: int, seed: int):
+def suite_equivariance(rng: Random):
+    """Pushing forward then extending equals extending then relabeling."""
+    action = rand_action(rng, 6)
+    space = action.space
+    pts = list(space.points)
+    rng.shuffle(pts)
+    supp = tuple(sorted(pts[: rng.randint(1, space.n)]))
+    f = rand_katetov(rng, space, supp)
+    iso = action.images[rng.randrange(action.group.order)]
+    lhs = hat_extension(act_on_katetov(iso, f))
+    rhs_src = hat_extension(f)
+    ginv = iso.inverse()
+    rhs = {x: rhs_src.value(ginv.apply_label(x)) for x in space.points}
+    if dict(lhs.values) != rhs:
+        return {"what": "equivariance failure",
+                "f": jsonio.katetov_to_json(f),
+                "perm": list(iso.perm)}
+    return None
+
+
+def suite_affine_laws(rng: Random):
     """The affine extension is a norm-preserving group action."""
-
-    def one(rng: Random):
-        space = rand_metric_space(
-            rng, rng.randint(2, 7),
-            palette=[Fraction(1), Fraction(2), Fraction(3)],
-        )
-        isos = enumerate_isometries(space)
-        pointed = rand_pointed(rng, space)
-        m = Molecule.make(pointed, rand_coeffs(rng, pointed, 5))
-        m2 = Molecule.make(pointed, rand_coeffs(rng, pointed, 5))
-        for g in isos:
-            for h in isos:
-                lhs = affine_extend(g.compose(h), m)
-                rhs = affine_extend(g, affine_extend(h, m))
-                if lhs != rhs:
-                    return {"what": "composition law failure",
-                            "g": list(g.perm), "h": list(h.perm),
-                            "molecule": jsonio.molecule_to_json(m)}
-        for g in isos:
-            if norm_distance(affine_extend(g, m), affine_extend(g, m2)) != \
-                    norm_distance(m, m2):
-                return {"what": "norm not preserved",
-                        "g": list(g.perm),
+    space = rand_metric_space(
+        rng, rng.randint(2, 7),
+        palette=[Fraction(1), Fraction(2), Fraction(3)],
+    )
+    isos = enumerate_isometries(space)
+    pointed = rand_pointed(rng, space)
+    m = Molecule.make(pointed, rand_coeffs(rng, pointed, 5))
+    m2 = Molecule.make(pointed, rand_coeffs(rng, pointed, 5))
+    for g in isos:
+        for h in isos:
+            lhs = affine_extend(g.compose(h), m)
+            rhs = affine_extend(g, affine_extend(h, m))
+            if lhs != rhs:
+                return {"what": "composition law failure",
+                        "g": list(g.perm), "h": list(h.perm),
                         "molecule": jsonio.molecule_to_json(m)}
-        return None
+    for g in isos:
+        if norm_distance(affine_extend(g, m), affine_extend(g, m2)) != \
+                norm_distance(m, m2):
+            return {"what": "norm not preserved",
+                    "g": list(g.perm),
+                    "molecule": jsonio.molecule_to_json(m)}
+    return None
 
-    return _run("affine-laws", trials, seed, one)
 
-
-def suite_fixed_point(trials: int, seed: int):
+def suite_fixed_point(rng: Random):
     """The orbit barycenter is exactly invariant (checked internally, too)."""
-
-    def one(rng: Random):
-        action = rand_action(rng, 7)
-        pointed = rand_pointed(rng, action.space)
-        seed_m = Molecule.make(pointed, rand_coeffs(rng, pointed, 4))
-        bary = fixed_point(action, seed_m)
-        for iso in action.images:
-            if affine_extend(iso, bary) != bary:
-                return {"what": "barycenter moved",
-                        "molecule": jsonio.molecule_to_json(seed_m)}
-        return None
-
-    return _run("fixed-point", trials, seed, one)
+    action = rand_action(rng, 7)
+    pointed = rand_pointed(rng, action.space)
+    seed_m = Molecule.make(pointed, rand_coeffs(rng, pointed, 4))
+    bary = fixed_point(action, seed_m)
+    for iso in action.images:
+        if affine_extend(iso, bary) != bary:
+            return {"what": "barycenter moved",
+                    "molecule": jsonio.molecule_to_json(seed_m)}
+    return None
 
 
-def suite_extension(trials: int, seed: int):
+def suite_extension(rng: Random):
     """Moving constants survive the passage to the free space.
 
     For the gap-attaining group element, every molecule pair supported in
     the moved set separates by at least the gap, certified by the capped
     witness and confirmed by the exact norm.
     """
-
-    def one(rng: Random):
-        action = rand_action(rng, 8)
-        space = action.space
-        pointed = rand_pointed(rng, space)
-        pts = [p for p in space.points]
-        rng.shuffle(pts)
-        phi = sorted(pts[: rng.randint(1, max(1, space.n // 2))])
-        phi_plus = sorted(set(phi) | {pointed.basepoint_label})
-        best_gap, witness = moving_gap(action, phi_plus)
-        if best_gap == ZERO:
-            return None  # nothing to certify for this instance
-        best_g = action.images[action.group.index(witness)]
-        sub = phi_plus
-        v = Molecule.make(
-            pointed,
-            {x: rand_fraction(rng, -3, 3) for x in sub
-             if x != pointed.basepoint_label},
-        )
-        w = Molecule.make(
-            pointed,
-            {x: rand_fraction(rng, -3, 3) for x in sub
-             if x != pointed.basepoint_label},
-        )
-        bound = moving_lower_bound(pointed, phi, best_g, v, w)
-        lp = norm_distance(affine_extend(best_g, v), w)
-        if bound != best_gap or lp < bound:
-            return {
-                "what": "extension bound failure",
-                "bound": str(bound),
-                "gap": str(best_gap),
-                "norm": str(lp),
-                "v": jsonio.molecule_to_json(v),
-                "w": jsonio.molecule_to_json(w),
-            }
-        return None
-
-    return _run("extension", trials, seed, one)
+    action = rand_action(rng, 8)
+    space = action.space
+    pointed = rand_pointed(rng, space)
+    pts = list(space.points)
+    rng.shuffle(pts)
+    phi = sorted(pts[: rng.randint(1, max(1, space.n // 2))])
+    phi_plus = sorted(set(phi) | {pointed.basepoint_label})
+    best_gap, witness = moving_gap(action, phi_plus)
+    if best_gap == ZERO:
+        return None  # nothing to certify for this instance
+    best_g = action.images[action.group.index(witness)]
+    free = [x for x in phi_plus if x != pointed.basepoint_label]
+    v = Molecule.make(pointed, {x: rand_fraction(rng, -3, 3) for x in free})
+    w = Molecule.make(pointed, {x: rand_fraction(rng, -3, 3) for x in free})
+    bound = moving_lower_bound(pointed, phi, best_g, v, w)
+    lp = norm_distance(affine_extend(best_g, v), w)
+    if bound != best_gap or lp < bound:
+        return {
+            "what": "extension bound failure",
+            "bound": str(bound),
+            "gap": str(best_gap),
+            "norm": str(lp),
+            "v": jsonio.molecule_to_json(v),
+            "w": jsonio.molecule_to_json(w),
+        }
+    return None
 
 
-def suite_rebase(trials: int, seed: int):
+def suite_rebase(rng: Random):
     """Re-basing preserves all pairwise norm distances."""
-
-    def one(rng: Random):
-        space = rand_metric_space(rng, rng.randint(2, 6))
-        pointed = rand_pointed(rng, space)
-        new_bp = rng.choice(space.points)
-        m1 = Molecule.make(pointed, rand_coeffs(rng, pointed, 4))
-        m2 = Molecule.make(pointed, rand_coeffs(rng, pointed, 4))
-        before = norm_distance(m1, m2)
-        after = norm_distance(rebase(m1, new_bp), rebase(m2, new_bp))
-        if before != after:
-            return {"what": "rebase changed a norm distance",
-                    "before": str(before), "after": str(after),
-                    "m1": jsonio.molecule_to_json(m1),
-                    "m2": jsonio.molecule_to_json(m2),
-                    "new_basepoint": new_bp}
-        return None
-
-    return _run("rebase", trials, seed, one)
+    space = rand_metric_space(rng, rng.randint(2, 6))
+    pointed = rand_pointed(rng, space)
+    new_bp = rng.choice(space.points)
+    m1 = Molecule.make(pointed, rand_coeffs(rng, pointed, 4))
+    m2 = Molecule.make(pointed, rand_coeffs(rng, pointed, 4))
+    before = norm_distance(m1, m2)
+    after = norm_distance(rebase(m1, new_bp), rebase(m2, new_bp))
+    if before != after:
+        return {"what": "rebase changed a norm distance",
+                "before": str(before), "after": str(after),
+                "m1": jsonio.molecule_to_json(m1),
+                "m2": jsonio.molecule_to_json(m2),
+                "new_basepoint": new_bp}
+    return None
 
 
-def suite_quotient(trials: int, seed: int):
+def suite_quotient(rng: Random):
     """Quotient metrics are well-defined, the translation action is
     isometric and transitive, and pullbacks round-trip to orbits."""
-
-    def one(rng: Random):
-        group = rand_group(rng, 24)
-        pm = rand_invariant_pseudometric(rng, group)
-        try:
-            qspace, action = quotient_space(pm)
-        except DomainError as exc:
-            return {"what": f"quotient failed: {exc}",
-                    "record": jsonio.pseudometric_to_json(pm)}
-        xi = rng.choice(qspace.points)
-        back = pullback_pseudometric(action, xi)
-        try:
-            orbit_isomorphism(action, xi)
-        except DomainError as exc:
-            return {"what": f"orbit round trip failed: {exc}",
-                    "record": jsonio.pseudometric_to_json(back)}
-        return None
-
-    return _run("quotient", trials, seed, one)
+    group = rand_group(rng, 24)
+    pm = rand_invariant_pseudometric(rng, group)
+    try:
+        qspace, action = quotient_space(pm)
+    except DomainError as exc:
+        return {"what": f"quotient failed: {exc}",
+                "record": jsonio.pseudometric_to_json(pm)}
+    xi = rng.choice(qspace.points)
+    back = pullback_pseudometric(action, xi)
+    try:
+        orbit_isomorphism(action, xi)
+    except DomainError as exc:
+        return {"what": f"orbit round trip failed: {exc}",
+                "record": jsonio.pseudometric_to_json(back)}
+    return None
 
 
-def suite_fvf_monotone(trials: int, seed: int):
+def suite_fvf_monotone(rng: Random):
     """Enlarging V never increases the minimal cover size."""
-
-    def one(rng: Random):
-        group = rand_group(rng, 12)
-        n = group.order
-        small = sorted(
-            {group.identity} | {rng.randrange(n) for _ in range(rng.randint(1, 3))}
-        )
-        big = sorted(set(small) | {rng.randrange(n) for _ in range(2)})
-        k_small, _ = min_fvf_cover(group, small)
-        k_big, _ = min_fvf_cover(group, big)
-        if k_big > k_small:
-            return {"what": "cover size grew with larger V",
-                    "group": jsonio.group_to_json(group),
-                    "small": small, "big": big,
-                    "k_small": k_small, "k_big": k_big}
-        return None
-
-    return _run("fvf-monotone", trials, seed, one)
+    group = rand_group(rng, 12)
+    n = group.order
+    small = sorted(
+        {group.identity} | {rng.randrange(n) for _ in range(rng.randint(1, 3))}
+    )
+    big = sorted(set(small) | {rng.randrange(n) for _ in range(2)})
+    k_small, _ = min_fvf_cover(group, small)
+    k_big, _ = min_fvf_cover(group, big)
+    if k_big > k_small:
+        return {"what": "cover size grew with larger V",
+                "group": jsonio.group_to_json(group),
+                "small": small, "big": big,
+                "k_small": k_small, "k_big": k_big}
+    return None
 
 
 SUITES = {
@@ -444,8 +361,30 @@ SUITES = {
 
 
 def run_suite(name: str, trials: int, seed: int):
+    """Run ``trials`` seeded instances of one suite, stopping at
+    ``MAX_FAILURES`` failures.
+
+    Each failure carries its ``trial`` index and ``trial_seed``;
+    ``SUITES[name](Random(trial_seed))`` replays it.
+    """
     if name not in SUITES:
         raise DomainError(
             f"unknown suite {name!r}; known: {sorted(SUITES)}"
         )
-    return SUITES[name](trials, seed)
+    if trials < 0:
+        raise DomainError("trial count must be non-negative")
+    rng = Random(seed)
+    failures = []
+    for t in range(trials):
+        trial_seed = rng.getrandbits(64)
+        problem = SUITES[name](Random(trial_seed))
+        if problem is not None:
+            failures.append({**problem, "trial": t, "trial_seed": trial_seed})
+            if len(failures) >= MAX_FAILURES:
+                break
+    return {
+        "suite": name,
+        "trials": trials,
+        "failures": failures,
+        "passed": not failures,
+    }

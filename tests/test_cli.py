@@ -1,10 +1,14 @@
+import argparse
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from conftest import FIXTURES, cli_env, fixture_generator
+from conftest import FIXTURES, ROOT, cli_env, fixture_generator
+from exactmetric import cli
+from exactmetric.proptest import SUITES
 
 CMD = [sys.executable, "-m", "exactmetric.cli"]
 
@@ -240,3 +244,14 @@ def test_generate_only_records_one_file(tmp_path):
     with pytest.raises(SystemExit, match="absent.json"):
         generate.main("absent.json", tmp_path)
     assert recorded() == ["golden/fvf_group_d12.out", "star.json"]
+
+
+def test_readme_names_every_suite_and_subcommand():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = readme.split("Available suites:", 1)[1].split(".", 1)[0]
+    assert re.findall(r"`([\w-]+)`", listed) == sorted(SUITES)
+    table = readme.split("| Subcommand |", 1)[1].split("\n\n", 1)[0]
+    documented = re.findall(r"^\| `([\w-]+)` \|", table, re.MULTILINE)
+    (subcommands,) = [action.choices for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    assert documented == list(subcommands)

@@ -1,7 +1,7 @@
 """The CLI contract on malformed input: exit 0, 1 or 2 with a JSON object on
 stdout for 0 and 1, never a traceback and never a hang.
 
-Most checks call ``cli.main`` in-process; the tower budget and exponent
+Most checks call ``cli.main`` in-process; the tower, proptest and exponent
 regressions run in a subprocess so that a hang is cut off by a timeout.
 """
 
@@ -38,6 +38,18 @@ def run_main(argv, doc=None):
 
 def load(name):
     return json.loads((FIXTURES / name).read_text())
+
+
+LINE = str(FIXTURES / "space_line.json")
+EMPTY_SPACE = json.dumps({"space": {"points": [], "dist": []}})
+
+
+def run_cli(argv, stdin=None):
+    """A ``python -m exactmetric.cli`` subprocess, cut off if it hangs."""
+    return subprocess.run(
+        [sys.executable, "-m", "exactmetric.cli", *argv], input=stdin,
+        capture_output=True, text=True, timeout=20, env=cli_env(),
+    )
 
 
 def error_kind(argv, doc=None):
@@ -121,8 +133,7 @@ def test_unreadable_input_file_is_an_error_object(tmp_path):
 @pytest.mark.parametrize("flag", ["--grid-step", "--value-cap"])
 @pytest.mark.parametrize("value", ["abc", "1/0"])
 def test_non_rational_tower_flag_is_a_usage_error(flag, value):
-    code, out = run_main(["tower", "--in", str(FIXTURES / "space_line.json"),
-                          flag, value])
+    code, out = run_main(["tower", "--in", LINE, flag, value])
     assert code == 2 and out == ""
 
 
@@ -133,24 +144,43 @@ def test_non_rational_tower_flag_is_a_usage_error(flag, value):
     ("--support-size", "-2", "support size must be at least 1"),
     ("--value-cap", "-1", "value cap must be at least the grid step"),
     ("--value-cap", "1/2", "value cap must be at least the grid step"),
+    ("--budget", "-1", "point budget must be non-negative"),
 ])
 def test_empty_tower_policy_is_a_domain_error(flag, value, message):
     # an empty support range or value grid used to print the input unchanged
-    code, out = run_main(["tower", "--in", str(FIXTURES / "space_line.json"),
-                          flag, value])
+    code, out = run_main(["tower", "--in", LINE, flag, value])
     assert code == 1
     assert json.loads(out)["error"] == {"kind": "DomainError", "message": message}
 
 
+@pytest.mark.parametrize("argv, stdin, same_as", [
+    # combinations(points, k) allocates k indices even when it yields nothing
+    (["--in", LINE, "--support-size", "1000000"], None,
+     ["--in", LINE, "--support-size", "3"]),
+    # no level runs, so the 10**12-value grid is never built
+    (["--in", LINE, "--depth", "0", "--grid-step", "1/1000000",
+      "--value-cap", "1000000"], None, ["--in", LINE, "--depth", "0"]),
+    # every level of the empty space is the empty space
+    (["--depth", "10000000"], EMPTY_SPACE, ["--depth", "1"]),
+], ids=["support-size-past-the-points", "depth-0-huge-grid", "deep-empty-space"])
+def test_tower_returns_at_once_when_no_level_adds_work(argv, stdin, same_as):
+    proc = run_cli(["tower", *argv], stdin)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert (0, proc.stdout) == run_main(["tower", *same_as], stdin)
+
+
 def test_huge_tower_grid_fails_fast_on_the_budget():
-    proc = subprocess.run(
-        [sys.executable, "-m", "exactmetric.cli", "tower",
-         "--in", str(FIXTURES / "space_line.json"),
-         "--grid-step", "1/1000000", "--value-cap", "1000000", "--budget", "3"],
-        capture_output=True, text=True, timeout=60, env=cli_env(),
-    )
+    proc = run_cli(["tower", "--in", LINE, "--grid-step", "1/1000000",
+                    "--value-cap", "1000000", "--budget", "3"])
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["error"]["kind"] == "BudgetExceededError"
+
+
+def test_negative_trial_count_is_a_domain_error():
+    code, out = run_main(["proptest", "--suite", "duality", "--trials", "-1"])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "DomainError", "message": "trial count must be non-negative"}
 
 
 HUGE_EXPONENT = "1e100000000"  # Fraction would compute 10**100000000
@@ -166,10 +196,7 @@ def test_exponent_rational_fails_fast(tmp_path, where):
     else:
         argv = ["tower", "--in", str(space), "--grid-step", HUGE_EXPONENT]
     space.write_text(json.dumps(doc))
-    proc = subprocess.run(
-        [sys.executable, "-m", "exactmetric.cli", *argv],
-        capture_output=True, text=True, timeout=30, env=cli_env(),
-    )
+    proc = run_cli(argv)
     if where == "field":
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["error"] == {
