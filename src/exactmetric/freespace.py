@@ -195,7 +195,18 @@ def aell_norm_primal(
     Each path runs from a live source to the nearest live sink, the smallest
     index among equals.  Costs come from ``space.scaled`` and amounts are
     counted in units of 1/lcm of the coefficient denominators, so the search
-    runs on ints; the plan and cost become Fractions on return.
+    runs on ints; the plan is checked against the molecule's marginals, and
+    plan and cost become Fractions on return.
+
+    Each Bellman-Ford round relaxes the forward arcs (sources in index
+    order), then the residual arcs (in the order the flow first used them).
+    The first half-round of an augmentation gives each sink the first
+    minimum of its column of live-source costs; later half-rounds relax only
+    from the labels the previous half-round lowered.  A label that was not
+    lowered cannot strictly improve another: its candidates were compared
+    against labels that have only fallen since.  So labels, predecessors,
+    round count and paths are those of relaxing every arc every round.
+    Dijkstra would break ties differently, and the plan would change.
     """
     space = m.pointed.space
     den, d = space.scaled
@@ -205,43 +216,60 @@ def aell_norm_primal(
     for (x, _), a in zip(m.coeffs, amounts):
         excess[space.index(x)] = a
     excess[m.pointed.basepoint] -= sum(excess)
+    supply = excess[:]
     sources = [i for i, v in enumerate(excess) if v > 0]
     sinks = [i for i, v in enumerate(excess) if v < 0]
+    # each sink's costs from the sources, in source order.  Every label is
+    # at most the largest cost, so far marks a point not reached yet, and a
+    # spent source's cost in the first half-round.
+    column = {t: [d[s][t] for s in sources] for t in sinks}
+    far = max(map(max, column.values()), default=0) + 1
     # (source, sink) -> shipped amount, in the order the arcs were first used
     flow: dict[tuple[int, int], int] = {}
 
-    while any(excess[s] > 0 for s in sources):
-        # Bellman-Ford from the live sources: forward arcs source -> sink cost
-        # d(s, t), residual arcs sink -> source with flow cost -d(s, t).
-        dist = {s: 0 for s in sources if excess[s] > 0}
-        pred: dict[int, int] = {}
+    live = len(sources)
+    while live:
+        # forward arcs source -> sink cost d(s, t), residual arcs
+        # sink -> source with flow cost -d(s, t)
+        dist = [far] * space.n
+        pred = [-1] * space.n
+        for t in sinks:
+            costs = column[t]
+            dist[t] = best = min(costs)
+            pred[t] = sources[costs.index(best)]
+        for s in sources:
+            if excess[s] > 0:
+                dist[s] = 0
+        lowered = set(sinks)
         for _ in range(len(sources) + len(sinks)):
-            changed = False
-            for s in sources:
-                if s in dist:
-                    ds = dist[s]
-                    row = d[s]
-                    for t in sinks:
-                        nd = ds + row[t]
-                        if t not in dist or nd < dist[t]:
-                            dist[t] = nd
-                            pred[t] = s
-                            changed = True
+            lowered_sources = set()
             for (s, t), amount in flow.items():
-                if amount > 0 and t in dist:
+                if amount > 0 and t in lowered:
                     nd = dist[t] - d[s][t]
-                    if s not in dist or nd < dist[s]:
+                    if nd < dist[s]:
                         dist[s] = nd
                         pred[s] = t
-                        changed = True
-            if not changed:
+                        lowered_sources.add(s)
+            if not lowered_sources:
                 break
-        live = [t for t in sinks if excess[t] < 0 and t in dist]
-        if not live:
+            lowered = set()
+            for s in sorted(lowered_sources):
+                ds = dist[s]
+                row = d[s]
+                for t in sinks:
+                    nd = ds + row[t]
+                    if nd < dist[t]:
+                        dist[t] = nd
+                        pred[t] = s
+                        lowered.add(t)
+            if not lowered:
+                break
+        ends = [t for t in sinks if excess[t] < 0]
+        if not ends:
             raise InternalCheckError("imbalance left unshipped")
         # path alternates source, sink, source, ..., sink
-        path = [min(live, key=dist.__getitem__)]
-        while path[-1] in pred:
+        path = [min(ends, key=dist.__getitem__)]
+        while pred[path[-1]] >= 0:
             path.append(pred[path[-1]])
         path.reverse()
         forward = list(zip(path[0::2], path[1::2]))
@@ -253,14 +281,35 @@ def aell_norm_primal(
             flow[arc] -= amount
         excess[path[0]] -= amount
         excess[path[-1]] += amount
+        if not excess[path[0]]:
+            live -= 1
+            k = sources.index(path[0])
+            for costs in column.values():
+                costs[k] = far
 
-    cost = 0
-    plan = []
-    for (s, t), amount in sorted(flow.items()):
-        if amount:
-            cost += amount * d[s][t]
-            plan.append((space.points[s], space.points[t], Fraction(amount, unit)))
-    return Fraction(cost, den * unit), tuple(plan)
+    arcs = [(s, t, amount) for (s, t), amount in sorted(flow.items()) if amount]
+    _check_plan(supply, arcs)
+    cost = sum(amount * d[s][t] for s, t, amount in arcs)
+    pts = space.points
+    plan = tuple((pts[s], pts[t], Fraction(amount, unit)) for s, t, amount in arcs)
+    return Fraction(cost, den * unit), plan
+
+
+def _check_plan(supply: list[int], arcs: list[tuple[int, int, int]]) -> None:
+    """Raise ``InternalCheckError`` unless the int plan ``arcs`` of
+    ``(source, sink, amount)`` ships positive amounts from sources to sinks,
+    each source shipping exactly its supply and each sink receiving exactly
+    its demand (``supply`` is negative at sinks)."""
+    left = supply[:]
+    for s, t, amount in arcs:
+        if amount <= 0 or supply[s] <= 0 or supply[t] >= 0:
+            raise InternalCheckError(
+                f"transport plan ships {amount} from point {s} to point {t}"
+            )
+        left[s] -= amount
+        left[t] += amount
+    if any(left):
+        raise InternalCheckError("transport plan does not match the molecule")
 
 
 def aell_norm(m: Molecule) -> Fraction:

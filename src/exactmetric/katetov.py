@@ -172,6 +172,14 @@ def star_fragment(
     tuples in point order; among equal rows of a pseudometric the first
     point absorbs.
     """
+    return _checked(_assemble(space, attachments))
+
+
+def _assemble(
+    space: FiniteMetricSpace,
+    attachments: Sequence[KatetovFunction],
+) -> StarFragment:
+    """``star_fragment`` before its self-check."""
     for f in attachments:
         if f.space != space:
             raise DomainError("attachment lives on a different space")
@@ -201,6 +209,12 @@ def star_fragment(
     dist += [h + tuple(s) for h, s in zip(hats, sups)]
     points = pts + tuple(owner[h] for h in hats)
     result = FiniteMetricSpace(points, unscale_rows(unit, dist), space.pseudo)
+    return StarFragment(space, tuple(records), result)
+
+
+def _checked(frag: StarFragment) -> StarFragment:
+    """``frag``, once the metric axioms of its result are checked."""
+    result = frag.result
     # on the Fraction rows; an int self-check waits on the benchmark's
     # memory (ROADMAP item 1)
     report = _scan(result, result.dist)
@@ -209,7 +223,7 @@ def star_fragment(
             f"extension fragment failed metric validation: {report.axiom} "
             f"at {report.witness}"
         )
-    return StarFragment(space, tuple(records), result)
+    return frag
 
 
 @dataclass(frozen=True)
@@ -275,13 +289,14 @@ def tower(
                     attachments.append(
                         KatetovFunction(current, supp, mapping)
                     )
-        frag = star_fragment(current, attachments)
+        # refuse a level over budget before its self-check, the costly part
+        frag = _assemble(current, attachments)
         if frag.result.n > policy.point_budget:
             raise BudgetExceededError(
                 f"tower level would have {frag.result.n} points "
                 f"(budget {policy.point_budget})"
             )
-        current = frag.result
+        current = _checked(frag).result
     return current
 
 

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from exactmetric import quotients, randgen
+from exactmetric import freespace, quotients, randgen
 from exactmetric.freespace import Molecule, aell_norm_dual, aell_norm_primal
 from exactmetric.randgen import (
     rand_coeffs,
@@ -19,8 +19,10 @@ from exactmetric.randgen import (
     rand_pointed,
     rotation_action,
 )
+from exactmetric.simplex import simplex_max
 
 from conftest import BENCH, bench_module, cli_env
+from test_simplex import _rational_simplex_max
 
 
 def test_tracing_wraps_every_layer_entry_point():
@@ -39,6 +41,31 @@ def test_tracing_wraps_every_layer_entry_point():
         tracing.restore(undo)
     assert quotients.InvariantPseudometric.__post_init__ is post_init
     assert [s[0] for s in tracer.spans].count("quotients.pseudometric") == 2
+
+
+def test_traced_pivot_count_matches_the_rational_tableau(monkeypatch):
+    """``simplex.pivots`` counts calls of ``simplex.pivot``, one per pivot
+    of the tableau that the rational oracle pivots."""
+    tracing = bench_module("tracing")
+    rng = Random(104)
+    space = rand_metric_space(rng, 10)
+    pointed = rand_pointed(rng, space)
+    m = Molecule.make(pointed, {x: randgen.rand_fraction(rng, -5, 5) for x in space.points})
+    tracer = tracing.Tracer()
+    undo = tracing.instrument(tracer)
+    try:
+        aell_norm_dual(m)
+    finally:
+        tracing.restore(undo)
+    lps = []
+    monkeypatch.setattr(
+        freespace, "simplex_max", lambda c, a, b: lps.append((c, a, b)) or simplex_max(c, a, b)
+    )
+    aell_norm_dual(m)
+    pivots = []
+    _rational_simplex_max(*lps[0], pivots)
+    assert tracer.counts["simplex.calls"] == 1
+    assert tracer.counts["simplex.pivots"] == len(pivots) > 10
 
 
 def test_norms_match_the_network_simplex_oracle():

@@ -176,6 +176,16 @@ def test_huge_tower_grid_fails_fast_on_the_budget():
     assert json.loads(proc.stdout)["error"]["kind"] == "BudgetExceededError"
 
 
+def test_over_budget_tower_level_fails_before_its_self_check():
+    # the 495-point level's metric self-check alone ran for about 90 s
+    proc = run_cli(["tower", "--in", LINE, "--support-size", "2", "--depth", "2",
+                    "--budget", "64"])
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"] == {
+        "kind": "BudgetExceededError",
+        "message": "tower level would have 495 points (budget 64)"}
+
+
 def test_negative_trial_count_is_a_domain_error():
     code, out = run_main(["proptest", "--suite", "duality", "--trials", "-1"])
     assert code == 1

@@ -7,6 +7,7 @@ import pytest
 from exactmetric import (
     DomainError,
     FiniteMetricSpace,
+    InternalCheckError,
     Isometry,
     LipschitzWitness,
     Molecule,
@@ -15,12 +16,14 @@ from exactmetric import (
     aell_norm_dual,
     aell_norm_primal,
     affine_extend,
+    freespace,
     enumerate_isometries,
     fixed_point,
     moving_lower_bound,
     norm_distance,
     rebase,
 )
+from exactmetric.metric import scale
 from exactmetric.randgen import (
     cycle_space,
     rand_coeffs,
@@ -348,3 +351,103 @@ def test_uniform_metric_free_norm_differs_from_l1():
     diff = Molecule.point(pointed, "a") - Molecule.point(pointed, "b")
     assert aell_norm_dual(diff)[0] == 1
     assert sum(abs(v) for _, v in diff.coeffs) == 2
+
+
+def _full_scan_primal(m):
+    """The transport solver that relaxed every arc in every Bellman-Ford
+    round, kept as the oracle of the change-driven one: the same
+    ``(cost, plan)``."""
+    space = m.pointed.space
+    den, d = space.scaled
+    unit, amounts = scale([v for _, v in m.coeffs], "molecule coefficients")
+    excess = [0] * space.n
+    for (x, _), a in zip(m.coeffs, amounts):
+        excess[space.index(x)] = a
+    excess[m.pointed.basepoint] -= sum(excess)
+    sources = [i for i, v in enumerate(excess) if v > 0]
+    sinks = [i for i, v in enumerate(excess) if v < 0]
+    flow = {}
+    while any(excess[s] > 0 for s in sources):
+        dist = {s: 0 for s in sources if excess[s] > 0}
+        pred = {}
+        for _ in range(len(sources) + len(sinks)):
+            changed = False
+            for s in sources:
+                if s in dist:
+                    ds = dist[s]
+                    for t in sinks:
+                        nd = ds + d[s][t]
+                        if t not in dist or nd < dist[t]:
+                            dist[t] = nd
+                            pred[t] = s
+                            changed = True
+            for (s, t), amount in flow.items():
+                if amount > 0 and t in dist:
+                    nd = dist[t] - d[s][t]
+                    if s not in dist or nd < dist[s]:
+                        dist[s] = nd
+                        pred[s] = t
+                        changed = True
+            if not changed:
+                break
+        live = [t for t in sinks if excess[t] < 0 and t in dist]
+        path = [min(live, key=dist.__getitem__)]
+        while path[-1] in pred:
+            path.append(pred[path[-1]])
+        path.reverse()
+        forward = list(zip(path[0::2], path[1::2]))
+        backward = list(zip(path[2::2], path[1::2]))
+        amount = min([excess[path[0]], -excess[path[-1]]] + [flow[a] for a in backward])
+        for arc in forward:
+            flow[arc] = flow.get(arc, 0) + amount
+        for arc in backward:
+            flow[arc] -= amount
+        excess[path[0]] -= amount
+        excess[path[-1]] += amount
+    cost = 0
+    plan = []
+    for (s, t), amount in sorted(flow.items()):
+        if amount:
+            cost += amount * d[s][t]
+            plan.append((space.points[s], space.points[t], Fraction(amount, unit)))
+    return Fraction(cost, den * unit), tuple(plan)
+
+
+def test_change_driven_bellman_ford_matches_the_full_scan():
+    """Same cost and plan, arc for arc, as relaxing every arc every round, on
+    3000 molecules over 2..13 points; every other space has distances from
+    {1, 2, 3} and integer coefficients, so that paths tie often."""
+    rng = Random(7007)
+    palette = [F(1), F(2), F(3)]
+    multi_arc = 0
+    for k in range(3000):
+        ties = k % 2 == 1
+        space = rand_metric_space(rng, 2 + k % 12, palette=palette if ties else None)
+        pointed = rand_pointed(rng, space)
+        if ties:
+            coeffs = {x: F(rng.choice([-2, -1, 1, 2])) for x in space.points}
+        else:
+            coeffs = rand_coeffs(rng, pointed, space.n)
+        m = Molecule.make(pointed, coeffs)
+        want = _full_scan_primal(m)
+        assert aell_norm_primal(m) == want, m
+        multi_arc += len(want[1]) > 2
+    assert multi_arc > 1000
+
+
+def test_plan_check_rejects_a_tampered_plan():
+    # supply 3 at point 0 and 1 at point 1; demand 2 at points 2 and 3
+    supply = [3, 1, -2, -2]
+    plan = [(0, 2, 2), (0, 3, 1), (1, 3, 1)]
+    freespace._check_plan(supply, plan)
+    tampered = [
+        [(0, 2, 2), (0, 3, 1)],                        # point 1 ships nothing
+        [(0, 2, 3), (1, 3, 1)],                        # point 2 gets too much
+        [(0, 2, 2), (0, 3, 1), (1, 3, 1), (0, 2, 0)],  # a zero amount
+        [(0, 2, 3), (0, 3, 1), (1, 3, 1), (0, 2, -1)], # a negative amount
+        [(0, 2, 2), (0, 3, 1), (1, 3, 2), (3, 1, 1)],  # a sink ships
+        [(0, 2, 2), (0, 3, 2), (1, 0, 1)],             # into a source
+    ]
+    for arcs in tampered:
+        with pytest.raises(InternalCheckError):
+            freespace._check_plan(supply, arcs)

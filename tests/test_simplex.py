@@ -204,10 +204,11 @@ def test_integer_tableau_matches_the_rational_tableau(monkeypatch):
     unit_pivot = set()
     real_pivot = simplex.pivot
 
-    def record(rows, r, col, det):
-        seen.append((r, col))
-        unit_pivot.add(rows[r][col] == det)
-        return real_pivot(rows, r, col, det)
+    def record(tab, diag, cols, basis, r, e, det):
+        # the condensed column e holds the entering variable cols[e]
+        seen.append((r, cols[e]))
+        unit_pivot.add(tab[e][r] == det)
+        return real_pivot(tab, diag, cols, basis, r, e, det)
 
     monkeypatch.setattr(simplex, "pivot", record)
     outcomes = set()
