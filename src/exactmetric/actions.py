@@ -26,6 +26,8 @@ class Isometry:
         n = self.space.n
         if sorted(self.perm) != list(range(n)):
             raise DomainError("not a permutation of the point set")
+        # Fraction rows on purpose: compose runs this, and a faster check
+        # multiplies the passes a benchmark run keeps in memory (ROADMAP 1-2)
         d = self.space.dist
         p = self.perm
         for i in range(n):
@@ -59,6 +61,14 @@ class Isometry:
         return Isometry(space, tuple(range(space.n)))
 
 
+def _unchecked(space: FiniteMetricSpace, perm: tuple[int, ...]) -> Isometry:
+    """An ``Isometry`` of a permutation already known to preserve distances,
+    built without the constructor's O(n^2) check."""
+    iso = object.__new__(Isometry)
+    iso.__dict__.update(space=space, perm=perm)
+    return iso
+
+
 def enumerate_isometries(space: FiniteMetricSpace) -> list[Isometry]:
     """All self-isometries, in lexicographic order of their permutations.
 
@@ -69,7 +79,7 @@ def enumerate_isometries(space: FiniteMetricSpace) -> list[Isometry]:
     if space.pseudo:
         raise DomainError("isometry enumeration requires a genuine metric")
     n = space.n
-    d = space.dist
+    d = space.scaled[1]
     profiles = [tuple(sorted(d[i])) for i in range(n)]
     out: list[Isometry] = []
     perm: list[int] = []
@@ -77,7 +87,8 @@ def enumerate_isometries(space: FiniteMetricSpace) -> list[Isometry]:
 
     def backtrack(k: int):
         if k == n:
-            out.append(Isometry(space, tuple(perm)))
+            # every pair the constructor checks was compared on the way down
+            out.append(_unchecked(space, tuple(perm)))
             return
         for cand in range(n):
             if used[cand] or profiles[cand] != profiles[k]:
@@ -191,7 +202,4 @@ def orbit(action: GroupAction, x: str) -> list[str]:
 
 def orbit_diameter(action: GroupAction, x: str) -> Fraction:
     orb = [action.space.index(p) for p in orbit(action, x)]
-    return max(
-        (action.space.dist[i][j] for i in orb for j in orb),
-        default=Fraction(0),
-    )
+    return max(action.space.dist[i][j] for i in orb for j in orb)

@@ -319,8 +319,6 @@ def aell_norm(m: Molecule) -> Fraction:
 
 
 def norm_distance(m1: Molecule, m2: Molecule) -> Fraction:
-    if m1.pointed != m2.pointed:
-        raise DomainError("molecules live over different pointed spaces")
     return aell_norm(m1 - m2)
 
 
@@ -333,12 +331,9 @@ def affine_extend(g: Isometry, m: Molecule) -> Molecule:
     pointed = m.pointed
     if g.space != pointed.space:
         raise DomainError("isometry acts on a different space")
-    out: dict[str, Fraction] = {}
-    for x, v in m.coeffs:
-        gx = g.apply_label(x)
-        out[gx] = out.get(gx, ZERO) + v
-    gbp = g.apply_label(pointed.basepoint_label)
-    out[gbp] = out.get(gbp, ZERO) + (ONE - m.total())
+    # g is a bijection and no support point is the basepoint
+    out = {g.apply_label(x): v for x, v in m.coeffs}
+    out[g.apply_label(pointed.basepoint_label)] = ONE - m.total()
     return Molecule.make(pointed, out)
 
 
@@ -351,11 +346,8 @@ def rebase(m: Molecule, new_basepoint: str) -> Molecule:
     """
     space = m.pointed.space
     new_pointed = PointedSpace(space, space.index(new_basepoint))
-    out: dict[str, Fraction] = {}
-    for x, v in m.coeffs:
-        out[x] = out.get(x, ZERO) + v
-    old_bp = m.pointed.basepoint_label
-    out[old_bp] = out.get(old_bp, ZERO) + (ONE - m.total())
+    out = m.as_dict()
+    out[m.pointed.basepoint_label] = ONE - m.total()
     return Molecule.make(new_pointed, out)
 
 

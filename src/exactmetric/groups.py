@@ -122,13 +122,9 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
         f"{a}|{b}" for a in g.elements for b in h.elements
     )
     m = h.order
-
-    def idx(i, j):
-        return i * m + j
-
     table = tuple(
         tuple(
-            idx(g.table[i1][i2], h.table[j1][j2])
+            g.table[i1][i2] * m + h.table[j1][j2]
             for i2 in range(g.order)
             for j2 in range(h.order)
         )

@@ -9,6 +9,8 @@ violating the mathematical contracts.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, repeat
+from math import lcm
 from typing import Any, Mapping
 
 from .actions import GroupAction, Isometry
@@ -72,25 +74,22 @@ def rationals(value: Any, what: str) -> dict[str, Fraction]:
     return {str(k): parse_rational(v) for k, v in mapping(value, what).items()}
 
 
-def rational_matrix(value: Any, what: str) -> tuple[tuple[Fraction, ...], ...]:
-    # A distance matrix repeats its entries (it is symmetric, and random
-    # spaces draw from a few values), so each distinct string is parsed once.
-    # Only strings are memoized: True == 1 with the same hash, and a JSON
-    # boolean must still be rejected.
-    parsed: dict[str, Fraction] = {}
-
-    def entry(v: Any) -> Fraction:
-        if type(v) is not str:
-            return parse_rational(v)
-        q = parsed.get(v)
-        if q is None:
-            q = parsed[v] = parse_rational(v)
-        return q
-
-    return tuple(
-        tuple(entry(v) for v in array(row, what))
-        for row in array(value, what)
-    )
+def rational_matrix(value: Any, what: str) -> tuple[int, list[list]]:
+    """``(den, rows)``: the entries as ints over the lcm of their
+    denominators.  Each distinct string or integer is parsed once; any other
+    entry (a boolean equals 1, a list is unhashable) is rejected unmemoized."""
+    parsed: dict[Any, Fraction] = {}
+    rows = []
+    for row in array(value, what):
+        rows.append(array(row, what))
+        for v in rows[-1]:
+            if type(v) is not str and type(v) is not int:
+                parse_rational(v)
+            elif v not in parsed:
+                parsed[v] = parse_rational(v)
+    den = lcm(*(q.denominator for q in parsed.values()))
+    ints = {v: q.numerator * (den // q.denominator) for v, q in parsed.items()}
+    return den, [list(map(ints.__getitem__, row)) for row in rows]
 
 
 def indices(value: Any, what: str) -> tuple[int, ...]:
@@ -107,11 +106,8 @@ def parse_space(data: Any) -> FiniteMetricSpace:
     pseudo = data.get("pseudo", False)
     if type(pseudo) is not bool:
         raise StructuralError("pseudo must be a JSON boolean")
-    return FiniteMetricSpace(
-        labels(points, "points"),
-        rational_matrix(dist, "dist"),
-        pseudo,
-    )
+    pts = labels(points, "points")
+    return FiniteMetricSpace.from_scaled(pts, *rational_matrix(dist, "dist"), pseudo)
 
 
 def function_parts(data: Any) -> tuple[tuple[str, ...], dict[str, Fraction]]:
@@ -127,9 +123,11 @@ def space_from_json(data: Mapping[str, Any]) -> FiniteMetricSpace:
 
 
 def space_to_json(space: FiniteMetricSpace):
+    den, rows = space.scaled
+    text = {v: str(Fraction(v, den)) for v in set(chain.from_iterable(rows))}
     return {
         "points": list(space.points),
-        "dist": [[str(v) for v in row] for row in space.dist],
+        "dist": [list(map(text.__getitem__, row)) for row in rows],
         "pseudo": space.pseudo,
     }
 
@@ -189,14 +187,16 @@ def group_to_json(group: FiniteGroup):
 def pseudometric_from_json(data: Mapping[str, Any]) -> InvariantPseudometric:
     group = group_from_json(data)
     (raw,) = require(data, "pseudometric", what="group record")
-    d = rational_matrix(raw, "pseudometric")
+    den, d = rational_matrix(raw, "pseudometric")
     n = group.order
     if len(d) != n or any(len(row) != n for row in d):
         raise StructuralError("pseudometric matrix shape mismatch")
-    pm = InvariantPseudometric(group, d[group.identity])
-    for a in range(n):
-        for b in range(n):
-            if d[a][b] != pm.dist(a, b):
+    delta = d[group.identity]
+    pm = InvariantPseudometric(group, tuple(map(Fraction, delta, repeat(den))))
+    for a, row in enumerate(d):
+        shift = group.table[group.inv(a)]
+        for b, v in enumerate(row):
+            if v != delta[shift[b]]:
                 raise DomainError(
                     "pseudometric is not left-invariant: d(a, b) != "
                     f"d(e, a^-1 b) at ({group.elements[a]}, {group.elements[b]})"
@@ -205,9 +205,12 @@ def pseudometric_from_json(data: Mapping[str, Any]) -> InvariantPseudometric:
 
 
 def pseudometric_to_json(pm: InvariantPseudometric):
-    n = pm.group.order
-    out = group_to_json(pm.group)
-    out["pseudometric"] = [[str(pm.dist(a, b)) for b in range(n)] for a in range(n)]
+    g = pm.group
+    out = group_to_json(g)
+    text = list(map(str, pm.delta))
+    out["pseudometric"] = [
+        list(map(text.__getitem__, g.table[g.inv(a)])) for a in range(g.order)
+    ]
     return out
 
 

@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Sequence
 
 from .actions import Isometry
 from .errors import BudgetExceededError, DomainError, InternalCheckError
-from .metric import FiniteMetricSpace, _scan, scale, set_distance, unscale_rows
+from .metric import FiniteMetricSpace, _scan, scale, set_distance
 
 
 @dataclass(frozen=True)
@@ -208,15 +208,15 @@ def _assemble(
     dist = [row + tuple(h[i] for h in hats) for i, row in enumerate(rows)]
     dist += [h + tuple(s) for h, s in zip(hats, sups)]
     points = pts + tuple(owner[h] for h in hats)
-    result = FiniteMetricSpace(points, unscale_rows(unit, dist), space.pseudo)
+    result = FiniteMetricSpace.from_scaled(points, unit, dist, space.pseudo)
     return StarFragment(space, tuple(records), result)
 
 
 def _checked(frag: StarFragment) -> StarFragment:
     """``frag``, once the metric axioms of its result are checked."""
     result = frag.result
-    # on the Fraction rows; an int self-check waits on the benchmark's
-    # memory (ROADMAP item 1)
+    # Fraction rows on purpose: an int scan multiplies the passes an
+    # extension benchmark run keeps in memory (ROADMAP items 1-2)
     report = _scan(result, result.dist)
     if not report.ok:
         raise InternalCheckError(
@@ -304,10 +304,8 @@ def act_on_katetov(g: Isometry, f: KatetovFunction) -> KatetovFunction:
     """Push f forward along an isometry: the result is f o g^{-1} on g(support)."""
     if g.space != f.space:
         raise DomainError("isometry and function live on different spaces")
-    ginv = g.inverse()
-    supp = tuple(g.apply_label(x) for x in f.support)
-    vals = {x: f.value(ginv.apply_label(x)) for x in supp}
-    return KatetovFunction(f.space, supp, vals)
+    vals = {g.apply_label(x): f.value(x) for x in f.support}
+    return KatetovFunction(f.space, tuple(vals), vals)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice, product
-from math import lcm
+from math import gcd, lcm
 from operator import sub
 from typing import Iterable, Optional, Sequence
 
@@ -42,13 +42,6 @@ def scale_rows(
     return den, tuple(tuple(islice(it, len(row))) for row in rows)
 
 
-def unscale_rows(den: int, rows) -> tuple[tuple[Fraction, ...], ...]:
-    """The int matrix ``rows`` divided by ``den``, making one ``Fraction``
-    per distinct value."""
-    value = {v: Fraction(v, den) for v in set(chain.from_iterable(rows))}
-    return tuple(tuple(map(value.__getitem__, row)) for row in rows)
-
-
 @dataclass(frozen=True)
 class FiniteMetricSpace:
     """Labeled points with a square rational distance matrix.
@@ -72,6 +65,20 @@ class FiniteMetricSpace:
             )
         object.__setattr__(self, "_index", index)
 
+    @classmethod
+    def from_scaled(cls, points, den: int, rows, pseudo: bool = False):
+        """The space with distances ``rows[i][j] / den`` (``den > 0``), one
+        ``Fraction`` per distinct value.  ``(den, rows)``, reduced by their
+        gcd so that it equals ``scale_rows(dist)``, is stored as ``scaled``."""
+        distinct = set(chain.from_iterable(rows))
+        g = gcd(den, *distinct)
+        value = {v // g: Fraction(v, den) for v in distinct}
+        rows = tuple(tuple(map(g.__rfloordiv__, row)) for row in rows)
+        dist = tuple(tuple(map(value.__getitem__, row)) for row in rows)
+        space = cls(tuple(points), dist, pseudo)
+        space.__dict__["scaled"] = den // g, rows
+        return space
+
     @property
     def n(self) -> int:
         return len(self.points)
@@ -85,8 +92,8 @@ class FiniteMetricSpace:
     @cached_property
     def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """``scale_rows(dist)``, the int form of the distances that the
-        solvers read.  Cached on first use; not a field, so ``==`` and
-        hashing ignore it."""
+        solvers read.  Set by :meth:`from_scaled`, else computed on first
+        use; not a field, so ``==`` and hashing ignore it."""
         return scale_rows(self.dist)
 
     def d_label(self, a: str, b: str) -> Fraction:

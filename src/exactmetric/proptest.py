@@ -35,7 +35,7 @@ from .katetov import (
     star_fragment,
     sup_distance,
 )
-from .metric import validate
+from .metric import FiniteMetricSpace, validate
 from .quotients import (
     min_fvf_cover,
     orbit_isomorphism,
@@ -65,21 +65,22 @@ def suite_metric_fuzz(rng: Random):
         return {"what": "valid space rejected",
                 "space": jsonio.space_to_json(space)}
     n = space.n
-    d = [list(row) for row in space.dist]
+    den, rows = space.scaled
+    d = [list(row) for row in rows]
     kind = rng.choice(["symmetry", "diagonal", "triangle", "separation"])
     i, j = rng.randrange(n), rng.randrange(n)
     while j == i:
         j = rng.randrange(n)
     if kind == "symmetry":
-        d[i][j] = d[i][j] + 1
+        d[i][j] = d[i][j] + den
     elif kind == "diagonal":
-        d[i][i] = Fraction(1)
+        d[i][i] = den
     elif kind == "triangle":
-        big = 3 * max(max(row) for row in d) + 1
+        big = 3 * max(max(row) for row in d) + den
         d[i][j] = d[j][i] = big
     else:
-        d[i][j] = d[j][i] = ZERO
-    broken = type(space)(space.points, tuple(tuple(r) for r in d), False)
+        d[i][j] = d[j][i] = 0
+    broken = FiniteMetricSpace.from_scaled(space.points, den, d)
     report = validate(broken)
     if report.ok:
         return {"what": f"planted {kind} violation not found",

@@ -88,20 +88,18 @@ def _coset_space(
         cosets.append(members)
     reps = [c[0] for c in cosets]
     labels = tuple(g.elements[r] + "H" for r in reps)
-    k = len(cosets)
-    dist = [[ZERO] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            expected = pm.dist(reps[i], reps[j])
-            for a in cosets[i]:
-                for b in cosets[j]:
-                    if pm.dist(a, b) != expected:
-                        raise DomainError(
-                            "quotient metric not constant on coset pair "
-                            f"({labels[i]}, {labels[j]})"
-                        )
-            dist[i][j] = expected
-    space = FiniteMetricSpace(labels, tuple(tuple(r) for r in dist), pseudo=False)
+    den, delta = scale(pm.delta, "pseudometric lengths")
+    # d(a, b) = delta[a^-1 b], read off row a^-1 of the table
+    shifts = [g.table[g.inv(a)] for a in range(g.order)]
+    dist = [[delta[shifts[r][s]] for s in reps] for r in reps]
+    for i, ci in enumerate(cosets):
+        for j, cj in enumerate(cosets):
+            if any(delta[shifts[a][b]] != dist[i][j] for a in ci for b in cj):
+                raise DomainError(
+                    "quotient metric not constant on coset pair "
+                    f"({labels[i]}, {labels[j]})"
+                )
+    space = FiniteMetricSpace.from_scaled(labels, den, dist)
     report = validate(space)
     if not report.ok:
         raise DomainError(

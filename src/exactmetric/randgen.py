@@ -22,7 +22,7 @@ from .groups import (
     symmetric_group,
 )
 from .katetov import KatetovFunction, is_katetov
-from .metric import FiniteMetricSpace, PointedSpace, scale_rows, unscale_rows
+from .metric import FiniteMetricSpace, PointedSpace, scale_rows
 from .quotients import InvariantPseudometric
 
 ZERO = Fraction(0)
@@ -72,7 +72,7 @@ def rand_metric_space(
         sk = s[k]
         for i in range(n):
             s[i] = list(map(min, s[i], map(add, repeat(s[i][k]), sk)))
-    return FiniteMetricSpace(labels, unscale_rows(den, s), pseudo)
+    return FiniteMetricSpace.from_scaled(labels, den, s, pseudo)
 
 
 def rand_pointed(rng: Random, space: FiniteMetricSpace) -> PointedSpace:
@@ -159,16 +159,13 @@ def rand_invariant_pseudometric(
         for a, shift in enumerate(shifts):
             via = map(add, repeat(delta[a]), map(delta.__getitem__, shift))
             delta = tuple(map(min, delta, via))
-    return InvariantPseudometric(group, unscale_rows(den, [delta])[0])
+    return InvariantPseudometric(group, tuple(map(Fraction, delta, repeat(den))))
 
 
 def cycle_space(n: int) -> FiniteMetricSpace:
     labels = tuple(str(i) for i in range(n))
-    d = tuple(
-        tuple(Fraction(min(abs(i - j), n - abs(i - j))) for j in range(n))
-        for i in range(n)
-    )
-    return FiniteMetricSpace(labels, d)
+    d = [[min(abs(i - j), n - abs(i - j)) for j in range(n)] for i in range(n)]
+    return FiniteMetricSpace.from_scaled(labels, 1, d)
 
 
 def rotation_action(n: int) -> GroupAction:

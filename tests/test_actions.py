@@ -88,6 +88,58 @@ def test_enumeration_matches_brute_force_random():
             brute_force_isometries(sp)
 
 
+def fraction_isometries(space):
+    """``enumerate_isometries`` as it was, comparing ``Fraction`` rows and
+    building each result through the verifying constructor; kept as the
+    oracle for the int search."""
+    n = space.n
+    d = space.dist
+    profiles = [tuple(sorted(d[i])) for i in range(n)]
+    out, perm, used = [], [], [False] * n
+
+    def backtrack(k):
+        if k == n:
+            out.append(Isometry(space, tuple(perm)))
+            return
+        for cand in range(n):
+            if used[cand] or profiles[cand] != profiles[k]:
+                continue
+            if any(d[perm[j]][cand] != d[j][k] for j in range(k)):
+                continue
+            used[cand] = True
+            perm.append(cand)
+            backtrack(k + 1)
+            perm.pop()
+            used[cand] = False
+
+    backtrack(0)
+    return out
+
+
+def test_int_search_matches_the_fraction_search():
+    rng = Random(23)
+    palette = [F(1, 2), F(1), F(3, 2)]
+    for trial in range(90):
+        kind = trial % 3
+        if kind == 0:
+            space = rand_metric_space(rng, rng.randint(1, 7), palette=palette)
+        elif kind == 1:
+            space = cycle_space(rng.randint(1, 9))
+        else:  # discrete, with a random unit: every permutation is one
+            unit = rng.choice([F(1), F(2, 3), F(5, 2)])
+            space = rand_metric_space(rng, rng.randint(1, 5), palette=[unit])
+        isos = enumerate_isometries(space)
+        assert isos == fraction_isometries(space)
+        assert [Isometry(space, g.perm) for g in isos] == isos
+        assert all(g.space is space for g in isos)
+    # a hand-built space, whose int form is computed on first use
+    discrete = space_from_rows(
+        range(6), [[int(i != j) for j in range(6)] for i in range(6)]
+    )
+    isos = enumerate_isometries(discrete)
+    assert len(isos) == 720 and isos == fraction_isometries(discrete)
+
+
 def test_isometries_form_a_group():
     c5 = cycle_space(5)
     isos = enumerate_isometries(c5)

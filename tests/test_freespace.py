@@ -103,7 +103,7 @@ def test_norm_distance_examples(line013_pointed):
 
 def test_norm_distance_space_mismatch(line013_pointed):
     other = PointedSpace(line013_pointed.space, 1)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="over different pointed spaces"):
         norm_distance(
             Molecule.zero(line013_pointed), Molecule.zero(other)
         )

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
+import sys
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from exactmetric import DomainError, StructuralError
+from conftest import FIXTURES
+from exactmetric import DomainError, StructuralError, cli
 from exactmetric.jsonio import (
     action_from_json,
     action_to_json,
@@ -62,9 +66,48 @@ def test_rational_matrix_still_rejects_booleans(dist):
 
 
 def test_rational_matrix_reads_equal_forms_as_equal_fractions():
-    rows = rational_matrix([[1, "1", "2/2"], ["2/2", "1", 1]], "dist")
-    assert rows == ((F(1),) * 3,) * 2
-    assert all(type(v) is Fraction for row in rows for v in row)
+    den, rows = rational_matrix([[1, "1", "2/2"], ["2/2", "1", 1]], "dist")
+    assert (den, rows) == (1, [[1] * 3] * 2)
+    assert all(type(v) is int for row in rows for v in row)
+    den, rows = rational_matrix([["1/2", "0.5", "2/4"], [1, "-3/4", 0]], "dist")
+    assert (den, rows) == (4, [[2, 2, 2], [4, -3, 0]])
+    # the space built from them holds Fractions again
+    sp = parse_space({"points": ["a", "b"], "dist": [[0, "1"], ["2/2", 0]]})
+    assert sp.dist == ((0, 1), (1, 0)) and sp.scaled == (1, ((0, 1), (1, 0)))
+    assert all(type(v) is Fraction for row in sp.dist for v in row)
+
+
+def run_main(argv, doc):
+    """(exit code, stdout) of ``cli.main`` with ``doc`` as JSON on stdin."""
+    out, stdin = io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(json.dumps(doc))
+    try:
+        with contextlib.redirect_stdout(out):
+            code = cli.main(list(argv))
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("entry", [[], {}, ["1"], {"1": 1}], ids=repr)
+def test_unhashable_matrix_entries_are_structural(entry):
+    """A memo keyed on the entries would raise ``TypeError`` here."""
+    dist = [["0", "1"], ["1", "0"]]
+    dist[0][1] = entry
+    space = {"points": ["a", "b"], "dist": dist}
+    with pytest.raises(StructuralError, match="not a rational"):
+        rational_matrix(dist, "dist")
+    with pytest.raises(StructuralError, match="not a rational"):
+        parse_space(space)
+    group = json.loads((FIXTURES / "pseudometric_s3.json").read_text())
+    group["group"]["pseudometric"][2][3] = entry
+    with pytest.raises(StructuralError, match="not a rational"):
+        pseudometric_from_json(group["group"])
+    for argv, doc in (["validate"], {"space": space}), (["quotient"], group):
+        code, out = run_main(argv, doc)
+        error = json.loads(out)["error"]
+        assert code == 1 and error["kind"] == "StructuralError"
+        assert error["message"].startswith("not a rational")
 
 
 def test_loaded_space_equals_the_space_built_from_its_entries():

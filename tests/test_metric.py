@@ -11,7 +11,7 @@ from exactmetric import (
     set_distance,
     validate,
 )
-from exactmetric.metric import _scan
+from exactmetric.metric import _scan, scale_rows
 from exactmetric.randgen import rand_fraction, rand_metric_space
 
 from conftest import space_from_rows
@@ -222,6 +222,46 @@ def test_scaled_is_not_part_of_equality():
     assert a.scaled == (2, ((0, 1), (1, 0)))
     assert a == b and hash(a) == hash(b) == before
     assert repr(a) == repr(b)
+
+
+def unscale_rows(den, rows):
+    """The int matrix ``rows`` divided by ``den``, one ``Fraction`` per
+    distinct value: how builders made their ``dist`` before ``from_scaled``,
+    kept as its oracle."""
+    value = {v: Fraction(v, den) for row in rows for v in row}
+    return tuple(tuple(map(value.__getitem__, row)) for row in rows)
+
+
+def from_scaled_cases():
+    rng = Random(11)
+    for trial in range(120):
+        n = rng.randint(1, 7)
+        sp = rand_metric_space(rng, n, pseudo=trial % 3 == 0)
+        den, rows = sp.scaled
+        k = rng.randint(2, 6)
+        # the reduced form, a non-reduced one, and a random broken matrix
+        yield sp.points, den, rows, sp.pseudo
+        yield sp.points, den * k, [[v * k for v in r] for r in rows], sp.pseudo
+        yield sp.points, rng.randint(1, 12), [
+            [rng.randint(-4, 9) for _ in range(n)] for _ in range(n)
+        ], False
+    yield ("a", "b", "c"), 6, [[0, 0, 0]] * 3, True
+    yield ("a", "b", "c"), 1, [[0, 1, 5], [1, 0, 1], [5, 1, 3]], False
+    yield (), 7, [], False
+
+
+def test_from_scaled_matches_the_fraction_path():
+    seen = set()
+    for points, den, rows, pseudo in from_scaled_cases():
+        built = FiniteMetricSpace.from_scaled(points, den, rows, pseudo)
+        oracle = FiniteMetricSpace(points, unscale_rows(den, rows), pseudo)
+        assert built == oracle and hash(built) == hash(oracle)
+        assert all(type(v) is Fraction for row in built.dist for v in row)
+        assert "scaled" in vars(built)
+        assert built.scaled == scale_rows(built.dist) == oracle.scaled
+        assert all(type(v) is int for row in built.scaled[1] for v in row)
+        seen.add((built.scaled[0] < den, validate(built).ok))
+    assert seen == {(False, True), (True, True), (False, False), (True, False)}
 
 
 def test_float_distance_is_a_domain_error():

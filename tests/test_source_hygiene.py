@@ -1,6 +1,7 @@
 """Leftovers in the library source: imports a module never uses, private
 module-level functions that nothing in ``src/`` calls, public functions
-and classes that no caller reads, and a second copy of the axiom scans."""
+and classes that no caller reads, a second copy of the axiom scans, and
+spaces built around the one constructor from the int form."""
 
 import ast
 from pathlib import Path
@@ -131,3 +132,21 @@ def test_axiom_violations_are_reported_only_by_metric():
         if "ValidationReport(False" in path.read_text(encoding="utf-8")
     ]
     assert reporters == ["metric.py"]
+
+
+def test_spaces_are_built_only_through_from_scaled():
+    """Outside ``metric``, the library builds a space from its int matrix
+    with ``FiniteMetricSpace.from_scaled``, which keeps that matrix as
+    ``scaled``; a direct ``FiniteMetricSpace(...)`` call would turn it into
+    ``Fraction``s only for ``scaled`` to compute it again."""
+    callers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "metric.py"
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Call)
+        and "FiniteMetricSpace" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        )
+    ]
+    assert callers == []
