@@ -73,11 +73,14 @@ def is_katetov(
 ) -> KatetovReport:
     """Check both Katetov inequalities on all pairs of the support.
 
-    Every support label must be a point of the space and carry a
-    non-negative exact rational; otherwise :class:`DomainError` is raised.
+    Every support label must be a point of the space, occur once and carry
+    a non-negative exact rational; otherwise :class:`DomainError` is raised.
     """
     pts = tuple(support) if support is not None else space.points
     idx = [space.index(x) for x in pts]
+    if len(set(idx)) < len(idx):
+        x = next(x for i, x in enumerate(pts) if x in pts[:i])
+        raise DomainError(f"support repeats the label {x!r}")
     for x in pts:
         if x not in values:
             raise DomainError(f"no value given at {x!r}")
@@ -178,8 +181,10 @@ def star_fragment(
 def _assemble(
     space: FiniteMetricSpace,
     attachments: Sequence[KatetovFunction],
+    budget: Optional[int] = None,
 ) -> StarFragment:
-    """``star_fragment`` before its self-check."""
+    """``star_fragment`` before its self-check; a tower level over
+    ``budget`` points is refused before its distances are built."""
     for f in attachments:
         if f.space != space:
             raise DomainError("attachment lives on a different space")
@@ -202,6 +207,11 @@ def _assemble(
             owner[hat] = label
             hats.append(hat)
         records.append(AttachmentRecord(f.support, dict(f.values), label, fresh))
+    if budget is not None and len(pts) + len(hats) > budget:
+        raise BudgetExceededError(
+            f"tower level would have {len(pts) + len(hats)} points "
+            f"(budget {budget})"
+        )
     sups = [[0] * len(hats) for _ in hats]
     for a, b in combinations(range(len(hats)), 2):
         sups[a][b] = sups[b][a] = max(map(abs, map(sub, hats[a], hats[b])))
@@ -289,13 +299,7 @@ def tower(
                     attachments.append(
                         KatetovFunction(current, supp, mapping)
                     )
-        # refuse a level over budget before its self-check, the costly part
-        frag = _assemble(current, attachments)
-        if frag.result.n > policy.point_budget:
-            raise BudgetExceededError(
-                f"tower level would have {frag.result.n} points "
-                f"(budget {policy.point_budget})"
-            )
+        frag = _assemble(current, attachments, policy.point_budget)
         current = _checked(frag).result
     return current
 

@@ -122,6 +122,21 @@ def test_support_label_outside_the_space_is_a_domain_error():
             "kind": "DomainError", "message": "unknown point label 'zzz'"}
 
 
+def test_support_label_repeated_is_a_domain_error():
+    # star used to exit 0 with ["a", "a"] in its provenance
+    function = load("function.json")
+    function["function"]["support"] = ["a", "a"]
+    star = load("star.json")
+    star["attachments"][0]["support"] = ["0", "3", "0"]
+    for command, doc, label in [("katetov-check", function, "a"),
+                                ("hat-extend", function, "a"),
+                                ("star", star, "0")]:
+        code, out = run_main([command], doc)
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "kind": "DomainError", "message": f"support repeats the label '{label}'"}
+
+
 def test_unreadable_input_file_is_an_error_object(tmp_path):
     assert error_kind(["validate", "--in", str(tmp_path / "absent.json")]) \
         == "FileNotFoundError"
@@ -184,6 +199,15 @@ def test_over_budget_tower_level_fails_before_its_self_check():
     assert json.loads(proc.stdout)["error"] == {
         "kind": "BudgetExceededError",
         "message": "tower level would have 495 points (budget 64)"}
+
+
+def test_over_budget_tower_level_fails_before_its_distances():
+    # building the 4782-point level's sup distances alone took about 40 s
+    proc = run_cli(["tower", "--in", LINE, "--support-size", "3", "--depth", "3"])
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"] == {
+        "kind": "BudgetExceededError",
+        "message": "tower level would have 4782 points (budget 64)"}
 
 
 def test_negative_trial_count_is_a_domain_error():

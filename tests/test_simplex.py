@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -10,6 +11,8 @@ from exactmetric.simplex import simplex_max
 F = Fraction
 ZERO = F(0)
 
+# Beale's cycling example: its A is fractional, outside the unit-pivot
+# contract
 BEALE = (
     [F(3, 4), F(-150), F(1, 50), F(-6)],
     [
@@ -19,19 +22,21 @@ BEALE = (
     ],
     [F(0), F(0), F(1)],
 )
+# the Dantzig budget factor of ``_rational_simplex_max``, simplex's own
+DANTZIG_FACTOR = 20
 
 
 def test_single_variable():
-    value, x = simplex_max([F(3)], [[F(1)]], [F(2)])
+    value, x = simplex_max([F(3)], [[1]], [F(2)])
     assert value == 6 and x == [F(2)]
 
 
 def test_two_variable_textbook():
-    # max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18
+    # max 3x + 5y s.t. x <= 4, y <= 6, x + y <= 8
     value, x = simplex_max(
         [F(3), F(5)],
-        [[F(1), F(0)], [F(0), F(2)], [F(3), F(2)]],
-        [F(4), F(12), F(18)],
+        [[1, 0], [0, 1], [1, 1]],
+        [F(4), F(6), F(8)],
     )
     assert value == 36 and x == [F(2), F(6)]
 
@@ -39,54 +44,91 @@ def test_two_variable_textbook():
 def test_exact_rational_data():
     value, x = simplex_max(
         [F(1, 3), F(1, 7)],
-        [[F(1, 2), F(1, 5)]],
-        [F(3, 4)],
+        [[1, 0], [1, 1]],
+        [F(1, 2), F(3, 4)],
     )
-    # y yields 5/7 per unit of the constraint, x only 2/3
-    assert value == F(15, 28)
-    assert x == [F(0), F(15, 4)]
+    # x yields 1/3 per unit of the shared budget 3/4, y only 1/7, and x is
+    # capped at 1/2
+    assert value == F(1, 6) + F(1, 28)
+    assert x == [F(1, 2), F(1, 4)]
 
 
 def test_no_profitable_direction():
-    value, x = simplex_max([F(-1), F(-2)], [[F(1), F(1)]], [F(5)])
+    value, x = simplex_max([F(-1), F(-2)], [[1, 1]], [F(5)])
     assert value == 0 and x == [F(0), F(0)]
 
 
 def test_unbounded_detected():
     with pytest.raises(DomainError):
-        simplex_max([F(1)], [[F(-1)]], [F(1)])
+        simplex_max([F(1)], [[-1]], [F(1)])
 
 
 def test_negative_rhs_rejected():
     with pytest.raises(DomainError):
-        simplex_max([F(1)], [[F(1)]], [F(-1)])
+        simplex_max([F(1)], [[1]], [F(-1)])
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(DomainError):
-        simplex_max([F(1), F(1)], [[F(1)]], [F(1)])
+        simplex_max([F(1), F(1)], [[1]], [F(1)])
 
 
-def test_degenerate_cycling_candidate():
-    # classic Beale-style degeneracy; must terminate with the right optimum
-    value, _ = simplex_max(*BEALE)
-    assert value == F(1, 20)
+# max x1 + x2 + x3 over a cycle of difference constraints, all tight at the
+# origin, and a bound on x1
+DEGENERATE = (
+    [F(1), F(1), F(1)],
+    [[1, -1, 0], [0, 1, -1], [-1, 0, 1], [1, 0, 0]],
+    [F(0), F(0), F(0), F(1)],
+)
+
+
+def test_degenerate_cycling_candidate(monkeypatch):
+    # degenerate pivots at the origin; must terminate with the right optimum
+    # under Dantzig's rule and under Bland's from the second pivot on
+    for factor in (DANTZIG_FACTOR, 0):
+        monkeypatch.setattr(simplex, "DANTZIG_FACTOR", factor)
+        value, x = simplex_max(*DEGENERATE)
+        assert value == 3 and x == [F(1)] * 3
 
 
 @pytest.mark.parametrize("c, a, b", [
     ([0.1], [[1]], [1]),
-    ([1], [[F(1)]], [0.5]),
-    ([1], [[1.0]], [1]),
+    ([1], [[1]], [0.5]),
+    ([1, 1.0], [[1, 0]], [1]),
 ])
 def test_float_data_is_a_domain_error(c, a, b):
     with pytest.raises(DomainError, match="exact rationals"):
         simplex_max(c, a, b)
 
 
+@pytest.mark.parametrize("a", [[[1.0]], [[F(1)]], [[F(1, 2)]], BEALE[1]])
+def test_non_int_constraint_matrix_is_a_domain_error(a):
+    c = [F(1)] * len(a[0])
+    with pytest.raises(DomainError, match="constraint matrix must hold ints"):
+        simplex_max(c, a, [F(1)] * len(a))
+
+
+@pytest.mark.parametrize("c, a, b", [
+    ([F(1)], [[2]], [F(1)]),
+    # Beale's LP times 100, row by row: its entering column has 25 and 50
+    ([F(3, 4), F(-150), F(1, 50), F(-6)],
+     [[25, -6000, -4, 900], [50, -9000, -2, 300], [0, 0, 1, 0]],
+     [F(0), F(0), F(1)]),
+    # a 3 in the column that enters second
+    ([F(2), F(1)], [[1, 0], [0, 1], [0, 3]], [F(1), F(1), F(1)]),
+    # a 2 that the first pivot makes: max x + y s.t. x - y <= 0, x + y <= 2
+    ([F(1), F(1)], [[1, -1], [1, 1]], [F(0), F(2)]),
+])
+def test_non_unit_pivot_entry_is_a_domain_error(c, a, b):
+    with pytest.raises(DomainError, match="not totally unimodular"):
+        simplex_max(c, a, b)
+
+
 def _rational_simplex_max(c, a, b, pivots):
     """The simplex on a ``Fraction`` tableau that the integer tableau
     replaced, kept as the oracle: the same rules, with each pivot's
-    ``(row, column)`` appended to ``pivots``."""
+    ``(row, column)`` appended to ``pivots``.  It divides by any pivot, so
+    it also solves LPs that the unit-pivot tableau refuses."""
     m = len(a)
     n = len(c)
     if len(b) != m or any(len(row) != n for row in a):
@@ -104,7 +146,7 @@ def _rational_simplex_max(c, a, b, pivots):
     obj = [Fraction(c[j]) for j in range(n)] + [ZERO] * (m + 1)
     rows.append(obj)
     basis = list(range(n, n + m))
-    dantzig_budget = 20 * (m + n)
+    dantzig_budget = DANTZIG_FACTOR * (m + n)
     max_pivots = 2000 * (m + n)
     while True:
         if len(pivots) > max_pivots:
@@ -178,93 +220,119 @@ def _dual_lps(monkeypatch, count):
     return lps
 
 
-def _random_lps(count):
-    """Seeded LPs with fractional data; zeros in b make degenerate vertices,
-    and a column of A with no positive entry can make the LP unbounded."""
+def _unit_lps(count):
+    """Seeded LPs whose rows have at most one +1 and one -1, so A is totally
+    unimodular (its transpose is a node-arc incidence matrix) and every
+    pivot is 1; zeros in b make degenerate vertices, and a column of A with
+    no positive entry can make the LP unbounded."""
     rng = Random(6006)
     lps = []
     for _ in range(count):
         m, n = rng.randint(1, 6), rng.randint(1, 5)
-        a = [
-            [rand_fraction(rng, -3, 3) if rng.random() < 0.7 else ZERO for _ in range(n)]
-            for _ in range(m)
-        ]
+        a = []
+        for _ in range(m):
+            row = [0] * n
+            plus, minus = rng.sample(range(-1, n), 2)  # -1: no such entry
+            if plus >= 0 and rng.random() < 0.8:
+                row[plus] = 1
+            if minus >= 0:
+                row[minus] = -1
+            a.append(row)
         b = [ZERO if rng.random() < 0.3 else rand_fraction(rng, 0, 5) for _ in range(m)]
         c = [rand_fraction(rng, -3, 4) for _ in range(n)]
         lps.append((c, a, b))
     return lps
 
 
-def test_integer_tableau_matches_the_rational_tableau(monkeypatch):
-    """Same optimum, same vertex and the same pivots, in order, as the
-    ``Fraction`` tableau, on dual-norm LPs, random fractional LPs and Beale's
-    cycling example (which reaches Bland's rule)."""
-    lps = _dual_lps(monkeypatch, 150) + _random_lps(150) + [BEALE]
-    seen = []
-    unit_pivot = set()
+def _pivot_sequences(monkeypatch, lps):
+    """Per LP, ``(answer, pivots)`` of the library and of the rational
+    oracle, where the answer is ``(value, x)`` or ``"unbounded"`` and the
+    pivots are ``(row, variable)`` pairs."""
     real_pivot = simplex.pivot
+    seen = []
 
-    def record(tab, diag, cols, basis, r, e, det):
+    def record(tab, cols, basis, r, e):
         # the condensed column e holds the entering variable cols[e]
         seen.append((r, cols[e]))
-        unit_pivot.add(tab[e][r] == det)
-        return real_pivot(tab, diag, cols, basis, r, e, det)
+        return real_pivot(tab, cols, basis, r, e)
 
-    monkeypatch.setattr(simplex, "pivot", record)
+    pairs = []
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex, "pivot", record)
+        for c, a, b in lps:
+            want_pivots = []
+            seen.clear()
+            try:
+                want = _rational_simplex_max(c, a, b, want_pivots)
+            except DomainError:
+                want = "unbounded"
+            try:
+                got = simplex_max(c, a, b)
+            except DomainError:
+                got = "unbounded"
+            pairs.append(((got, list(seen)), (want, want_pivots)))
+    return pairs
+
+
+def test_integer_tableau_matches_the_rational_tableau(monkeypatch):
+    """Same optimum, same vertex and the same pivots, in order, as the
+    ``Fraction`` tableau, on dual-norm LPs and random unimodular LPs."""
+    assert simplex.DANTZIG_FACTOR == DANTZIG_FACTOR
+    lps = _dual_lps(monkeypatch, 150) + _unit_lps(150)
     outcomes = set()
-    for c, a, b in lps:
-        want_pivots = []
-        seen.clear()
-        try:
-            want = _rational_simplex_max(c, a, b, want_pivots)
-        except DomainError:
-            want = "unbounded"
-        try:
-            got = simplex_max(c, a, b)
-        except DomainError:
-            got = "unbounded"
-        assert got == want and seen == want_pivots, (c, a, b)
-        outcomes.add(want if want == "unbounded" else bool(want_pivots))
-    assert len(seen) > 20 * 7  # Beale's LP, last, went past the Dantzig budget
-    # both branches of the pivot ran, and all three kinds of outcome occurred
-    assert unit_pivot == {True, False}
+    for (c, a, b), (got, want) in zip(lps, _pivot_sequences(monkeypatch, lps)):
+        assert got == want, (c, a, b)
+        answer, pivots = want
+        outcomes.add(answer if answer == "unbounded" else bool(pivots))
+    # all three kinds of outcome occurred
     assert outcomes == {"unbounded", True, False}
 
 
+def test_blands_rule_matches_the_rational_tableau(monkeypatch):
+    """With no Dantzig budget, both tableaux pick every pivot after the
+    first by Bland's rule, and still agree; on some LPs that changes the
+    pivots."""
+    lps = _dual_lps(monkeypatch, 150) + _unit_lps(150)
+    dantzig = _pivot_sequences(monkeypatch, lps)
+    monkeypatch.setattr(simplex, "DANTZIG_FACTOR", 0)
+    monkeypatch.setitem(globals(), "DANTZIG_FACTOR", 0)
+    bland = _pivot_sequences(monkeypatch, lps)
+    for (c, a, b), (got, want) in zip(lps, bland):
+        assert got == want, (c, a, b)
+    changed = [d[1][1] != bl[1][1] for d, bl in zip(dantzig, bland)]
+    assert any(changed[:150]) and any(changed[150:])
+
+
 def test_against_brute_force_vertices():
-    # random small LPs checked against enumeration of basic feasible points
-    # on a bounded box, using the fact that an optimum sits at a vertex of
-    # the polytope {0 <= x <= box, A x <= b}
+    # random small unimodular LPs with int b, checked against enumeration of
+    # the integer points of a bounded box: every vertex of such an LP is
+    # integral (Hoffman and Kruskal), so the best grid point is the optimum
     rng = Random(71)
     for _ in range(40):
         n = rng.randint(1, 3)
         m = rng.randint(1, 3)
         c = [F(rng.randint(-4, 4)) for _ in range(n)]
-        a = [[F(rng.randint(0, 3)) for _ in range(n)] for _ in range(m)]
+        a = []
+        for _ in range(m):
+            row = [0] * n
+            for j, v in zip(rng.sample(range(n), min(n, 2)), (1, -1)):
+                row[j] = v if rng.random() < 0.8 else 0
+            a.append(row)
         b = [F(rng.randint(0, 6)) for _ in range(m)]
         box = 10
-        a_full = a + [[F(1 if j == k else 0) for j in range(n)] for k in range(n)]
+        a_full = a + [[1 if j == k else 0 for j in range(n)] for k in range(n)]
         b_full = b + [F(box)] * n
         value, x = simplex_max(c, a_full, b_full)
         assert all(
             sum(a_full[i][j] * x[j] for j in range(n)) <= b_full[i]
             for i in range(len(a_full))
         )
-        # grid search over integer points cannot beat the LP optimum
-        best = F(0)
-        grid = [F(v) for v in range(box + 1)]
-
-        def rec(j, point):
-            nonlocal best
-            if j == n:
-                if all(
-                    sum(a[i][k] * point[k] for k in range(n)) <= b[i]
-                    for i in range(m)
-                ):
-                    best = max(best, sum(c[k] * point[k] for k in range(n)))
-                return
-            for v in grid:
-                rec(j + 1, point + [v])
-
-        rec(0, [])
-        assert value >= best
+        best = max(
+            sum(ck * pk for ck, pk in zip(c, point))
+            for point in product(range(box + 1), repeat=n)
+            if all(
+                sum(aik * pk for aik, pk in zip(a[i], point)) <= b[i]
+                for i in range(m)
+            )
+        )
+        assert value == best

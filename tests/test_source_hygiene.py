@@ -1,7 +1,8 @@
 """Leftovers in the library source: imports a module never uses, private
-module-level functions that nothing in ``src/`` calls, public functions
-and classes that no caller reads, a second copy of the axiom scans, and
-spaces built around the one constructor from the int form."""
+module-level functions that nothing in ``src/`` calls, public functions,
+classes, methods and properties that no caller reads, a second copy of the
+axiom scans, and spaces built around the one constructor from the int
+form."""
 
 import ast
 from pathlib import Path
@@ -97,12 +98,18 @@ def string_names(tree):
 def test_every_public_name_has_a_caller():
     """A public module-level function or class is read by another top-level
     statement of the library, by the benchmark, or by the acceptance tests;
-    the ``__init__`` re-export does not count."""
-    statements = [
-        (path, node, referenced_names(node))
+    the ``__init__`` re-export does not count.  A public method or property
+    of a library class is read as an attribute by library code outside its
+    own body, by the benchmark, or by the acceptance tests."""
+    trees = {
+        path: parse(path)
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "__init__.py"
-        for node in parse(path).body
+    }
+    statements = [
+        (path, node, referenced_names(node))
+        for path, tree in trees.items()
+        for node in tree.body
     ]
     outside = referenced_names(parse(ROOT / "tests" / "test_acceptance.py"))
     for path in sorted((ROOT / "bench").glob("*.py")):
@@ -118,6 +125,27 @@ def test_every_public_name_has_a_caller():
             node.name in names
             for _, other, names in statements
             if other is not node
+        )
+    ]
+    reads = [
+        (path, node)
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    ]
+    unreferenced += [
+        f"{path.name}:{member.lineno} {cls.name}.{member.name}"
+        for path, cls, _ in statements
+        if isinstance(cls, ast.ClassDef)
+        for member in cls.body
+        if isinstance(member, ast.FunctionDef)
+        and not member.name.startswith("_")
+        and member.name not in outside
+        and not any(
+            read.attr == member.name
+            and not (where is path
+                     and member.lineno <= read.lineno <= member.end_lineno)
+            for where, read in reads
         )
     ]
     assert unreferenced == []
