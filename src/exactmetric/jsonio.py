@@ -111,11 +111,16 @@ def parse_space(data: Any) -> FiniteMetricSpace:
 
 
 def function_parts(data: Any) -> tuple[tuple[str, ...], dict[str, Fraction]]:
-    """The (support, values) pair of a function record."""
+    """The (support, values) pair of a function record.  A value off the
+    support is a ``DomainError``, as ``KatetovFunction`` makes it, so
+    ``katetov-check`` refuses it too."""
     support, values = require(
         data, "support", "values", what="function record"
     )
-    return labels(support, "support"), rationals(values, "values")
+    support, values = labels(support, "support"), rationals(values, "values")
+    if set(support) != set(values):
+        raise DomainError("values must be given exactly on the support")
+    return support, values
 
 
 def space_from_json(data: Mapping[str, Any]) -> FiniteMetricSpace:

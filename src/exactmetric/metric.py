@@ -1,9 +1,9 @@
 """Finite (pseudo)metric spaces over exact rationals.
 
-Every distance is a ``fractions.Fraction`` at the API; no floating point
-enters any computation, so axiom checks and inequalities are decided exactly.
-The scans and solvers read the int form, ``space.scaled``: the distances
-times the lcm of their denominators.
+A space stores its distances once, as int rows over a common denominator,
+``space.scaled``, which the scans and solvers read; the ``Fraction`` matrix
+of the API, ``space.dist``, is made from it when first read.  No floating
+point enters any computation, so every check is decided exactly.
 """
 
 from __future__ import annotations
@@ -42,42 +42,46 @@ def scale_rows(
     return den, tuple(tuple(islice(it, len(row))) for row in rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FiniteMetricSpace:
-    """Labeled points with a square rational distance matrix.
+    """Labeled points with a square rational distance matrix, stored once as
+    ``scaled = (den, rows)``: int rows over ``den``, reduced by the gcd of
+    ``den`` and every entry, so that ``scaled == scale_rows(dist)``.  The
+    fields ``points``, ``scaled`` and ``pseudo`` make equality and hashing.
 
     ``pseudo=True`` permits d(x, y) = 0 for distinct x, y.  Construction does
     not validate the axioms; call :func:`validate` (loaders do this for you).
     """
 
     points: tuple[str, ...]
-    dist: tuple[tuple[Fraction, ...], ...]
+    scaled: tuple[int, tuple[tuple[int, ...], ...]]
     pseudo: bool = False
 
-    def __post_init__(self):
-        n = len(self.points)
-        index = {label: i for i, label in enumerate(self.points)}
-        if len(index) != n:
-            raise StructuralError("duplicate point labels")
-        if len(self.dist) != n or any(len(row) != n for row in self.dist):
-            raise StructuralError(
-                "distance matrix shape does not match point count"
-            )
-        object.__setattr__(self, "_index", index)
+    def __init__(self, points, dist, pseudo: bool = False):
+        """The space with the rational matrix ``dist``, scaled once; a
+        distance that is not an exact rational is a ``DomainError``."""
+        self._store(points, *scale_rows(dist), pseudo)
 
     @classmethod
     def from_scaled(cls, points, den: int, rows, pseudo: bool = False):
-        """The space with distances ``rows[i][j] / den`` (``den > 0``), one
-        ``Fraction`` per distinct value.  ``(den, rows)``, reduced by their
-        gcd so that it equals ``scale_rows(dist)``, is stored as ``scaled``."""
-        distinct = set(chain.from_iterable(rows))
-        g = gcd(den, *distinct)
-        value = {v // g: Fraction(v, den) for v in distinct}
-        rows = tuple(tuple(map(g.__rfloordiv__, row)) for row in rows)
-        dist = tuple(tuple(map(value.__getitem__, row)) for row in rows)
-        space = cls(tuple(points), dist, pseudo)
-        space.__dict__["scaled"] = den // g, rows
-        return space
+        """The space with distances ``rows[i][j] / den`` (``den > 0``), stored
+        as ints; no ``Fraction`` is made."""
+        return object.__new__(cls)._store(points, den, rows, pseudo)
+
+    def _store(self, points, den: int, rows, pseudo: bool):
+        """Both constructors' one store step: labels, shape, gcd reduction."""
+        points = tuple(points)
+        index = {label: i for i, label in enumerate(points)}
+        if len(index) != len(points):
+            raise StructuralError("duplicate point labels")
+        if {len(rows), *map(len, rows)} != {len(points)}:
+            raise StructuralError(
+                "distance matrix shape does not match point count"
+            )
+        g = gcd(den, *chain.from_iterable(rows))
+        scaled = den // g, tuple(tuple(map(g.__rfloordiv__, r)) for r in rows)
+        self.__dict__.update(points=points, scaled=scaled, pseudo=pseudo, _index=index)
+        return self
 
     @property
     def n(self) -> int:
@@ -90,11 +94,12 @@ class FiniteMetricSpace:
             raise DomainError(f"unknown point label {label!r}") from None
 
     @cached_property
-    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """``scale_rows(dist)``, the int form of the distances that the
-        solvers read.  Set by :meth:`from_scaled`, else computed on first
-        use; not a field, so ``==`` and hashing ignore it."""
-        return scale_rows(self.dist)
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The distances as ``Fraction`` rows, one ``Fraction`` per distinct
+        value, made the first time they are read."""
+        den, rows = self.scaled
+        value = {v: Fraction(v, den) for v in set(chain.from_iterable(rows))}
+        return tuple(tuple(map(value.__getitem__, row)) for row in rows)
 
     def d_label(self, a: str, b: str) -> Fraction:
         return self.dist[self.index(a)][self.index(b)]
@@ -138,8 +143,8 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
 
     The scans read the int matrix of ``space.scaled``, so every comparison
     is an int comparison.  A distance that is not an exact rational (a
-    float, a string, ``None``) raises ``DomainError("distances must be exact
-    rationals")`` instead of a report.
+    float, a string, ``None``) never reaches them: building the space raises
+    ``DomainError("distances must be exact rationals")``.
 
     The witness is the lexicographically first violating index tuple, and
     each scan visits only the half of the tuples that can be first.  A pair

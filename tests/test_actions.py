@@ -132,7 +132,7 @@ def test_int_search_matches_the_fraction_search():
         assert isos == fraction_isometries(space)
         assert [Isometry(space, g.perm) for g in isos] == isos
         assert all(g.space is space for g in isos)
-    # a hand-built space, whose int form is computed on first use
+    # a hand-built space, scaled once by the public constructor
     discrete = space_from_rows(
         range(6), [[int(i != j) for j in range(6)] for i in range(6)]
     )

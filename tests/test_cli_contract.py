@@ -137,6 +137,22 @@ def test_support_label_repeated_is_a_domain_error():
             "kind": "DomainError", "message": f"support repeats the label '{label}'"}
 
 
+@pytest.mark.parametrize("extra", [{"b": "-5"}, {"zz": "7"}])
+def test_value_off_the_support_is_a_domain_error(extra):
+    # katetov-check used to ignore such a value and exit 0 with {"ok": true}
+    function = load("function.json")
+    function["function"]["values"].update(extra)
+    star = load("star.json")
+    star["attachments"][0]["values"].update(extra)
+    for command, doc in [("katetov-check", function), ("hat-extend", function),
+                         ("star", star)]:
+        code, out = run_main([command], doc)
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "kind": "DomainError",
+            "message": "values must be given exactly on the support"}
+
+
 def test_unreadable_input_file_is_an_error_object(tmp_path):
     assert error_kind(["validate", "--in", str(tmp_path / "absent.json")]) \
         == "FileNotFoundError"

@@ -82,11 +82,10 @@ def test_primal_sum_ships_from_basepoint(line013_pointed):
 
 def test_float_distance_is_a_domain_error():
     # no float reaches either solver, nor comes back as the norm
-    space = FiniteMetricSpace(("a", "b"), ((F(0), 0.5), (0.5, F(0))))
-    m = Molecule.point(PointedSpace(space, 0), "b")
     for solve in (aell_norm_primal, aell_norm_dual):
         with pytest.raises(DomainError, match="exact rationals"):
-            solve(m)
+            space = FiniteMetricSpace(("a", "b"), ((F(0), 0.5), (0.5, F(0))))
+            solve(Molecule.point(PointedSpace(space, 0), "b"))
 
 
 def test_zero_molecule(line013_pointed):

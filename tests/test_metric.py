@@ -7,10 +7,17 @@ import pytest
 from exactmetric import (
     DomainError,
     FiniteMetricSpace,
+    Molecule,
+    PointedSpace,
     StructuralError,
+    aell_norm_dual,
+    aell_norm_primal,
+    enumerate_isometries,
+    norm_distance,
     set_distance,
     validate,
 )
+from exactmetric.jsonio import parse_space, space_from_json, space_to_json
 from exactmetric.metric import _scan, scale_rows
 from exactmetric.randgen import rand_fraction, rand_metric_space
 
@@ -158,9 +165,8 @@ def test_non_rational_distances_are_a_domain_error(rows):
     """Floats were once checked in floating point and accepted, a ``"0"``
     diagonal was reported as a diagonal violation, and a string or ``None``
     off the diagonal raised ``TypeError``."""
-    space = FiniteMetricSpace(("a", "b"), rows)
     with pytest.raises(DomainError, match="distances must be exact rationals"):
-        validate(space)
+        validate(FiniteMetricSpace(("a", "b"), rows))
 
 
 def test_shape_mismatch_is_structural():
@@ -255,7 +261,14 @@ def test_from_scaled_matches_the_fraction_path():
     for points, den, rows, pseudo in from_scaled_cases():
         built = FiniteMetricSpace.from_scaled(points, den, rows, pseudo)
         oracle = FiniteMetricSpace(points, unscale_rows(den, rows), pseudo)
-        assert built == oracle and hash(built) == hash(oracle)
+        # a JSON round trip (parsed only, when the axioms fail), and the
+        # matrix written by hand with int entries where a value is whole
+        load = space_from_json if validate(built).ok else parse_space
+        hand = [[int(v) if v.denominator == 1 else v for v in row]
+                for row in unscale_rows(den, rows)]
+        for other in (oracle, load(space_to_json(built)),
+                      FiniteMetricSpace(points, hand, pseudo)):
+            assert built == other and hash(built) == hash(other)
         assert all(type(v) is Fraction for row in built.dist for v in row)
         assert "scaled" in vars(built)
         assert built.scaled == scale_rows(built.dist) == oracle.scaled
@@ -264,10 +277,31 @@ def test_from_scaled_matches_the_fraction_path():
     assert seen == {(False, True), (True, True), (False, False), (True, False)}
 
 
+def test_a_loaded_space_makes_its_fractions_only_when_read():
+    """A space is stored as its int matrix alone: loading it and running
+    the int-reading layers on it make no ``Fraction`` matrix, and the one
+    read later holds the values its JSON record spells."""
+    rng = Random(5)
+    for _ in range(10):
+        doc = space_to_json(rand_metric_space(rng, rng.randint(2, 7)))
+        space = space_from_json(doc)
+        pointed = PointedSpace(space, 0)
+        m = Molecule.make(pointed, {x: F(i + 1, 3) for i, x in
+                                    enumerate(space.points[1:])})
+        assert validate(space).ok
+        assert aell_norm_dual(m)[0] == aell_norm_primal(m)[0]
+        assert norm_distance(m, Molecule.zero(pointed)) == aell_norm_primal(m)[0]
+        assert enumerate_isometries(space)
+        assert space_to_json(space) == doc
+        assert "dist" not in vars(space)
+        assert space.dist == tuple(tuple(map(F, row)) for row in doc["dist"])
+        assert all(type(v) is Fraction for row in space.dist for v in row)
+        assert "dist" in vars(space)
+
+
 def test_float_distance_is_a_domain_error():
-    sp = FiniteMetricSpace(("a", "b"), ((F(0), 0.5), (0.5, F(0))))
     with pytest.raises(DomainError, match="exact rationals"):
-        sp.scaled
+        FiniteMetricSpace(("a", "b"), ((F(0), 0.5), (0.5, F(0)))).scaled
 
 
 def test_set_distance_examples(line013):

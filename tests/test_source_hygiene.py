@@ -164,9 +164,9 @@ def test_axiom_violations_are_reported_only_by_metric():
 
 def test_spaces_are_built_only_through_from_scaled():
     """Outside ``metric``, the library builds a space from its int matrix
-    with ``FiniteMetricSpace.from_scaled``, which keeps that matrix as
-    ``scaled``; a direct ``FiniteMetricSpace(...)`` call would turn it into
-    ``Fraction``s only for ``scaled`` to compute it again."""
+    with ``FiniteMetricSpace.from_scaled``, which stores that matrix as it
+    is; a direct ``FiniteMetricSpace(...)`` call takes ``Fraction``s, so it
+    would turn the ints into ``Fraction``s only to scale them back."""
     callers = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.rglob("*.py"))
