@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+from operator import add, sub
 from typing import Mapping, Sequence
 
 from .actions import GroupAction, Isometry
@@ -43,16 +44,17 @@ class Molecule:
 
     @staticmethod
     def make(pointed: PointedSpace, mapping: Mapping[str, Fraction]) -> "Molecule":
-        bp = pointed.basepoint_label
+        index, bp = pointed.space.index, pointed.basepoint
         items = []
         for label, value in mapping.items():
-            pointed.space.index(label)
-            if not isinstance(value, Rational):
-                raise DomainError("molecule coefficients must be exact rationals")
-            if label != bp and value != ZERO:
-                items.append((label, Fraction(value)))
-        items.sort(key=lambda kv: pointed.space.index(kv[0]))
-        return Molecule(pointed, tuple(items))
+            i = index(label)
+            if type(value) is not Fraction:
+                if not isinstance(value, Rational):
+                    raise DomainError("molecule coefficients must be exact rationals")
+                value = Fraction(value)
+            if value and i != bp:
+                items.append((i, label, value))
+        return Molecule(pointed, tuple((label, v) for _, label, v in sorted(items)))
 
     @staticmethod
     def zero(pointed: PointedSpace) -> "Molecule":
@@ -73,23 +75,23 @@ class Molecule:
         return sum((v for _, v in self.coeffs), ZERO)
 
     def __add__(self, other: "Molecule") -> "Molecule":
-        self._check_same(other)
-        out = self.as_dict()
-        for label, value in other.coeffs:
-            out[label] = out.get(label, ZERO) + value
-        return Molecule.make(self.pointed, out)
+        return self._merge(other, add)
 
     def __sub__(self, other: "Molecule") -> "Molecule":
-        return self + other.scale(Fraction(-1))
+        return self._merge(other, sub)
+
+    def _merge(self, other: "Molecule", op) -> "Molecule":
+        if self.pointed != other.pointed:
+            raise DomainError("molecules live over different pointed spaces")
+        out = self.as_dict()
+        for label, value in other.coeffs:
+            out[label] = op(out.get(label, ZERO), value)
+        return Molecule.make(self.pointed, out)
 
     def scale(self, q: Fraction) -> "Molecule":
         return Molecule.make(
             self.pointed, {label: q * value for label, value in self.coeffs}
         )
-
-    def _check_same(self, other: "Molecule"):
-        if self.pointed != other.pointed:
-            raise DomainError("molecules live over different pointed spaces")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, repeat
-from math import lcm
+from math import gcd, lcm
 from typing import Any, Mapping
 
 from .actions import GroupAction, Isometry
@@ -25,9 +25,24 @@ from .quotients import InvariantPseudometric
 def parse_rational(value: Any) -> Fraction:
     """A JSON integer, or a string ``p``, ``p/q`` or decimal.  Exponents are
     rejected: ``Fraction("1e10000000")`` would compute 10**10000000."""
-    if type(value) is int or isinstance(value, str) and "e" not in value.lower():
+    return Fraction(*_ratio(value))
+
+
+def _ratio(value: Any) -> tuple[int, int]:
+    """``parse_rational``'s value as a reduced ``(p, q)``, ``q > 0``.  An int
+    or an ASCII ``[-]digits[/digits]`` with a non-zero denominator is read
+    by ``int``; any other form by ``Fraction``, which decides what passes."""
+    if type(value) is int:
+        return value, 1
+    if isinstance(value, str) and "e" not in value.lower():
+        num, slash, den = value.partition("/")
         try:
-            return Fraction(value)
+            if (value.isascii() and num.removeprefix("-").isdigit()
+                    and (not slash or den.isdigit() and den.strip("0"))):
+                p, q = int(num), int(den or 1)
+                g = gcd(p, q)
+                return p // g, q // g
+            return Fraction(value).as_integer_ratio()
         except (ValueError, ZeroDivisionError):
             pass
     raise StructuralError(f"not a rational: {value!r}")
@@ -76,19 +91,19 @@ def rationals(value: Any, what: str) -> dict[str, Fraction]:
 
 def rational_matrix(value: Any, what: str) -> tuple[int, list[list]]:
     """``(den, rows)``: the entries as ints over the lcm of their
-    denominators.  Each distinct string or integer is parsed once; any other
-    entry (a boolean equals 1, a list is unhashable) is rejected unmemoized."""
-    parsed: dict[Any, Fraction] = {}
+    denominators.  Each distinct string or int is read once, to an int pair;
+    any other entry (True equals 1, a list is unhashable) is refused unmemoized."""
+    parsed: dict[Any, tuple[int, int]] = {}
     rows = []
     for row in array(value, what):
         rows.append(array(row, what))
         for v in rows[-1]:
             if type(v) is not str and type(v) is not int:
-                parse_rational(v)
+                _ratio(v)
             elif v not in parsed:
-                parsed[v] = parse_rational(v)
-    den = lcm(*(q.denominator for q in parsed.values()))
-    ints = {v: q.numerator * (den // q.denominator) for v, q in parsed.items()}
+                parsed[v] = _ratio(v)
+    den = lcm(*(q for _, q in parsed.values()))
+    ints = {v: p * (den // q) for v, (p, q) in parsed.items()}
     return den, [list(map(ints.__getitem__, row)) for row in rows]
 
 

@@ -84,9 +84,10 @@ def is_katetov(
     for x in pts:
         if x not in values:
             raise DomainError(f"no value given at {x!r}")
-        if not isinstance(values[x], Rational):
+        value = values[x]
+        if type(value) not in (Fraction, int) and not isinstance(value, Rational):
             raise DomainError(f"value at {x!r} must be an exact rational")
-        if values[x] < 0:
+        if value < 0:
             raise DomainError(f"negative value at {x!r}")
     den, sd = space.scaled
     unit, v = scale([values[x] for x in pts], "Katetov values", den)

@@ -79,7 +79,8 @@ class FiniteMetricSpace:
                 "distance matrix shape does not match point count"
             )
         g = gcd(den, *chain.from_iterable(rows))
-        scaled = den // g, tuple(tuple(map(g.__rfloordiv__, r)) for r in rows)
+        rows = rows if g == 1 else [map(g.__rfloordiv__, r) for r in rows]
+        scaled = den // g, tuple(map(tuple, rows))
         self.__dict__.update(points=points, scaled=scaled, pseudo=pseudo, _index=index)
         return self
 
@@ -204,9 +205,10 @@ def require_valid(space: FiniteMetricSpace) -> FiniteMetricSpace:
 def set_distance(
     space: FiniteMetricSpace, a: Iterable[str], b: Iterable[str]
 ) -> Fraction:
-    """min over (x, y) in A x B of d(x, y)."""
+    """min over (x, y) in A x B of d(x, y), read from ``space.scaled``."""
     ia = [space.index(x) for x in a]
     ib = [space.index(x) for x in b]
     if not ia or not ib:
         raise DomainError("set_distance requires non-empty sets")
-    return min(space.dist[i][j] for i, j in product(ia, ib))
+    den, d = space.scaled
+    return Fraction(min(d[i][j] for i, j in product(ia, ib)), den)

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from numbers import Rational
 from random import Random
 
 import pytest
@@ -450,3 +451,79 @@ def test_plan_check_rejects_a_tampered_plan():
     for arcs in tampered:
         with pytest.raises(InternalCheckError):
             freespace._check_plan(supply, arcs)
+
+
+def _parent_make(pointed, mapping):
+    """``Molecule.make`` before it looked labels up once and skipped the
+    conversion of ``Fraction`` values, kept as its oracle."""
+    bp = pointed.basepoint_label
+    items = []
+    for label, value in mapping.items():
+        pointed.space.index(label)
+        if not isinstance(value, Rational):
+            raise DomainError("molecule coefficients must be exact rationals")
+        if label != bp and value != 0:
+            items.append((label, Fraction(value)))
+    items.sort(key=lambda kv: pointed.space.index(kv[0]))
+    return Molecule(pointed, tuple(items))
+
+
+def _parent_add(m1, m2):
+    if m1.pointed != m2.pointed:
+        raise DomainError("molecules live over different pointed spaces")
+    out = m1.as_dict()
+    for label, value in m2.coeffs:
+        out[label] = out.get(label, F(0)) + value
+    return _parent_make(m1.pointed, out)
+
+
+def _parent_sub(m1, m2):
+    return _parent_add(m1, _parent_make(
+        m2.pointed, {x: F(-1) * v for x, v in m2.coeffs}))
+
+
+def _outcome(f, *args):
+    """``f(*args)`` with the types of its coefficients, or the message of
+    the ``DomainError`` it raised."""
+    try:
+        m = f(*args)
+    except DomainError as e:
+        return str(e)
+    return m, [type(v) for _, v in m.coeffs]
+
+
+def test_make_add_and_sub_match_the_parent():
+    """The same molecules, with ``Fraction`` coefficients, or the same first
+    ``DomainError``, as the parent's ``make``, ``+`` and ``-``, on 2000
+    seeded cases.  Coefficients are ints, bools and ``Fraction``s, zeros
+    among them, on labels that include the basepoint; a float, an unknown
+    label and a float on an unknown label land at random positions."""
+    rng = Random(1919)
+    spaces = [rand_pointed(rng, rand_metric_space(rng, n)) for n in range(1, 8)]
+    values = [0, 1, -3, True, False, F(0), F(1), F(-2, 3), F(5, 7)]
+    seen = set()
+    for k in range(2000):
+        pointed = rng.choice(spaces)
+        labels = rng.sample(pointed.space.points, rng.randint(0, pointed.space.n))
+        items = [(x, rng.choice(values)) for x in labels]
+        bad = [(rng.choice(pointed.space.points), 0.5), ("zz", F(1)), ("zy", 0.25)]
+        for item in bad:
+            if rng.random() < 0.2:
+                items.insert(rng.randint(0, len(items)), item)
+        mapping = dict(items)
+        want = _outcome(_parent_make, pointed, mapping)
+        assert _outcome(Molecule.make, pointed, mapping) == want, mapping
+        seen.add(want if isinstance(want, str) else "ok")
+        other = rng.choice(spaces) if k % 10 == 0 else pointed
+        m1 = Molecule.make(pointed, {x: rng.choice(values) for x in labels})
+        m2 = Molecule.make(other, {x: rng.choice(values) for x in other.space.points
+                                   if rng.random() < 0.7})
+        for new, old in ((m1.__add__, _parent_add), (m1.__sub__, _parent_sub)):
+            want = _outcome(old, m1, m2)
+            assert _outcome(new, m2) == want
+            seen.add(want if isinstance(want, str) else "ok")
+    assert seen == {
+        "ok", "unknown point label 'zz'", "unknown point label 'zy'",
+        "molecule coefficients must be exact rationals",
+        "molecules live over different pointed spaces",
+    }

@@ -57,6 +57,101 @@ def test_parse_rational_rejections():
             parse_rational(bad)
 
 
+def _parent_parse_rational(value):
+    """The ``Fraction`` reader that ``parse_rational`` replaced, kept as its
+    oracle: the value, or ``None`` where it raised ``StructuralError``."""
+    if type(value) is int or isinstance(value, str) and "e" not in value.lower():
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    return None
+
+
+def _matrix_value(value):
+    den, rows = rational_matrix([[value]], "dist")
+    return F(rows[0][0], den)
+
+
+def _read_both_ways(value):
+    """``value`` through ``parse_rational`` and through ``rational_matrix``:
+    the two values, ``None`` for each that raised ``StructuralError``."""
+    out = []
+    for read in (parse_rational, _matrix_value):
+        try:
+            out.append(read(value))
+        except StructuralError:
+            out.append(None)
+    return out
+
+
+PINNED_BAD = ["1/", "/2", "1//2", "1/2/3", "-", "", "1/0", "0/0", "1/-2"]
+
+
+@pytest.mark.parametrize("bad", PINNED_BAD, ids=repr)
+def test_int_pair_reader_refuses_what_fraction_refuses(bad):
+    # splitting on "/" alone would read "1/" as 1
+    assert _parent_parse_rational(bad) is None
+    with pytest.raises(StructuralError, match="not a rational"):
+        parse_rational(bad)
+    with pytest.raises(StructuralError, match="not a rational"):
+        rational_matrix([[0, bad], [bad, 0]], "dist")
+
+
+@pytest.mark.parametrize("text, want", [("-0012/0004", F(-3)), ("007/014", F(1, 2))])
+def test_int_pair_reader_reads_leading_zeros_as_fraction_does(text, want):
+    assert Fraction(text) == want
+    assert _read_both_ways(text) == [want, want]
+
+
+def test_int_pair_reader_matches_fraction():
+    """Every text over the digits, the signs, "/", ".", "_", " ", "e", "E"
+    and two non-ASCII digits reads as the parent's ``Fraction`` reader
+    reads it, through ``parse_rational`` and through ``rational_matrix``:
+    the same value, or ``StructuralError`` from both."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    long_digits = "7" * 4301  # over int()'s default 4300-digit limit
+    named = PINNED_BAD + [
+        "-0012/0004", "007/014", "0", "-0", "12", "-7/2", "4/6", "1.25",
+        " 1/2 ", "1 / 2", "+3", "1_000", "1__0", "١", "²", "1e3", "2E-3",
+        long_digits, long_digits + "/3", "1/" + long_digits, "9" * 4300,
+        0, -5, 10**50,
+    ]
+    texts = st.text(alphabet="0123456789-+/._ eE١²", max_size=10)
+
+    def agrees(value):
+        want = _parent_parse_rational(value)
+        assert _read_both_ways(value) == [want, want], value
+
+    for value in named:
+        agrees(value)
+
+    @hypothesis.settings(max_examples=400, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(st.one_of(texts, st.integers()))
+    def check(value):
+        agrees(value)
+
+    check()
+
+
+def test_loading_ascii_ratios_makes_no_fraction_in_jsonio(monkeypatch):
+    """A space of ASCII ``p/q`` strings and JSON ints is read as int pairs."""
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} made while loading")
+
+    doc = space_to_json(rand_metric_space(Random(3), 6))
+    assert any("/" in v for row in doc["dist"] for v in row)
+    doc["dist"][0][0] = 0
+    monkeypatch.setattr("exactmetric.jsonio.Fraction", no_fraction)
+    pointed = pointed_from_json(dict(doc, basepoint=doc["points"][0]))
+    monkeypatch.undo()
+    assert "dist" not in vars(pointed.space)
+    doc["dist"][0][0] = "0"
+    assert space_to_json(pointed.space) == doc
+
+
 @pytest.mark.parametrize("dist", [[[0, True], [True, 0]], [[0, 1], [True, 0]]])
 def test_rational_matrix_still_rejects_booleans(dist):
     # True == 1 with the same hash, so a memo keyed on any entry would

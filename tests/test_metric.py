@@ -293,6 +293,8 @@ def test_a_loaded_space_makes_its_fractions_only_when_read():
         assert norm_distance(m, Molecule.zero(pointed)) == aell_norm_primal(m)[0]
         assert enumerate_isometries(space)
         assert space_to_json(space) == doc
+        assert set_distance(space, space.points[:1], space.points[1:]) == min(
+            map(F, doc["dist"][0][1:]))
         assert "dist" not in vars(space)
         assert space.dist == tuple(tuple(map(F, row)) for row in doc["dist"])
         assert all(type(v) is Fraction for row in space.dist for v in row)
