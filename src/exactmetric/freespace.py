@@ -169,13 +169,13 @@ def aell_norm_dual(m: Molecule) -> tuple[Fraction, LipschitzWitness]:
     shift = sum((ci * di for ci, di in zip(c, dbp)), ZERO)
     norm = (value - shift) / den
     # the optimum on support + basepoint, extended by min-plus to every
-    # point, as ints in units of 1/(den * unit)
-    unit, gs = scale(g, "LP optimum")
-    f = [
-        (sd[x], gi - unit * dbp[i]) for i, (x, gi) in enumerate(zip(supp, gs))
-    ] + [(sd[bp], 0)]
+    # point, as ints in units of 1/den: the constraint matrix is totally
+    # unimodular and the right-hand side is int, so the vertex g is integral
+    # (Hoffman and Kruskal); the witness and pairing checks certify it
+    f = [(sd[x], gi.numerator - di) for x, gi, di in zip(supp, g, dbp)]
+    f.append((sd[bp], 0))
     full = {
-        label: Fraction(min(fy + unit * row[i] for row, fy in f), den * unit)
+        label: Fraction(min(fy + row[i] for row, fy in f), den)
         for i, label in enumerate(space.points)
     }
     witness = LipschitzWitness(pointed, full)

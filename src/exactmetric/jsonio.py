@@ -126,16 +126,12 @@ def parse_space(data: Any) -> FiniteMetricSpace:
 
 
 def function_parts(data: Any) -> tuple[tuple[str, ...], dict[str, Fraction]]:
-    """The (support, values) pair of a function record.  A value off the
-    support is a ``DomainError``, as ``KatetovFunction`` makes it, so
-    ``katetov-check`` refuses it too."""
+    """The (support, values) pair of a function record; ``is_katetov``
+    checks that the values lie exactly on the support."""
     support, values = require(
         data, "support", "values", what="function record"
     )
-    support, values = labels(support, "support"), rationals(values, "values")
-    if set(support) != set(values):
-        raise DomainError("values must be given exactly on the support")
-    return support, values
+    return labels(support, "support"), rationals(values, "values")
 
 
 def space_from_json(data: Mapping[str, Any]) -> FiniteMetricSpace:

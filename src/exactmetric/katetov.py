@@ -26,6 +26,9 @@ from .actions import Isometry
 from .errors import BudgetExceededError, DomainError, InternalCheckError
 from .metric import FiniteMetricSpace, _scan, scale, set_distance
 
+# a checked (support, values) record of a Katetov function
+_Pair = tuple[tuple[str, ...], Mapping[str, Fraction]]
+
 
 @dataclass(frozen=True)
 class KatetovFunction:
@@ -40,15 +43,13 @@ class KatetovFunction:
     values: Mapping[str, Fraction]
 
     def __post_init__(self):
-        if not self.support:
-            raise DomainError("a Katetov function needs a non-empty support")
-        if set(self.support) != set(self.values):
-            raise DomainError("values must be given exactly on the support")
         report = is_katetov(self.space, self.values, self.support)
         if not report.ok:
             raise DomainError(
                 f"not Katetov: {report.side} inequality fails at {report.pair}"
             )
+        if not self.support:
+            raise DomainError("a Katetov function needs a non-empty support")
 
     def value(self, x: str) -> Fraction:
         return self.values[x]
@@ -73,9 +74,12 @@ def is_katetov(
 ) -> KatetovReport:
     """Check both Katetov inequalities on all pairs of the support.
 
-    Every support label must be a point of the space, occur once and carry
-    a non-negative exact rational; otherwise :class:`DomainError` is raised.
+    A given support must hold exactly the labels of ``values``, each a point
+    of the space, once, with a non-negative exact rational value; otherwise
+    :class:`DomainError` is raised.
     """
+    if support is not None and set(support) != set(values):
+        raise DomainError("values must be given exactly on the support")
     pts = tuple(support) if support is not None else space.points
     idx = [space.index(x) for x in pts]
     if len(set(idx)) < len(idx):
@@ -101,24 +105,24 @@ def is_katetov(
     return KatetovReport(True)
 
 
-def _hats(space: FiniteMetricSpace, fs: Sequence[KatetovFunction]):
-    """``(unit, rows, hats)``: the distances and the hat extensions of
-    ``fs``, as int tuples in point order times one common ``unit``."""
+def _hats(space: FiniteMetricSpace, pairs: Sequence[_Pair]):
+    """``(unit, rows, hats)``: the distances and the hat extensions of the
+    pairs, as int tuples in point order times one common ``unit``."""
     den, sd = space.scaled
     unit, flat = scale(
-        [f.values[y] for f in fs for y in f.support], "Katetov values", den
+        [vals[y] for supp, vals in pairs for y in supp], "Katetov values", den
     )
     rows = tuple(tuple(map((unit // den).__mul__, r)) for r in sd)
     it = iter(flat)
     return unit, rows, [tuple(reduce(partial(map, min), [
-        map(add, repeat(next(it)), rows[space.index(y)]) for y in f.support
-    ])) for f in fs]
+        map(add, repeat(next(it)), rows[space.index(y)]) for y in supp
+    ])) for supp, _ in pairs]
 
 
 def hat_extension(f: KatetovFunction) -> KatetovFunction:
     """Extend f from its support to the full space via the min-plus formula."""
     space = f.space
-    unit, _, (hat,) = _hats(space, [f])
+    unit, _, (hat,) = _hats(space, [(f.support, f.values)])
     values = dict(zip(space.points, map(Fraction, hat, repeat(unit))))
     ext = KatetovFunction(space, space.points, values)
     for y in f.support:
@@ -176,28 +180,29 @@ def star_fragment(
     tuples in point order; among equal rows of a pseudometric the first
     point absorbs.
     """
-    return _checked(_assemble(space, attachments))
+    for f in attachments:
+        if f.space != space:
+            raise DomainError("attachment lives on a different space")
+    pairs = [(f.support, f.values) for f in attachments]
+    return _checked(_assemble(space, pairs))
 
 
 def _assemble(
     space: FiniteMetricSpace,
-    attachments: Sequence[KatetovFunction],
+    pairs: Sequence[_Pair],
     budget: Optional[int] = None,
 ) -> StarFragment:
-    """``star_fragment`` before its self-check; a tower level over
-    ``budget`` points is refused before its distances are built."""
-    for f in attachments:
-        if f.space != space:
-            raise DomainError("attachment lives on a different space")
+    """``star_fragment`` of checked pairs before its self-check; a tower
+    level over ``budget`` points is refused before its distances are built."""
     pts = space.points
-    unit, rows, all_hats = _hats(space, attachments)
+    unit, rows, all_hats = _hats(space, pairs)
     owner: dict[tuple[int, ...], str] = {}
     for x, row in zip(pts, rows):
         owner.setdefault(row, x)
     existing = set(pts)
     hats: list[tuple[int, ...]] = []
     records: list[AttachmentRecord] = []
-    for f, hat in zip(attachments, all_hats):
+    for (support, values), hat in zip(pairs, all_hats):
         label = owner.get(hat)
         fresh = label is None
         if fresh:
@@ -207,7 +212,7 @@ def _assemble(
             existing.add(label)
             owner[hat] = label
             hats.append(hat)
-        records.append(AttachmentRecord(f.support, dict(f.values), label, fresh))
+        records.append(AttachmentRecord(support, dict(values), label, fresh))
     if budget is not None and len(pts) + len(hats) > budget:
         raise BudgetExceededError(
             f"tower level would have {len(pts) + len(hats)} points "
@@ -289,18 +294,15 @@ def tower(
     grid = policy.grid()
     current = space
     for _ in range(depth):
-        attachments: list[KatetovFunction] = []
+        pairs: list[_Pair] = []
         pts = current.points
         for k in range(1, min(policy.support_size, current.n) + 1):
             for supp in combinations(pts, k):
                 for vals in product(grid, repeat=k):
                     mapping = dict(zip(supp, vals))
-                    if not is_katetov(current, mapping, supp).ok:
-                        continue
-                    attachments.append(
-                        KatetovFunction(current, supp, mapping)
-                    )
-        frag = _assemble(current, attachments, policy.point_budget)
+                    if is_katetov(current, mapping, supp).ok:
+                        pairs.append((supp, mapping))
+        frag = _assemble(current, pairs, policy.point_budget)
         current = _checked(frag).result
     return current
 

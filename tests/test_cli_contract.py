@@ -153,6 +153,46 @@ def test_value_off_the_support_is_a_domain_error(extra):
             "message": "values must be given exactly on the support"}
 
 
+@pytest.mark.parametrize("values, katetov_check, needs_a_point", [
+    ({"a": "1"}, "values must be given exactly on the support",
+     "values must be given exactly on the support"),
+    ({}, None, "a Katetov function needs a non-empty support"),
+])
+def test_empty_support_reports_its_first_failing_rule(
+        values, katetov_check, needs_a_point):
+    """``katetov-check`` accepts the empty function; a hat or an attachment
+    needs a point.  A value off the empty support is refused first."""
+    function = load("function.json")
+    function["function"].update(support=[], values=values)
+    star = load("star.json")
+    star["attachments"][0].update(support=[], values=values)
+    for command, doc, message in [("katetov-check", function, katetov_check),
+                                  ("hat-extend", function, needs_a_point),
+                                  ("star", star, needs_a_point)]:
+        code, out = run_main([command], doc)
+        if message is None:
+            assert (code, json.loads(out)) == (0, {"ok": True})
+        else:
+            assert code == 1
+            assert json.loads(out)["error"] == {
+                "kind": "DomainError", "message": message}
+
+
+@pytest.mark.parametrize("side, values", [("A", "phi"), ("B", "psi")])
+def test_prop_k_value_off_an_empty_support_is_refused_first(side, values):
+    doc = load("prop_k.json")
+    doc[side] = []
+    code, out = run_main(["prop-k"], doc)
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "DomainError",
+        "message": "values must be given exactly on the support"}
+    doc[values] = {}
+    code, out = run_main(["prop-k"], doc)
+    assert json.loads(out)["error"]["message"] == (
+        "a Katetov function needs a non-empty support")
+
+
 def test_unreadable_input_file_is_an_error_object(tmp_path):
     assert error_kind(["validate", "--in", str(tmp_path / "absent.json")]) \
         == "FileNotFoundError"

@@ -32,6 +32,7 @@ from exactmetric.randgen import (
     rand_pointed,
     rotation_action,
 )
+from exactmetric.simplex import simplex_max
 
 from conftest import FIXTURES, fixture_generator, space_from_rows
 
@@ -44,15 +45,28 @@ def test_point_molecule_norm_is_basepoint_distance(line013_pointed):
     assert aell_norm_primal(m)[0] == 3
 
 
-def test_solver_answers_match_the_recorded_fixture():
+def test_solver_answers_match_the_recorded_fixture(monkeypatch):
     """Plans and witnesses, not only norms: each solver's tie-breaks among
-    optimal answers stay as recorded in ``fixtures/solver_answers.json``."""
+    optimal answers stay as recorded in ``fixtures/solver_answers.json``.
+    The dual LP has a totally unimodular matrix and an int right-hand side,
+    so every vertex the simplex returns is integral, as the dual's witness
+    assumes."""
+    vertices = []
+
+    def recorded_vertex(c, a, b):
+        value, x = simplex_max(c, a, b)
+        vertices.append(x)
+        return value, x
+
+    monkeypatch.setattr(freespace, "simplex_max", recorded_vertex)
     generate = fixture_generator()
     recorded = json.loads((FIXTURES / "solver_answers.json").read_text())
     cases = generate.solver_cases()
     assert len(cases) == len(recorded) == 300
     for m, want in zip(cases, recorded):
         assert generate.solver_answer(m) == want, m
+    assert len(vertices) == sum(bool(m.coeffs) for m in cases) > 0
+    assert all(xi.denominator == 1 for x in vertices for xi in x)
 
 
 def test_point_difference_norm_is_distance(line013_pointed):

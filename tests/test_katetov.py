@@ -22,6 +22,7 @@ from exactmetric import (
     tower,
     validate,
 )
+from exactmetric import katetov
 from exactmetric.katetov import KatetovReport
 from exactmetric.randgen import cycle_space, rand_katetov, rand_metric_space
 
@@ -181,6 +182,22 @@ def test_tower_planted_pair():
                     )
 
 
+def test_tower_checks_each_candidate_once(monkeypatch):
+    # a kept candidate is not checked again as a KatetovFunction
+    calls = []
+
+    def counted(space, values, support=None):
+        calls.append(support)
+        return is_katetov(space, values, support)
+
+    monkeypatch.setattr(katetov, "is_katetov", counted)
+    sp = space_from_rows(["a", "b"], [[0, 2], [2, 0]])
+    out = tower(sp, 1, TowerPolicy(2, F(1), F(2), 200))
+    # supports {a}, {b} with 2 grid values each, {a, b} with 2 * 2
+    assert len(calls) == 2 * 2 + 2 * 2
+    assert out.n > sp.n
+
+
 def test_act_on_katetov_identity(line013):
     f = KatetovFunction(line013, ("0",), {"0": F(1)})
     g = Isometry.identity(line013)
@@ -255,7 +272,14 @@ def test_star_fragment_always_metric_random():
 def test_support_label_outside_the_space_is_a_domain_error(two_points):
     with pytest.raises(DomainError, match="unknown point label 'zzz'"):
         is_katetov(two_points, {"zzz": F(1)}, ["zzz"])
-    # checks run in order: support/values mismatch, unknown label, sign
+    with pytest.raises(DomainError, match="exactly on the support"):
+        is_katetov(two_points, {"a": F(1), "b": F(1)}, ["a"])
+    # checks run in order: support/values mismatch, unknown label, sign,
+    # and only then a non-empty support
+    with pytest.raises(DomainError, match="exactly on the support"):
+        KatetovFunction(two_points, (), {"a": F(1)})
+    with pytest.raises(DomainError, match="needs a non-empty support"):
+        KatetovFunction(two_points, (), {})
     with pytest.raises(DomainError, match="exactly on the support"):
         KatetovFunction(two_points, ("zzz",), {"a": F(-1)})
     with pytest.raises(DomainError, match="unknown point label"):

@@ -1,8 +1,8 @@
 """Leftovers in the library source: imports a module never uses, private
 module-level functions that nothing in ``src/`` calls, public functions,
 classes, methods and properties that no caller reads, a second copy of the
-axiom scans, and spaces built around the one constructor from the int
-form."""
+axiom scans, spaces built around the one constructor from the int form,
+and an error message raised from two places."""
 
 import ast
 from pathlib import Path
@@ -178,3 +178,34 @@ def test_spaces_are_built_only_through_from_scaled():
         )
     ]
     assert callers == []
+
+
+# The same words for two different relations: ``Isometry.compose`` refuses
+# isometries of two spaces, and ``action_from_closure`` refuses a generator
+# whose space is not the acted-on space.
+SHARED_MESSAGES = {"cannot compose isometries of different spaces"}
+
+
+def test_each_error_message_is_raised_once():
+    """A plain-string message passed to a raised error names one rule, and
+    one place in ``src/`` checks that rule; a second ``raise`` with the same
+    words is a second copy of the check."""
+    places = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(parse(path)):
+            if (
+                isinstance(node, ast.Raise)
+                and isinstance(node.exc, ast.Call)
+                and node.exc.args
+                and isinstance(node.exc.args[0], ast.Constant)
+                and isinstance(node.exc.args[0].value, str)
+            ):
+                places.setdefault(node.exc.args[0].value, []).append(
+                    f"{path.name}:{node.lineno}"
+                )
+    repeated = {
+        message: where
+        for message, where in places.items()
+        if len(where) > 1 and message not in SHARED_MESSAGES
+    }
+    assert repeated == {}
