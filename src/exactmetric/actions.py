@@ -24,7 +24,9 @@ class Isometry:
 
     def __post_init__(self):
         n = self.space.n
-        if sorted(self.perm) != list(range(n)):
+        # 1.0 equals the index 1 but cannot index a row; a sum of numbers is
+        # an int only when each of them is, and costs less than a type scan
+        if sorted(self.perm) != list(range(n)) or type(sum(self.perm)) is not int:
             raise DomainError("not a permutation of the point set")
         # Fraction rows on purpose: compose runs this, and a faster check
         # multiplies the passes a benchmark run keeps in memory (ROADMAP 1-2)
@@ -141,9 +143,9 @@ def translation_gap(
     """d(F, gF) for the non-empty set F of points given by index."""
     if not idx:
         raise DomainError("a translation gap requires a non-empty set")
-    d = action.space.dist
+    den, d = action.space.scaled
     perm = action.images[g].perm
-    return min(d[i][perm[j]] for i in idx for j in idx)
+    return Fraction(min(d[i][perm[j]] for i in idx for j in idx), den)
 
 
 def moving_gap(
@@ -201,5 +203,7 @@ def orbit(action: GroupAction, x: str) -> list[str]:
 
 
 def orbit_diameter(action: GroupAction, x: str) -> Fraction:
-    orb = [action.space.index(p) for p in orbit(action, x)]
-    return max(action.space.dist[i][j] for i in orb for j in orb)
+    i = action.space.index(x)
+    orb = {iso.apply(i) for iso in action.images}
+    den, d = action.space.scaled
+    return Fraction(max(d[a][b] for a in orb for b in orb), den)

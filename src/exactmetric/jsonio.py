@@ -209,10 +209,9 @@ def pseudometric_from_json(data: Mapping[str, Any]) -> InvariantPseudometric:
         raise StructuralError("pseudometric matrix shape mismatch")
     delta = d[group.identity]
     pm = InvariantPseudometric(group, tuple(map(Fraction, delta, repeat(den))))
-    for a, row in enumerate(d):
-        shift = group.table[group.inv(a)]
-        for b, v in enumerate(row):
-            if v != delta[shift[b]]:
+    for a, (row, want) in enumerate(zip(d, pm.layout(delta))):
+        for b, (v, w) in enumerate(zip(row, want)):
+            if v != w:
                 raise DomainError(
                     "pseudometric is not left-invariant: d(a, b) != "
                     f"d(e, a^-1 b) at ({group.elements[a]}, {group.elements[b]})"
@@ -221,12 +220,8 @@ def pseudometric_from_json(data: Mapping[str, Any]) -> InvariantPseudometric:
 
 
 def pseudometric_to_json(pm: InvariantPseudometric):
-    g = pm.group
-    out = group_to_json(g)
-    text = list(map(str, pm.delta))
-    out["pseudometric"] = [
-        list(map(text.__getitem__, g.table[g.inv(a)])) for a in range(g.order)
-    ]
+    out = group_to_json(pm.group)
+    out["pseudometric"] = pm.layout(list(map(str, pm.delta)))
     return out
 
 

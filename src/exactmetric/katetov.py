@@ -74,20 +74,19 @@ def is_katetov(
 ) -> KatetovReport:
     """Check both Katetov inequalities on all pairs of the support.
 
-    A given support must hold exactly the labels of ``values``, each a point
-    of the space, once, with a non-negative exact rational value; otherwise
-    :class:`DomainError` is raised.
+    The support, ``space.points`` when none is given, must hold exactly the
+    labels of ``values``, each a point of the space, once, with a
+    non-negative exact rational value; otherwise :class:`DomainError` is
+    raised.
     """
-    if support is not None and set(support) != set(values):
+    pts = space.points if support is None else tuple(support)
+    if set(pts) != set(values):
         raise DomainError("values must be given exactly on the support")
-    pts = tuple(support) if support is not None else space.points
     idx = [space.index(x) for x in pts]
     if len(set(idx)) < len(idx):
         x = next(x for i, x in enumerate(pts) if x in pts[:i])
         raise DomainError(f"support repeats the label {x!r}")
     for x in pts:
-        if x not in values:
-            raise DomainError(f"no value given at {x!r}")
         value = values[x]
         if type(value) not in (Fraction, int) and not isinstance(value, Rational):
             raise DomainError(f"value at {x!r} must be an exact rational")
@@ -134,11 +133,9 @@ def hat_extension(f: KatetovFunction) -> KatetovFunction:
 def point_function(space: FiniteMetricSpace, x: str) -> KatetovFunction:
     """The distance profile of x itself (its image under the canonical
     embedding of the space into its function extension)."""
-    i = space.index(x)
-    return KatetovFunction(
-        space, space.points,
-        {p: space.dist[i][j] for j, p in enumerate(space.points)},
-    )
+    den, rows = space.scaled
+    values = map(Fraction, rows[space.index(x)], repeat(den))
+    return KatetovFunction(space, space.points, dict(zip(space.points, values)))
 
 
 def sup_distance(f: KatetovFunction, g: KatetovFunction) -> Fraction:
@@ -258,6 +255,10 @@ class TowerPolicy:
     point_budget: int = 64
 
     def __post_init__(self):
+        if not all(isinstance(v, int) for v in (self.support_size, self.point_budget)):
+            raise DomainError("support size and point budget must be integers")
+        if not all(isinstance(v, Rational) for v in (self.grid_step, self.value_cap)):
+            raise DomainError("grid step and value cap must be exact rationals")
         if self.support_size < 1:
             raise DomainError("support size must be at least 1")
         if self.grid_step <= 0:

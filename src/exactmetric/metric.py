@@ -115,6 +115,8 @@ class PointedSpace:
     basepoint: int
 
     def __post_init__(self):
+        if not isinstance(self.basepoint, int):
+            raise StructuralError("basepoint must be an integer index")
         if not 0 <= self.basepoint < self.space.n:
             raise StructuralError("basepoint index out of range")
 

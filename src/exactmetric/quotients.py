@@ -3,7 +3,7 @@ pullbacks, and covering certificates."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import or_
 from typing import Optional, Sequence
@@ -13,8 +13,6 @@ from .errors import BudgetExceededError, DomainError, StructuralError
 from .groups import FiniteGroup
 from .metric import FiniteMetricSpace, scale, validate
 
-ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class InvariantPseudometric:
@@ -23,22 +21,24 @@ class InvariantPseudometric:
     d(a, b) = delta[a^-1 b] and d(ka, kb) = d(a, b) hold by construction.
     The length axioms delta(e) = 0, delta(g^-1) = delta(g) and
     delta(gh) <= delta(g) + delta(h), which make d a pseudometric, are
-    verified at construction."""
+    verified at construction on ``scaled``, which holds ``(den, ints)`` with
+    ``ints[g] == den * delta[g]`` as a space does."""
 
     group: FiniteGroup
     delta: tuple[Fraction, ...]
+    scaled: tuple[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.group
-        delta = self.delta
-        if len(delta) != g.order:
+        if len(self.delta) != g.order:
             raise StructuralError("length function size does not match group order")
-        if delta[g.identity] != ZERO:
+        den, ints = scale(self.delta, "pseudometric lengths")
+        object.__setattr__(self, "scaled", (den, tuple(ints)))
+        if ints[g.identity] != 0:
             raise DomainError("pseudometric length is nonzero at the identity")
         for a in range(g.order):
-            if delta[g.inv(a)] != delta[a]:
+            if ints[g.inv(a)] != ints[a]:
                 raise DomainError(f"pseudometric is not symmetric at {g.elements[a]}")
-        _, ints = scale(delta, "pseudometric lengths")
         for a, row in enumerate(g.table):
             da = ints[a]
             for b, ab in enumerate(row):
@@ -48,14 +48,18 @@ class InvariantPseudometric:
                         f"({g.elements[a]}, {g.elements[b]})"
                     )
 
-    def dist(self, a: int, b: int) -> Fraction:
-        return self.delta[self.group.mul(self.group.inv(a), b)]
+    def layout(self, values: Sequence) -> list[list]:
+        """The matrix d(a, b) = values[a^-1 b] of a length function given
+        per element, such as ``delta`` or ``scaled[1]``: row a is ``values``
+        read along row a^-1 of the group table."""
+        g = self.group
+        return [[values[x] for x in g.table[g.inv(a)]] for a in range(g.order)]
 
 
 def kernel_subgroup(pm: InvariantPseudometric) -> tuple[int, ...]:
     """Indices of the null subgroup {g : d(g, e) = 0}; closure verified."""
     g = pm.group
-    h = tuple(i for i in range(g.order) if pm.delta[i] == ZERO)
+    h = tuple(i for i, v in enumerate(pm.scaled[1]) if v == 0)
     members = set(h)
     for a in h:
         if g.inv(a) not in members:
@@ -88,13 +92,12 @@ def _coset_space(
         cosets.append(members)
     reps = [c[0] for c in cosets]
     labels = tuple(g.elements[r] + "H" for r in reps)
-    den, delta = scale(pm.delta, "pseudometric lengths")
-    # d(a, b) = delta[a^-1 b], read off row a^-1 of the table
-    shifts = [g.table[g.inv(a)] for a in range(g.order)]
-    dist = [[delta[shifts[r][s]] for s in reps] for r in reps]
+    den, delta = pm.scaled
+    d = pm.layout(delta)
+    dist = [[d[r][s] for s in reps] for r in reps]
     for i, ci in enumerate(cosets):
         for j, cj in enumerate(cosets):
-            if any(delta[shifts[a][b]] != dist[i][j] for a in ci for b in cj):
+            if any(d[a][b] != dist[i][j] for a in ci for b in cj):
                 raise DomainError(
                     "quotient metric not constant on coset pair "
                     f"({labels[i]}, {labels[j]})"
@@ -136,10 +139,9 @@ def pullback_pseudometric(
     """The pseudometric d(g, h) = d_X(g xi, h xi) induced by an orbit, with
     length delta(g) = d_X(xi, g xi)."""
     i = action.space.index(xi)
-    row = action.space.dist[i]
-    return InvariantPseudometric(
-        action.group, tuple(row[iso.apply(i)] for iso in action.images)
-    )
+    den, rows = action.space.scaled
+    lengths = (Fraction(rows[i][iso.apply(i)], den) for iso in action.images)
+    return InvariantPseudometric(action.group, tuple(lengths))
 
 
 def orbit_isomorphism(
@@ -152,10 +154,10 @@ def orbit_isomorphism(
     i = action.space.index(xi)
     # the coset aH goes to a xi, read at its least element a
     orb = [action.images[r].apply(i) for r in reps]
-    qd, d = qspace.dist, action.space.dist
+    (qden, qd), (den, d) = qspace.scaled, action.space.scaled
     for p, a in enumerate(orb):
         for q, b in enumerate(orb):
-            if qd[p][q] != d[a][b]:
+            if qd[p][q] * den != d[a][b] * qden:
                 raise DomainError("quotient and orbit fail to match isometrically")
     points = action.space.points
     return {label: points[a] for label, a in zip(qspace.points, orb)}
@@ -283,10 +285,13 @@ def moving_certificate(
     phi V phi already covers the group no witness exists, which is the
     expected outcome for large phi on a finite group.
     """
-    if radius <= ZERO:
+    den, delta = pm.scaled
+    unit, (r,) = scale([radius], "ball radius", den)
+    if r <= 0:
         raise DomainError("ball radius must be positive")
     g = pm.group
-    ball = [i for i in range(g.order) if pm.delta[i] < radius]
+    ball = [i for i, v in enumerate(delta) if v * unit < r * den]
+    d = pm.layout(delta)
     entries = []
     for phi in phis:
         idx = sorted({g.index(x) for x in phi})
@@ -295,20 +300,19 @@ def moving_certificate(
         sym = sorted(set(idx) | {g.inv(i) for i in idx})
         covered = _fvf(g, sym, ball)
         outside = [i for i in range(g.order) if i not in covered]
+        phi_labels = tuple(g.elements[i] for i in idx)
         if not outside:
-            entries.append(CertificateEntry(tuple(g.elements[i] for i in idx), None, None))
+            entries.append(CertificateEntry(phi_labels, None, None))
             continue
         witness = outside[0]
         # d(aH, wbH) = d(a, wb): the gap between the coset images of phi and
         # w phi, read on the group
-        gap = min(pm.dist(a, g.mul(witness, b)) for a in sym for b in sym)
-        if gap < radius:
+        gap = min(d[a][g.mul(witness, b)] for a in sym for b in sym)
+        if gap * unit < r * den:
             raise DomainError(
                 "exhibited element fails the quotient gap bound"
             )
         entries.append(
-            CertificateEntry(
-                tuple(g.elements[i] for i in idx), g.elements[witness], gap
-            )
+            CertificateEntry(phi_labels, g.elements[witness], Fraction(gap, den))
         )
     return entries

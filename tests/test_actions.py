@@ -163,6 +163,13 @@ def test_non_isometry_rejected(line013):
         Isometry(line013, (0, 0, 2))
 
 
+def test_a_float_permutation_is_not_a_permutation():
+    with pytest.raises(DomainError, match="not a permutation of the point set"):
+        Isometry(cycle_space(4), (1.0, 2.0, 3.0, 0.0))
+    with pytest.raises(DomainError, match="not a permutation of the point set"):
+        Isometry(cycle_space(3), (Fraction(1), 2, 0))
+
+
 def test_homomorphism_law_enforced():
     c4 = cycle_space(4)
     rot = Isometry(c4, (1, 2, 3, 0))

@@ -288,6 +288,28 @@ def test_support_label_outside_the_space_is_a_domain_error(two_points):
         KatetovFunction(two_points, ("a",), {"a": F(-1)})
 
 
+def test_is_katetov_without_a_support_reads_it_as_the_space_points(two_points):
+    # a value off the space, or a point without a value, breaks the rule
+    # "values exactly on the support" as it would with the support given
+    for values in ({"a": 1, "b": 1, "zz": -7}, {"a": F(1)}):
+        with pytest.raises(DomainError, match="exactly on the support"):
+            is_katetov(two_points, values)
+        with pytest.raises(DomainError, match="exactly on the support"):
+            is_katetov(two_points, values, two_points.points)
+
+
+@pytest.mark.parametrize("fields", [
+    {"support_size": 1.5},
+    {"point_budget": 64.0},
+    {"grid_step": F(1, 2), "value_cap": 2.0},
+    {"grid_step": "1"},
+    {"grid_step": 0.5},
+])
+def test_tower_policy_refuses_wrongly_typed_fields(fields):
+    with pytest.raises(DomainError, match="must be"):
+        TowerPolicy(**fields)
+
+
 def star_fragment_scan(space, attachments):
     """``star_fragment`` as written before profiles were hashed, kept as the
     oracle: every hat is compared with each base point's profile, then with

@@ -306,6 +306,12 @@ def test_float_distance_is_a_domain_error():
         FiniteMetricSpace(("a", "b"), ((F(0), 0.5), (0.5, F(0)))).scaled
 
 
+@pytest.mark.parametrize("basepoint", [1.0, "1", None])
+def test_a_basepoint_that_is_not_an_integer_is_structural(line013, basepoint):
+    with pytest.raises(StructuralError, match="basepoint must be an integer"):
+        PointedSpace(line013, basepoint)
+
+
 def test_set_distance_examples(line013):
     assert set_distance(line013, ["0"], ["3"]) == 3
     assert set_distance(line013, ["0", "1"], ["1", "3"]) == 0

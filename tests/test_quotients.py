@@ -405,6 +405,23 @@ def test_moving_certificate_radius_must_be_positive():
         moving_certificate(cycle_pm(5), F(0), [["0"]])
 
 
+def test_moving_certificate_refuses_a_float_radius():
+    with pytest.raises(DomainError, match="ball radius must be exact rationals"):
+        moving_certificate(cycle_pm(5), 0.5, [["0"]])
+
+
+def test_length_function_is_kept_scaled_and_laid_out_as_delta_of_a_inverse_b():
+    group = dihedral_group(4)
+    pm = rand_invariant_pseudometric(Random(7), group)
+    den, ints = pm.scaled
+    assert [F(v, den) for v in ints] == list(pm.delta)
+    laid_out, scaled = pm.layout(pm.delta), pm.layout(ints)
+    for a in range(group.order):
+        for b in range(group.order):
+            want = pm.delta[group.mul(group.inv(a), b)]
+            assert laid_out[a][b] == want and scaled[a][b] == want * den
+
+
 def test_moving_certificate_gap_verified_random():
     rng = Random(67)
     for _ in range(20):
@@ -438,7 +455,7 @@ def reference_moving_certificate(pm, radius, phis):
     qspace, _ = quotient_space(pm)
     reps = [g.index(label[:-1]) for label in qspace.points]
     elem_coset = [
-        next(j for j, r in enumerate(reps) if pm.dist(i, r) == 0)
+        next(j for j, r in enumerate(reps) if pm.delta[g.mul(g.inv(i), r)] == 0)
         for i in range(g.order)
     ]
     entries = []

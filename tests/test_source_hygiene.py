@@ -2,7 +2,8 @@
 module-level functions that nothing in ``src/`` calls, public functions,
 classes, methods and properties that no caller reads, a second copy of the
 axiom scans, spaces built around the one constructor from the int form,
-and an error message raised from two places."""
+an error message raised from two places, and a computation on the
+``Fraction`` matrix outside the two checks parked on it."""
 
 import ast
 from pathlib import Path
@@ -209,3 +210,30 @@ def test_each_error_message_is_raised_once():
         if len(where) > 1 and message not in SHARED_MESSAGES
     }
     assert repeated == {}
+
+
+# The two checks that still compare ``Fraction`` rows on purpose: an int
+# check speeds up the extension and quotient passes, and the benchmark keeps
+# every pass's texts in memory, so its peak RSS would grow past its bound.
+PARKED_DIST_READERS = {"actions.py:Isometry.__post_init__", "katetov.py:_checked"}
+
+
+def test_fraction_matrix_is_read_only_by_the_parked_checks():
+    """Outside ``metric``, the layers compute on ``space.scaled`` and make a
+    ``Fraction`` only for a value they return; an attribute read of
+    ``.dist`` is a computation on the ``Fraction`` matrix."""
+    readers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "metric.py":
+            continue
+        scopes = [("", parse(path))]
+        while scopes:
+            name, node = scopes.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                    scopes.append((f"{name}{child.name}.", child))
+                elif isinstance(child, ast.Attribute) and child.attr == "dist":
+                    readers.add(f"{path.name}:{name.rstrip('.')}")
+                else:
+                    scopes.append((name, child))
+    assert readers == PARKED_DIST_READERS
