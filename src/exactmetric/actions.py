@@ -24,14 +24,22 @@ class Isometry:
 
     def __post_init__(self):
         n = self.space.n
+        p = self.perm
+        if type(p) is not tuple:  # a list would leave the isometry unhashable
+            p = tuple(p)
+            object.__setattr__(self, "perm", p)
         # 1.0 equals the index 1 but cannot index a row; a sum of numbers is
-        # an int only when each of them is, and costs less than a type scan
-        if sorted(self.perm) != list(range(n)) or type(sum(self.perm)) is not int:
+        # an int only when each of them is, and costs less than a type scan;
+        # entries that do not compare, such as "a" and 1, raise TypeError
+        try:
+            ok = sorted(p) == list(range(n)) and type(sum(p)) is int
+        except TypeError:
+            ok = False
+        if not ok:
             raise DomainError("not a permutation of the point set")
         # Fraction rows on purpose: compose runs this, and a faster check
         # multiplies the passes a benchmark run keeps in memory (ROADMAP 1-2)
         d = self.space.dist
-        p = self.perm
         for i in range(n):
             for j in range(i + 1, n):
                 if d[p[i]][p[j]] != d[i][j]:
@@ -118,6 +126,8 @@ class GroupAction:
 
     def __post_init__(self):
         g = self.group
+        if type(self.images) is not tuple:  # a list would leave it unhashable
+            object.__setattr__(self, "images", tuple(self.images))
         if len(self.images) != g.order:
             raise DomainError("one isometry per group element required")
         space = self.space

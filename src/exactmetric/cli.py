@@ -11,43 +11,10 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from operator import methodcaller
 
-from . import jsonio
-from .actions import (
-    Isometry,
-    enumerate_isometries,
-    moving_gap,
-    orbit,
-    orbit_diameter,
-    translation_gap,
-)
+from . import actions, freespace, jsonio, katetov, metric, quotients
 from .errors import ExactMetricError, StructuralError
-from .freespace import (
-    Molecule,
-    aell_norm_dual,
-    aell_norm_primal,
-    affine_extend,
-    fixed_point,
-    moving_lower_bound,
-    norm_distance,
-)
-from .katetov import (
-    KatetovFunction,
-    TowerPolicy,
-    hat_extension,
-    is_katetov,
-    prop_k_gap,
-    star_fragment,
-    tower,
-)
-from .metric import PointedSpace, validate
-from .proptest import run_suite
-from .quotients import (
-    FVF_BUDGET,
-    min_fvf_cover,
-    pullback_pseudometric,
-    quotient_space,
-)
 
 
 def _load_input(args) -> dict:
@@ -68,190 +35,208 @@ def _load_input(args) -> dict:
     return data
 
 
-def _emit(args, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _fields(**parsers):
+    """A loader that requires every key and then parses each value, in the
+    order given."""
+
+    def load(data, args):
+        raws = jsonio.require(data, *parsers)
+        return tuple(parse(raw) for parse, raw in zip(parsers.values(), raws))
+
+    return load
 
 
-def cmd_validate(args):
-    (raw,) = jsonio.require(_load_input(args), "space")
-    _emit(args, validate(jsonio.parse_space(raw)).as_json())
+def _as_built(payload):
+    """The emitter of an entry whose call builds its JSON payload itself."""
+    return payload
 
 
-def cmd_norm(args):
-    (raw,) = jsonio.require(_load_input(args), "molecule")
-    m = jsonio.molecule_from_json(raw)
-    dual, witness = aell_norm_dual(m)
-    primal, plan = aell_norm_primal(m)
-    _emit(args, {
+def _norm(m):
+    dual, witness = freespace.aell_norm_dual(m)
+    primal, plan = freespace.aell_norm_primal(m)
+    return {
         "dual": str(dual),
         "primal": str(primal),
         "equal": dual == primal,
-        "witness": {
-            x: str(witness.values[x]) for x in m.pointed.space.points
-        },
-        "plan": [
-            {"from": s, "to": t, "amount": str(v)} for s, t, v in plan
-        ],
-    })
+        "witness": {x: str(witness.values[x]) for x in m.pointed.space.points},
+        "plan": [{"from": s, "to": t, "amount": str(v)} for s, t, v in plan],
+    }
 
 
-def cmd_katetov_check(args):
-    (raw,) = jsonio.require(_load_input(args), "function")
+def _load_katetov_check(data, args):
+    (raw,) = jsonio.require(data, "function")
     (raw_space,) = jsonio.require(raw, "space", what="function record")
     space = jsonio.space_from_json(raw_space)
     support, values = jsonio.function_parts(raw)
-    _emit(args, is_katetov(space, values, support).as_json())
+    return space, values, support
 
 
-def cmd_hat_extend(args):
-    (raw,) = jsonio.require(_load_input(args), "function")
-    f = jsonio.katetov_from_json(raw)
-    _emit(args, jsonio.katetov_to_json(hat_extension(f)))
-
-
-def cmd_star(args):
-    raw_space, raw_atts = jsonio.require(
-        _load_input(args), "space", "attachments"
-    )
+def _load_star(data, args):
+    raw_space, raw_atts = jsonio.require(data, "space", "attachments")
     space = jsonio.space_from_json(raw_space)
-    attachments = [
-        KatetovFunction(space, *jsonio.function_parts(att))
+    return space, [
+        katetov.KatetovFunction(space, *jsonio.function_parts(att))
         for att in jsonio.array(raw_atts, "attachments")
     ]
-    _emit(args, jsonio.star_fragment_to_json(star_fragment(space, attachments)))
 
 
-def cmd_tower(args):
-    (raw,) = jsonio.require(_load_input(args), "space")
+def _load_tower(data, args):
+    (raw,) = jsonio.require(data, "space")
     space = jsonio.space_from_json(raw)
-    policy = TowerPolicy(
+    policy = katetov.TowerPolicy(
         support_size=args.support_size,
         grid_step=args.grid_step,
         value_cap=args.value_cap,
         point_budget=args.budget,
     )
-    result = tower(space, args.depth, policy)
-    _emit(args, jsonio.space_to_json(result))
+    return space, args.depth, policy
 
 
-def cmd_iso_enum(args):
-    (raw,) = jsonio.require(_load_input(args), "space")
-    space = jsonio.space_from_json(raw)
-    isos = enumerate_isometries(space)
-    _emit(args, {"count": len(isos), "isometries": [list(g.perm) for g in isos]})
-
-
-def cmd_moving_gap(args):
-    data = _load_input(args)
+def _load_moving_gap(data, args):
     raw_action, f = jsonio.require(data, "action", "set")
     action = jsonio.action_from_json(raw_action)
-    gap, witness = moving_gap(action, jsonio.labels(f, "set"))
+    return action, jsonio.labels(f, "set"), data.get("orbit_of")
+
+
+def _moving_gap(action, f, orbit_of):
+    gap, witness = actions.moving_gap(action, f)
     out = {"gap": str(gap), "witness": witness}
-    if data.get("orbit_of") is not None:
-        x = jsonio.label(data["orbit_of"], "orbit_of")
-        out["orbit"] = orbit(action, x)
-        out["orbit_diameter"] = str(orbit_diameter(action, x))
-    _emit(args, out)
+    if orbit_of is not None:  # read after the gap, whose faults come first
+        x = jsonio.label(orbit_of, "orbit_of")
+        out["orbit"] = actions.orbit(action, x)
+        out["orbit_diameter"] = str(actions.orbit_diameter(action, x))
+    return out
 
 
-def cmd_extend_affine(args):
-    raw_mol, raw_perm = jsonio.require(
-        _load_input(args), "molecule", "isometry"
-    )
+def _load_extend_affine(data, args):
+    raw_mol, raw_perm = jsonio.require(data, "molecule", "isometry")
     m = jsonio.molecule_from_json(raw_mol)
-    g = Isometry(m.pointed.space, jsonio.indices(raw_perm, "isometry"))
-    _emit(args, jsonio.molecule_to_json(affine_extend(g, m)))
+    return actions.Isometry(m.pointed.space, jsonio.indices(raw_perm, "isometry")), m
 
 
-def cmd_fixed_point(args):
-    raw_action, raw_mol = jsonio.require(
-        _load_input(args), "action", "molecule"
-    )
-    action = jsonio.action_from_json(raw_action)
-    m = jsonio.molecule_from_json(raw_mol)
-    _emit(args, jsonio.molecule_to_json(fixed_point(action, m)))
-
-
-def cmd_quotient(args):
-    (raw,) = jsonio.require(_load_input(args), "group")
-    pm = jsonio.pseudometric_from_json(raw)
-    space, action = quotient_space(pm)
-    _emit(args, {
-        "space": jsonio.space_to_json(space),
-        "action": jsonio.action_to_json(action),
-    })
-
-
-def cmd_pullback(args):
-    raw_action, point = jsonio.require(_load_input(args), "action", "point")
-    action = jsonio.action_from_json(raw_action)
-    pm = pullback_pseudometric(action, jsonio.label(point, "point"))
-    _emit(args, jsonio.pseudometric_to_json(pm))
-
-
-def cmd_fvf(args):
-    raw_group, v_labels = jsonio.require(_load_input(args), "group", "V")
+def _load_fvf(data, args):
+    raw_group, v_labels = jsonio.require(data, "group", "V")
     group = jsonio.group_from_json(raw_group)
-    v = [group.index(x) for x in jsonio.labels(v_labels, "V")]
-    k, f = min_fvf_cover(group, v, budget=args.budget)
-    _emit(args, {"k": k, "F": [group.elements[i] for i in f]})
+    return group, [group.index(x) for x in jsonio.labels(v_labels, "V")], args.budget
 
 
-def cmd_prop_k(args):
+def _fvf(group, v, budget):
+    k, f = quotients.min_fvf_cover(group, v, budget)
+    return {"k": k, "F": [group.elements[i] for i in f]}
+
+
+def _load_prop_k(data, args):
     raw_space, a, b, phi_vals, psi_vals = jsonio.require(
-        _load_input(args), "space", "A", "B", "phi", "psi"
+        data, "space", "A", "B", "phi", "psi"
     )
     space = jsonio.space_from_json(raw_space)
-    phi = KatetovFunction(
+    phi = katetov.KatetovFunction(
         space, jsonio.labels(a, "A"), jsonio.rationals(phi_vals, "phi")
     )
-    psi = KatetovFunction(
+    psi = katetov.KatetovFunction(
         space, jsonio.labels(b, "B"), jsonio.rationals(psi_vals, "psi")
     )
-    _emit(args, prop_k_gap(phi, psi).as_json())
+    return phi, psi
 
 
-def cmd_th_extension_check(args):
-    data = _load_input(args)
+def _load_th_extension_check(data, args):
     raw_action, phi, raw_v, raw_w, bp = jsonio.require(
         data, "action", "phi_set", "v", "w", "basepoint"
     )
     action = jsonio.action_from_json(raw_action)
     space = action.space
-    pointed = PointedSpace(space, space.index(jsonio.label(bp, "basepoint")))
-    v = Molecule.make(pointed, jsonio.rationals(raw_v, "v"))
-    w = Molecule.make(pointed, jsonio.rationals(raw_w, "w"))
+    pointed = metric.PointedSpace(space, space.index(jsonio.label(bp, "basepoint")))
+    v = freespace.Molecule.make(pointed, jsonio.rationals(raw_v, "v"))
+    w = freespace.Molecule.make(pointed, jsonio.rationals(raw_w, "w"))
     phi_labels = jsonio.labels(phi, "phi_set")
+    element = data.get("element")
+    if element is not None:
+        element = jsonio.label(element, "element")
+    return action, pointed, phi_labels, v, w, element
+
+
+def _th_extension_check(action, pointed, phi_labels, v, w, element):
+    space = action.space
     phi_plus = sorted(set(phi_labels) | {pointed.basepoint_label})
-    if data.get("element") is not None:
-        best = action.group.index(jsonio.label(data["element"], "element"))
-        gap = translation_gap(action, [space.index(x) for x in phi_plus], best)
+    if element is not None:
+        best = action.group.index(element)
+        gap = actions.translation_gap(action, [space.index(x) for x in phi_plus], best)
     else:
         # the identity stands for "no element moves phi" (gap 0)
-        gap, witness = moving_gap(action, phi_plus)
+        gap, witness = actions.moving_gap(action, phi_plus)
         best = action.group.index(witness) if gap else action.group.identity
     iso = action.images[best]
-    bound = moving_lower_bound(pointed, phi_labels, iso, v, w)
-    lp = norm_distance(affine_extend(iso, v), w)
-    _emit(args, {
+    bound = freespace.moving_lower_bound(pointed, phi_labels, iso, v, w)
+    lp = freespace.norm_distance(freespace.affine_extend(iso, v), w)
+    return {
         "element": action.group.elements[best],
         "epsilon0": str(gap),
         "witness_bound": str(bound),
         "norm_distance": str(lp),
         "certified": bound == gap and lp >= bound,
-    })
+    }
 
 
-def cmd_proptest(args):
-    report = run_suite(args.suite, args.trials, args.seed)
-    _emit(args, report)
-    if not report["passed"]:
-        sys.exit(1)
+def _run_suite(name, trials, seed):
+    from .proptest import run_suite  # proptest and randgen load only here
+
+    return run_suite(name, trials, seed)
+
+
+_as_json = methodcaller("as_json")
+
+# name -> (load, call, emit), in the order ``--help`` lists them: ``main``
+# reads the input, runs ``emit(call(*load(data, args)))`` and writes the
+# payload; ``proptest`` reads no input.
+SUBCOMMANDS = {
+    "validate": (_fields(space=jsonio.parse_space), metric.validate, _as_json),
+    "norm": (_fields(molecule=jsonio.molecule_from_json), _norm, _as_built),
+    "katetov-check": (_load_katetov_check, katetov.is_katetov, _as_json),
+    "hat-extend": (
+        _fields(function=jsonio.katetov_from_json),
+        katetov.hat_extension,
+        jsonio.katetov_to_json,
+    ),
+    "star": (_load_star, katetov.star_fragment, jsonio.star_fragment_to_json),
+    "tower": (_load_tower, katetov.tower, jsonio.space_to_json),
+    "iso-enum": (
+        _fields(space=jsonio.space_from_json),
+        actions.enumerate_isometries,
+        lambda isos: {"count": len(isos), "isometries": [list(g.perm) for g in isos]},
+    ),
+    "moving-gap": (_load_moving_gap, _moving_gap, _as_built),
+    "extend-affine": (
+        _load_extend_affine, freespace.affine_extend, jsonio.molecule_to_json
+    ),
+    "fixed-point": (
+        _fields(action=jsonio.action_from_json, molecule=jsonio.molecule_from_json),
+        freespace.fixed_point,
+        jsonio.molecule_to_json,
+    ),
+    "quotient": (
+        _fields(group=jsonio.pseudometric_from_json),
+        quotients.quotient_space,
+        lambda sa: {
+            "space": jsonio.space_to_json(sa[0]),
+            "action": jsonio.action_to_json(sa[1]),
+        },
+    ),
+    "pullback": (
+        _fields(
+            action=jsonio.action_from_json, point=lambda raw: jsonio.label(raw, "point")
+        ),
+        quotients.pullback_pseudometric,
+        jsonio.pseudometric_to_json,
+    ),
+    "fvf": (_load_fvf, _fvf, _as_built),
+    "prop-k": (_load_prop_k, katetov.prop_k_gap, _as_json),
+    "th-extension-check": (_load_th_extension_check, _th_extension_check, _as_built),
+    "proptest": (
+        lambda data, args: (args.suite, args.trials, args.seed),
+        _run_suite,
+        _as_built,
+    ),
+}
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -266,59 +251,44 @@ def build_parser() -> argparse.ArgumentParser:
         prog="exactmetric",
         description="Exact-arithmetic finite metric geometry toolkit",
     )
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--in", dest="inputs", action="append", metavar="FILE")
+    files.add_argument("--out", dest="out", metavar="FILE")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, **extra):
-        p = sub.add_parser(name)
-        p.add_argument("--in", dest="inputs", action="append", metavar="FILE")
-        p.add_argument("--out", dest="out", metavar="FILE")
-        p.set_defaults(handler=handler)
-        return p
-
-    add("validate", cmd_validate)
-    add("norm", cmd_norm)
-    add("katetov-check", cmd_katetov_check)
-    add("hat-extend", cmd_hat_extend)
-    add("star", cmd_star)
-    p = add("tower", cmd_tower)
-    p.add_argument("--depth", type=int, default=1)
-    p.add_argument("--support-size", type=int, default=1)
-    p.add_argument("--grid-step", type=_rational_arg, default="1")
-    p.add_argument("--value-cap", type=_rational_arg, default="2")
-    p.add_argument("--budget", type=int, default=64)
-    add("iso-enum", cmd_iso_enum)
-    add("moving-gap", cmd_moving_gap)
-    add("extend-affine", cmd_extend_affine)
-    add("fixed-point", cmd_fixed_point)
-    add("quotient", cmd_quotient)
-    add("pullback", cmd_pullback)
-    p = add("fvf", cmd_fvf)
-    p.add_argument("--budget", type=int, default=FVF_BUDGET)
-    add("prop-k", cmd_prop_k)
-    add("th-extension-check", cmd_th_extension_check)
-    p = add("proptest", cmd_proptest)
-    p.add_argument("--suite", required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p = {name: sub.add_parser(name, parents=[files]) for name in SUBCOMMANDS}
+    p["tower"].add_argument("--depth", type=int, default=1)
+    p["tower"].add_argument("--support-size", type=int, default=1)
+    p["tower"].add_argument("--grid-step", type=_rational_arg, default="1")
+    p["tower"].add_argument("--value-cap", type=_rational_arg, default="2")
+    p["tower"].add_argument("--budget", type=int, default=64)
+    p["fvf"].add_argument("--budget", type=int, default=quotients.FVF_BUDGET)
+    p["proptest"].add_argument("--suite", required=True)
+    p["proptest"].add_argument("--trials", type=int, default=100)
+    p["proptest"].add_argument("--seed", type=int, default=0)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    load, call, emit = SUBCOMMANDS[args.command]
     try:
-        args.handler(args)
+        data = {} if args.command == "proptest" else _load_input(args)
+        payload = emit(call(*load(data, args)))
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except ExactMetricError as exc:
-        sys.stdout.write(json.dumps(exc.as_json(), sort_keys=True) + "\n")
-        return 1
+        error = exc.as_json()
     except (json.JSONDecodeError, UnicodeDecodeError, OSError, RecursionError) as exc:
         # unreadable, undecodable or too deeply nested input
-        payload = {"error": {"kind": type(exc).__name__, "message": str(exc)}}
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
-        return 1
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    return 0
+        error = {"error": {"kind": type(exc).__name__, "message": str(exc)}}
+    else:
+        return 1 if args.command == "proptest" and not payload["passed"] else 0
+    sys.stdout.write(json.dumps(error, sort_keys=True) + "\n")
+    return 1
 
 
 if __name__ == "__main__":

@@ -17,7 +17,8 @@ class DomainError(ExactMetricError):
 
 
 class BudgetExceededError(ExactMetricError):
-    """An enumeration policy would exceed its configured point budget."""
+    """An enumeration would exceed its work budget: a tower level past its
+    point budget, or an FVF search past its subset budget."""
 
 
 class InternalCheckError(ExactMetricError):

@@ -30,6 +30,8 @@ class InvariantPseudometric:
 
     def __post_init__(self):
         g = self.group
+        if type(self.delta) is not tuple:  # a list would leave it unhashable
+            object.__setattr__(self, "delta", tuple(self.delta))
         if len(self.delta) != g.order:
             raise StructuralError("length function size does not match group order")
         den, ints = scale(self.delta, "pseudometric lengths")

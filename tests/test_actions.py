@@ -170,6 +170,26 @@ def test_a_float_permutation_is_not_a_permutation():
         Isometry(cycle_space(3), (Fraction(1), 2, 0))
 
 
+def test_a_mixed_type_permutation_is_not_a_permutation():
+    """Entries that ``sorted`` cannot compare are refused with the rule's
+    message, not a ``TypeError``."""
+    with pytest.raises(DomainError, match="not a permutation of the point set"):
+        Isometry(cycle_space(2), ("a", 1))
+
+
+def test_an_isometry_given_a_list_is_stored_as_a_tuple():
+    iso = Isometry(cycle_space(2), [1, 0])
+    assert iso.perm == (1, 0)
+    assert hash(iso) == hash(Isometry(cycle_space(2), (1, 0)))
+
+
+def test_an_action_given_a_list_of_images_is_stored_as_a_tuple():
+    action = rotation_action(3)
+    listed = GroupAction(action.group, action.space, list(action.images))
+    assert listed.images == action.images
+    assert hash(listed) == hash(action)
+
+
 def test_homomorphism_law_enforced():
     c4 = cycle_space(4)
     rot = Isometry(c4, (1, 2, 3, 0))

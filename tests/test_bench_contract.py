@@ -1,8 +1,10 @@
 """The benchmark harness reaches into the library by name; these tests make
 a rename or a wrong answer fail tier-1, not only a benchmark run."""
 
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import subprocess
 import sys
@@ -11,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from exactmetric import freespace, quotients, randgen
+from exactmetric import actions, cli, freespace, jsonio, katetov, quotients, randgen
 from exactmetric.freespace import Molecule, aell_norm_dual, aell_norm_primal
 from exactmetric.randgen import (
     rand_coeffs,
@@ -21,7 +23,7 @@ from exactmetric.randgen import (
 )
 from exactmetric.simplex import simplex_max
 
-from conftest import BENCH, bench_module, cli_env
+from conftest import BENCH, FIXTURES, bench_module, cli_env
 from test_simplex import _rational_simplex_max
 
 
@@ -144,3 +146,38 @@ def test_tiny_benchmark_answers_are_pinned(monkeypatch):
         answers = run.run_pass(L, requests, run.tracing.NullTracer())
         assert not problems and not answers.errors, workload
         assert answers.digest() == expected, workload
+
+
+# (kind, fixture) for each benchmark handler that answers a CLI subcommand
+# from the same input keys.
+SHARED_KINDS = [
+    ("norm", "molecule.json"),
+    ("star", "star.json"),
+    ("star", "star_dedup.json"),
+    ("hat-extend", "function.json"),
+    ("prop-k", "prop_k.json"),
+    ("iso-enum", "space_line.json"),
+    ("pullback", "action_c6.json"),
+    ("quotient", "pseudometric_s3.json"),
+    ("fvf", "group_z5.json"),
+    ("fvf", "group_d12.json"),
+]
+
+
+@pytest.mark.parametrize("kind,name", SHARED_KINDS)
+def test_bench_handlers_answer_as_the_cli(monkeypatch, kind, name):
+    """The benchmark answers these kinds with its own load, call and emit,
+    so it times a copy of the subcommand; on each fixture the copy's payload
+    is the one ``cli.main`` prints."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    load, call, emit = bench_module("workloads").HANDLERS[kind]
+    L = SimpleNamespace(
+        actions=actions, freespace=freespace, jsonio=jsonio,
+        katetov=katetov, quotients=quotients,
+    )
+    doc = json.loads((FIXTURES / name).read_text(encoding="utf-8"))
+    payload = emit(L, call(L, load(L, doc)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main([kind, "--in", str(FIXTURES / name)]) == 0
+    assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -155,6 +155,16 @@ def test_proptest_subcommand():
     assert out["passed"] is True and out["failures"] == []
 
 
+def test_only_the_proptest_entry_imports_proptest():
+    """``proptest`` and the ``randgen`` generators it uses load when that
+    entry runs, not with the CLI."""
+    code = ("import sys, exactmetric.cli; print(sorted(m for m in sys.modules "
+            "if m in ('exactmetric.proptest', 'exactmetric.randgen')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=cli_env())
+    assert proc.stdout == "[]\n", proc.stdout + proc.stderr
+
+
 def test_unknown_suite_is_a_domain_error():
     proc = run_cli("proptest", "--suite", "nope", "--trials", "1")
     assert proc.returncode == 1

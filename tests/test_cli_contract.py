@@ -273,6 +273,16 @@ def test_negative_trial_count_is_a_domain_error():
         "kind": "DomainError", "message": "trial count must be non-negative"}
 
 
+def test_proptest_reads_no_input():
+    """``main`` reads the input once for every subcommand but ``proptest``,
+    whose report depends only on its flags: input it would choke on is left
+    unread."""
+    argv = ["proptest", "--suite", "duality", "--trials", "1", "--seed", "0"]
+    code, out = run_main(argv, "{not json")
+    assert code == 0
+    assert (code, out) == run_main(argv, "")
+
+
 HUGE_EXPONENT = "1e100000000"  # Fraction would compute 10**100000000
 
 

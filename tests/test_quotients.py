@@ -422,6 +422,12 @@ def test_length_function_is_kept_scaled_and_laid_out_as_delta_of_a_inverse_b():
             assert laid_out[a][b] == want and scaled[a][b] == want * den
 
 
+def test_a_length_function_given_a_list_is_stored_as_a_tuple():
+    pm = InvariantPseudometric(cyclic_group(2), [F(0), F(1)])
+    assert pm.delta == (F(0), F(1))
+    assert hash(pm) == hash(InvariantPseudometric(cyclic_group(2), (F(0), F(1))))
+
+
 def test_moving_certificate_gap_verified_random():
     rng = Random(67)
     for _ in range(20):

@@ -2,8 +2,9 @@
 module-level functions that nothing in ``src/`` calls, public functions,
 classes, methods and properties that no caller reads, a second copy of the
 axiom scans, spaces built around the one constructor from the int form,
-an error message raised from two places, and a computation on the
-``Fraction`` matrix outside the two checks parked on it."""
+an error message raised from two places, a computation on the
+``Fraction`` matrix outside the two checks parked on it, and command-line
+I/O outside the two functions that do it."""
 
 import ast
 from pathlib import Path
@@ -237,3 +238,38 @@ def test_fraction_matrix_is_read_only_by_the_parked_checks():
                 else:
                     scopes.append((name, child))
     assert readers == PARKED_DIST_READERS
+
+
+def io_calls(node):
+    """``"read"`` or ``"write"`` for each call under ``node`` that reads input
+    (``json.load(s)``, ``sys.stdin``, ``.read``, ``open`` to read) or writes
+    output (``json.dump(s)``, ``.write``, ``print``, ``open`` to write)."""
+    for call in ast.walk(node):
+        if not isinstance(call, ast.Call):
+            continue
+        func = call.func
+        owner = getattr(getattr(func, "value", None), "id", None)
+        name = getattr(func, "attr", getattr(func, "id", None))
+        if name == "open":
+            mode = call.args[1].value if len(call.args) > 1 else "r"
+            yield "write" if set(mode) & set("wax+") else "read"
+        elif (owner, name) in {("json", "load"), ("json", "loads")}:
+            yield "read"
+        elif (owner, name) in {("json", "dump"), ("json", "dumps")}:
+            yield "write"
+        elif name == "read" or "stdin" in ast.dump(func):
+            yield "read"
+        elif name in ("write", "print"):
+            yield "write"
+
+
+def test_only_main_writes_and_only_load_input_reads_in_the_cli():
+    """Each subcommand is a ``(load, call, emit)`` entry of ``cli.SUBCOMMANDS``
+    and returns its payload; ``main`` writes it (or the error object), and
+    ``_load_input`` reads the JSON input, so no entry does I/O of its own."""
+    places = {"read": set(), "write": set()}
+    for node in parse(PACKAGE / "cli.py").body:
+        scope = getattr(node, "name", "<module>")
+        for kind in io_calls(node):
+            places[kind].add(scope)
+    assert places == {"read": {"_load_input"}, "write": {"main"}}
