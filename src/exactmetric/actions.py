@@ -25,13 +25,14 @@ class Isometry:
     def __post_init__(self):
         n = self.space.n
         p = self.perm
-        if type(p) is not tuple:  # a list would leave the isometry unhashable
-            p = tuple(p)
-            object.__setattr__(self, "perm", p)
         # 1.0 equals the index 1 but cannot index a row; a sum of numbers is
         # an int only when each of them is, and costs less than a type scan;
-        # entries that do not compare, such as "a" and 1, raise TypeError
+        # entries that do not compare, such as "a" and 1, raise TypeError,
+        # as does a perm that is not iterable
         try:
+            if type(p) is not tuple:  # a list would leave it unhashable
+                p = tuple(p)
+                object.__setattr__(self, "perm", p)
             ok = sorted(p) == list(range(n)) and type(sum(p)) is int
         except TypeError:
             ok = False
@@ -131,7 +132,11 @@ class GroupAction:
         if len(self.images) != g.order:
             raise DomainError("one isometry per group element required")
         space = self.space
-        if any(iso.space is not space and iso.space != space for iso in self.images):
+        if any(
+            not isinstance(iso, Isometry)
+            or iso.space is not space and iso.space != space
+            for iso in self.images
+        ):
             raise DomainError("images must act on the action's space")
         ident = tuple(range(self.space.n))
         if self.images[g.identity].perm != ident:

@@ -203,11 +203,15 @@ def aell_norm_primal(
     Each Bellman-Ford round relaxes the forward arcs (sources in index
     order), then the residual arcs (in the order the flow first used them).
     The first half-round of an augmentation gives each sink the first
-    minimum of its column of live-source costs; later half-rounds relax only
-    from the labels the previous half-round lowered.  A label that was not
-    lowered cannot strictly improve another: its candidates were compared
-    against labels that have only fallen since.  So labels, predecessors,
-    round count and paths are those of relaxing every arc every round.
+    minimum of its column of live-source costs.  Its labels and predecessors
+    are kept across augmentations, and each augmentation starts from a copy:
+    a sink's entry changes only when the source that was its first nearest
+    one is spent, so only those sinks are recomputed.  Later half-rounds
+    relax only from the labels the previous half-round lowered.  A label
+    that was not lowered cannot strictly improve another: its candidates
+    were compared against labels that have only fallen since.  So labels,
+    predecessors, round count and paths are those of relaxing every arc
+    every round.
     Dijkstra would break ties differently, and the plan would change.
     """
     space = m.pointed.space
@@ -226,6 +230,15 @@ def aell_norm_primal(
     # spent source's cost in the first half-round.
     column = {t: [d[s][t] for s in sources] for t in sinks}
     far = max(map(max, column.values()), default=0) + 1
+    # labels and predecessors after the first half-round, updated as
+    # sources are spent
+    start = [far] * space.n
+    start_pred = [-1] * space.n
+    for s in sources:
+        start[s] = 0
+    for t, costs in column.items():
+        start[t] = best = min(costs)
+        start_pred[t] = sources[costs.index(best)]
     # (source, sink) -> shipped amount, in the order the arcs were first used
     flow: dict[tuple[int, int], int] = {}
 
@@ -233,15 +246,8 @@ def aell_norm_primal(
     while live:
         # forward arcs source -> sink cost d(s, t), residual arcs
         # sink -> source with flow cost -d(s, t)
-        dist = [far] * space.n
-        pred = [-1] * space.n
-        for t in sinks:
-            costs = column[t]
-            dist[t] = best = min(costs)
-            pred[t] = sources[costs.index(best)]
-        for s in sources:
-            if excess[s] > 0:
-                dist[s] = 0
+        dist = start[:]
+        pred = start_pred[:]
         lowered = set(sinks)
         for _ in range(len(sources) + len(sinks)):
             lowered_sources = set()
@@ -285,9 +291,14 @@ def aell_norm_primal(
         excess[path[-1]] += amount
         if not excess[path[0]]:
             live -= 1
-            k = sources.index(path[0])
-            for costs in column.values():
+            s = path[0]
+            start[s] = far
+            k = sources.index(s)
+            for t, costs in column.items():
                 costs[k] = far
+                if start_pred[t] == s:
+                    start[t] = best = min(costs)
+                    start_pred[t] = sources[costs.index(best)]
 
     arcs = [(s, t, amount) for (s, t), amount in sorted(flow.items()) if amount]
     _check_plan(supply, arcs)

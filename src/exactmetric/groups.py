@@ -22,6 +22,8 @@ class FiniteGroup:
     table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if type(self.elements) is not tuple:  # a list would leave it unhashable
+            object.__setattr__(self, "elements", tuple(self.elements))
         n = len(self.elements)
         index = {label: i for i, label in enumerate(self.elements)}
         if len(index) != n:
@@ -32,16 +34,16 @@ class FiniteGroup:
             for v in row:
                 if not 0 <= v < n:
                     raise StructuralError("table entry out of range")
-        t = self.table
+        t = tuple(map(tuple, self.table))  # lists would leave it unhashable
+        object.__setattr__(self, "table", t)
         e = self._find_identity()
         # (gh)k == g(hk) for all k at once: row gh against row g gathered
         # through row h.  An itemgetter of one index returns a bare entry,
         # so a one-element table (associative anyway) is skipped.
-        rows = tuple(map(tuple, t))
-        gathers = [itemgetter(*row) for row in rows] if n > 1 else []
-        for tg in rows:
+        gathers = [itemgetter(*row) for row in t] if n > 1 else []
+        for tg in t:
             for gh, gather in zip(tg, gathers):
-                if rows[gh] != gather(tg):
+                if t[gh] != gather(tg):
                     raise DomainError("multiplication table is not associative")
         for g in range(n):
             if e not in t[g]:

@@ -36,6 +36,9 @@ class KatetovFunction:
 
     The Katetov inequalities are required over the induced subspace on the
     support only; use :func:`hat_extension` to reach the rest of the space.
+    A ``support`` given as a list is stored as a tuple, so the record equals
+    the one built from the tuple; it cannot be hashed, since ``values`` is a
+    dict.
     """
 
     space: FiniteMetricSpace
@@ -43,6 +46,8 @@ class KatetovFunction:
     values: Mapping[str, Fraction]
 
     def __post_init__(self):
+        if isinstance(self.support, list):
+            object.__setattr__(self, "support", tuple(self.support))
         report = is_katetov(self.space, self.values, self.support)
         if not report.ok:
             raise DomainError(

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice, product
+from itertools import chain, islice, product, repeat
 from math import gcd, lcm
-from operator import sub
+from operator import add, lt, ne, sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, StructuralError
@@ -149,15 +149,17 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
     float, a string, ``None``) never reaches them: building the space raises
     ``DomainError("distances must be exact rationals")``.
 
-    The witness is the lexicographically first violating index tuple, and
-    each scan visits only the half of the tuples that can be first.  A pair
-    (i, j) is asymmetric exactly when (j, i) is, so symmetry scans j > i.
-    Once d is symmetric, d(i, k) > d(i, j) + d(j, k) holds exactly when
-    d(k, i) > d(k, j) + d(j, i), so the first violating triple has i <= k and
-    the triangle scan runs k from i; k = i still tests d(i, i) <= 2 d(i, j).
-    Each pair (i, j) is first pre-tested at C level, by the largest
-    d(i, k) - d(j, k) over k >= i, and k is scanned for the first violating
-    index only when that test fires; the witness order is unchanged.
+    The witness is the lexicographically first violating index tuple.  Each
+    check tests a whole row (symmetry: the whole matrix) in one C-level
+    expression, and loops over pairs or triples in Python only where that
+    test fails, to find the first witness.  A pair (i, j) is asymmetric
+    exactly when (j, i) is, so symmetry scans j > i.  Once d is symmetric,
+    d(i, k) > d(i, j) + d(j, k) holds exactly when d(k, i) > d(k, j) +
+    d(j, i), so the first violating triple has i <= k: row i fails when
+    d(i, k) exceeds the least d(k, j) + d(i, j) over j, for some k >= i.
+    k = i tests d(i, i) <= 2 d(i, j), which catches negative entries.  With
+    a zero diagonal, a row has an off-diagonal zero exactly when it holds
+    two zeros, and the first such row has its off-diagonal zeros at j > i.
     """
     return _scan(space, space.scaled[1])
 
@@ -169,29 +171,33 @@ def _scan(space: FiniteMetricSpace, d: Sequence[Sequence]) -> ValidationReport:
     give the same report."""
     pts = space.points
     n = space.n
-    for i, di in enumerate(d):
-        for j in range(i + 1, n):
-            if di[j] != d[j][i]:
-                return ValidationReport(False, "symmetry", (pts[i], pts[j]))
+    if any(map(ne, d, zip(*d))):
+        for i, di in enumerate(d):
+            for j in range(i + 1, n):
+                if di[j] != d[j][i]:
+                    return ValidationReport(False, "symmetry", (pts[i], pts[j]))
     for i, di in enumerate(d):
         if di[i] != 0:
             return ValidationReport(False, "diagonal", (pts[i],))
     for i, di in enumerate(d):
-        tail = di[i:]
-        for j, dj in enumerate(d):
-            dij = di[j]
-            if max(map(sub, tail, dj[i:])) > dij:
-                k = next(k for k in range(i, n) if di[k] > dij + dj[k])
-                return ValidationReport(
-                    False, "triangle", (pts[i], pts[j], pts[k])
-                )
+        # min over j of d(k, j) + d(i, j), for each k >= i, below d(i, k)
+        if any(map(lt, map(min, map(map, repeat(add), d[i:], repeat(di))), di[i:])):
+            tail = di[i:]
+            for j, dj in enumerate(d):
+                dij = di[j]
+                if max(map(sub, tail, dj[i:])) > dij:
+                    k = next(k for k in range(i, n) if di[k] > dij + dj[k])
+                    return ValidationReport(
+                        False, "triangle", (pts[i], pts[j], pts[k])
+                    )
     if not space.pseudo:
         for i, di in enumerate(d):
-            for j in range(i + 1, n):
-                if di[j] == 0:
-                    return ValidationReport(
-                        False, "separation", (pts[i], pts[j])
-                    )
+            if di.count(0) > 1:
+                for j in range(i + 1, n):
+                    if di[j] == 0:
+                        return ValidationReport(
+                            False, "separation", (pts[i], pts[j])
+                        )
     return ValidationReport(True)
 
 

@@ -177,6 +177,11 @@ def test_a_mixed_type_permutation_is_not_a_permutation():
         Isometry(cycle_space(2), ("a", 1))
 
 
+def test_a_permutation_that_is_not_iterable_is_not_a_permutation():
+    with pytest.raises(DomainError, match="not a permutation of the point set"):
+        Isometry(cycle_space(2), 5)
+
+
 def test_an_isometry_given_a_list_is_stored_as_a_tuple():
     iso = Isometry(cycle_space(2), [1, 0])
     assert iso.perm == (1, 0)
@@ -188,6 +193,19 @@ def test_an_action_given_a_list_of_images_is_stored_as_a_tuple():
     listed = GroupAction(action.group, action.space, list(action.images))
     assert listed.images == action.images
     assert hash(listed) == hash(action)
+
+
+def test_images_that_are_not_isometries_do_not_act_on_the_space():
+    action = rotation_action(3)
+    with pytest.raises(DomainError, match="images must act on the action's space"):
+        GroupAction(action.group, action.space, [1, 2, 3])
+
+
+def test_a_group_given_lists_is_stored_as_tuples():
+    group = FiniteGroup(["e", "a"], [[0, 1], [1, 0]])
+    assert group.elements == ("e", "a")
+    assert group.table == ((0, 1), (1, 0))
+    assert hash(group) == hash(FiniteGroup(("e", "a"), ((0, 1), (1, 0))))
 
 
 def test_homomorphism_law_enforced():

@@ -449,6 +449,155 @@ def test_change_driven_bellman_ford_matches_the_full_scan():
     assert multi_arc > 1000
 
 
+def _rebuilt_start_primal(m, spent=None):
+    """The transport solver that rebuilt the first half-round for every
+    augmentation, kept as the oracle of the one that keeps it: the same
+    ``(cost, plan)``.  When a source is spent, ``spent`` (a list) gets the
+    labels of the sinks it was the first nearest live source of, and of the
+    other sinks."""
+    space = m.pointed.space
+    den, d = space.scaled
+    unit, amounts = scale([v for _, v in m.coeffs], "molecule coefficients")
+    excess = [0] * space.n
+    for (x, _), a in zip(m.coeffs, amounts):
+        excess[space.index(x)] = a
+    excess[m.pointed.basepoint] -= sum(excess)
+    supply = excess[:]
+    sources = [i for i, v in enumerate(excess) if v > 0]
+    sinks = [i for i, v in enumerate(excess) if v < 0]
+    column = {t: [d[s][t] for s in sources] for t in sinks}
+    far = max(map(max, column.values()), default=0) + 1
+    flow = {}
+
+    live = len(sources)
+    while live:
+        dist = [far] * space.n
+        pred = [-1] * space.n
+        for t in sinks:
+            costs = column[t]
+            dist[t] = best = min(costs)
+            pred[t] = sources[costs.index(best)]
+        for s in sources:
+            if excess[s] > 0:
+                dist[s] = 0
+        lowered = set(sinks)
+        for _ in range(len(sources) + len(sinks)):
+            lowered_sources = set()
+            for (s, t), amount in flow.items():
+                if amount > 0 and t in lowered:
+                    nd = dist[t] - d[s][t]
+                    if nd < dist[s]:
+                        dist[s] = nd
+                        pred[s] = t
+                        lowered_sources.add(s)
+            if not lowered_sources:
+                break
+            lowered = set()
+            for s in sorted(lowered_sources):
+                ds = dist[s]
+                row = d[s]
+                for t in sinks:
+                    nd = ds + row[t]
+                    if nd < dist[t]:
+                        dist[t] = nd
+                        pred[t] = s
+                        lowered.add(t)
+            if not lowered:
+                break
+        ends = [t for t in sinks if excess[t] < 0]
+        path = [min(ends, key=dist.__getitem__)]
+        while pred[path[-1]] >= 0:
+            path.append(pred[path[-1]])
+        path.reverse()
+        forward = list(zip(path[0::2], path[1::2]))
+        backward = list(zip(path[2::2], path[1::2]))
+        amount = min([excess[path[0]], -excess[path[-1]]] + [flow[a] for a in backward])
+        for arc in forward:
+            flow[arc] = flow.get(arc, 0) + amount
+        for arc in backward:
+            flow[arc] -= amount
+        excess[path[0]] -= amount
+        excess[path[-1]] += amount
+        if not excess[path[0]]:
+            live -= 1
+            if spent is not None:
+                moved = {
+                    space.points[t]
+                    for t, costs in column.items()
+                    if sources[costs.index(min(costs))] == path[0]
+                }
+                others = {space.points[t] for t in sinks} - moved
+                spent.append((moved, others))
+            k = sources.index(path[0])
+            for costs in column.values():
+                costs[k] = far
+
+    arcs = [(s, t, amount) for (s, t), amount in sorted(flow.items()) if amount]
+    freespace._check_plan(supply, arcs)
+    cost = sum(amount * d[s][t] for s, t, amount in arcs)
+    pts = space.points
+    plan = tuple((pts[s], pts[t], Fraction(amount, unit)) for s, t, amount in arcs)
+    return Fraction(cost, den * unit), plan
+
+
+@pytest.mark.parametrize(
+    "coeffs, spent",
+    [
+        # s1 is t's first nearest source and is spent first, so t's entry
+        # moves to s2, which ships the rest
+        ({"s1": 1, "s2": 1, "t": -2}, [({"t"}, set()), ({"t"}, set())]),
+        # s1 is spent while u's first nearest is s2: u keeps its entry
+        (
+            {"s1": 2, "s2": 1, "t": -2, "u": -1},
+            [({"t"}, {"u"}), ({"t", "u"}, set())],
+        ),
+    ],
+)
+def test_a_spent_source_moves_only_the_sinks_it_was_first_nearest_to(
+    coeffs, spent
+):
+    # points on a line: bp at 100, s1 at 0, t at 1, s2 at 3, u at 5
+    at = {"bp": 100, "s1": 0, "t": 1, "s2": 3, "u": 5}
+    labels = list(at)
+    space = space_from_rows(
+        labels, [[abs(at[a] - at[b]) for b in labels] for a in labels]
+    )
+    m = Molecule.make(
+        PointedSpace(space, 0), {x: F(v) for x, v in coeffs.items()}
+    )
+    log = []
+    assert aell_norm_primal(m) == _rebuilt_start_primal(m, log)
+    assert log == spent
+
+
+def test_the_kept_first_half_round_gives_the_rebuilt_plans():
+    """Same cost and plan, arc for arc, on spaces with many ties: cycles,
+    distances from {1, 2, 3}, and discrete spaces, with coefficients from
+    {-2, -1, 1, 2}.  When a source is spent, the sinks it was the first
+    nearest source of move, and often other sinks keep their entries."""
+    rng = Random(2424)
+    palette = [F(1), F(2), F(3)]
+    spent = []
+    for k in range(450):
+        n = 3 + k % 10
+        shape = k % 3
+        if shape == 0:
+            space = cycle_space(n)
+        elif shape == 1:
+            space = rand_metric_space(rng, n, palette=palette)
+        else:
+            space = space_from_rows(
+                [f"x{i}" for i in range(n)],
+                [[int(i != j) for j in range(n)] for i in range(n)],
+            )
+        pointed = rand_pointed(rng, space)
+        coeffs = {x: F(rng.choice([-2, -1, 1, 2])) for x in space.points}
+        m = Molecule.make(pointed, coeffs)
+        assert aell_norm_primal(m) == _rebuilt_start_primal(m, spent), m
+    assert sum(len(moved) for moved, _ in spent) > 2000
+    assert sum(len(others) for _, others in spent) > 1000
+
+
 def test_plan_check_rejects_a_tampered_plan():
     # supply 3 at point 0 and 1 at point 1; demand 2 at points 2 and 3
     supply = [3, 1, -2, -2]

@@ -70,6 +70,15 @@ def test_float_value_rejected(two_points):
     assert is_katetov(two_points, {"a": 1, "b": F(1)}).ok
 
 
+def test_a_katetov_function_given_a_list_support_is_stored_as_a_tuple(two_points):
+    values = {"a": F(1), "b": F(1)}
+    f = KatetovFunction(two_points, ["a", "b"], values)
+    assert f.support == ("a", "b")
+    assert f == KatetovFunction(two_points, ("a", "b"), values)
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(f)
+
+
 def test_hat_single_support():
     sp = space_from_rows(["a", "b"], [[0, 2], [2, 0]])
     f = KatetovFunction(sp, ("a",), {"a": F(1)})

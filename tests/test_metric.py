@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import lcm
+from operator import sub
 from random import Random
 
 import pytest
@@ -18,7 +19,7 @@ from exactmetric import (
     validate,
 )
 from exactmetric.jsonio import parse_space, space_from_json, space_to_json
-from exactmetric.metric import _scan, scale_rows
+from exactmetric.metric import ValidationReport, _scan, scale_rows
 from exactmetric.randgen import rand_fraction, rand_metric_space
 
 from conftest import space_from_rows
@@ -149,6 +150,109 @@ def test_halved_scans_report_the_full_scan_witness():
         None, "symmetry", "diagonal", "triangle", "separation"
     }
     assert (False, None) in seen and (False, "triangle") in seen
+
+
+def pairwise_scan(space, d):
+    """``_scan`` as it was before the row tests: each pair or triple checked
+    by a Python loop over pairs, kept as the oracle of the reports."""
+    pts = space.points
+    n = space.n
+    for i, di in enumerate(d):
+        for j in range(i + 1, n):
+            if di[j] != d[j][i]:
+                return ValidationReport(False, "symmetry", (pts[i], pts[j]))
+    for i, di in enumerate(d):
+        if di[i] != 0:
+            return ValidationReport(False, "diagonal", (pts[i],))
+    for i, di in enumerate(d):
+        tail = di[i:]
+        for j, dj in enumerate(d):
+            dij = di[j]
+            if max(map(sub, tail, dj[i:])) > dij:
+                k = next(k for k in range(i, n) if di[k] > dij + dj[k])
+                return ValidationReport(
+                    False, "triangle", (pts[i], pts[j], pts[k])
+                )
+    if not space.pseudo:
+        for i, di in enumerate(d):
+            for j in range(i + 1, n):
+                if di[j] == 0:
+                    return ValidationReport(
+                        False, "separation", (pts[i], pts[j])
+                    )
+    return ValidationReport(True)
+
+
+FAULTS = ("asymmetric", "diagonal", "negative", "triangle", "copy")
+
+
+def plant(rng, space, faults, pseudo):
+    """``space``, made a pseudometric or not, with each named fault planted
+    at a random place: an entry changed on one side only, a non-zero
+    diagonal entry, a negative pair, a pair longer than a path through a
+    third point, or a second copy of a point."""
+    d = [list(row) for row in space.dist]
+    n = space.n
+    for fault in faults:
+        i, j, k = rng.sample(range(n), 3)
+        delta = rand_fraction(rng, 1, 3)
+        if fault == "asymmetric":
+            d[i][j] += delta * rng.choice([-1, 1])
+        elif fault == "diagonal":
+            d[i][i] = delta * rng.choice([-1, 1])
+        elif fault == "negative":
+            d[i][j] = d[j][i] = -delta
+        elif fault == "triangle":
+            d[i][j] = d[j][i] = d[i][k] + d[k][j] + delta
+        else:
+            # j becomes a copy of i, which breaks only separation
+            d[j] = d[i][:]
+            for row in d:
+                row[j] = row[i]
+    return FiniteMetricSpace(space.points, tuple(map(tuple, d)), pseudo)
+
+
+def test_row_tests_report_what_the_pairwise_scans_report():
+    """Every planted fault and pair of faults, on spaces with and without
+    ties, as metrics and as pseudometrics: the same report as the pairwise
+    scans, on the int rows and on the ``Fraction`` rows."""
+    rng = Random(2323)
+    kinds = [(f,) for f in FAULTS] + [
+        (f, g) for a, f in enumerate(FAULTS) for g in FAULTS[a:]
+    ]
+    seen = set()
+    for case in range(480):
+        n = rng.randint(3, 14)
+        shape = case % 4
+        if shape == 3:
+            space = tight_space(rng, n)
+        else:
+            palette = [None, [F(1), F(2), F(3)], MIXED_PALETTE][shape]
+            space = rand_metric_space(rng, n, palette=palette)
+        faults = kinds[case % len(kinds)]
+        pseudo = case // len(kinds) % 2 == 1
+        space = plant(rng, space, faults, pseudo)
+        for d in (space.scaled[1], space.dist):
+            report = _scan(space, d)
+            assert report == pairwise_scan(space, d), (faults, space)
+        seen.add((faults[0], pseudo, report.axiom))
+    assert {axiom for _, _, axiom in seen} == {
+        None, "symmetry", "diagonal", "triangle", "separation"
+    }
+    # each fault is reported as its own axiom, alone or first of two
+    for fault, axiom in [
+        ("asymmetric", "symmetry"), ("diagonal", "diagonal"),
+        ("negative", "triangle"), ("triangle", "triangle"),
+    ]:
+        assert (fault, False, axiom) in seen and (fault, True, axiom) in seen
+    assert ("copy", False, "separation") in seen
+    assert ("copy", True, None) in seen
+    # two points: a negative distance breaks only d(x, x) <= 2 d(x, y)
+    for rows in ([[0, -1], [-1, 0]], [[0, 1], [2, 0]], [[0, 0], [0, 0]]):
+        for pseudo in (False, True):
+            space = space_from_rows(["a", "b"], rows, pseudo)
+            for d in (space.scaled[1], space.dist):
+                assert _scan(space, d) == pairwise_scan(space, d), space
 
 
 @pytest.mark.parametrize(
