@@ -127,9 +127,13 @@ class GroupAction:
 
     def __post_init__(self):
         g = self.group
-        if type(self.images) is not tuple:  # a list would leave it unhashable
-            object.__setattr__(self, "images", tuple(self.images))
-        if len(self.images) != g.order:
+        try:
+            if type(self.images) is not tuple:  # a list would leave it unhashable
+                object.__setattr__(self, "images", tuple(self.images))
+            ok = len(self.images) == g.order
+        except TypeError:  # images that are not iterable
+            ok = False
+        if not ok:
             raise DomainError("one isometry per group element required")
         space = self.space
         if any(

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from numbers import Rational
 from operator import add, sub
 from typing import Mapping, Sequence
 
 from .actions import GroupAction, Isometry
 from .errors import DomainError, InternalCheckError
-from .metric import PointedSpace, scale, set_distance
+from .metric import PointedSpace, min_plus, scale
 from .simplex import simplex_max
 
 ZERO = Fraction(0)
@@ -172,12 +173,11 @@ def aell_norm_dual(m: Molecule) -> tuple[Fraction, LipschitzWitness]:
     # point, as ints in units of 1/den: the constraint matrix is totally
     # unimodular and the right-hand side is int, so the vertex g is integral
     # (Hoffman and Kruskal); the witness and pairing checks certify it
-    f = [(sd[x], gi.numerator - di) for x, gi, di in zip(supp, g, dbp)]
-    f.append((sd[bp], 0))
-    full = {
-        label: Fraction(min(fy + row[i] for row, fy in f), den)
-        for i, label in enumerate(space.points)
-    }
+    f = min_plus(
+        [sd[x] for x in supp] + [sd[bp]],
+        [gi.numerator - di for gi, di in zip(g, dbp)] + [0],
+    )
+    full = dict(zip(space.points, map(Fraction, f, repeat(den))))
     witness = LipschitzWitness(pointed, full)
     paired = witness.pair(m)
     if paired != norm:
@@ -278,11 +278,15 @@ def aell_norm_primal(
         # path alternates source, sink, source, ..., sink
         path = [min(ends, key=dist.__getitem__)]
         while pred[path[-1]] >= 0:
+            if len(path) > len(sources) + len(sinks):
+                raise InternalCheckError("augmenting path revisits a point")
             path.append(pred[path[-1]])
         path.reverse()
         forward = list(zip(path[0::2], path[1::2]))
         backward = list(zip(path[2::2], path[1::2]))
         amount = min([excess[path[0]], -excess[path[-1]]] + [flow[a] for a in backward])
+        if amount <= 0:
+            raise InternalCheckError(f"augmenting path ships {amount}")
         for arc in forward:
             flow[arc] = flow.get(arc, 0) + amount
         for arc in backward:
@@ -374,9 +378,11 @@ def moving_lower_bound(
     """Certified lower bound on the norm distance between w and the affine
     image of v, from the capped distance-to-set witness function.
 
-    The bound is the gap d(phi + basepoint, g(phi + basepoint)).  The witness
-    vanishes on phi + basepoint and equals the gap on the translate, so its
-    pairing with the difference is exactly the gap.
+    The bound is the gap d(phi + basepoint, g(phi + basepoint)).  The gap and
+    the witness come from one row, each point's distance to phi + basepoint:
+    the gap is its least value on the translate, and the witness, the row
+    capped at the gap, vanishes on phi + basepoint and equals the gap on the
+    translate, so its pairing with the difference is exactly the gap.
     """
     space = pointed.space
     bp = pointed.basepoint_label
@@ -386,19 +392,17 @@ def moving_lower_bound(
             raise DomainError("molecule lives over a different pointed space")
         if not set(mol.support) <= set(phi_plus):
             raise DomainError("molecule support must lie in phi plus basepoint")
-    g_phi = [g.apply_label(x) for x in phi_plus]
-    gap = set_distance(space, phi_plus, g_phi)
-    if gap == ZERO:
+    den, d = space.scaled
+    near = min_plus([d[space.index(x)] for x in phi_plus], repeat(0))
+    gap = min(near[space.index(g.apply_label(x))] for x in phi_plus)
+    if not gap:
         return ZERO
-    h_values = {
-        x: min(gap, set_distance(space, [x], phi_plus)) for x in space.points
-    }
-    witness = LipschitzWitness(pointed, h_values)
-    gv = affine_extend(g, v)
-    paired = witness.pair(gv - w)
-    if paired != gap:
+    h = map(Fraction, map(min, repeat(gap), near), repeat(den))
+    witness = LipschitzWitness(pointed, dict(zip(space.points, h)))
+    bound = Fraction(gap, den)
+    if witness.pair(affine_extend(g, v) - w) != bound:
         raise InternalCheckError("witness pairing missed the certified bound")
-    return gap
+    return bound
 
 
 def fixed_point(action: GroupAction, seed: Molecule) -> Molecule:

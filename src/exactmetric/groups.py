@@ -22,20 +22,27 @@ class FiniteGroup:
     table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if type(self.elements) is not tuple:  # a list would leave it unhashable
-            object.__setattr__(self, "elements", tuple(self.elements))
-        n = len(self.elements)
-        index = {label: i for i, label in enumerate(self.elements)}
+        try:  # lists would leave the record unhashable
+            elements = tuple(self.elements)
+            t = tuple(map(tuple, self.table))
+        except TypeError:
+            raise StructuralError(
+                "elements and table rows must be sequences"
+            ) from None
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "table", t)
+        n = len(elements)
+        index = {label: i for i, label in enumerate(elements)}
         if len(index) != n:
             raise StructuralError("duplicate element labels")
-        if len(self.table) != n or any(len(row) != n for row in self.table):
+        if len(t) != n or any(len(row) != n for row in t):
             raise StructuralError("multiplication table shape mismatch")
-        for row in self.table:
+        for row in t:
             for v in row:
+                if type(v) is not int:  # 1.0 equals 1 but cannot index a row
+                    raise StructuralError("table entries must be integers")
                 if not 0 <= v < n:
                     raise StructuralError("table entry out of range")
-        t = tuple(map(tuple, self.table))  # lists would leave it unhashable
-        object.__setattr__(self, "table", t)
         e = self._find_identity()
         # (gh)k == g(hk) for all k at once: row gh against row g gathered
         # through row h.  An itemgetter of one index returns a bare entry,

@@ -16,15 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
 from itertools import combinations, product, repeat
 from numbers import Rational
-from operator import add, sub
+from operator import sub
 from typing import Mapping, Optional, Sequence
 
 from .actions import Isometry
 from .errors import BudgetExceededError, DomainError, InternalCheckError
-from .metric import FiniteMetricSpace, _scan, scale, set_distance
+from .metric import FiniteMetricSpace, _scan, min_plus, scale, set_distance
 
 # a checked (support, values) record of a Katetov function
 _Pair = tuple[tuple[str, ...], Mapping[str, Fraction]]
@@ -118,9 +117,9 @@ def _hats(space: FiniteMetricSpace, pairs: Sequence[_Pair]):
     )
     rows = tuple(tuple(map((unit // den).__mul__, r)) for r in sd)
     it = iter(flat)
-    return unit, rows, [tuple(reduce(partial(map, min), [
-        map(add, repeat(next(it)), rows[space.index(y)]) for y in supp
-    ])) for supp, _ in pairs]
+    return unit, rows, [
+        min_plus([rows[space.index(y)] for y in supp], it) for supp, _ in pairs
+    ]
 
 
 def hat_extension(f: KatetovFunction) -> KatetovFunction:

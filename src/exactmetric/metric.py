@@ -210,6 +210,13 @@ def require_valid(space: FiniteMetricSpace) -> FiniteMetricSpace:
     return space
 
 
+def min_plus(rows: Sequence[Sequence[int]], values: Iterable[int]) -> tuple[int, ...]:
+    """The min-plus extension: at each point x, the least v + row[x] over
+    ``rows`` paired in order with ``values``.  Rows are drawn first, so a
+    shared iterator gives exactly ``len(rows)`` values per call."""
+    return tuple(map(min, zip(*map(map, repeat(add), rows, map(repeat, values)))))
+
+
 def set_distance(
     space: FiniteMetricSpace, a: Iterable[str], b: Iterable[str]
 ) -> Fraction:

@@ -201,6 +201,27 @@ def test_images_that_are_not_isometries_do_not_act_on_the_space():
         GroupAction(action.group, action.space, [1, 2, 3])
 
 
+def test_images_that_are_not_iterable_are_not_one_per_element():
+    action = rotation_action(3)
+    with pytest.raises(DomainError, match="one isometry per group element"):
+        GroupAction(action.group, action.space, 5)
+
+
+@pytest.mark.parametrize(
+    "elements, table, message",
+    [
+        (5, ((0,),), "elements and table rows must be sequences"),
+        (("e",), 5, "elements and table rows must be sequences"),
+        # 0.0 passes the range check but cannot index a row
+        (("e", "a"), ((0, 1), (1, 0.0)), "table entries must be integers"),
+        (("e", "a"), ((0, 1), (1, "a")), "table entries must be integers"),
+    ],
+)
+def test_a_malformed_group_record_is_structural(elements, table, message):
+    with pytest.raises(StructuralError, match=message):
+        FiniteGroup(elements, table)
+
+
 def test_a_group_given_lists_is_stored_as_tuples():
     group = FiniteGroup(["e", "a"], [[0, 1], [1, 0]])
     assert group.elements == ("e", "a")

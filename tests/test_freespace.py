@@ -23,6 +23,7 @@ from exactmetric import (
     moving_lower_bound,
     norm_distance,
     rebase,
+    set_distance,
 )
 from exactmetric.metric import scale
 from exactmetric.randgen import (
@@ -300,6 +301,63 @@ def test_moving_lower_bound_zero_gap():
     ident = action.images[action.group.identity]
     v = Molecule.make(pointed, {"1": F(1)})
     assert moving_lower_bound(pointed, ["0", "1"], ident, v, v) == 0
+
+
+def _set_distance_moving_lower_bound(pointed, phi, g, v, w):
+    """``moving_lower_bound`` with a label-level gap and one ``set_distance``
+    call per point, kept as the oracle of the one that reads one
+    ``min_plus`` row: ``(bound, witness values)``, no witness at a zero
+    gap."""
+    space = pointed.space
+    phi_plus = list(dict.fromkeys(list(phi) + [pointed.basepoint_label]))
+    gap = set_distance(space, phi_plus, [g.apply_label(x) for x in phi_plus])
+    if gap == 0:
+        return gap, None
+    h = {x: min(gap, set_distance(space, [x], phi_plus)) for x in space.points}
+    assert LipschitzWitness(pointed, h).pair(affine_extend(g, v) - w) == gap
+    return gap, h
+
+
+def test_moving_lower_bound_matches_the_set_distance_loop(monkeypatch):
+    """Same bound and witness on cycles, discrete and palette spaces, for a
+    random isometry each: zero gaps (the translate meets phi + basepoint)
+    and positive ones."""
+    rng = Random(2424)
+    witnesses = []
+
+    def recorded(pointed, values):
+        witnesses.append(values)
+        return LipschitzWitness(pointed, values)
+
+    monkeypatch.setattr(freespace, "LipschitzWitness", recorded)
+    gaps = set()
+    for k in range(150):
+        n = 2 + k % 5
+        shape = k % 3
+        if shape == 0:
+            space = cycle_space(2 * n)
+        elif shape == 1:
+            space = rand_metric_space(rng, n, palette=[F(1), F(2), F(3)])
+        else:
+            space = space_from_rows(
+                [f"x{i}" for i in range(n)],
+                [[int(i != j) for j in range(n)] for i in range(n)],
+            )
+        pointed = rand_pointed(rng, space)
+        g = rng.choice(enumerate_isometries(space))
+        phi = rng.sample(space.points, rng.randint(1, space.n - 1))
+        support = phi + [pointed.basepoint_label]
+        v, w = (
+            Molecule.make(pointed, {x: F(rng.randint(-3, 3)) for x in support})
+            for _ in range(2)
+        )
+        witnesses.clear()
+        bound = moving_lower_bound(pointed, phi, g, v, w)
+        witness = witnesses[0] if witnesses else None
+        assert (bound, witness) == \
+            _set_distance_moving_lower_bound(pointed, phi, g, v, w)
+        gaps.add(bound > 0)
+    assert gaps == {False, True}
 
 
 def test_moving_lower_bound_rejects_outside_support():

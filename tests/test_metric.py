@@ -1,6 +1,8 @@
 from fractions import Fraction
+from functools import partial, reduce
+from itertools import repeat
 from math import lcm
-from operator import sub
+from operator import add, sub
 from random import Random
 
 import pytest
@@ -19,8 +21,8 @@ from exactmetric import (
     validate,
 )
 from exactmetric.jsonio import parse_space, space_from_json, space_to_json
-from exactmetric.metric import ValidationReport, _scan, scale_rows
-from exactmetric.randgen import rand_fraction, rand_metric_space
+from exactmetric.metric import ValidationReport, _scan, min_plus, scale_rows
+from exactmetric.randgen import cycle_space, rand_fraction, rand_metric_space
 
 from conftest import space_from_rows
 
@@ -498,3 +500,75 @@ def test_zero_palette_entry_gives_a_valid_pseudometric():
             rng, 4, pseudo=True, palette=[F(0), F(1, 4), F(1)]
         )
         assert validate(space).ok
+
+
+# The three min-plus loops that ``min_plus`` replaced, kept as its oracles.
+
+
+def hats_reduce(rows, it):
+    """``katetov._hats``'s loop: one value drawn from the shared iterator
+    ``it`` per row, the rows folded by a pointwise min."""
+    return tuple(reduce(partial(map, min), [
+        map(add, repeat(next(it)), row) for row in rows
+    ]))
+
+
+def dual_generator(rows, values):
+    """``aell_norm_dual``'s witness loop over its (row, value) pairs."""
+    f = list(zip(rows, values))
+    return tuple(min(fy + row[i] for row, fy in f) for i in range(len(rows[0])))
+
+
+def moving_set_distance(space, a, b):
+    """``moving_lower_bound``'s label-level gap d(A, B) and its capped
+    witness, one ``set_distance`` call per point, in units of 1/den."""
+    den = space.scaled[0]
+    gap = set_distance(space, a, b)
+    near = [set_distance(space, [x], a) for x in space.points]
+    return gap * den, [min(gap, v) * den for v in near]
+
+
+def _min_plus_spaces(rng):
+    """Seeded cycles, discrete spaces and palette spaces, n = 1..14."""
+    for n in range(1, 15):
+        yield cycle_space(n)
+        yield space_from_rows(
+            [f"x{i}" for i in range(n)],
+            [[int(i != j) for j in range(n)] for i in range(n)],
+        )
+        yield rand_metric_space(rng, n, palette=[F(1), F(2), F(3)])
+
+
+def test_min_plus_matches_the_loops_it_replaced():
+    """On supports of 1..n points with negative, zero and positive values:
+    the hat loop, with one value iterator shared across the calls; the
+    dual's generator; and the capped distance-to-set of
+    ``moving_lower_bound``, with a zero gap (B meets A) and a positive one
+    (B misses A).  Each call draws exactly one value per row."""
+    rng = Random(2424)
+    gaps = set()
+    for space in _min_plus_spaces(rng):
+        n, pts, rows = space.n, space.points, space.scaled[1]
+        supports = [rng.sample(range(n), rng.randint(1, n)) for _ in range(6)]
+        values = [[rng.choice([-3, -1, 0, 0, 2, 5, 11]) for _ in s] for s in supports]
+        flat = [v for vals in values for v in vals]
+        it, ref = iter(flat + ["end"]), iter(flat)
+        for supp, vals in zip(supports, values):
+            sub_rows = [rows[i] for i in supp]
+            ext = min_plus(sub_rows, it)
+            assert ext == hats_reduce(sub_rows, ref), (space, supp, vals)
+            assert ext == dual_generator(sub_rows, vals), (space, supp, vals)
+            own = iter(vals + ["end"])
+            assert min_plus(sub_rows, own) == ext and next(own, None) == "end"
+            a = [pts[i] for i in supp]
+            rest = [x for x in pts if x not in a]
+            meets = [a[0], *rng.sample(pts, rng.randint(0, n - 1))]
+            misses = rest and rng.sample(rest, rng.randint(1, len(rest)))
+            near = min_plus(sub_rows, repeat(0))
+            for b in filter(None, (meets, misses)):
+                gap = min(near[space.index(y)] for y in b)
+                capped = [min(gap, v) for v in near]
+                assert (gap, capped) == moving_set_distance(space, a, b), (space, a, b)
+                gaps.add(gap > 0)
+        assert next(it, None) == "end"
+    assert gaps == {False, True}
