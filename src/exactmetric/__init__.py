@@ -30,6 +30,7 @@ from .freespace import (
     aell_norm_dual,
     aell_norm_primal,
     affine_extend,
+    extension_certificate,
     fixed_point,
     moving_lower_bound,
     norm_distance,

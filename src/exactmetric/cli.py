@@ -155,28 +155,6 @@ def _load_th_extension_check(data, args):
     return action, pointed, phi_labels, v, w, element
 
 
-def _th_extension_check(action, pointed, phi_labels, v, w, element):
-    space = action.space
-    phi_plus = sorted(set(phi_labels) | {pointed.basepoint_label})
-    if element is not None:
-        best = action.group.index(element)
-        gap = actions.translation_gap(action, [space.index(x) for x in phi_plus], best)
-    else:
-        # the identity stands for "no element moves phi" (gap 0)
-        gap, witness = actions.moving_gap(action, phi_plus)
-        best = action.group.index(witness) if gap else action.group.identity
-    iso = action.images[best]
-    bound = freespace.moving_lower_bound(pointed, phi_labels, iso, v, w)
-    lp = freespace.norm_distance(freespace.affine_extend(iso, v), w)
-    return {
-        "element": action.group.elements[best],
-        "epsilon0": str(gap),
-        "witness_bound": str(bound),
-        "norm_distance": str(lp),
-        "certified": bound == gap and lp >= bound,
-    }
-
-
 def _run_suite(name, trials, seed):
     from .proptest import run_suite  # proptest and randgen load only here
 
@@ -230,7 +208,14 @@ SUBCOMMANDS = {
     ),
     "fvf": (_load_fvf, _fvf, _as_built),
     "prop-k": (_load_prop_k, katetov.prop_k_gap, _as_json),
-    "th-extension-check": (_load_th_extension_check, _th_extension_check, _as_built),
+    "th-extension-check": (
+        _load_th_extension_check,
+        freespace.extension_certificate,
+        lambda c: {
+            "element": c[0], "epsilon0": str(c[1]), "witness_bound": str(c[2]),
+            "norm_distance": str(c[3]), "certified": c[4],
+        },
+    ),
     "proptest": (
         lambda data, args: (args.suite, args.trials, args.seed),
         _run_suite,

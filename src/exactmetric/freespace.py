@@ -21,9 +21,9 @@ from fractions import Fraction
 from itertools import repeat
 from numbers import Rational
 from operator import add, sub
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .actions import GroupAction, Isometry
+from .actions import GroupAction, Isometry, moving_gap, translation_gap
 from .errors import DomainError, InternalCheckError
 from .metric import PointedSpace, min_plus, scale
 from .simplex import simplex_max
@@ -105,15 +105,18 @@ class LipschitzWitness:
 
     def __post_init__(self):
         space = self.pointed.space
-        if set(self.values) != set(space.points):
+        try:
+            ok = set(self.values) == set(space.points)
+        except TypeError:  # values that are not iterable
+            ok = False
+        if not ok:
             raise DomainError("witness must assign a value to every point")
         if self.values[self.pointed.basepoint_label] != ZERO:
             raise DomainError("witness must vanish at the basepoint")
         # compare as ints, in units of 1/unit
         pts = space.points
         den, sd = space.scaled
-        values = [self.values[x] for x in pts]
-        unit, f = scale(values, "witness values", den)
+        unit, f = scale([self.values[x] for x in pts], "witness values", den)
         step = unit // den
         for i, fi in enumerate(f):
             for j in range(i + 1, space.n):
@@ -385,13 +388,13 @@ def moving_lower_bound(
     translate, so its pairing with the difference is exactly the gap.
     """
     space = pointed.space
-    bp = pointed.basepoint_label
-    phi_plus = list(dict.fromkeys(list(phi) + [bp]))
+    phi_plus = list(dict.fromkeys([*phi, pointed.basepoint_label]))
     for mol in (v, w):
         if mol.pointed != pointed:
             raise DomainError("molecule lives over a different pointed space")
         if not set(mol.support) <= set(phi_plus):
             raise DomainError("molecule support must lie in phi plus basepoint")
+    moved = affine_extend(g, v)  # refuses an isometry of another space
     den, d = space.scaled
     near = min_plus([d[space.index(x)] for x in phi_plus], repeat(0))
     gap = min(near[space.index(g.apply_label(x))] for x in phi_plus)
@@ -400,9 +403,32 @@ def moving_lower_bound(
     h = map(Fraction, map(min, repeat(gap), near), repeat(den))
     witness = LipschitzWitness(pointed, dict(zip(space.points, h)))
     bound = Fraction(gap, den)
-    if witness.pair(affine_extend(g, v) - w) != bound:
+    if witness.pair(moved - w) != bound:
         raise InternalCheckError("witness pairing missed the certified bound")
     return bound
+
+
+def extension_certificate(
+    action: GroupAction, pointed: PointedSpace, phi: Sequence[str],
+    v: Molecule, w: Molecule, element: Optional[str] = None,
+) -> tuple[str, Fraction, Fraction, Fraction, bool]:
+    """``(element, epsilon0, witness_bound, norm_distance, certified)`` for
+    the given element, or else the one moving phi + basepoint most (the
+    earliest on ties, the identity when none moves it): its gap, the bound
+    of :func:`moving_lower_bound`, the exact norm of g.v - w, and whether
+    the bound equals the gap and the norm reaches it."""
+    group, space = action.group, action.space
+    phi_plus = sorted(set(phi) | {pointed.basepoint_label})
+    if element is not None:
+        best = group.index(element)
+        gap = translation_gap(action, [space.index(x) for x in phi_plus], best)
+    else:
+        gap, witness = moving_gap(action, phi_plus)
+        best = group.index(witness) if gap else group.identity
+    g = action.images[best]
+    bound = moving_lower_bound(pointed, phi, g, v, w)
+    lp = norm_distance(affine_extend(g, v), w)
+    return group.elements[best], gap, bound, lp, bound == gap and lp >= bound
 
 
 def fixed_point(action: GroupAction, seed: Molecule) -> Molecule:

@@ -32,7 +32,10 @@ class FiniteGroup:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "table", t)
         n = len(elements)
-        index = {label: i for i, label in enumerate(elements)}
+        try:
+            index = {label: i for i, label in enumerate(elements)}
+        except TypeError:
+            raise StructuralError("element labels must be hashable") from None
         if len(index) != n:
             raise StructuralError("duplicate element labels")
         if len(t) != n or any(len(row) != n for row in t):

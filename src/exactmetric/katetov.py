@@ -83,8 +83,12 @@ def is_katetov(
     non-negative exact rational value; otherwise :class:`DomainError` is
     raised.
     """
-    pts = space.points if support is None else tuple(support)
-    if set(pts) != set(values):
+    try:
+        pts = space.points if support is None else tuple(support)
+        ok = set(pts) == set(values)
+    except TypeError:  # a support or values that are not iterable
+        ok = False
+    if not ok:
         raise DomainError("values must be given exactly on the support")
     idx = [space.index(x) for x in pts]
     if len(set(idx)) < len(idx):
@@ -162,7 +166,6 @@ class AttachmentRecord:
 
 @dataclass(frozen=True)
 class StarFragment:
-    base: FiniteMetricSpace
     attached: tuple[AttachmentRecord, ...]
     result: FiniteMetricSpace
 
@@ -226,7 +229,7 @@ def _assemble(
     dist += [h + tuple(s) for h, s in zip(hats, sups)]
     points = pts + tuple(owner[h] for h in hats)
     result = FiniteMetricSpace.from_scaled(points, unit, dist, space.pseudo)
-    return StarFragment(space, tuple(records), result)
+    return StarFragment(tuple(records), result)
 
 
 def _checked(frag: StarFragment) -> StarFragment:

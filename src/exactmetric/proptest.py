@@ -14,15 +14,15 @@ from fractions import Fraction
 from random import Random
 
 from . import jsonio
-from .actions import enumerate_isometries, moving_gap
+from .actions import enumerate_isometries
 from .errors import DomainError
 from .freespace import (
     Molecule,
     aell_norm_dual,
     aell_norm_primal,
     affine_extend,
+    extension_certificate,
     fixed_point,
-    moving_lower_bound,
     norm_distance,
     rebase,
 )
@@ -267,25 +267,14 @@ def suite_extension(rng: Random):
     pts = list(space.points)
     rng.shuffle(pts)
     phi = sorted(pts[: rng.randint(1, max(1, space.n // 2))])
-    phi_plus = sorted(set(phi) | {pointed.basepoint_label})
-    best_gap, witness = moving_gap(action, phi_plus)
-    if best_gap == ZERO:
-        return None  # nothing to certify for this instance
-    best_g = action.images[action.group.index(witness)]
-    free = [x for x in phi_plus if x != pointed.basepoint_label]
+    free = [x for x in phi if x != pointed.basepoint_label]
     v = Molecule.make(pointed, {x: rand_fraction(rng, -3, 3) for x in free})
     w = Molecule.make(pointed, {x: rand_fraction(rng, -3, 3) for x in free})
-    bound = moving_lower_bound(pointed, phi, best_g, v, w)
-    lp = norm_distance(affine_extend(best_g, v), w)
-    if bound != best_gap or lp < bound:
-        return {
-            "what": "extension bound failure",
-            "bound": str(bound),
-            "gap": str(best_gap),
-            "norm": str(lp),
-            "v": jsonio.molecule_to_json(v),
-            "w": jsonio.molecule_to_json(w),
-        }
+    _, gap, bound, lp, certified = extension_certificate(action, pointed, phi, v, w)
+    if not certified:
+        return {"what": "extension bound failure", "bound": str(bound),
+                "gap": str(gap), "norm": str(lp),
+                "v": jsonio.molecule_to_json(v), "w": jsonio.molecule_to_json(w)}
     return None
 
 

@@ -30,9 +30,13 @@ class InvariantPseudometric:
 
     def __post_init__(self):
         g = self.group
-        if type(self.delta) is not tuple:  # a list would leave it unhashable
-            object.__setattr__(self, "delta", tuple(self.delta))
-        if len(self.delta) != g.order:
+        try:
+            if type(self.delta) is not tuple:  # a list would leave it unhashable
+                object.__setattr__(self, "delta", tuple(self.delta))
+            ok = len(self.delta) == g.order
+        except TypeError:  # a delta that is not iterable
+            ok = False
+        if not ok:
             raise StructuralError("length function size does not match group order")
         den, ints = scale(self.delta, "pseudometric lengths")
         object.__setattr__(self, "scaled", (den, tuple(ints)))

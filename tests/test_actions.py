@@ -215,6 +215,7 @@ def test_images_that_are_not_iterable_are_not_one_per_element():
         # 0.0 passes the range check but cannot index a row
         (("e", "a"), ((0, 1), (1, 0.0)), "table entries must be integers"),
         (("e", "a"), ((0, 1), (1, "a")), "table entries must be integers"),
+        (([0],), ((0,),), "element labels must be hashable"),
     ],
 )
 def test_a_malformed_group_record_is_structural(elements, table, message):

@@ -7,6 +7,7 @@ import pytest
 
 from exactmetric import (
     DomainError,
+    actions,
     FiniteMetricSpace,
     InternalCheckError,
     Isometry,
@@ -19,16 +20,20 @@ from exactmetric import (
     affine_extend,
     freespace,
     enumerate_isometries,
+    extension_certificate,
     fixed_point,
     moving_lower_bound,
     norm_distance,
     rebase,
     set_distance,
 )
+from exactmetric.jsonio import action_from_json
 from exactmetric.metric import scale
 from exactmetric.randgen import (
     cycle_space,
+    rand_action,
     rand_coeffs,
+    rand_fraction,
     rand_metric_space,
     rand_pointed,
     rotation_action,
@@ -367,6 +372,96 @@ def test_moving_lower_bound_rejects_outside_support():
     v = Molecule.make(pointed, {"4": F(1)})
     with pytest.raises(DomainError):
         moving_lower_bound(pointed, ["0", "1"], g, v, v)
+
+
+def test_moving_lower_bound_refuses_an_isometry_of_another_space():
+    """A rotation of C4 read on C6 by its labels moves {0, 1} to {1, 2}: a
+    zero gap, returned without a look at the isometry's space."""
+    pointed = PointedSpace(cycle_space(6), 0)
+    g = rotation_action(4).images[1]
+    v = Molecule.make(pointed, {"1": F(1)})
+    with pytest.raises(DomainError, match="isometry acts on a different space"):
+        moving_lower_bound(pointed, ["1"], g, v, v)
+
+
+def _th_extension_check(action, pointed, phi_labels, v, w, element):
+    """The command line's certificate as it was computed before
+    ``extension_certificate``, kept as that function's oracle."""
+    space = action.space
+    phi_plus = sorted(set(phi_labels) | {pointed.basepoint_label})
+    if element is not None:
+        best = action.group.index(element)
+        gap = actions.translation_gap(action, [space.index(x) for x in phi_plus], best)
+    else:
+        # the identity stands for "no element moves phi" (gap 0)
+        gap, witness = actions.moving_gap(action, phi_plus)
+        best = action.group.index(witness) if gap else action.group.identity
+    iso = action.images[best]
+    bound = freespace.moving_lower_bound(pointed, phi_labels, iso, v, w)
+    lp = freespace.norm_distance(freespace.affine_extend(iso, v), w)
+    return {
+        "element": action.group.elements[best],
+        "epsilon0": str(gap),
+        "witness_bound": str(bound),
+        "norm_distance": str(lp),
+        "certified": bound == gap and lp >= bound,
+    }
+
+
+def _certificate_payload(*args):
+    element, gap, bound, lp, certified = extension_certificate(*args)
+    return {
+        "element": element,
+        "epsilon0": str(gap),
+        "witness_bound": str(bound),
+        "norm_distance": str(lp),
+        "certified": certified,
+    }
+
+
+def test_extension_certificate_matches_the_cli_oracle_on_the_fixture():
+    """``th_ext.json`` (C12, phi {0, 1}) with no element, where g6 moves
+    phi most, and with each element of its group."""
+    doc = json.loads((FIXTURES / "th_ext.json").read_text())
+    action = action_from_json(doc["action"])
+    pointed = PointedSpace(action.space, action.space.index(doc["basepoint"]))
+    v, w = (
+        Molecule.make(pointed, {x: F(c) for x, c in doc[key].items()})
+        for key in ("v", "w")
+    )
+    for element in (None, *action.group.elements):
+        args = (action, pointed, doc["phi_set"], v, w, element)
+        assert _certificate_payload(*args) == _th_extension_check(*args)
+    assert extension_certificate(*args[:5])[:3] == ("g6", 5, 5)
+
+
+def test_extension_certificate_matches_the_cli_oracle_on_random_actions():
+    """Seeded actions with random basepoints, phi, v and w, for no element
+    or a random one: zero gaps and positive ones."""
+    rng = Random(2525)
+    gaps = set()
+    for _ in range(100):
+        action = rand_action(rng, 8)
+        pointed = rand_pointed(rng, action.space)
+        phi = rng.sample(action.space.points, rng.randint(1, action.space.n))
+        support = phi + [pointed.basepoint_label]
+        v, w = (
+            Molecule.make(pointed, {x: rand_fraction(rng, -3, 3) for x in support})
+            for _ in range(2)
+        )
+        element = rng.choice([None, *action.group.elements])
+        args = (action, pointed, phi, v, w, element)
+        payload = _certificate_payload(*args)
+        assert payload == _th_extension_check(*args)
+        gaps.add((element is None, payload["epsilon0"] != "0"))
+    assert gaps == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("values", [5, None, F(1)])
+def test_witness_values_that_are_not_iterable_assign_no_point(values):
+    pointed = PointedSpace(cycle_space(3), 0)
+    with pytest.raises(DomainError, match="witness must assign a value to every point"):
+        LipschitzWitness(pointed, values)
 
 
 def test_fixed_point_trivial_group(line013_pointed):

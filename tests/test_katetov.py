@@ -542,3 +542,12 @@ def test_star_fragment_matches_the_scan_oracle():
         ]
         fresh_and_absorbed.update(fresh for _, fresh in points)
     assert fresh_and_absorbed == {True, False}
+
+
+@pytest.mark.parametrize(
+    "support, values", [(5, {"0": F(1)}), (("0",), 5), (("0",), None)]
+)
+def test_a_record_that_is_not_iterable_is_not_given_on_its_support(support, values):
+    message = "values must be given exactly on the support"
+    with pytest.raises(DomainError, match=message):
+        KatetovFunction(cycle_space(2), support, values)

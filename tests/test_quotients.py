@@ -555,3 +555,11 @@ def test_length_triangle_check_matches_the_fraction_loop():
 def test_non_exact_lengths_are_rejected():
     with pytest.raises(DomainError, match="exact rationals"):
         InvariantPseudometric(cyclic_group(3), (F(0), 0.5, 0.5))
+
+
+@pytest.mark.parametrize("delta", [5, None, F(1)])
+def test_a_length_function_that_is_not_iterable_does_not_match_the_order(delta):
+    with pytest.raises(
+        StructuralError, match="length function size does not match group order"
+    ):
+        InvariantPseudometric(cyclic_group(2), delta)

@@ -3,8 +3,9 @@ module-level functions that nothing in ``src/`` calls, public functions,
 classes, methods and properties that no caller reads, a second copy of the
 axiom scans, spaces built around the one constructor from the int form,
 an error message raised from two places, a computation on the
-``Fraction`` matrix outside the two checks parked on it, and command-line
-I/O outside the two functions that do it."""
+``Fraction`` matrix outside the two checks parked on it, command-line
+I/O outside the two functions that do it, and a procedure written in the
+command line instead of the library."""
 
 import ast
 from pathlib import Path
@@ -273,3 +274,37 @@ def test_only_main_writes_and_only_load_input_reads_in_the_cli():
         for kind in io_calls(node):
             places[kind].add(scope)
     assert places == {"read": {"_load_input"}, "write": {"main"}}
+
+
+# The command line's own payload builders: each calls library procedures
+# and shapes their answers into one subcommand's JSON.
+PAYLOAD_BUILDERS = {"_norm", "_moving_gap", "_fvf", "_run_suite"}
+
+
+def test_each_subcommand_calls_a_library_procedure():
+    """The call of every ``cli.SUBCOMMANDS`` entry is an attribute of a
+    library module, such as ``freespace.extension_certificate``, or one of
+    the payload builders, so a procedure cannot grow back into the CLI."""
+    tree = parse(PACKAGE / "cli.py")
+    modules = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and not node.module
+        for alias in node.names
+    }
+    (table,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["SUBCOMMANDS"]
+    ]
+    local = []
+    for key, entry in zip(table.keys, table.values):
+        call = entry.elts[1]
+        if isinstance(call, ast.Attribute):
+            if getattr(call.value, "id", None) in modules:
+                continue
+        elif isinstance(call, ast.Name) and call.id in PAYLOAD_BUILDERS:
+            continue
+        local.append(f"{key.value}: {ast.unparse(call)}")
+    assert local == []
