@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from operator import add
+from math import lcm
+from operator import lshift
 from random import Random
 from typing import Optional
 
@@ -22,17 +23,23 @@ from .groups import (
     symmetric_group,
 )
 from .katetov import KatetovFunction, is_katetov
-from .metric import FiniteMetricSpace, PointedSpace, scale_rows
+from .metric import FiniteMetricSpace, PointedSpace, scale, scale_rows
 from .quotients import InvariantPseudometric
 
 ZERO = Fraction(0)
 
 
+def _draw(rng: Random, lo: int, hi: int, max_den: int = 4) -> tuple[int, int]:
+    """``(num, den)`` of a random rational in [lo, hi]: a denominator up to
+    ``max_den``, then a numerator over it."""
+    den = rng.randint(1, max_den)
+    return rng.randint(lo * den, hi * den), den
+
+
 def rand_fraction(
     rng: Random, lo: int, hi: int, max_den: int = 4
 ) -> Fraction:
-    den = rng.randint(1, max_den)
-    return Fraction(rng.randint(lo * den, hi * den), den)
+    return Fraction(*_draw(rng, lo, hi, max_den))
 
 
 def rand_metric_space(
@@ -46,33 +53,60 @@ def rand_metric_space(
 
     A small distance palette yields symmetric-rich spaces; the default draws
     positive rationals with denominator up to 4.  Palette entries must be
-    positive, or zero when ``pseudo`` is set.  The closure (Floyd-Warshall)
-    runs on the weights scaled to ints, one row at a time.
+    exact rationals, positive, or zero when ``pseudo`` is set; a bad palette
+    is a ``DomainError`` before any draw.  Weights are drawn straight to ints
+    over one denominator: 12 = lcm(1..4) by default, or the palette's from
+    one ``scale``.  The closure (Floyd-Warshall) runs on those ints, each row
+    packed into one int (see ``_closure``).
     """
-    if palette is not None and any(
-        v < 0 or (v == 0 and not pseudo) for v in palette
-    ):
-        raise DomainError(
-            "palette entries must be positive (zero only for a pseudometric)"
-        )
+    if palette is None:
+        den = lcm(1, 2, 3, 4)
+    else:
+        if not palette:
+            raise DomainError("palette must not be empty")
+        den, palette = scale(palette, "palette entries")
+        if any(v < 0 or (v == 0 and not pseudo) for v in palette):
+            raise DomainError(
+                "palette entries must be positive (zero only for a pseudometric)"
+            )
     labels = tuple(f"x{i}" for i in range(n))
-    w = [[ZERO] * n for _ in range(n)]
+    w = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if palette is not None:
                 v = rng.choice(palette)
             else:
-                v = rand_fraction(rng, 1, 10)
+                num, d = _draw(rng, 1, 10)
+                v = num * (den // d)
             if pseudo and rng.random() < 0.2:
-                v = ZERO
+                v = 0
             w[i][j] = w[j][i] = v
-    den, rows = scale_rows(w)
-    s = list(rows)
-    for k in range(n):
-        sk = s[k]
-        for i in range(n):
-            s[i] = list(map(min, s[i], map(add, repeat(s[i][k]), sk)))
-    return FiniteMetricSpace.from_scaled(labels, den, s, pseudo)
+    return FiniteMetricSpace.from_scaled(labels, den, _closure(w), pseudo)
+
+
+def _closure(rows: list[list[int]]) -> list[list[int]]:
+    """Floyd-Warshall over a square matrix of non-negative ints, with each
+    row packed into one int: field j of row i holds d(i, j) in ``w`` bits, of
+    which the top one is a guard, kept set.  Every value is at most the
+    largest entry m, and ``w`` leaves room for 2m below the guard, so row i
+    through k, ``via = P[k] + d(i, k)·ONES``, fits in each field.  One
+    subtraction ``P[i] - via`` then leaves the guard of field j set exactly
+    where via_j <= d(i, j), and a masked select takes via_j there."""
+    n = len(rows)
+    w = (2 * max(map(max, rows), default=0)).bit_length() + 1
+    g = w - 1
+    shifts = range(0, n * w, w)
+    ones = sum(map(lshift, repeat(1), shifts))
+    guards = ones << g
+    field = (1 << g) - 1
+    packed = [sum(map(lshift, row, shifts)) | guards for row in rows]
+    for k, s in enumerate(shifts):
+        pk = packed[k] ^ guards
+        for i, p in enumerate(packed):
+            via = pk + (p >> s & field) * ones
+            t = (p - via) & guards
+            packed[i] = p ^ ((p ^ via) & (t - (t >> g)))
+    return [[p >> s & field for s in shifts] for p in packed]
 
 
 def rand_pointed(rng: Random, space: FiniteMetricSpace) -> PointedSpace:
@@ -157,8 +191,11 @@ def rand_invariant_pseudometric(
     while delta != settled:
         settled = delta
         for a, shift in enumerate(shifts):
-            via = map(add, repeat(delta[a]), map(delta.__getitem__, shift))
-            delta = tuple(map(min, delta, via))
+            da = delta[a]
+            delta = tuple([
+                x if x <= (v := da + delta[s]) else v
+                for x, s in zip(delta, shift)
+            ])
     return InvariantPseudometric(group, tuple(map(Fraction, delta, repeat(den))))
 
 

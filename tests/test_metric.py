@@ -22,7 +22,7 @@ from exactmetric import (
 )
 from exactmetric.jsonio import parse_space, space_from_json, space_to_json
 from exactmetric.metric import ValidationReport, _scan, min_plus, scale_rows
-from exactmetric.randgen import cycle_space, rand_fraction, rand_metric_space
+from exactmetric.randgen import _closure, cycle_space, rand_fraction, rand_metric_space
 
 from conftest import space_from_rows
 
@@ -493,6 +493,19 @@ def test_generator_rejects_palettes_that_break_the_axioms(palette, pseudo):
         rand_metric_space(Random(0), 4, pseudo=pseudo, palette=palette)
 
 
+@pytest.mark.parametrize(
+    "palette", [[], ["a"], [F(1), 0.5]], ids=["empty", "str", "float"]
+)
+def test_generator_refuses_palettes_that_are_not_rationals(palette):
+    """An empty palette used to raise ``IndexError`` and a string one
+    ``TypeError`` from the sign check; a float one was refused only once a
+    float was drawn.  Each is now refused before any draw."""
+    rng = Random(1)
+    with pytest.raises(DomainError, match="palette"):
+        rand_metric_space(rng, 3, palette=palette)
+    assert rng.getstate() == Random(1).getstate()
+
+
 def test_zero_palette_entry_gives_a_valid_pseudometric():
     rng = Random(3)
     for _ in range(200):
@@ -500,6 +513,75 @@ def test_zero_palette_entry_gives_a_valid_pseudometric():
             rng, 4, pseudo=True, palette=[F(0), F(1, 4), F(1)]
         )
         assert validate(space).ok
+
+
+def min_loop_closure(rows):
+    """The row loop that ``_closure`` replaced: one builtin ``min`` per
+    entry, kept as its oracle."""
+    s = [list(row) for row in rows]
+    n = len(s)
+    for k in range(n):
+        sk = s[k]
+        for i in range(n):
+            s[i] = list(map(min, s[i], map(add, repeat(s[i][k]), sk)))
+    return s
+
+
+def min_loop_metric_space(rng, n, pseudo=False, palette=None):
+    """``rand_metric_space`` as it was with ``rand_fraction`` weights scaled
+    by ``scale_rows`` and closed by ``min_loop_closure``."""
+    labels = tuple(f"x{i}" for i in range(n))
+    w = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if palette is not None:
+                v = rng.choice(palette)
+            else:
+                v = rand_fraction(rng, 1, 10)
+            if pseudo and rng.random() < 0.2:
+                v = F(0)
+            w[i][j] = w[j][i] = v
+    den, rows = scale_rows(w)
+    return FiniteMetricSpace.from_scaled(labels, den, min_loop_closure(rows), pseudo)
+
+
+@pytest.mark.parametrize(
+    "pseudo, palette",
+    [
+        (False, None),
+        (True, None),
+        (False, [F(1), F(2), F(3)]),
+        (True, [F(0), F(10**20), F(1, 7)]),
+    ],
+    ids=["default", "pseudo", "palette", "wide-palette"],
+)
+def test_int_draws_and_packed_closure_match_the_min_loop(pseudo, palette):
+    """Same space and same RNG state afterwards: weights drawn as ints over
+    one denominator give the spaces the ``Fraction`` weights gave."""
+    for seed in range(12):
+        for n in range(17):
+            rng, ref = Random(seed), Random(seed)
+            space = rand_metric_space(rng, n, pseudo=pseudo, palette=palette)
+            expected = min_loop_metric_space(ref, n, pseudo, palette)
+            assert (space.points, space.scaled, space.pseudo) == (
+                expected.points, expected.scaled, expected.pseudo
+            ), (seed, n)
+            assert rng.getstate() == ref.getstate()
+
+
+def test_packed_closure_matches_the_min_loop_on_any_int_matrix():
+    """Matrices that are not metrics: asymmetric, a random diagonal, many
+    zeros, and one entry near 2**64, which widens every field."""
+    rng = Random(11)
+    for draw in range(200):
+        n = rng.randint(0, 12)
+        rows = [
+            [rng.choice([0, 0, rng.randint(1, 50)]) for _ in range(n)]
+            for _ in range(n)
+        ]
+        if n and draw % 2:
+            rows[rng.randrange(n)][rng.randrange(n)] = 2**64 - rng.randint(0, 9)
+        assert _closure(rows) == min_loop_closure(rows), rows
 
 
 # The three min-plus loops that ``min_plus`` replaced, kept as its oracles.

@@ -3,7 +3,8 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import add
 from random import Random
 
 import pytest
@@ -27,6 +28,7 @@ from exactmetric import (
     symmetric_group,
 )
 from exactmetric.jsonio import group_to_json, pseudometric_from_json
+from exactmetric.metric import scale_rows
 from exactmetric.randgen import (
     rand_action,
     rand_fraction,
@@ -251,6 +253,40 @@ def test_integer_closure_matches_the_fraction_closure():
         assert pm == fraction_closure_pseudometric(ref, group), seed
         assert rng.getstate() == ref.getstate()
         assert all(type(v) is Fraction for v in pm.delta)
+
+
+def min_map_pseudometric(rng, group):
+    """``rand_invariant_pseudometric`` as it was with one builtin ``min``
+    per entry in its relaxation, kept as the oracle for the comprehension."""
+    n = group.order
+    e = group.identity
+    weight = [F(0) if i == e else rand_fraction(rng, 1, 6, max_den=2) for i in range(n)]
+    for i in range(n):
+        j = group.inv(i)
+        low = min(weight[i], weight[j])
+        weight[i] = weight[j] = low
+    if n > 1:
+        z = rng.choice([i for i in range(n) if i != e])
+        weight[z] = weight[group.inv(z)] = F(0)
+    den, (delta,) = scale_rows([weight])
+    shifts = [group.table[group.inv(a)] for a in range(n)]
+    settled = None
+    while delta != settled:
+        settled = delta
+        for a, shift in enumerate(shifts):
+            via = map(add, repeat(delta[a]), map(delta.__getitem__, shift))
+            delta = tuple(map(min, delta, via))
+    return InvariantPseudometric(group, tuple(map(Fraction, delta, repeat(den))))
+
+
+def test_relaxation_comprehension_matches_the_min_map():
+    driver = Random(78)
+    for draw in range(200):
+        group = rand_group(driver, max_order=24 if draw % 2 else 12)
+        seed = driver.getrandbits(64)
+        rng, ref = Random(seed), Random(seed)
+        assert rand_invariant_pseudometric(rng, group) == min_map_pseudometric(ref, group), seed
+        assert rng.getstate() == ref.getstate()
 
 
 def test_quotient_random_pseudometrics():
