@@ -16,12 +16,13 @@ Exact strong duality between the two is a library-wide invariant.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from numbers import Rational
-from operator import add, sub
-from typing import Mapping, Optional, Sequence
+from operator import add, lt, mul, sub
+from typing import Optional, Sequence
 
 from .actions import GroupAction, Isometry, moving_gap, translation_gap
 from .errors import DomainError, InternalCheckError
@@ -104,26 +105,25 @@ class LipschitzWitness:
     values: Mapping[str, Fraction]
 
     def __post_init__(self):
-        space = self.pointed.space
-        try:
-            ok = set(self.values) == set(space.points)
-        except TypeError:  # values that are not iterable
-            ok = False
-        if not ok:
+        space, values = self.pointed.space, self.values
+        pts = space.points
+        if not isinstance(values, Mapping) or set(values) != set(pts):
             raise DomainError("witness must assign a value to every point")
-        if self.values[self.pointed.basepoint_label] != ZERO:
+        if values[self.pointed.basepoint_label] != ZERO:
             raise DomainError("witness must vanish at the basepoint")
         # compare as ints, in units of 1/unit
-        pts = space.points
         den, sd = space.scaled
-        unit, f = scale([self.values[x] for x in pts], "witness values", den)
+        unit, f = scale([values[x] for x in pts], "witness values", den)
         step = unit // den
+        d = sd if step == 1 else [[step * v for v in row] for row in sd]
         for i, fi in enumerate(f):
-            for j in range(i + 1, space.n):
-                if abs(fi - f[j]) > step * sd[i][j]:
-                    raise DomainError(
-                        f"witness is not 1-Lipschitz at ({pts[i]}, {pts[j]})"
-                    )
+            # one C-level test per row; the pair loop runs on a failing row
+            if any(map(lt, d[i][i + 1:], map(abs, map(sub, f[i + 1:], repeat(fi))))):
+                for j in range(i + 1, space.n):
+                    if abs(fi - f[j]) > d[i][j]:
+                        raise DomainError(
+                            f"witness is not 1-Lipschitz at ({pts[i]}, {pts[j]})"
+                        )
 
     def pair(self, m: Molecule) -> Fraction:
         return sum((v * self.values[x] for x, v in m.coeffs), ZERO)
@@ -156,22 +156,19 @@ def aell_norm_dual(m: Molecule) -> tuple[Fraction, LipschitzWitness]:
     rhs: list[int] = []
     for i, x in enumerate(supp):
         # g(x) <= 2 d(x, *)
-        row = [0] * nvar
-        row[i] = 1
-        rows.append(row)
+        only_x = [0] * nvar
+        only_x[i] = 1
+        rows.append(only_x)
         rhs.append(2 * dbp[i])
+        sx, di = sd[x], dbp[i]
         for j, y in enumerate(supp):
-            if i == j:
-                continue
-            # g(x) - g(y) <= d(x, y) + d(x, *) - d(y, *)
-            row = [0] * nvar
-            row[i] = 1
-            row[j] = -1
-            rows.append(row)
-            rhs.append(sd[x][y] + dbp[i] - dbp[j])
+            if i != j:
+                # g(x) - g(y) <= d(x, y) + d(x, *) - d(y, *)
+                row = only_x.copy()
+                row[j] = -1
+                rows.append(row)
+                rhs.append(sx[y] + di - dbp[j])
     value, g = simplex_max(c, rows, rhs)
-    shift = sum((ci * di for ci, di in zip(c, dbp)), ZERO)
-    norm = (value - shift) / den
     # the optimum on support + basepoint, extended by min-plus to every
     # point, as ints in units of 1/den: the constraint matrix is totally
     # unimodular and the right-hand side is int, so the vertex g is integral
@@ -180,12 +177,16 @@ def aell_norm_dual(m: Molecule) -> tuple[Fraction, LipschitzWitness]:
         [sd[x] for x in supp] + [sd[bp]],
         [gi.numerator - di for gi, di in zip(g, dbp)] + [0],
     )
-    full = dict(zip(space.points, map(Fraction, f, repeat(den))))
-    witness = LipschitzWitness(pointed, full)
-    paired = witness.pair(m)
-    if paired != norm:
+    as_fraction = {v: Fraction(v, den) for v in set(f)}.__getitem__
+    witness = LipschitzWitness(pointed, dict(zip(space.points, map(as_fraction, f))))
+    # the shift and the pairing of m with the witness, in units of
+    # 1/(unit den): the LP optimum is their sum, and the norm the pairing
+    unit, cs = scale(c, "molecule coefficients")
+    shift = sum(map(mul, cs, dbp))
+    paired = sum(map(mul, cs, map(f.__getitem__, supp)))
+    if value.numerator * unit != (paired + shift) * value.denominator:
         raise InternalCheckError("optimal witness does not attain the optimum")
-    return norm, witness
+    return Fraction(paired, unit * den), witness
 
 
 def aell_norm_primal(

@@ -1,37 +1,38 @@
-"""Exact simplex with unit pivots on a condensed integer tableau.
+"""Exact simplex with unit pivots on a ternary bitmask tableau.
 
 Solves   maximize c.x   subject to  A x <= b,  x >= 0
-for an ``int`` matrix A and rational (``int`` or ``Fraction``) c and b >= 0,
-so the slack basis is feasible and a single phase suffices.  Entering
-variable: Dantzig rule (largest positive reduced cost, smallest variable
-index among equals), switching to Bland's rule after a pivot budget to
-guarantee termination; leaving variable: minimum ratio with smallest-index
-tie break.
+for a totally unimodular ``int`` matrix A, like the dual norm LP's rows e_x
+and e_x - e_y (Hoffman and Kruskal 1956), and rational (``int`` or
+``Fraction``) c and b >= 0, so the slack basis is feasible and a single phase
+suffices.  Entering variable: Dantzig rule (largest positive reduced cost,
+smallest variable index among equals), switching to Bland's rule after a
+pivot budget to guarantee termination; leaving variable: minimum ratio with
+smallest-index tie break.
 
 The tableau is condensed (Tucker's dictionary form, as in Avis's lrs): it
-stores the columns of the nonbasic variables only, not the identity block of
-the basic ones.  It holds A as is, the right-hand side times the lcm of b's
-denominators and the objective row times c's.  Every pivot entry must be 1,
-as it is when A is totally unimodular, like the dual norm LP's rows e_x and
-e_x - e_y (Hoffman and Kruskal 1956).  Then the tableau stays equal to the
-rational tableau ``[A | I]``, up to the scaling of its last column and row,
-the ratio test compares right-hand sides, and every pivot choice is the
-rational tableau's.  A positive entry other than 1 in an entering column
-raises ``DomainError``.  Fractions appear only in the result.
+stores the columns of the nonbasic variables only.  By Cramer's rule every
+entry of B^-1 [A | I] is 0, 1 or -1, so a column is two ints, ``pos`` and
+``neg``, whose byte i is 1 where row i holds 1 and -1 respectively; the
+reduced costs and the right-hand side are int lists, scaled by c's and b's
+lcm denominators.  Every pivot entry is 1, so every pivot is the rational
+tableau's.  An entry of A outside {-1, 0, 1}, or one that a pivot would
+make, raises ``DomainError``.
 """
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
-from itertools import compress
-from operator import index, neg
+from itertools import chain, compress
+from operator import index
 from typing import Sequence
 
 from .errors import DomainError, InternalCheckError
 from .metric import scale
 
 ZERO = Fraction(0)
-_POSITIVE = (0).__lt__
+# from the signed bytes of A: 1 where an entry is -1, 0 where it is 0 or 1
+_NEG = bytes.maketrans(b"\x01\xff", b"\x00\x01")
 # Dantzig's rule chooses the first DANTZIG_FACTOR * (m + n) pivots, Bland's
 # rule the rest
 DANTZIG_FACTOR = 20
@@ -47,18 +48,26 @@ def simplex_max(
     n = len(c)
     if len(b) != m or any(len(row) != n for row in a):
         raise DomainError("inconsistent LP dimensions")
+    entries = list(chain.from_iterable(a))  # A row by row
     try:
-        tab = [list(map(index, col)) for col in (zip(*a) if m else [()] * n)]
+        try:
+            flat = array("b", entries).tobytes()  # a signed byte per entry
+        except OverflowError:  # refused below, once all entries are ints
+            list(map(index, entries))
+            flat = b"\x02"
     except TypeError:
         raise DomainError("LP constraint matrix must hold ints") from None
     lb, rhs = scale(b, "LP data")
-    _, obj = scale(c, "LP data")
+    lc, obj = scale(c, "LP data")
     if any(bi < 0 for bi in rhs):
         raise DomainError("right-hand side must be non-negative")
-    for col, cj in zip(tab, obj):
-        col.append(cj)
-    rhs.append(0)
-    tab.append(rhs)
+    if flat.translate(None, b"\x00\x01\xff"):
+        raise DomainError("LP constraint matrix is not totally unimodular")
+    plus, minus = flat.replace(b"\xff", b"\x00"), flat.translate(_NEG)
+    pos = [int.from_bytes(plus[j::n], "little") for j in range(n)]
+    neg = [int.from_bytes(minus[j::n], "little") for j in range(n)]
+    cost = obj[:]
+    tab = (pos, neg, cost, rhs)
     cols = list(range(n))
     basis = list(range(n, n + m))
 
@@ -68,30 +77,19 @@ def simplex_max(
     while True:
         if pivots > max_pivots:
             raise InternalCheckError("simplex pivot budget exhausted")
-        enter = -1
-        if pivots > dantzig_budget:
-            # Bland: the smallest variable with a positive reduced cost
-            for s in range(n):
-                if tab[s][m] > 0 and (enter < 0 or cols[s] < cols[enter]):
-                    enter = s
-        else:
-            best = 0
-            for s in range(n):
-                cost = tab[s][m]
-                if cost > best or (cost == best > 0 and cols[s] < cols[enter]):
-                    best = cost
-                    enter = s
-        if enter < 0:
+        best = max(cost, default=0)
+        if best <= 0:
             break
+        if pivots <= dantzig_budget and cost.count(best) == 1:
+            enter = cost.index(best)
+        else:
+            # the smallest variable with the largest (Dantzig) or a positive
+            # (Bland) reduced cost
+            ready = best.__eq__ if pivots <= dantzig_budget else (0).__lt__
+            enter = min(compress(range(n), map(ready, cost)), key=cols.__getitem__)
         # every candidate pivot entry is 1, so the ratios are the rhs entries
-        col = tab[enter]
         leave = -1
-        for i in compress(range(m), map(_POSITIVE, col)):
-            if col[i] != 1:
-                raise DomainError(
-                    f"pivot entry {col[i]} is not 1: the constraint matrix "
-                    "is not totally unimodular"
-                )
+        for i in compress(range(m), pos[enter].to_bytes(m, "little")):
             if leave < 0 or rhs[i] < rhs[leave] or (
                 rhs[i] == rhs[leave] and basis[i] < basis[leave]
             ):
@@ -104,27 +102,42 @@ def simplex_max(
         pivots += 1
 
     x = [ZERO] * n
+    top = 0
     for i, bi in enumerate(basis):
         if bi < n:
             x[bi] = Fraction(rhs[i], lb)
-    value = sum((c[j] * x[j] for j in range(n)), ZERO)
-    return value, x
+            top += obj[bi] * rhs[i]
+    return Fraction(top, lb * lc), x
 
 
 def pivot(tab, cols, basis, r, e):
-    """Unit pivot on ``tab[e][r] == 1``: entering variable ``cols[e]`` swaps
-    with leaving variable ``basis[r]``.  Off row ``r``, every other column
-    ``j`` loses ``P_j`` times column ``e``, where ``P`` is the pivot row, so
-    columns with ``P_j == 0`` keep their entries; column ``e`` becomes the
-    leaving variable's, its negation with 1 in row ``r``."""
-    f = tab[e]
-    nonzero = [(i, f[i]) for i in compress(range(len(f)), f) if i != r]
-    for j, col in enumerate(tab):
-        pj = col[r]
-        if pj and j != e:
-            for i, fi in nonzero:
-                col[i] -= fi * pj
-    new = list(map(neg, f))
-    new[r] = 1
-    tab[e] = new
+    """Unit pivot on entry 1 in row ``r`` of column ``e``: entering variable
+    ``cols[e]`` swaps with leaving variable ``basis[r]``.  Off row ``r``,
+    every other column ``j`` loses ``P_j`` times column ``e``, where ``P`` is
+    the pivot row; column ``e`` becomes the leaving variable's, its negation
+    with 1 in row ``r``."""
+    pos, neg, cost, rhs = tab
+    bit = 1 << 8 * r
+    off, ne, ce = pos[e] ^ bit, neg[e], cost[e]  # column e off row r
+    # column j gains -P_j times column e off row r
+    for j, pj in enumerate(pos):
+        nj = neg[j]
+        if pj & bit and j != e:
+            add_pos, add_neg, cost[j] = ne, off, cost[j] - ce
+        elif nj & bit:
+            add_pos, add_neg, cost[j] = off, ne, cost[j] + ce
+        else:
+            continue
+        if pj & add_pos or nj & add_neg:
+            raise DomainError("a pivot makes an entry 2 or -2: not totally unimodular")
+        up, down = pj | add_pos, nj | add_neg
+        both = up & down  # where 1 and -1 cancel
+        pos[j], neg[j] = up ^ both, down ^ both
+    pos[e], neg[e], cost[e] = ne | bit, off, -ce
+    if t := rhs[r]:
+        m = len(rhs)
+        for i in compress(range(m), off.to_bytes(m, "little")):
+            rhs[i] -= t
+        for i in compress(range(m), ne.to_bytes(m, "little")):
+            rhs[i] += t
     cols[e], basis[r] = basis[r], cols[e]

@@ -843,3 +843,77 @@ def test_make_add_and_sub_match_the_parent():
         "molecule coefficients must be exact rationals",
         "molecules live over different pointed spaces",
     }
+
+
+def test_dual_refuses_a_vertex_that_does_not_attain_the_optimum(
+    monkeypatch, line013_pointed
+):
+    """A feasible but not optimal vertex, the origin, reported with the LP's
+    optimum: its witness pairs below the norm."""
+
+    def origin(c, a, b):
+        value, x = simplex_max(c, a, b)
+        return value, [F(0)] * len(x)
+
+    monkeypatch.setattr(freespace, "simplex_max", origin)
+    m = Molecule.make(line013_pointed, {"1": F(2), "3": F(-1)})
+    with pytest.raises(
+        InternalCheckError, match="optimal witness does not attain the optimum"
+    ):
+        aell_norm_dual(m)
+
+
+@pytest.mark.parametrize("values", [
+    ["0", "1", "2"], ("0", "1", "2"), {"0", "1", "2"}, dict.fromkeys("012").keys(),
+])
+def test_witness_values_that_are_not_a_mapping_assign_no_point(values):
+    pointed = PointedSpace(cycle_space(3), 0)
+    with pytest.raises(DomainError, match="witness must assign a value to every point"):
+        LipschitzWitness(pointed, values)
+
+
+def _non_lipschitz_pairs(pointed, values):
+    """The pair loop over every (i, j), j > i, in order, that the witness
+    check ran before its row test, kept as its oracle: every pair with
+    |f(i) - f(j)| > d(i, j), in the order the loop meets them."""
+    space = pointed.space
+    den, sd = space.scaled
+    unit, f = scale([values[x] for x in space.points], "witness values", den)
+    step = unit // den
+    return [
+        (space.points[i], space.points[j])
+        for i in range(space.n)
+        for j in range(i + 1, space.n)
+        if abs(f[i] - f[j]) > step * sd[i][j]
+    ]
+
+
+def test_witness_reports_the_first_failing_pair_of_the_pair_loop():
+    """On random witnesses, some 1-Lipschitz and most failing at several
+    pairs, some with denominators that the distances lack, the row test
+    reports the pair loop's first failing pair."""
+    rng = Random(3131)
+    kinds = set()
+    for k in range(300):
+        space = rand_metric_space(rng, 2 + k % 9, pseudo=k % 5 == 0)
+        pointed = rand_pointed(rng, space)
+        values = {x: rand_fraction(rng, -2, 2, 1 + k % 3) for x in space.points}
+        values[pointed.basepoint_label] = F(0)
+        pairs = _non_lipschitz_pairs(pointed, values)
+        if not pairs:
+            LipschitzWitness(pointed, values)
+            kinds.add("valid")
+            continue
+        with pytest.raises(DomainError) as err:
+            LipschitzWitness(pointed, values)
+        x, y = pairs[0]
+        assert str(err.value) == f"witness is not 1-Lipschitz at ({x}, {y})"
+        if len(pairs) > 1:
+            kinds.add("several")
+        if pairs[0][0] != space.points[0]:
+            kinds.add("not on the first row")
+        if any(space.scaled[0] % v.denominator for v in values.values()):
+            kinds.add("finer than the distances")
+    assert kinds == {
+        "valid", "several", "not on the first row", "finer than the distances"
+    }

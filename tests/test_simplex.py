@@ -336,3 +336,81 @@ def test_against_brute_force_vertices():
             )
         )
         assert value == best
+
+
+@pytest.mark.parametrize("c, a, b, rational", [
+    # a -2 in a column that never enters
+    ([F(1), F(-5)], [[1, -2]], [F(1)], (1, [1, 0])),
+    # a -2 that the first pivot makes off the entering column
+    ([F(1), F(-5)], [[1, 1], [1, -1]], [F(1), F(1)], (1, [1, 0])),
+    # an unbounded LP whose A holds a -2
+    ([F(1), F(0)], [[1, -2]], [F(1)], "unbounded"),
+    # an entry beyond a signed byte
+    ([F(1)], [[300]], [F(1)], (F(1, 300), [F(1, 300)])),
+])
+def test_entries_outside_the_unit_range_are_not_totally_unimodular(c, a, b, rational):
+    """The ternary tableau refuses every entry outside {-1, 0, 1}, in A or
+    made by a pivot, where the rational tableau gives an answer."""
+    if rational == "unbounded":
+        with pytest.raises(DomainError, match="unbounded"):
+            _rational_simplex_max(c, a, b, [])
+    else:
+        assert _rational_simplex_max(c, a, b, []) == rational
+    with pytest.raises(DomainError, match="not totally unimodular"):
+        simplex_max(c, a, b)
+
+
+@pytest.mark.parametrize("c, a, b, message", [
+    ([F(1)], [[1.5, -2]], [F(-1)], "inconsistent LP dimensions"),
+    ([F(1), F(1)], [[-2, 0.5]], [F(-1)], "constraint matrix must hold ints"),
+    # the entry beyond a byte comes first, the float after it
+    ([F(1), F(1)], [[300, 0.5]], [F(-1)], "constraint matrix must hold ints"),
+    ([F(1), F(1)], [[300, 1], [0, F(1)]], [F(1), F(1)], "constraint matrix must hold ints"),
+    ([F(1), F(1)], [[-2, 300]], [0.5], "exact rationals"),
+    ([F(1), F(1)], [[-2, 300]], [F(-1)], "right-hand side must be non-negative"),
+    ([F(1), F(1)], [[-2, 300]], [F(1)], "not totally unimodular"),
+])
+def test_checks_run_in_order(c, a, b, message):
+    """Dimensions, then ints in A, then exact rationals in b and c, then the
+    sign of b, then total unimodularity: an LP failing several checks gets
+    the first one's message."""
+    with pytest.raises(DomainError, match=message):
+        simplex_max(c, a, b)
+
+
+def _large_dual_lps(monkeypatch):
+    """The LPs ``aell_norm_dual`` solves for full-support molecules over
+    11- to 13-point spaces: 100 to 144 rows, so each mask of the tableau is
+    wider than 64 rows."""
+    rng = Random(7007)
+    lps = []
+
+    def capture(c, a, b):
+        lps.append((c, a, b))
+        return simplex_max(c, a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(freespace, "simplex_max", capture)
+        for n in (11, 12, 13) * 4:
+            space = rand_metric_space(rng, n)
+            pointed = rand_pointed(rng, space)
+            coeffs = {x: rand_fraction(rng, -5, 5) or F(1) for x in space.points}
+            freespace.aell_norm_dual(Molecule.make(pointed, coeffs))
+    assert all(len(a) > 64 for _, a, _ in lps)
+    return lps
+
+
+@pytest.mark.parametrize("factor", [DANTZIG_FACTOR, 0])
+def test_wide_masks_match_the_rational_tableau(monkeypatch, factor):
+    """On dual LPs with more than 64 rows, the same optimum, vertex and
+    ``(row, variable)`` pivots as the ``Fraction`` tableau, under Dantzig's
+    rule and under Bland's from the second pivot on."""
+    lps = _large_dual_lps(monkeypatch)
+    monkeypatch.setattr(simplex, "DANTZIG_FACTOR", factor)
+    monkeypatch.setitem(globals(), "DANTZIG_FACTOR", factor)
+    rows = []
+    for (c, a, b), (got, want) in zip(lps, _pivot_sequences(monkeypatch, lps)):
+        assert got == want, (c, a, b)
+        rows += [r for r, _ in want[1]]
+    # pivots on both sides of the 64th row
+    assert min(rows) < 64 <= max(rows)
