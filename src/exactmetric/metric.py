@@ -4,16 +4,18 @@ A space stores its distances once, as int rows over a common denominator,
 ``space.scaled``, which the scans and solvers read; the ``Fraction`` matrix
 of the API, ``space.dist``, is made from it when first read.  No floating
 point enters any computation, so every check is decided exactly.
+``validate`` certifies a valid space on its int rows packed one int each
+(``pack_rows``), and finds the first violation of any other by ``_scan``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, islice, product, repeat
 from math import gcd, lcm
-from operator import add, lt, ne, sub
+from operator import add, and_, getitem, lshift, lt, ne, sub, xor
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, StructuralError
@@ -142,12 +144,34 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
 
     Checks run in the order symmetry, zero diagonal, triangle inequality,
     separation (skipped for pseudometrics).  Negative entries surface as
-    triangle violations via d(x, x) <= 2 d(x, y).
+    triangle violations via d(x, x) <= 2 d(x, y).  Both steps below read the
+    int matrix of ``space.scaled``.  A distance that is not an exact rational
+    (a float, a string, ``None``) never reaches them: building the space
+    raises ``DomainError("distances must be exact rationals")``.
 
-    The scans read the int matrix of ``space.scaled``, so every comparison
-    is an int comparison.  A distance that is not an exact rational (a
-    float, a string, ``None``) never reaches them: building the space raises
-    ``DomainError("distances must be exact rationals")``.
+    First a certificate: a symmetric matrix, a zero diagonal, no negative
+    entry, n zeros unless ``pseudo``, and, on the rows P of ``pack_rows``,
+    every guard of ``P[j] + d(i, j)·ONES - P[i]`` set, in one C-level
+    pipeline over all i, j: field k is the guard plus d(i, j) + d(j, k) -
+    d(i, k).  A space that fails it goes to ``_scan``.
+    """
+    d, n = space.scaled[1], space.n
+    if (d == tuple(zip(*d)) and not any(map(getitem, d, range(n)))
+            and min(chain.from_iterable(d), default=0) >= 0
+            and (space.pseudo or sum(map(tuple.count, d, repeat(0))) == n)):
+        _, _, ones, guards, packed = pack_rows(d)
+        via = map(add, chain(*repeat(packed, n)), map(ones.__mul__, chain(*d)))
+        pi = chain(*map(repeat, map(xor, packed, repeat(guards)), repeat(n)))
+        if reduce(and_, map(sub, via, pi), guards) == guards:
+            return ValidationReport(True)
+    return _scan(space, d)
+
+
+def _scan(space: FiniteMetricSpace, d: Sequence[Sequence]) -> ValidationReport:
+    """``validate``'s scans over ``d``, one of ``space``'s own matrices: its
+    int rows, or its ``Fraction`` rows for ``katetov.star_fragment``'s
+    self-check.  Both are the distances up to one positive factor, so they
+    give the same report.
 
     The witness is the lexicographically first violating index tuple.  Each
     check tests a whole row (symmetry: the whole matrix) in one C-level
@@ -161,14 +185,6 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
     a zero diagonal, a row has an off-diagonal zero exactly when it holds
     two zeros, and the first such row has its off-diagonal zeros at j > i.
     """
-    return _scan(space, space.scaled[1])
-
-
-def _scan(space: FiniteMetricSpace, d: Sequence[Sequence]) -> ValidationReport:
-    """``validate``'s scans over ``d``, one of ``space``'s own matrices: its
-    int rows, or its ``Fraction`` rows for ``katetov.star_fragment``'s
-    self-check.  Both are the distances up to one positive factor, so they
-    give the same report."""
     pts = space.points
     n = space.n
     if any(map(ne, d, zip(*d))):
@@ -208,6 +224,19 @@ def require_valid(space: FiniteMetricSpace) -> FiniteMetricSpace:
             f"metric axiom violated: {report.axiom} at {report.witness}"
         )
     return space
+
+
+def pack_rows(rows: Sequence[Sequence[int]]):
+    """``(w, shifts, ones, guards, packed)``: a square matrix of non-negative
+    ints packed one int per row with a guard bit per field (Lamport's SWAR):
+    field j of row i is rows[i][j] below a set guard, in ``w`` bits, which
+    leaves room for a sum of two entries, so no field borrows or carries
+    into the next.  ``ones`` has a 1 in each field, ``guards`` each guard."""
+    w = (2 * max(map(max, rows), default=0)).bit_length() + 1
+    shifts = range(0, len(rows) * w, w)
+    ones = sum(map(lshift, repeat(1), shifts))
+    guards = ones << w - 1
+    return w, shifts, ones, guards, [sum(map(lshift, r, shifts), guards) for r in rows]
 
 
 def min_plus(rows: Sequence[Sequence[int]], values: Iterable[int]) -> tuple[int, ...]:

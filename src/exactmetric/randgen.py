@@ -9,7 +9,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
-from operator import lshift
 from random import Random
 from typing import Optional
 
@@ -23,7 +22,7 @@ from .groups import (
     symmetric_group,
 )
 from .katetov import KatetovFunction, is_katetov
-from .metric import FiniteMetricSpace, PointedSpace, scale, scale_rows
+from .metric import FiniteMetricSpace, PointedSpace, pack_rows, scale, scale_rows
 from .quotients import InvariantPseudometric
 
 ZERO = Fraction(0)
@@ -57,7 +56,8 @@ def rand_metric_space(
     is a ``DomainError`` before any draw.  Weights are drawn straight to ints
     over one denominator: 12 = lcm(1..4) by default, or the palette's from
     one ``scale``.  The closure (Floyd-Warshall) runs on those ints, each row
-    packed into one int (see ``_closure``).
+    packed into one int by ``metric.pack_rows``, the packing ``validate``'s
+    certificate uses (see ``_closure``).
     """
     if palette is None:
         den = lcm(1, 2, 3, 4)
@@ -85,21 +85,15 @@ def rand_metric_space(
 
 
 def _closure(rows: list[list[int]]) -> list[list[int]]:
-    """Floyd-Warshall over a square matrix of non-negative ints, with each
-    row packed into one int: field j of row i holds d(i, j) in ``w`` bits, of
-    which the top one is a guard, kept set.  Every value is at most the
-    largest entry m, and ``w`` leaves room for 2m below the guard, so row i
-    through k, ``via = P[k] + d(i, k)·ONES``, fits in each field.  One
-    subtraction ``P[i] - via`` then leaves the guard of field j set exactly
-    where via_j <= d(i, j), and a masked select takes via_j there."""
-    n = len(rows)
-    w = (2 * max(map(max, rows), default=0)).bit_length() + 1
+    """Floyd-Warshall over a square matrix of non-negative ints, on its rows
+    packed by ``metric.pack_rows``.  Every value stays at most the largest
+    entry, so row i through k, ``via = P[k] + d(i, k)·ONES``, fits in each
+    field.  One subtraction ``P[i] - via`` then leaves the guard of field j
+    set exactly where via_j <= d(i, j), and a masked select takes via_j
+    there."""
+    w, shifts, ones, guards, packed = pack_rows(rows)
     g = w - 1
-    shifts = range(0, n * w, w)
-    ones = sum(map(lshift, repeat(1), shifts))
-    guards = ones << g
     field = (1 << g) - 1
-    packed = [sum(map(lshift, row, shifts)) | guards for row in rows]
     for k, s in enumerate(shifts):
         pk = packed[k] ^ guards
         for i, p in enumerate(packed):

@@ -21,6 +21,7 @@ from exactmetric import (
     validate,
 )
 from exactmetric.jsonio import parse_space, space_from_json, space_to_json
+import exactmetric.metric as metric_module
 from exactmetric.metric import ValidationReport, _scan, min_plus, scale_rows
 from exactmetric.randgen import _closure, cycle_space, rand_fraction, rand_metric_space
 
@@ -255,6 +256,97 @@ def test_row_tests_report_what_the_pairwise_scans_report():
             space = space_from_rows(["a", "b"], rows, pseudo)
             for d in (space.scaled[1], space.dist):
                 assert _scan(space, d) == pairwise_scan(space, d), space
+
+
+def int_space(rows, pseudo=False):
+    """The space on ``x0, x1, ...`` with the int matrix ``rows`` over 1."""
+    labels = tuple(f"x{i}" for i in range(len(rows)))
+    return FiniteMetricSpace.from_scaled(labels, 1, rows, pseudo)
+
+
+def path_rows(rng, n, gap):
+    """Points on a line with gaps in [gap, 2 gap): every d(0, k) + d(k, n-1)
+    equals the largest entry d(0, n-1)."""
+    x = [0]
+    for _ in range(n - 1):
+        x.append(x[-1] + gap + rng.randrange(gap))
+    return [[abs(a - b) for b in x] for a in x]
+
+
+def certificate_cases():
+    """Spaces for the packed-row certificate: n = 0, 1, 2 by hand; random
+    spaces up to 60 points, valid or with planted faults (asymmetric,
+    diagonal, negative, triangle, a copied point), as metrics and as
+    pseudometrics, some scaled past 2**64; and all-zero pseudometrics."""
+    rng = Random(2828)
+    yield int_space([])
+    for rows in (
+        [[0]], [[1]], [[-1]], [[0, 1], [1, 0]], [[0, 0], [0, 0]],
+        [[0, -1], [-1, 0]], [[0, 1], [2, 0]], [[1, 1], [1, 0]],
+        [[0, 2**70], [2**70, 0]], [[0, -(2**70)], [-(2**70), 0]],
+    ):
+        for pseudo in (False, True):
+            yield int_space(rows, pseudo)
+    for case in range(330):
+        n = rng.randint(3, 12) if case < 300 else rng.randint(13, 60)
+        if case % 4 == 3:
+            space = tight_space(rng, n)
+        else:
+            palette = [None, [F(1), F(2), F(3)], MIXED_PALETTE][case % 4]
+            space = rand_metric_space(rng, n, palette=palette)
+        faults = rng.sample(FAULTS, rng.choice([0, 0, 1, 1, 2]))
+        space = plant(rng, space, faults, rng.random() < 0.3)
+        if case % 3 == 0:
+            big = 2**64 + rng.randrange(1, 2**70, 2)
+            rows = [[v * big for v in row] for row in space.scaled[1]]
+            space = int_space(rows, space.pseudo)
+        yield space
+    for n in (3, 9, 40):
+        yield int_space([[0] * n for _ in range(n)], pseudo=True)
+
+
+def test_packed_certificate_reports_what_the_scan_reports(monkeypatch):
+    """``validate`` is ``_scan`` on the int rows, and matches the full scan
+    where n <= 12.  The certificate alone accepts every valid space: the
+    scan runs only on spaces that fail an axiom."""
+    scanned = []
+
+    def scan(space, d):
+        scanned.append(space)
+        return _scan(space, d)
+
+    monkeypatch.setattr(metric_module, "_scan", scan)
+    seen = set()
+    for space in certificate_cases():
+        scanned.clear()
+        report = validate(space)
+        assert report == _scan(space, space.scaled[1]), space
+        if space.n <= 12:
+            expected = full_scan_validate(space)
+            assert (report.ok, report.axiom, report.witness) == expected, space
+        assert scanned == ([] if report.ok else [space]), space
+        seen.add((report.axiom, space.pseudo, space.n > 12))
+    assert {axiom for axiom, _, _ in seen} == {
+        None, "symmetry", "diagonal", "triangle", "separation"
+    }
+    assert (None, True, True) in seen and ("triangle", False, True) in seen
+
+
+@pytest.mark.parametrize("gap", [1, 10**6, 2**64 + 1])
+@pytest.mark.parametrize("n", [3, 12, 60])
+def test_a_tight_triangle_at_the_largest_entry_is_certified(n, gap):
+    """d(0, n-1) = d(0, k) + d(k, n-1) passes; one more fails, with the
+    scan's witness."""
+    rows = path_rows(Random(n), n, gap)
+    assert validate(int_space(rows)) == ValidationReport(True)
+    rows[0][n - 1] += 1
+    rows[n - 1][0] += 1
+    space = int_space(rows)
+    report = validate(space)
+    assert report.axiom == "triangle"
+    assert report == _scan(space, space.scaled[1])
+    if n <= 12:
+        assert (report.ok, report.axiom, report.witness) == full_scan_validate(space)
 
 
 @pytest.mark.parametrize(
