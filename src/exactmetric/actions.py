@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import DomainError, refusing
 from .groups import FiniteGroup, permutation_table
 from .metric import FiniteMetricSpace
 
@@ -24,20 +24,12 @@ class Isometry:
 
     def __post_init__(self):
         n = self.space.n
-        p = self.perm
         # 1.0 equals the index 1 but cannot index a row; a sum of numbers is
-        # an int only when each of them is, and costs less than a type scan;
-        # entries that do not compare, such as "a" and 1, raise TypeError,
-        # as does a perm that is not iterable
-        try:
-            if type(p) is not tuple:  # a list would leave it unhashable
-                p = tuple(p)
-                object.__setattr__(self, "perm", p)
-            ok = sorted(p) == list(range(n)) and type(sum(p)) is int
-        except TypeError:
-            ok = False
-        if not ok:
-            raise DomainError("not a permutation of the point set")
+        # an int only when each of them is, and costs less than a type scan
+        with refusing(DomainError, "not a permutation of the point set") as refuse:
+            p = tuple(self.perm)  # a list would leave the record unhashable
+            refuse.unless(sorted(p) == list(range(n)) and type(sum(p)) is int)
+        object.__setattr__(self, "perm", p)
         # Fraction rows on purpose: compose runs this, and a faster check
         # multiplies the passes a benchmark run keeps in memory (ROADMAP 1-2)
         d = self.space.dist
@@ -126,24 +118,17 @@ class GroupAction:
     images: tuple[Isometry, ...]
 
     def __post_init__(self):
-        g = self.group
-        try:
-            if type(self.images) is not tuple:  # a list would leave it unhashable
-                object.__setattr__(self, "images", tuple(self.images))
-            ok = len(self.images) == g.order
-        except TypeError:  # images that are not iterable
-            ok = False
-        if not ok:
-            raise DomainError("one isometry per group element required")
-        space = self.space
-        if any(
-            not isinstance(iso, Isometry)
-            or iso.space is not space and iso.space != space
-            for iso in self.images
+        g, space = self.group, self.space
+        with refusing(DomainError, "one isometry per group element required") as refuse:
+            images = tuple(self.images)  # a list would leave the record unhashable
+            refuse.unless(len(images) == g.order)
+        object.__setattr__(self, "images", images)
+        if not all(
+            isinstance(iso, Isometry) and (iso.space is space or iso.space == space)
+            for iso in images
         ):
             raise DomainError("images must act on the action's space")
-        ident = tuple(range(self.space.n))
-        if self.images[g.identity].perm != ident:
+        if images[g.identity].perm != tuple(range(space.n)):
             raise DomainError("identity element must act as the identity map")
         for a in range(g.order):
             for b in range(g.order):
@@ -163,8 +148,10 @@ def translation_gap(
     if not idx:
         raise DomainError("a translation gap requires a non-empty set")
     den, d = action.space.scaled
-    perm = action.images[g].perm
-    return Fraction(min(d[i][perm[j]] for i in idx for j in idx), den)
+    with refusing(DomainError, "element or point index out of range") as refuse:
+        refuse.unless(min(g, *idx) >= 0)  # -1 would read the last image or point
+        moved = list(map(action.images[g].perm.__getitem__, idx))
+    return Fraction(min(d[i][j] for i in idx for j in moved), den)
 
 
 def moving_gap(
@@ -174,9 +161,9 @@ def moving_gap(
 
     Ties resolve to the earliest element in the group's order.
     """
-    if not f:
-        raise DomainError("moving_gap requires a non-empty set")
-    idx = [action.space.index(x) for x in f]
+    with refusing(DomainError, "moving_gap requires a non-empty set") as refuse:
+        idx = [action.space.index(x) for x in f]
+        refuse.unless(idx)
     gaps = [translation_gap(action, idx, g) for g in range(action.group.order)]
     best = max(range(len(gaps)), key=gaps.__getitem__)
     return gaps[best], action.group.elements[best]
@@ -191,10 +178,11 @@ def action_from_closure(
     lexicographically by permutation (so the labeling is deterministic), with
     an abstract multiplication table read off from composition.
     """
-    for gen in generators:
-        if gen.space is not space and gen.space != space:
-            raise DomainError("cannot compose isometries of different spaces")
-    gens = [gen.perm for gen in generators]
+    with refusing(DomainError, "generators must be isometries"):
+        for gen in generators:
+            if gen.space is not space and gen.space != space:
+                raise DomainError("cannot compose isometries of different spaces")
+        gens = [gen.perm for gen in generators]
     frontier = [tuple(range(space.n))]
     seen = set(frontier)
     while frontier:

@@ -20,12 +20,11 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from numbers import Rational
 from operator import add, lt, mul, sub
 from typing import Optional, Sequence
 
 from .actions import GroupAction, Isometry, moving_gap, translation_gap
-from .errors import DomainError, InternalCheckError
+from .errors import DomainError, InternalCheckError, refusing
 from .metric import PointedSpace, min_plus, scale
 from .simplex import simplex_max
 
@@ -48,14 +47,13 @@ class Molecule:
     def make(pointed: PointedSpace, mapping: Mapping[str, Fraction]) -> "Molecule":
         index, bp = pointed.space.index, pointed.basepoint
         items = []
-        for label, value in mapping.items():
-            i = index(label)
-            if type(value) is not Fraction:
-                if not isinstance(value, Rational):
-                    raise DomainError("molecule coefficients must be exact rationals")
-                value = Fraction(value)
-            if value and i != bp:
-                items.append((i, label, value))
+        with refusing(DomainError, "molecule coefficients must be exact rationals"):
+            for label, value in mapping.items():
+                i = index(label)
+                if type(value) is not Fraction:  # a float has no numerator
+                    value = Fraction(value.numerator, value.denominator)
+                if value and i != bp:
+                    items.append((i, label, value))
         return Molecule(pointed, tuple((label, v) for _, label, v in sorted(items)))
 
     @staticmethod
@@ -107,8 +105,9 @@ class LipschitzWitness:
     def __post_init__(self):
         space, values = self.pointed.space, self.values
         pts = space.points
-        if not isinstance(values, Mapping) or set(values) != set(pts):
-            raise DomainError("witness must assign a value to every point")
+        with refusing(DomainError,
+                      "witness must assign a value to every point") as refuse:
+            refuse.unless(values.keys() == set(pts))  # a list has no keys
         if values[self.pointed.basepoint_label] != ZERO:
             raise DomainError("witness must vanish at the basepoint")
         # compare as ints, in units of 1/unit
@@ -372,6 +371,11 @@ def rebase(m: Molecule, new_basepoint: str) -> Molecule:
     return Molecule.make(new_pointed, out)
 
 
+def _phi_plus(pointed: PointedSpace, phi: Sequence[str]) -> list[str]:
+    with refusing(DomainError, "phi must be a set of point labels"):
+        return list(dict.fromkeys([*phi, pointed.basepoint_label]))
+
+
 def moving_lower_bound(
     pointed: PointedSpace,
     phi: Sequence[str],
@@ -389,7 +393,7 @@ def moving_lower_bound(
     translate, so its pairing with the difference is exactly the gap.
     """
     space = pointed.space
-    phi_plus = list(dict.fromkeys([*phi, pointed.basepoint_label]))
+    phi_plus = _phi_plus(pointed, phi)
     for mol in (v, w):
         if mol.pointed != pointed:
             raise DomainError("molecule lives over a different pointed space")
@@ -419,7 +423,7 @@ def extension_certificate(
     of :func:`moving_lower_bound`, the exact norm of g.v - w, and whether
     the bound equals the gap and the norm reaches it."""
     group, space = action.group, action.space
-    phi_plus = sorted(set(phi) | {pointed.basepoint_label})
+    phi_plus = _phi_plus(pointed, phi)
     if element is not None:
         best = group.index(element)
         gap = translation_gap(action, [space.index(x) for x in phi_plus], best)

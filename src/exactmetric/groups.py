@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Sequence
 
-from .errors import DomainError, StructuralError
+from .errors import DomainError, StructuralError, refusing
 
 
 @dataclass(frozen=True)
@@ -22,20 +22,13 @@ class FiniteGroup:
     table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        try:  # lists would leave the record unhashable
-            elements = tuple(self.elements)
+        with refusing(StructuralError, "elements and table rows must be sequences"):
+            elements = tuple(self.elements)  # lists would leave it unhashable
             t = tuple(map(tuple, self.table))
-        except TypeError:
-            raise StructuralError(
-                "elements and table rows must be sequences"
-            ) from None
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "table", t)
+        self.__dict__.update(elements=elements, table=t)
         n = len(elements)
-        try:
+        with refusing(StructuralError, "element labels must be hashable"):
             index = {label: i for i, label in enumerate(elements)}
-        except TypeError:
-            raise StructuralError("element labels must be hashable") from None
         if len(index) != n:
             raise StructuralError("duplicate element labels")
         if len(t) != n or any(len(row) != n for row in t):
@@ -58,9 +51,8 @@ class FiniteGroup:
         for g in range(n):
             if e not in t[g]:
                 raise DomainError(f"element {self.elements[g]!r} has no inverse")
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_identity", e)
-        object.__setattr__(self, "_inverses", tuple(row.index(e) for row in t))
+        inverses = tuple(row.index(e) for row in t)
+        self.__dict__.update(_index=index, _identity=e, _inverses=inverses)
 
     def _find_identity(self) -> int:
         n = len(self.elements)
@@ -90,7 +82,13 @@ class FiniteGroup:
             raise DomainError(f"unknown group element {label!r}") from None
 
 
+def _size(n) -> int:
+    with refusing(DomainError, "a group size must be an integer"):
+        return index(n)
+
+
 def cyclic_group(n: int) -> FiniteGroup:
+    n = _size(n)
     labels = tuple(str(i) for i in range(n))
     table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     return FiniteGroup(labels, table)
@@ -98,6 +96,7 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 def dihedral_group(n: int) -> FiniteGroup:
     """Symmetries of a regular n-gon: rotations r0..r{n-1}, reflections s0..s{n-1}."""
+    n = _size(n)
     # element (k, f): rotation by k composed with f reflections; index = k + n*f
     def mul(a, b):
         ka, fa = a % n, a // n
@@ -124,7 +123,7 @@ def permutation_table(
 
 
 def symmetric_group(n: int) -> FiniteGroup:
-    perms = sorted(permutations(range(n)))
+    perms = sorted(permutations(range(_size(n))))
     labels = tuple("".join(map(str, p)) for p in perms)
     return FiniteGroup(labels, permutation_table(perms))
 

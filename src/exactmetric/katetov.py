@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product, repeat
 from numbers import Rational
-from operator import sub
+from operator import index, sub
 from typing import Mapping, Optional, Sequence
 
 from .actions import Isometry
-from .errors import BudgetExceededError, DomainError, InternalCheckError
+from .errors import BudgetExceededError, DomainError, InternalCheckError, refusing
 from .metric import FiniteMetricSpace, _scan, min_plus, scale, set_distance
 
 # a checked (support, values) record of a Katetov function
@@ -35,9 +35,8 @@ class KatetovFunction:
 
     The Katetov inequalities are required over the induced subspace on the
     support only; use :func:`hat_extension` to reach the rest of the space.
-    A ``support`` given as a list is stored as a tuple, so the record equals
-    the one built from the tuple; it cannot be hashed, since ``values`` is a
-    dict.
+    A ``support`` sequence is stored as a tuple, so a list gives the record
+    built from the tuple; ``values`` is a dict, so it cannot be hashed.
     """
 
     space: FiniteMetricSpace
@@ -45,8 +44,6 @@ class KatetovFunction:
     values: Mapping[str, Fraction]
 
     def __post_init__(self):
-        if isinstance(self.support, list):
-            object.__setattr__(self, "support", tuple(self.support))
         report = is_katetov(self.space, self.values, self.support)
         if not report.ok:
             raise DomainError(
@@ -54,6 +51,7 @@ class KatetovFunction:
             )
         if not self.support:
             raise DomainError("a Katetov function needs a non-empty support")
+        object.__setattr__(self, "support", tuple(self.support))
 
     def value(self, x: str) -> Fraction:
         return self.values[x]
@@ -80,28 +78,23 @@ def is_katetov(
 
     The support, ``space.points`` when none is given, must hold exactly the
     labels of ``values``, each a point of the space, once, with a
-    non-negative exact rational value; otherwise :class:`DomainError` is
-    raised.
+    non-negative exact rational value, else :class:`DomainError`.
     """
-    try:
+    with refusing(DomainError, "values must be given exactly on the support") as refuse:
         pts = space.points if support is None else tuple(support)
-        ok = set(pts) == set(values)
-    except TypeError:  # a support or values that are not iterable
-        ok = False
-    if not ok:
-        raise DomainError("values must be given exactly on the support")
+        refuse.unless(set(pts) == set(values))
+        vals = [values[x] for x in pts]  # a list of labels is no mapping
     idx = [space.index(x) for x in pts]
     if len(set(idx)) < len(idx):
         x = next(x for i, x in enumerate(pts) if x in pts[:i])
         raise DomainError(f"support repeats the label {x!r}")
-    for x in pts:
-        value = values[x]
+    for x, value in zip(pts, vals):
         if type(value) not in (Fraction, int) and not isinstance(value, Rational):
             raise DomainError(f"value at {x!r} must be an exact rational")
         if value < 0:
             raise DomainError(f"negative value at {x!r}")
     den, sd = space.scaled
-    unit, v = scale([values[x] for x in pts], "Katetov values", den)
+    unit, v = scale(vals, "Katetov values", den)
     step = unit // den
     for (x, i, vx), (y, j, vy) in combinations(zip(pts, idx, v), 2):
         d = step * sd[i][j]
@@ -184,10 +177,11 @@ def star_fragment(
     tuples in point order; among equal rows of a pseudometric the first
     point absorbs.
     """
-    for f in attachments:
-        if f.space != space:
-            raise DomainError("attachment lives on a different space")
-    pairs = [(f.support, f.values) for f in attachments]
+    with refusing(DomainError, "attachments must be Katetov functions"):
+        for f in attachments:
+            if f.space != space:
+                raise DomainError("attachment lives on a different space")
+        pairs = [(f.support, f.values) for f in attachments]
     return _checked(_assemble(space, pairs))
 
 
@@ -288,8 +282,8 @@ def tower(
     The result is a deterministic under-approximation of the full function
     extension: only grid-valued functions on small supports are realized.
     """
-    if depth < 0:
-        raise DomainError("depth must be non-negative")
+    with refusing(DomainError, "depth must be non-negative") as refuse:
+        refuse.unless(index(depth) >= 0)
     if not depth or not space.n:
         # every level of the empty space is the empty space
         return space

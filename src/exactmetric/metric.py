@@ -18,7 +18,7 @@ from math import gcd, lcm
 from operator import add, and_, getitem, lshift, lt, ne, sub, xor
 from typing import Iterable, Optional, Sequence
 
-from .errors import DomainError, StructuralError
+from .errors import DomainError, StructuralError, refusing
 
 
 def scale(
@@ -27,11 +27,9 @@ def scale(
     """``(den, ints)``: the lcm of ``unit`` and the denominators of the
     values, and the values times it, ``ints[i] == den * values[i]``.  Raises
     ``DomainError`` naming ``what`` when a value is not an exact rational."""
-    try:
+    with refusing(DomainError, f"{what} must be exact rationals"):
         den = lcm(unit, *{v.denominator for v in values})
         return den, [v.numerator * (den // v.denominator) for v in values]
-    except AttributeError:
-        raise DomainError(f"{what} must be exact rationals") from None
 
 
 def scale_rows(
@@ -39,9 +37,10 @@ def scale_rows(
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """``scale`` over a rational matrix: ``(den, ints)`` with the int matrix
     ``ints[i][j] == den * rows[i][j]``."""
-    den, flat = scale([v for row in rows for v in row], "distances")
-    it = iter(flat)
-    return den, tuple(tuple(islice(it, len(row))) for row in rows)
+    with refusing(DomainError, "distances must be exact rationals"):
+        den, flat = scale([v for row in rows for v in row], "distances")
+        it = iter(flat)
+        return den, tuple(tuple(islice(it, len(row))) for row in rows)
 
 
 @dataclass(frozen=True, init=False)
@@ -60,8 +59,7 @@ class FiniteMetricSpace:
     pseudo: bool = False
 
     def __init__(self, points, dist, pseudo: bool = False):
-        """The space with the rational matrix ``dist``, scaled once; a
-        distance that is not an exact rational is a ``DomainError``."""
+        """The space with the rational matrix ``dist``, scaled once."""
         self._store(points, *scale_rows(dist), pseudo)
 
     @classmethod
@@ -72,15 +70,16 @@ class FiniteMetricSpace:
 
     def _store(self, points, den: int, rows, pseudo: bool):
         """Both constructors' one store step: labels, shape, gcd reduction."""
-        points = tuple(points)
-        index = {label: i for i, label in enumerate(points)}
-        if len(index) != len(points):
-            raise StructuralError("duplicate point labels")
-        if {len(rows), *map(len, rows)} != {len(points)}:
-            raise StructuralError(
-                "distance matrix shape does not match point count"
-            )
-        g = gcd(den, *chain.from_iterable(rows))
+        with refusing(StructuralError,
+                      "distance matrix shape does not match point count") as refuse:
+            points = tuple(points)
+            index = {label: i for i, label in enumerate(points)}
+            if len(index) != len(points):
+                raise StructuralError("duplicate point labels")
+            refuse.unless({len(rows), *map(len, rows)} == {len(points)})
+        with refusing(DomainError, "distances must be exact rationals") as refuse:
+            refuse.unless(den > 0)
+            g = gcd(den, *chain.from_iterable(rows))
         rows = rows if g == 1 else [map(g.__rfloordiv__, r) for r in rows]
         scaled = den // g, tuple(map(tuple, rows))
         self.__dict__.update(points=points, scaled=scaled, pseudo=pseudo, _index=index)
@@ -145,9 +144,7 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
     Checks run in the order symmetry, zero diagonal, triangle inequality,
     separation (skipped for pseudometrics).  Negative entries surface as
     triangle violations via d(x, x) <= 2 d(x, y).  Both steps below read the
-    int matrix of ``space.scaled``.  A distance that is not an exact rational
-    (a float, a string, ``None``) never reaches them: building the space
-    raises ``DomainError("distances must be exact rationals")``.
+    int matrix of ``space.scaled``, which holds only exact rationals.
 
     First a certificate: a symmetric matrix, a zero diagonal, no negative
     entry, n zeros unless ``pseudo``, and, on the rows P of ``pack_rows``,
@@ -250,9 +247,9 @@ def set_distance(
     space: FiniteMetricSpace, a: Iterable[str], b: Iterable[str]
 ) -> Fraction:
     """min over (x, y) in A x B of d(x, y), read from ``space.scaled``."""
-    ia = [space.index(x) for x in a]
-    ib = [space.index(x) for x in b]
-    if not ia or not ib:
-        raise DomainError("set_distance requires non-empty sets")
+    with refusing(DomainError, "set_distance requires non-empty sets") as refuse:
+        ia = [space.index(x) for x in a]
+        ib = [space.index(x) for x in b]
+        refuse.unless(ia and ib)
     den, d = space.scaled
     return Fraction(min(d[i][j] for i, j in product(ia, ib)), den)

@@ -5,11 +5,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import or_
+from operator import index, or_
 from typing import Optional, Sequence
 
 from .actions import GroupAction, Isometry
-from .errors import BudgetExceededError, DomainError, StructuralError
+from .errors import BudgetExceededError, DomainError, StructuralError, refusing
 from .groups import FiniteGroup
 from .metric import FiniteMetricSpace, scale, validate
 
@@ -30,16 +30,12 @@ class InvariantPseudometric:
 
     def __post_init__(self):
         g = self.group
-        try:
-            if type(self.delta) is not tuple:  # a list would leave it unhashable
-                object.__setattr__(self, "delta", tuple(self.delta))
-            ok = len(self.delta) == g.order
-        except TypeError:  # a delta that is not iterable
-            ok = False
-        if not ok:
-            raise StructuralError("length function size does not match group order")
-        den, ints = scale(self.delta, "pseudometric lengths")
-        object.__setattr__(self, "scaled", (den, tuple(ints)))
+        with refusing(StructuralError,
+                      "length function size does not match group order") as refuse:
+            delta = tuple(self.delta)  # a list would leave the record unhashable
+            refuse.unless(len(delta) == g.order)
+        den, ints = scale(delta, "pseudometric lengths")
+        self.__dict__.update(delta=delta, scaled=(den, tuple(ints)))
         if ints[g.identity] != 0:
             raise DomainError("pseudometric length is nonzero at the identity")
         for a in range(g.order):
@@ -196,12 +192,11 @@ def min_fvf_cover(
     if not v:
         raise DomainError("V must be non-empty")
     n = group.order
-    vset = sorted(set(v))
-    for x in vset:
-        if not 0 <= x < n:
-            raise DomainError("V contains an invalid element index")
-    if budget < 1:
-        raise DomainError("the FVF budget must be positive")
+    with refusing(DomainError, "V contains an invalid element index") as refuse:
+        vset = sorted(set(map(index, v)))
+        refuse.unless(0 <= vset[0] and vset[-1] < n)
+    with refusing(DomainError, "the FVF budget must be positive") as refuse:
+        refuse.unless(budget >= 1)
     m = len(vset)
     full = (1 << n) - 1
     bits = [[1 << x for x in row] for row in group.table]
@@ -299,10 +294,10 @@ def moving_certificate(
     ball = [i for i, v in enumerate(delta) if v * unit < r * den]
     d = pm.layout(delta)
     entries = []
-    for phi in phis:
-        idx = sorted({g.index(x) for x in phi})
-        if not idx:
-            raise DomainError("moving_certificate requires non-empty sets")
+    with refusing(DomainError, "moving_certificate requires non-empty sets") as refuse:
+        sets = [sorted({g.index(x) for x in phi}) for phi in phis]
+        refuse.unless(all(sets))
+    for idx in sets:
         sym = sorted(set(idx) | {g.inv(i) for i in idx})
         covered = _fvf(g, sym, ball)
         outside = [i for i in range(g.order) if i not in covered]

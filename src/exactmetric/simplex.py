@@ -27,7 +27,7 @@ from itertools import chain, compress
 from operator import index
 from typing import Sequence
 
-from .errors import DomainError, InternalCheckError
+from .errors import DomainError, InternalCheckError, refusing
 from .metric import scale
 
 ZERO = Fraction(0)
@@ -49,14 +49,12 @@ def simplex_max(
     if len(b) != m or any(len(row) != n for row in a):
         raise DomainError("inconsistent LP dimensions")
     entries = list(chain.from_iterable(a))  # A row by row
-    try:
+    with refusing(DomainError, "LP constraint matrix must hold ints"):
         try:
             flat = array("b", entries).tobytes()  # a signed byte per entry
         except OverflowError:  # refused below, once all entries are ints
             list(map(index, entries))
             flat = b"\x02"
-    except TypeError:
-        raise DomainError("LP constraint matrix must hold ints") from None
     lb, rhs = scale(b, "LP data")
     lc, obj = scale(c, "LP data")
     if any(bi < 0 for bi in rhs):

@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import signal
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -52,6 +53,27 @@ def cli_env():
     paths = [str(ROOT / "src"), env.get("PYTHONPATH")]
     env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
     return env
+
+
+class Overrun(Exception):
+    """A case ran past its bound."""
+
+
+def within_bound(run, *args, bound):
+    """``run(*args)``, interrupted by ``Overrun`` after ``bound`` seconds of
+    this process's real time; the timer and the previous ``SIGALRM``
+    handler are restored afterwards."""
+
+    def expire(signum, frame):
+        raise Overrun(f"no answer within {bound} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, bound)
+    try:
+        return run(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

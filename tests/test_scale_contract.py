@@ -20,30 +20,13 @@ from exactmetric import Molecule, cli, jsonio, norm_distance
 from exactmetric.errors import ExactMetricError
 from exactmetric.randgen import rand_fraction, rand_metric_space
 
+from conftest import Overrun, within_bound
+
 BOUND_S = 5.0
 
 pytestmark = pytest.mark.skipif(
     not hasattr(signal, "setitimer"), reason="needs signal.setitimer"
 )
-
-
-class Overrun(Exception):
-    """A case ran past ``BOUND_S``."""
-
-
-def within_bound(run, *args, bound=BOUND_S):
-    """``run(*args)``, interrupted by ``Overrun`` after ``bound`` seconds."""
-
-    def expire(signum, frame):
-        raise Overrun(f"no answer within {bound} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, bound)
-    try:
-        return run(*args)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def run_main(argv, text):
@@ -82,7 +65,7 @@ def full_support(rng, points):
 def test_cli_validate_answers_on_200_points():
     space = rand_metric_space(Random(200), 200)
     text = json.dumps({"space": jsonio.space_to_json(space)})
-    assert within_bound(run_main, ["validate"], text) == (0, {"ok": True})
+    assert within_bound(run_main, ["validate"], text, bound=BOUND_S) == (0, {"ok": True})
 
 
 def test_distance_answers_on_120_points():
@@ -93,7 +76,7 @@ def test_distance_answers_on_120_points():
         "v": full_support(rng, space.points[1:]),
         "w": full_support(rng, space.points[1:]),
     })
-    code, payload = within_bound(distance_request, text)
+    code, payload = within_bound(distance_request, text, bound=BOUND_S)
     assert code == 0, payload
     assert jsonio.parse_rational(payload["distance"]) > 0
 

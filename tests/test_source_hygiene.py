@@ -4,11 +4,16 @@ classes, methods and properties that no caller reads, a second copy of the
 axiom scans, spaces built around the one constructor from the int form,
 an error message raised from two places, a computation on the
 ``Fraction`` matrix outside the two checks parked on it, command-line
-I/O outside the two functions that do it, and a procedure written in the
-command line instead of the library."""
+I/O outside the two functions that do it, a procedure written in the
+command line instead of the library, and an argument error mapped by hand
+instead of by ``errors.refusing``."""
 
 import ast
+import builtins
+import json
 from pathlib import Path
+
+from exactmetric.errors import refusing
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -28,6 +33,21 @@ def annotations(tree):
                 yield node.returns
         elif isinstance(node, ast.AnnAssign):
             yield node.annotation
+
+
+def scoped(tree):
+    """``(scope, node)`` for every node under ``tree`` outside class and
+    function definitions themselves; ``scope`` names the enclosing classes
+    and functions, such as ``"Isometry.__post_init__"``, or is ``""``."""
+    scopes = [("", tree)]
+    while scopes:
+        name, node = scopes.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                scopes.append((f"{name}{child.name}.", child))
+            else:
+                yield name.rstrip("."), child
+                scopes.append((name, child))
 
 
 def referenced_names(tree):
@@ -224,21 +244,60 @@ def test_fraction_matrix_is_read_only_by_the_parked_checks():
     """Outside ``metric``, the layers compute on ``space.scaled`` and make a
     ``Fraction`` only for a value they return; an attribute read of
     ``.dist`` is a computation on the ``Fraction`` matrix."""
-    readers = set()
-    for path in sorted(SRC.rglob("*.py")):
-        if path.name == "metric.py":
-            continue
-        scopes = [("", parse(path))]
-        while scopes:
-            name, node = scopes.pop()
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
-                    scopes.append((f"{name}{child.name}.", child))
-                elif isinstance(child, ast.Attribute) and child.attr == "dist":
-                    readers.add(f"{path.name}:{name.rstrip('.')}")
-                else:
-                    scopes.append((name, child))
+    readers = {
+        f"{path.name}:{scope}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "metric.py"
+        for scope, node in scoped(parse(path))
+        if isinstance(node, ast.Attribute) and node.attr == "dist"
+    }
     assert readers == PARKED_DIST_READERS
+
+
+# The handlers that still map a Python error by hand: the two label lookups,
+# which cost nothing and run once per label on every workload, the rational
+# parser, and the command line's reading of its input (``_load_input``, and
+# ``main``'s error object for input that cannot be read or decoded).
+MAPPED_BY_HAND = {
+    "cli.py:_load_input",
+    "cli.py:main",
+    "groups.py:FiniteGroup.index",
+    "jsonio.py:_ratio",
+    "metric.py:FiniteMetricSpace.index",
+}
+
+
+def caught(handler):
+    """The exception classes an ``except`` clause names, looked up in the
+    builtins and in ``json`` (``None`` for a library error); a bare
+    ``except:`` catches ``BaseException``."""
+    if handler.type is None:
+        return [BaseException]
+    nodes = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return [
+        getattr(builtins, node.id, None) if isinstance(node, ast.Name)
+        else getattr(json, node.attr, None)
+        for node in nodes
+    ]
+
+
+def test_argument_errors_are_mapped_only_by_refusing():
+    """An ``except`` clause that catches one of ``refusing.MALFORMED``, a
+    subclass of one or a base of one maps an argument error by hand: a second
+    copy of the argument contract that ``errors.refusing`` writes once."""
+    mappers = {
+        f"{path.name}:{scope}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope, node in scoped(parse(path))
+        if isinstance(node, ast.ExceptHandler)
+        and any(
+            isinstance(kind, type)
+            and (issubclass(kind, malformed) or issubclass(malformed, kind))
+            for kind in caught(node)
+            for malformed in refusing.MALFORMED
+        )
+    }
+    assert mappers == MAPPED_BY_HAND
 
 
 def io_calls(node):
