@@ -146,8 +146,8 @@ def _load_th_extension_check(data, args):
     action = jsonio.action_from_json(raw_action)
     space = action.space
     pointed = metric.PointedSpace(space, space.index(jsonio.label(bp, "basepoint")))
-    v = freespace.Molecule.make(pointed, jsonio.rationals(raw_v, "v"))
-    w = freespace.Molecule.make(pointed, jsonio.rationals(raw_w, "w"))
+    v = freespace.Molecule(pointed, jsonio.rationals(raw_v, "v"))
+    w = freespace.Molecule(pointed, jsonio.rationals(raw_w, "w"))
     phi_labels = jsonio.labels(phi, "phi_set")
     element = data.get("element")
     if element is not None:

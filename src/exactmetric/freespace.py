@@ -32,19 +32,20 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Molecule:
     """A finitely supported coefficient vector over the non-basepoint points.
 
-    Coefficients are stored sorted by ambient point order, with zeros and any
-    basepoint contribution dropped (the basepoint is the zero vector).
+    ``Molecule(pointed, mapping)`` reads a label -> exact rational mapping
+    and stores its coefficients sorted by ambient point order, with zeros and
+    any basepoint contribution dropped (the basepoint is the zero vector).
+    ``Molecule.make`` is the same constructor.
     """
 
     pointed: PointedSpace
     coeffs: tuple[tuple[str, Fraction], ...]
 
-    @staticmethod
-    def make(pointed: PointedSpace, mapping: Mapping[str, Fraction]) -> "Molecule":
+    def __init__(self, pointed: PointedSpace, mapping: Mapping[str, Fraction]):
         index, bp = pointed.space.index, pointed.basepoint
         items = []
         with refusing(DomainError, "molecule coefficients must be exact rationals"):
@@ -54,15 +55,18 @@ class Molecule:
                     value = Fraction(value.numerator, value.denominator)
                 if value and i != bp:
                     items.append((i, label, value))
-        return Molecule(pointed, tuple((label, v) for _, label, v in sorted(items)))
+        object.__setattr__(self, "pointed", pointed)
+        object.__setattr__(self, "coeffs", tuple((x, v) for _, x, v in sorted(items)))
+
+    make = classmethod(type.__call__)
 
     @staticmethod
     def zero(pointed: PointedSpace) -> "Molecule":
-        return Molecule(pointed, ())
+        return Molecule(pointed, {})
 
     @staticmethod
     def point(pointed: PointedSpace, label: str) -> "Molecule":
-        return Molecule.make(pointed, {label: ONE})
+        return Molecule(pointed, {label: ONE})
 
     def as_dict(self) -> dict[str, Fraction]:
         return dict(self.coeffs)
@@ -86,12 +90,10 @@ class Molecule:
         out = self.as_dict()
         for label, value in other.coeffs:
             out[label] = op(out.get(label, ZERO), value)
-        return Molecule.make(self.pointed, out)
+        return Molecule(self.pointed, out)
 
     def scale(self, q: Fraction) -> "Molecule":
-        return Molecule.make(
-            self.pointed, {label: q * value for label, value in self.coeffs}
-        )
+        return Molecule(self.pointed, {x: q * v for x, v in self.coeffs})
 
 
 @dataclass(frozen=True)
@@ -354,7 +356,7 @@ def affine_extend(g: Isometry, m: Molecule) -> Molecule:
     # g is a bijection and no support point is the basepoint
     out = {g.apply_label(x): v for x, v in m.coeffs}
     out[g.apply_label(pointed.basepoint_label)] = ONE - m.total()
-    return Molecule.make(pointed, out)
+    return Molecule(pointed, out)
 
 
 def rebase(m: Molecule, new_basepoint: str) -> Molecule:
@@ -368,7 +370,7 @@ def rebase(m: Molecule, new_basepoint: str) -> Molecule:
     new_pointed = PointedSpace(space, space.index(new_basepoint))
     out = m.as_dict()
     out[m.pointed.basepoint_label] = ONE - m.total()
-    return Molecule.make(new_pointed, out)
+    return Molecule(new_pointed, out)
 
 
 def _phi_plus(pointed: PointedSpace, phi: Sequence[str]) -> list[str]:

@@ -285,7 +285,7 @@ def molecule_from_json(data: Mapping[str, Any]) -> Molecule:
     if bp is None:
         raise StructuralError("molecule requires a basepoint")
     pointed = PointedSpace(space, space.index(label(bp, "basepoint")))
-    return Molecule.make(pointed, coeffs)
+    return Molecule(pointed, coeffs)
 
 
 def molecule_to_json(m: Molecule):

@@ -35,8 +35,9 @@ class KatetovFunction:
 
     The Katetov inequalities are required over the induced subspace on the
     support only; use :func:`hat_extension` to reach the rest of the space.
-    A ``support`` sequence is stored as a tuple, so a list gives the record
-    built from the tuple; ``values`` is a dict, so it cannot be hashed.
+    A ``support`` sequence is stored as a tuple, read once, so a list or an
+    iterator gives the record built from the tuple; ``values`` is a dict, so
+    it cannot be hashed.
     """
 
     space: FiniteMetricSpace
@@ -44,6 +45,8 @@ class KatetovFunction:
     values: Mapping[str, Fraction]
 
     def __post_init__(self):
+        with refusing(DomainError, "values must be given exactly on the support"):
+            object.__setattr__(self, "support", tuple(self.support))
         report = is_katetov(self.space, self.values, self.support)
         if not report.ok:
             raise DomainError(
@@ -51,7 +54,6 @@ class KatetovFunction:
             )
         if not self.support:
             raise DomainError("a Katetov function needs a non-empty support")
-        object.__setattr__(self, "support", tuple(self.support))
 
     def value(self, x: str) -> Fraction:
         return self.values[x]

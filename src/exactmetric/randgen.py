@@ -176,20 +176,11 @@ def rand_invariant_pseudometric(
     if n > 1:
         z = rng.choice([i for i in range(n) if i != e])
         weight[z] = weight[group.inv(z)] = ZERO
-    # delta(x) = cheapest factorization of x into weighted letters: lower
-    # delta(c) to delta(a) + delta(a^-1 c), for every letter a, as ints,
-    # until nothing changes
-    den, (delta,) = scale_rows([weight])
-    shifts = [group.table[group.inv(a)] for a in range(n)]
-    settled = None
-    while delta != settled:
-        settled = delta
-        for a, shift in enumerate(shifts):
-            da = delta[a]
-            delta = tuple([
-                x if x <= (v := da + delta[s]) else v
-                for x, s in zip(delta, shift)
-            ])
+    # delta(x) = cheapest factorization of x into weighted letters: the
+    # shortest path from e to x, as ints, where the step a -> b costs w(a^-1 b)
+    den, (w,) = scale_rows([weight])
+    steps = [[w[c] for c in group.table[group.inv(a)]] for a in range(n)]
+    delta = _closure(steps)[e]
     return InvariantPseudometric(group, tuple(map(Fraction, delta, repeat(den))))
 
 

@@ -40,6 +40,7 @@ from exactmetric import (
     translation_gap,
 )
 from exactmetric.errors import DomainError, ExactMetricError
+from exactmetric.proptest import run_suite
 from exactmetric.randgen import cycle_space, rotation_action
 
 from conftest import Overrun, within_bound
@@ -90,6 +91,7 @@ def build_table():
         "translation_gap": (translation_gap, (rot, [0], 1)),
         # freespace
         "LipschitzWitness": (LipschitzWitness, (c4p, zeros)),
+        "Molecule": (Molecule, (c4p, {"1": F(1)})),
         "Molecule.make": (Molecule.make, (c4p, {"1": F(1)})),
         "aell_norm": (ex.aell_norm, (m,)),
         "aell_norm_dual": (ex.aell_norm_dual, (m,)),
@@ -159,6 +161,10 @@ REFUSED_CALLS = {
     "LipschitzWitness with a list of labels": (
         LipschitzWitness, (PointedSpace(cycle_space(3), 0), ["0", "1", "2"]),
     ),
+    "run_suite with a list for the name": (run_suite, (["duality"], 1, 0)),
+    "run_suite with a string trial count": (run_suite, ("duality", "zz", 0)),
+    "run_suite with a fractional trial count": (run_suite, ("duality", 1.5, 0)),
+    "run_suite with a list seed": (run_suite, ("duality", 1, [1])),
 }
 
 
@@ -199,8 +205,9 @@ def test_the_table_covers_every_public_callable():
         and not (isinstance(getattr(exactmetric, name), type)
                  and issubclass(getattr(exactmetric, name), Exception))
     }
-    # a Molecule is built with Molecule.make, a space also from its int form
-    assert public - {"Molecule"} <= set(TABLE)
+    # Molecule.make is the Molecule constructor; a space is built also from
+    # its int form
+    assert public <= set(TABLE)
     assert set(TABLE) - public == {"Molecule.make", "FiniteMetricSpace.from_scaled"}
 
 

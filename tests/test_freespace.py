@@ -781,7 +781,7 @@ def _parent_make(pointed, mapping):
         if label != bp and value != 0:
             items.append((label, Fraction(value)))
     items.sort(key=lambda kv: pointed.space.index(kv[0]))
-    return Molecule(pointed, tuple(items))
+    return Molecule(pointed, dict(items))
 
 
 def _parent_add(m1, m2):

@@ -297,6 +297,12 @@ def test_support_label_outside_the_space_is_a_domain_error(two_points):
         KatetovFunction(two_points, ("a",), {"a": F(-1)})
 
 
+def test_a_support_iterator_is_read_once():
+    """``is_katetov`` must not consume the support before it is stored."""
+    f = KatetovFunction(cycle_space(4), (x for x in ["0"]), {"0": F(1)})
+    assert f.support == ("0",)
+
+
 def test_is_katetov_without_a_support_reads_it_as_the_space_points(two_points):
     # a value off the space, or a point without a value, breaks the rule
     # "values exactly on the support" as it would with the support given

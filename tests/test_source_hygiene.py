@@ -5,8 +5,9 @@ axiom scans, spaces built around the one constructor from the int form,
 an error message raised from two places, a computation on the
 ``Fraction`` matrix outside the two checks parked on it, command-line
 I/O outside the two functions that do it, a procedure written in the
-command line instead of the library, and an argument error mapped by hand
-instead of by ``errors.refusing``."""
+command line instead of the library, an argument error mapped by hand
+instead of by ``errors.refusing``, and a randomized trial that fails
+outside ``proptest.run_suite``."""
 
 import ast
 import builtins
@@ -298,6 +299,18 @@ def test_argument_errors_are_mapped_only_by_refusing():
         )
     }
     assert mappers == MAPPED_BY_HAND
+
+
+def test_a_randomized_trial_fails_only_in_run_suite():
+    """``proptest.run_suite`` turns a library error raised in a trial into
+    that trial's failure; a suite that caught one itself would report it a
+    second way, without its seed."""
+    handlers = [
+        scope
+        for scope, node in scoped(parse(PACKAGE / "proptest.py"))
+        if isinstance(node, ast.ExceptHandler)
+    ]
+    assert handlers == ["run_suite"]
 
 
 def io_calls(node):
