@@ -19,7 +19,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
+from math import gcd, lcm
 from operator import add, lt, mul, sub
 from typing import Optional, Sequence
 
@@ -30,35 +31,47 @@ from .simplex import simplex_max
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# the molecule constructor and Molecule.scale refuse a value in these words
+_INEXACT = refusing(DomainError, "molecule coefficients must be exact rationals")
 
 
 @dataclass(frozen=True, init=False)
 class Molecule:
     """A finitely supported coefficient vector over the non-basepoint points.
 
-    ``Molecule(pointed, mapping)`` reads a label -> exact rational mapping
-    and stores its coefficients sorted by ambient point order, with zeros and
-    any basepoint contribution dropped (the basepoint is the zero vector).
-    ``Molecule.make`` is the same constructor.
+    ``Molecule(pointed, mapping)`` (also ``Molecule.make``) reads a label ->
+    exact rational mapping.  The coefficient of point i is ``ints[i] /
+    unit``, reduced by the gcd as ``FiniteMetricSpace.scaled`` is, with the
+    basepoint's entry 0 (the basepoint is the zero vector).  ``coeffs`` reads
+    the non-zero ones as ``(label, Fraction)`` pairs in point order.
     """
 
     pointed: PointedSpace
-    coeffs: tuple[tuple[str, Fraction], ...]
+    unit: int
+    ints: tuple[int, ...]
 
     def __init__(self, pointed: PointedSpace, mapping: Mapping[str, Fraction]):
-        index, bp = pointed.space.index, pointed.basepoint
-        items = []
-        with refusing(DomainError, "molecule coefficients must be exact rationals"):
-            for label, value in mapping.items():
-                i = index(label)
-                if type(value) is not Fraction:  # a float has no numerator
-                    value = Fraction(value.numerator, value.denominator)
-                if value and i != bp:
-                    items.append((i, label, value))
-        object.__setattr__(self, "pointed", pointed)
-        object.__setattr__(self, "coeffs", tuple((x, v) for _, x, v in sorted(items)))
+        index = pointed.space.index
+        ints = [0] * pointed.space.n
+        with _INEXACT:  # a float has no numerator
+            spots = [(index(x), v.numerator, v.denominator) for x, v in mapping.items()]
+            unit = lcm(*{den for _, _, den in spots})
+            for i, num, den in spots:
+                ints[i] = num * (unit // den)
+        self.__dict__.update(Molecule._of(pointed, unit, ints).__dict__)
 
     make = classmethod(type.__call__)
+
+    @staticmethod
+    def _of(pointed: PointedSpace, unit: int, ints: list[int]) -> "Molecule":
+        """The molecule ``ints[i] / unit`` (``unit > 0``), stored reduced;
+        ``ints`` is a fresh list, and its basepoint entry is set to 0."""
+        ints[pointed.basepoint] = 0
+        g = gcd(unit, *ints)
+        m = object.__new__(Molecule)
+        m.__dict__.update(pointed=pointed, unit=unit // g,
+                          ints=tuple(ints if g == 1 else map(g.__rfloordiv__, ints)))
+        return m
 
     @staticmethod
     def zero(pointed: PointedSpace) -> "Molecule":
@@ -68,15 +81,14 @@ class Molecule:
     def point(pointed: PointedSpace, label: str) -> "Molecule":
         return Molecule(pointed, {label: ONE})
 
-    def as_dict(self) -> dict[str, Fraction]:
-        return dict(self.coeffs)
-
     @property
     def support(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.coeffs)
+        return tuple(compress(self.pointed.space.points, self.ints))
 
-    def total(self) -> Fraction:
-        return sum((v for _, v in self.coeffs), ZERO)
+    @property
+    def coeffs(self) -> tuple[tuple[str, Fraction], ...]:
+        fractions = [Fraction(v, self.unit) for v in self.ints if v]
+        return tuple(zip(self.support, fractions))
 
     def __add__(self, other: "Molecule") -> "Molecule":
         return self._merge(other, add)
@@ -87,13 +99,15 @@ class Molecule:
     def _merge(self, other: "Molecule", op) -> "Molecule":
         if self.pointed != other.pointed:
             raise DomainError("molecules live over different pointed spaces")
-        out = self.as_dict()
-        for label, value in other.coeffs:
-            out[label] = op(out.get(label, ZERO), value)
-        return Molecule(self.pointed, out)
+        unit = lcm(self.unit, other.unit)
+        a, b = unit // self.unit, unit // other.unit
+        ints = [op(a * x, b * y) for x, y in zip(self.ints, other.ints)]
+        return Molecule._of(self.pointed, unit, ints)
 
     def scale(self, q: Fraction) -> "Molecule":
-        return Molecule(self.pointed, {x: q * v for x, v in self.coeffs})
+        with _INEXACT:
+            num, den = q.numerator, q.denominator
+        return Molecule._of(self.pointed, self.unit * den, [num * v for v in self.ints])
 
 
 @dataclass(frozen=True)
@@ -142,15 +156,15 @@ def aell_norm_dual(m: Molecule) -> tuple[Fraction, LipschitzWitness]:
     """
     pointed = m.pointed
     space = pointed.space
-    if not m.coeffs:
+    supp = list(compress(range(space.n), m.ints))
+    if not supp:
         return ZERO, LipschitzWitness(pointed, dict.fromkeys(space.points, ZERO))
 
     den, sd = space.scaled
     bp = pointed.basepoint
-    supp = [space.index(x) for x, _ in m.coeffs]
-    c = [v for _, v in m.coeffs]
-    # the LP on distances times den: its optimum and vertex are den times
-    # those of the LP on the distances themselves
+    c = [m.ints[x] for x in supp]
+    # the LP on the ints and the distances times den: its optimum is unit den
+    # times that of the LP on the rationals, and its vertex den times theirs
     dbp = [sd[x][bp] for x in supp]
     nvar = len(supp)
     rows: list[list[int]] = []
@@ -182,12 +196,11 @@ def aell_norm_dual(m: Molecule) -> tuple[Fraction, LipschitzWitness]:
     witness = LipschitzWitness(pointed, dict(zip(space.points, map(as_fraction, f))))
     # the shift and the pairing of m with the witness, in units of
     # 1/(unit den): the LP optimum is their sum, and the norm the pairing
-    unit, cs = scale(c, "molecule coefficients")
-    shift = sum(map(mul, cs, dbp))
-    paired = sum(map(mul, cs, map(f.__getitem__, supp)))
-    if value.numerator * unit != (paired + shift) * value.denominator:
+    shift = sum(map(mul, c, dbp))
+    paired = sum(map(mul, c, map(f.__getitem__, supp)))
+    if value != paired + shift:
         raise InternalCheckError("optimal witness does not attain the optimum")
-    return Fraction(paired, unit * den), witness
+    return Fraction(paired, m.unit * den), witness
 
 
 def aell_norm_primal(
@@ -200,10 +213,10 @@ def aell_norm_primal(
     source-to-sink arcs are needed; successive shortest augmenting paths on
     the bipartite residual network (Bellman-Ford) give the minimum cost.
     Each path runs from a live source to the nearest live sink, the smallest
-    index among equals.  Costs come from ``space.scaled`` and amounts are
-    counted in units of 1/lcm of the coefficient denominators, so the search
-    runs on ints; the plan is checked against the molecule's marginals, and
-    plan and cost become Fractions on return.
+    index among equals.  Costs come from ``space.scaled`` and amounts from
+    the molecule's ints, in units of 1/``m.unit``, so the search runs on
+    ints; the plan is checked against the molecule's marginals, and plan and
+    cost become Fractions on return.
 
     Each Bellman-Ford round relaxes the forward arcs (sources in index
     order), then the residual arcs (in the order the flow first used them).
@@ -221,11 +234,9 @@ def aell_norm_primal(
     """
     space = m.pointed.space
     den, d = space.scaled
-    unit, amounts = scale([v for _, v in m.coeffs], "molecule coefficients")
+    unit = m.unit
     # remaining supply (> 0) or demand (< 0) of each point, times unit
-    excess = [0] * space.n
-    for (x, _), a in zip(m.coeffs, amounts):
-        excess[space.index(x)] = a
+    excess = list(m.ints)
     excess[m.pointed.basepoint] -= sum(excess)
     supply = excess[:]
     sources = [i for i, v in enumerate(excess) if v > 0]
@@ -353,10 +364,10 @@ def affine_extend(g: Isometry, m: Molecule) -> Molecule:
     pointed = m.pointed
     if g.space != pointed.space:
         raise DomainError("isometry acts on a different space")
-    # g is a bijection and no support point is the basepoint
-    out = {g.apply_label(x): v for x, v in m.coeffs}
-    out[g.apply_label(pointed.basepoint_label)] = ONE - m.total()
-    return Molecule(pointed, out)
+    # point i's entry moves to g(i); the basepoint's entry is 0
+    out = [v for _, v in sorted(zip(g.perm, m.ints))]
+    out[g.perm[pointed.basepoint]] = m.unit - sum(m.ints)
+    return Molecule._of(pointed, m.unit, out)
 
 
 def rebase(m: Molecule, new_basepoint: str) -> Molecule:
@@ -368,9 +379,9 @@ def rebase(m: Molecule, new_basepoint: str) -> Molecule:
     """
     space = m.pointed.space
     new_pointed = PointedSpace(space, space.index(new_basepoint))
-    out = m.as_dict()
-    out[m.pointed.basepoint_label] = ONE - m.total()
-    return Molecule(new_pointed, out)
+    ints = list(m.ints)
+    ints[m.pointed.basepoint] = m.unit - sum(ints)
+    return Molecule._of(new_pointed, m.unit, ints)
 
 
 def _phi_plus(pointed: PointedSpace, phi: Sequence[str]) -> list[str]:

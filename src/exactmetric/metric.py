@@ -20,6 +20,8 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, StructuralError, refusing
 
+_INEXACT = refusing(DomainError, "distances must be exact rationals")
+
 
 def scale(
     values: Sequence[Fraction], what: str, unit: int = 1
@@ -37,7 +39,7 @@ def scale_rows(
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """``scale`` over a rational matrix: ``(den, ints)`` with the int matrix
     ``ints[i][j] == den * rows[i][j]``."""
-    with refusing(DomainError, "distances must be exact rationals"):
+    with _INEXACT:
         den, flat = scale([v for row in rows for v in row], "distances")
         it = iter(flat)
         return den, tuple(tuple(islice(it, len(row))) for row in rows)
@@ -77,7 +79,7 @@ class FiniteMetricSpace:
             if len(index) != len(points):
                 raise StructuralError("duplicate point labels")
             refuse.unless({len(rows), *map(len, rows)} == {len(points)})
-        with refusing(DomainError, "distances must be exact rationals") as refuse:
+        with _INEXACT as refuse:
             refuse.unless(den > 0)
             g = gcd(den, *chain.from_iterable(rows))
         rows = rows if g == 1 else [map(g.__rfloordiv__, r) for r in rows]

@@ -154,6 +154,12 @@ REFUSED_CALLS = {
     "Molecule.make with an int mapping": (
         Molecule.make, (PointedSpace(cycle_space(3), 0), 5),
     ),
+    "Molecule.scale by a float": (
+        Molecule.scale, (Molecule.point(PointedSpace(cycle_space(3), 0), "1"), 1.5),
+    ),
+    "Molecule.scale by a string": (
+        Molecule.scale, (Molecule.point(PointedSpace(cycle_space(3), 0), "1"), "zz"),
+    ),
     "moving_gap with an int set": (moving_gap, (rotation_action(4), 5)),
     "translation_gap past the order": (
         translation_gap, (rotation_action(4), [0], 9),

@@ -81,7 +81,7 @@ def test_norms_match_the_network_simplex_oracle():
         pointed = rand_pointed(rng, space)
         m = Molecule.make(pointed, rand_coeffs(rng, pointed))
         balance = oracles.molecule_balance(
-            space.points, pointed.basepoint_label, m.as_dict()
+            space.points, pointed.basepoint_label, dict(m.coeffs)
         )
         expected = oracles.transport_cost(space.points, space.dist, balance)
         assert aell_norm_primal(m)[0] == expected

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
 from random import Random
 
@@ -158,7 +159,7 @@ def test_affine_extend_basepoint_fixing_is_linear():
     g = Isometry(sp, (0, 2, 1))  # swap a, b; fixes *
     m = Molecule.make(pointed, {"a": F(3, 2)})
     out = affine_extend(g, m)
-    assert out.as_dict() == {"b": F(3, 2)}
+    assert dict(out.coeffs) == {"b": F(3, 2)}
 
 
 def test_affine_extend_swap_with_basepoint():
@@ -254,6 +255,43 @@ def test_affine_extension_is_affine_and_extends_the_isometry():
                     affine_extend(g, a).scale(t) + affine_extend(g, b).scale(1 - t)
 
 
+def test_every_way_to_build_a_molecule_gives_one_int_form():
+    """A mapping with zeros and a basepoint entry, ``+``, ``-``, ``scale``,
+    ``affine_extend`` by the identity and ``rebase`` there and back give the
+    same molecule, equal and hashing alike: ints over ``unit``, the lcm of
+    the reduced denominators, with the basepoint's entry 0."""
+    rng = Random(4747)
+    kinds = set()
+    for k in range(300):
+        space = rand_metric_space(rng, 1 + k % 7)
+        pointed = rand_pointed(rng, space)
+        bp = pointed.basepoint_label
+        coeffs = rand_coeffs(rng, pointed, space.n)
+        m = Molecule(pointed, coeffs)
+        unit = lcm(*(v.denominator for v in coeffs.values() if v))
+        assert (m.unit, m.ints) == (
+            unit, tuple(int(coeffs.get(x, 0) * unit) for x in space.points)
+        )
+        assert dict(m.coeffs) == {x: v for x, v in coeffs.items() if v}
+        zeros = dict.fromkeys(space.points, F(0))
+        other = rng.choice(space.points)
+        ways = [
+            Molecule(pointed, {**zeros, **coeffs, bp: rand_fraction(rng, -5, 5)}),
+            Molecule(pointed, {x: v / 2 for x, v in coeffs.items()}).scale(F(2)),
+            Molecule(pointed, {x: v / 3 for x, v in coeffs.items()})
+            + Molecule(pointed, {x: 2 * v / 3 for x, v in coeffs.items()}),
+            Molecule(pointed, {x: 3 * v for x, v in coeffs.items()})
+            - Molecule(pointed, {x: 2 * v for x, v in coeffs.items()}),
+            affine_extend(Isometry.identity(space), m),
+            rebase(rebase(m, other), bp),
+        ]
+        for built in ways:
+            assert built == m and hash(built) == hash(m)
+            assert (built.unit, built.ints) == (m.unit, m.ints)
+        kinds.add("zero" if not any(m.ints) else "unit 1" if unit == 1 else "unit > 1")
+    assert kinds == {"zero", "unit 1", "unit > 1"}
+
+
 def test_rebase_same_basepoint_is_identity(line013_pointed):
     m = Molecule.make(line013_pointed, {"1": F(2), "3": F(-1)})
     assert rebase(m, "0") == m
@@ -262,7 +300,7 @@ def test_rebase_same_basepoint_is_identity(line013_pointed):
 def test_rebase_zero_molecule_lands_on_old_basepoint(line013_pointed):
     out = rebase(Molecule.zero(line013_pointed), "3")
     assert out.pointed.basepoint_label == "3"
-    assert out.as_dict() == {"0": F(1)}
+    assert dict(out.coeffs) == {"0": F(1)}
     assert aell_norm_dual(out)[0] == 3  # distance between the two basepoints
 
 
@@ -476,7 +514,7 @@ def test_fixed_point_swap():
     g = Isometry(sp, (0, 2, 1))
     action = action_from_closure(sp, [g])
     bary = fixed_point(action, Molecule.point(pointed, "a"))
-    assert bary.as_dict() == {"a": F(1, 2), "b": F(1, 2)}
+    assert dict(bary.coeffs) == {"a": F(1, 2), "b": F(1, 2)}
 
 
 def test_fixed_point_c6_with_hub():
@@ -496,7 +534,7 @@ def test_fixed_point_c6_with_hub():
     action = action_from_closure(sp, [rot])
     assert action.group.order == 6
     bary = fixed_point(action, Molecule.point(pointed, "0"))
-    assert bary.as_dict() == {p: F(1, 6) for p in sp.points[:6]}
+    assert dict(bary.coeffs) == {p: F(1, 6) for p in sp.points[:6]}
 
 
 def test_strong_duality_random():
@@ -769,6 +807,21 @@ def test_plan_check_rejects_a_tampered_plan():
             freespace._check_plan(supply, arcs)
 
 
+def test_plan_check_names_an_arc_at_a_point_with_no_supply():
+    """A point that is neither a source nor a sink is named by its first
+    arc, before the marginals are compared."""
+    supply = [3, 1, -2, -2, 0]
+    plan = [(0, 2, 2), (0, 3, 1), (1, 3, 1)]
+    freespace._check_plan(supply, plan)
+    for arc in [(4, 2, 1), (0, 4, 1)]:
+        s, t, amount = arc
+        with pytest.raises(
+            InternalCheckError,
+            match=f"transport plan ships {amount} from point {s} to point {t}",
+        ):
+            freespace._check_plan(supply, plan + [arc])
+
+
 def _parent_make(pointed, mapping):
     """``Molecule.make`` before it looked labels up once and skipped the
     conversion of ``Fraction`` values, kept as its oracle."""
@@ -787,7 +840,7 @@ def _parent_make(pointed, mapping):
 def _parent_add(m1, m2):
     if m1.pointed != m2.pointed:
         raise DomainError("molecules live over different pointed spaces")
-    out = m1.as_dict()
+    out = dict(m1.coeffs)
     for label, value in m2.coeffs:
         out[label] = out.get(label, F(0)) + value
     return _parent_make(m1.pointed, out)

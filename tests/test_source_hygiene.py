@@ -3,7 +3,8 @@ module-level functions that nothing in ``src/`` calls, public functions,
 classes, methods and properties that no caller reads, a second copy of the
 axiom scans, spaces built around the one constructor from the int form,
 an error message raised from two places, a computation on the
-``Fraction`` matrix outside the two checks parked on it, command-line
+``Fraction`` matrix outside the two checks parked on it, a molecule solver
+that reads ``Fraction`` coefficients or point labels, command-line
 I/O outside the two functions that do it, a procedure written in the
 command line instead of the library, an argument error mapped by hand
 instead of by ``errors.refusing``, and a randomized trial that fails
@@ -210,23 +211,31 @@ def test_spaces_are_built_only_through_from_scaled():
 SHARED_MESSAGES = {"cannot compose isometries of different spaces"}
 
 
+def message_of(node):
+    """The plain-string message of a raised error, ``Error("…")``, or of a
+    ``refusing(Error, "…")`` block, which raises it; else ``None``."""
+    if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+        args = node.exc.args[:1]
+    elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "refusing":
+        args = node.args[1:2]
+    else:
+        return None
+    if args and isinstance(args[0], ast.Constant) and isinstance(args[0].value, str):
+        return args[0].value
+    return None
+
+
 def test_each_error_message_is_raised_once():
-    """A plain-string message passed to a raised error names one rule, and
-    one place in ``src/`` checks that rule; a second ``raise`` with the same
-    words is a second copy of the check."""
+    """A plain-string message passed to a raised error or to
+    ``errors.refusing`` names one rule, and one place in ``src/`` checks that
+    rule; a second ``raise`` or ``refusing`` with the same words is a second
+    copy of the check.  One ``refusing`` shared by two blocks is one place."""
     places = {}
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(parse(path)):
-            if (
-                isinstance(node, ast.Raise)
-                and isinstance(node.exc, ast.Call)
-                and node.exc.args
-                and isinstance(node.exc.args[0], ast.Constant)
-                and isinstance(node.exc.args[0].value, str)
-            ):
-                places.setdefault(node.exc.args[0].value, []).append(
-                    f"{path.name}:{node.lineno}"
-                )
+            text = message_of(node)
+            if text is not None:
+                places.setdefault(text, []).append(f"{path.name}:{node.lineno}")
     repeated = {
         message: where
         for message, where in places.items()
@@ -253,6 +262,43 @@ def test_fraction_matrix_is_read_only_by_the_parked_checks():
         if isinstance(node, ast.Attribute) and node.attr == "dist"
     }
     assert readers == PARKED_DIST_READERS
+
+
+# The free-space procedures that take molecules and return molecules or norms.
+MOLECULE_SOLVERS = {"aell_norm_dual", "aell_norm_primal", "affine_extend", "rebase"}
+
+
+def test_molecules_are_solved_on_their_ints():
+    """A molecule stores int coefficients over one ``unit``, by point index,
+    and the solvers read them as stored: only ``LipschitzWitness`` scales
+    ``Fraction``s with ``metric.scale``, and no solver reads the ``Fraction``
+    coefficients, looks up a point's label or index, or makes a ``Fraction``
+    before its answer (``rebase`` looks up only its new basepoint)."""
+    tree = parse(PACKAGE / "freespace.py")
+    scalers = {
+        scope
+        for scope, node in scoped(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "scale"
+    }
+    assert scalers == {"LipschitzWitness.__post_init__"}
+    reads = [
+        (node.name, ast.unparse(inner))
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in MOLECULE_SOLVERS
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Attribute)
+        and (inner.attr in ("coeffs", "support", "apply_label", "basepoint_label")
+             or ast.unparse(inner).endswith("space.index"))
+    ]
+    assert reads == [("rebase", "space.index")]
+    makers = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in MOLECULE_SOLVERS
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == "Fraction"
+    }
+    assert makers == {"aell_norm_dual", "aell_norm_primal"}
 
 
 # The handlers that still map a Python error by hand: the two label lookups,
