@@ -58,20 +58,18 @@ class Molecule:
             unit = lcm(*{den for _, _, den in spots})
             for i, num, den in spots:
                 ints[i] = num * (unit // den)
-        self.__dict__.update(Molecule._of(pointed, unit, ints).__dict__)
+        self._store(pointed, unit, ints)
 
     make = classmethod(type.__call__)
 
-    @staticmethod
-    def _of(pointed: PointedSpace, unit: int, ints: list[int]) -> "Molecule":
-        """The molecule ``ints[i] / unit`` (``unit > 0``), stored reduced;
-        ``ints`` is a fresh list, and its basepoint entry is set to 0."""
+    def _store(self, pointed: PointedSpace, unit: int, ints: list[int]) -> "Molecule":
+        """Fill this blank molecule with ``ints[i] / unit`` (``unit > 0``),
+        reduced, and return it; ``ints`` is a fresh list, its basepoint set to 0."""
         ints[pointed.basepoint] = 0
         g = gcd(unit, *ints)
-        m = object.__new__(Molecule)
-        m.__dict__.update(pointed=pointed, unit=unit // g,
-                          ints=tuple(ints if g == 1 else map(g.__rfloordiv__, ints)))
-        return m
+        self.__dict__.update(pointed=pointed, unit=unit // g,
+                             ints=tuple(ints if g == 1 else map(g.__rfloordiv__, ints)))
+        return self
 
     @staticmethod
     def zero(pointed: PointedSpace) -> "Molecule":
@@ -102,12 +100,13 @@ class Molecule:
         unit = lcm(self.unit, other.unit)
         a, b = unit // self.unit, unit // other.unit
         ints = [op(a * x, b * y) for x, y in zip(self.ints, other.ints)]
-        return Molecule._of(self.pointed, unit, ints)
+        return object.__new__(Molecule)._store(self.pointed, unit, ints)
 
     def scale(self, q: Fraction) -> "Molecule":
         with _INEXACT:
             num, den = q.numerator, q.denominator
-        return Molecule._of(self.pointed, self.unit * den, [num * v for v in self.ints])
+        ints = [num * v for v in self.ints]
+        return object.__new__(Molecule)._store(self.pointed, self.unit * den, ints)
 
 
 @dataclass(frozen=True)
@@ -367,7 +366,7 @@ def affine_extend(g: Isometry, m: Molecule) -> Molecule:
     # point i's entry moves to g(i); the basepoint's entry is 0
     out = [v for _, v in sorted(zip(g.perm, m.ints))]
     out[g.perm[pointed.basepoint]] = m.unit - sum(m.ints)
-    return Molecule._of(pointed, m.unit, out)
+    return object.__new__(Molecule)._store(pointed, m.unit, out)
 
 
 def rebase(m: Molecule, new_basepoint: str) -> Molecule:
@@ -381,7 +380,7 @@ def rebase(m: Molecule, new_basepoint: str) -> Molecule:
     new_pointed = PointedSpace(space, space.index(new_basepoint))
     ints = list(m.ints)
     ints[m.pointed.basepoint] = m.unit - sum(ints)
-    return Molecule._of(new_pointed, m.unit, ints)
+    return object.__new__(Molecule)._store(new_pointed, m.unit, ints)
 
 
 def _phi_plus(pointed: PointedSpace, phi: Sequence[str]) -> list[str]:

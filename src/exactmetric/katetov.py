@@ -25,6 +25,7 @@ from .actions import Isometry
 from .errors import BudgetExceededError, DomainError, InternalCheckError, refusing
 from .metric import FiniteMetricSpace, _scan, min_plus, scale, set_distance
 
+_OFF_SUPPORT = refusing(DomainError, "values must be given exactly on the support")
 # a checked (support, values) record of a Katetov function
 _Pair = tuple[tuple[str, ...], Mapping[str, Fraction]]
 
@@ -45,8 +46,9 @@ class KatetovFunction:
     values: Mapping[str, Fraction]
 
     def __post_init__(self):
-        support, report = _report(self.space, self.values, self.support)
-        object.__setattr__(self, "support", support)
+        with _OFF_SUPPORT:
+            object.__setattr__(self, "support", tuple(self.support))
+        report = is_katetov(self.space, self.values, self.support)
         if not report.ok:
             raise DomainError(
                 f"not Katetov: {report.side} inequality fails at {report.pair}"
@@ -81,13 +83,8 @@ def is_katetov(
     labels of ``values``, each a point of the space, once, with a
     non-negative exact rational value, else :class:`DomainError`.
     """
-    return _report(space, values, space.points if support is None else support)[1]
-
-
-def _report(space, values, support) -> tuple[tuple[str, ...], KatetovReport]:
-    """The support as a tuple, read once, and :func:`is_katetov`'s report."""
-    with refusing(DomainError, "values must be given exactly on the support") as refuse:
-        pts = tuple(support)
+    with _OFF_SUPPORT as refuse:
+        pts = space.points if support is None else tuple(support)
         refuse.unless(set(pts) == set(values))
         vals = [values[x] for x in pts]  # a list of labels is no mapping
     idx = [space.index(x) for x in pts]
@@ -105,10 +102,10 @@ def _report(space, values, support) -> tuple[tuple[str, ...], KatetovReport]:
     for (x, i, vx), (y, j, vy) in combinations(zip(pts, idx, v), 2):
         d = step * sd[i][j]
         if abs(vx - vy) > d:
-            return pts, KatetovReport(False, (x, y), "upper")
+            return KatetovReport(False, (x, y), "upper")
         if d > vx + vy:
-            return pts, KatetovReport(False, (x, y), "lower")
-    return pts, KatetovReport(True)
+            return KatetovReport(False, (x, y), "lower")
+    return KatetovReport(True)
 
 
 def _hats(space: FiniteMetricSpace, pairs: Sequence[_Pair]):

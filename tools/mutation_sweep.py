@@ -1,6 +1,6 @@
 """Mutation sweep: which lines of a library module do the tests pin?
 
-    python tools/mutation_sweep.py freespace [--scratch DIR] [--list]
+    python tools/mutation_sweep.py freespace [--scratch DIR]
 
 The script copies ``src``, ``tests``, ``bench`` and ``pyproject.toml`` to a
 fresh directory (under ``--scratch``, else the system's temporary
@@ -17,9 +17,8 @@ equivalent mutant belongs in ``ALLOWLIST`` with the reason why it changes
 nothing.  A mutant that runs past the time bound counts as killed.
 
 The script prints each survivor and a summary, and exits with 1 if a
-survivor is not on the allowlist.  ``--list`` prints the sites and runs
-nothing.  The script is not part of the test suite; a module's full sweep
-takes about 3-9 s per site.
+survivor is not on the allowlist.  The script is not part of the test
+suite; a module's full sweep takes about 3-9 s per site.
 """
 
 from __future__ import annotations
@@ -198,13 +197,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("module", help="a module of src/exactmetric, e.g. freespace")
     parser.add_argument("--scratch", help="directory for the copy (default: temp)")
-    parser.add_argument("--list", action="store_true", help="print the sites only")
     args = parser.parse_args(argv)
-    if args.list:
-        path = ROOT / "src" / "exactmetric" / f"{args.module}.py"
-        for site in sites(path.name, path.read_bytes()):
-            print(f"{site.line:5}  {site.key}")
-        return 0
     return sweep(args.module, args.scratch)
 
 
