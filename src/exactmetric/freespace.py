@@ -6,7 +6,8 @@ bounded by the distance on point differences.  Two independent exact solvers
 compute it:
 
 * dual route: maximize the pairing against 1-Lipschitz functions vanishing
-  at the basepoint (a rational LP solved by the simplex);
+  at the basepoint (an int LP solved by the simplex, which returns an int
+  vertex);
 * primal route: minimum-cost shipment realizing the molecule's imbalance,
   with the basepoint absorbing the total mass (successive shortest
   augmenting paths).
@@ -184,13 +185,8 @@ def aell_norm_dual(m: Molecule) -> tuple[Fraction, LipschitzWitness]:
                 rhs.append(sx[y] + di - dbp[j])
     value, g = simplex_max(c, rows, rhs)
     # the optimum on support + basepoint, extended by min-plus to every
-    # point, as ints in units of 1/den: the constraint matrix is totally
-    # unimodular and the right-hand side is int, so the vertex g is integral
-    # (Hoffman and Kruskal); the witness and pairing checks certify it
-    f = min_plus(
-        [sd[x] for x in supp] + [sd[bp]],
-        [gi.numerator - di for gi, di in zip(g, dbp)] + [0],
-    )
+    # point, as ints in units of 1/den (the int vertex g less the shift)
+    f = min_plus([sd[x] for x in supp] + [sd[bp]], [*map(sub, g, dbp), 0])
     as_fraction = {v: Fraction(v, den) for v in set(f)}.__getitem__
     witness = LipschitzWitness(pointed, dict(zip(space.points, map(as_fraction, f))))
     # the shift and the pairing of m with the witness, in units of

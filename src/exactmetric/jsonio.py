@@ -229,8 +229,9 @@ def action_from_json(data: Mapping[str, Any]) -> GroupAction:
     """Load an action, completing missing images by composing given ones.
 
     Images may be supplied for generators only; the rest are filled in by
-    multiplying known images until the table closes, then the homomorphism
-    law is verified as usual.
+    one breadth-first pass from the given images, which right-multiplies
+    each reached element by each given image and composes each new element
+    once, then the homomorphism law is verified as usual.
     """
     raw_group, raw_space, raw_images = require(
         data, "group", "space", "images", what="action record"
@@ -242,16 +243,14 @@ def action_from_json(data: Mapping[str, Any]) -> GroupAction:
     }
     for name, perm in mapping(raw_images, "images").items():
         images[group.index(name)] = Isometry(space, indices(perm, "images"))
-    changed = True
-    while changed:
-        changed = False
-        known = list(images)
-        for a in known:
-            for b in known:
-                c = group.mul(a, b)
-                if c not in images:
-                    images[c] = images[a].compose(images[b])
-                    changed = True
+    given = list(images)
+    reached = given.copy()  # the queue: each new element joins its end
+    for a in reached:
+        for b in given:
+            c = group.mul(a, b)
+            if c not in images:
+                images[c] = images[a].compose(images[b])
+                reached.append(c)
     if len(images) != group.order:
         missing = [
             group.elements[i] for i in range(group.order) if i not in images

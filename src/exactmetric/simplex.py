@@ -2,35 +2,31 @@
 
 Solves   maximize c.x   subject to  A x <= b,  x >= 0
 for a totally unimodular ``int`` matrix A, like the dual norm LP's rows e_x
-and e_x - e_y (Hoffman and Kruskal 1956), and rational (``int`` or
-``Fraction``) c and b >= 0, so the slack basis is feasible and a single phase
-suffices.  Entering variable: Dantzig rule (largest positive reduced cost,
-smallest variable index among equals), switching to Bland's rule after a
-pivot budget to guarantee termination; leaving variable: minimum ratio with
-smallest-index tie break.
+and e_x - e_y (Hoffman and Kruskal 1956), and ``int`` c and b >= 0, so the
+slack basis is feasible, a single phase suffices, and the optimal vertex and
+value are ints.  Entering variable: Dantzig rule (largest positive reduced
+cost, smallest variable index among equals), switching to Bland's rule after
+a pivot budget to guarantee termination; leaving variable: minimum ratio
+with smallest-index tie break.
 
 The tableau is condensed (Tucker's dictionary form, as in Avis's lrs): it
 stores the columns of the nonbasic variables only.  By Cramer's rule every
 entry of B^-1 [A | I] is 0, 1 or -1, so a column is two ints, ``pos`` and
 ``neg``, whose byte i is 1 where row i holds 1 and -1 respectively; the
-reduced costs and the right-hand side are int lists, scaled by c's and b's
-lcm denominators.  Every pivot entry is 1, so every pivot is the rational
-tableau's.  An entry of A outside {-1, 0, 1}, or one that a pivot would
-make, raises ``DomainError``.
+reduced costs and the right-hand side are int lists.  Every pivot entry is
+1, so every pivot is the rational tableau's.  An entry of A outside
+{-1, 0, 1}, or one that a pivot would make, raises ``DomainError``.
 """
 
 from __future__ import annotations
 
 from array import array
-from fractions import Fraction
 from itertools import chain, compress
-from operator import index
+from operator import index, mul
 from typing import Sequence
 
 from .errors import DomainError, InternalCheckError, refusing
-from .metric import scale
 
-ZERO = Fraction(0)
 # from the signed bytes of A: 1 where an entry is -1, 0 where it is 0 or 1
 _NEG = bytes.maketrans(b"\x01\xff", b"\x00\x01")
 # Dantzig's rule chooses the first DANTZIG_FACTOR * (m + n) pivots, Bland's
@@ -39,10 +35,10 @@ DANTZIG_FACTOR = 20
 
 
 def simplex_max(
-    c: Sequence[Fraction],
+    c: Sequence[int],
     a: Sequence[Sequence[int]],
-    b: Sequence[Fraction],
-) -> tuple[Fraction, list[Fraction]]:
+    b: Sequence[int],
+) -> tuple[int, list[int]]:
     """Return (optimal value, optimal x) of max c.x s.t. A x <= b, x >= 0."""
     m = len(a)
     n = len(c)
@@ -55,8 +51,8 @@ def simplex_max(
         except OverflowError:  # refused below, once all entries are ints
             list(map(index, entries))
             flat = b"\x02"
-    lb, rhs = scale(b, "LP data")
-    lc, obj = scale(c, "LP data")
+    with refusing(DomainError, "LP data must be ints"):
+        rhs, obj = list(map(index, b)), list(map(index, c))
     if any(bi < 0 for bi in rhs):
         raise DomainError("right-hand side must be non-negative")
     if flat.translate(None, b"\x00\x01\xff"):
@@ -99,13 +95,11 @@ def simplex_max(
         pivot(tab, cols, basis, leave, enter)
         pivots += 1
 
-    x = [ZERO] * n
-    top = 0
+    x = [0] * n
     for i, bi in enumerate(basis):
         if bi < n:
-            x[bi] = Fraction(rhs[i], lb)
-            top += obj[bi] * rhs[i]
-    return Fraction(top, lb * lc), x
+            x[bi] = rhs[i]
+    return sum(map(mul, obj, x)), x
 
 
 def pivot(tab, cols, basis, r, e):

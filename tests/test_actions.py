@@ -216,6 +216,8 @@ def test_images_that_are_not_iterable_are_not_one_per_element():
         (("e", "a"), ((0, 1), (1, 0.0)), "table entries must be integers"),
         (("e", "a"), ((0, 1), (1, "a")), "table entries must be integers"),
         (([0],), ((0,),), "element labels must be hashable"),
+        (("e", "a"), ((0, 1), (1, 2)), "table entry out of range"),
+        (("e", "a"), ((0, 1), (-1, 0)), "table entry out of range"),
     ],
 )
 def test_a_malformed_group_record_is_structural(elements, table, message):
@@ -223,11 +225,26 @@ def test_a_malformed_group_record_is_structural(elements, table, message):
         FiniteGroup(elements, table)
 
 
+def test_an_element_without_an_inverse_is_a_domain_error():
+    # an associative table with identity e in which z * z = z: a monoid
+    with pytest.raises(DomainError, match="^element 'z' has no inverse$"):
+        FiniteGroup(("e", "z"), ((0, 1), (1, 1)))
+
+
 def test_a_group_given_lists_is_stored_as_tuples():
     group = FiniteGroup(["e", "a"], [[0, 1], [1, 0]])
     assert group.elements == ("e", "a")
     assert group.table == ((0, 1), (1, 0))
     assert hash(group) == hash(FiniteGroup(("e", "a"), ((0, 1), (1, 0))))
+
+
+def test_an_isometry_names_the_first_pair_it_breaks(line013):
+    # (0, 2, 1) breaks the distances at (0, 1) and at (0, 3); the pairs
+    # (i, j), i < j, are read in order
+    with pytest.raises(
+        DomainError, match=r"^permutation does not preserve distances at \(0, 1\)$"
+    ):
+        Isometry(line013, (0, 2, 1))
 
 
 def test_homomorphism_law_enforced():
@@ -239,6 +256,15 @@ def test_homomorphism_law_enforced():
     )
     with pytest.raises(DomainError):
         GroupAction(group, c4, bad)
+
+
+def test_identity_element_must_act_as_the_identity_map():
+    action = rotation_action(4)
+    rotated = action.images[1:] + action.images[:1]
+    with pytest.raises(
+        DomainError, match="^identity element must act as the identity map$"
+    ):
+        GroupAction(action.group, action.space, rotated)
 
 
 def test_images_on_another_space_rejected():

@@ -412,6 +412,23 @@ def test_moving_lower_bound_rejects_outside_support():
         moving_lower_bound(pointed, ["0", "1"], g, v, v)
 
 
+@pytest.mark.parametrize("basepoint", [1, "another space"])
+def test_moving_lower_bound_refuses_a_molecule_over_another_pointed_space(basepoint):
+    """v over the same space with another basepoint, or w over another
+    space with the same one."""
+    action = rotation_action(6)
+    pointed = PointedSpace(action.space, 0)
+    v = w = Molecule.make(pointed, {"1": F(1)})
+    if basepoint == 1:
+        v = Molecule.make(PointedSpace(action.space, 1), {"0": F(1)})
+    else:
+        w = Molecule.make(PointedSpace(cycle_space(5), 0), {"1": F(1)})
+    with pytest.raises(
+        DomainError, match="^molecule lives over a different pointed space$"
+    ):
+        moving_lower_bound(pointed, ["0", "1"], action.images[3], v, w)
+
+
 def test_moving_lower_bound_refuses_an_isometry_of_another_space():
     """A rotation of C4 read on C6 by its labels moves {0, 1} to {1, 2}: a
     zero gap, returned without a look at the isometry's space."""
@@ -506,6 +523,15 @@ def test_fixed_point_trivial_group(line013_pointed):
     action = action_from_closure(line013_pointed.space, [])
     seed = Molecule.make(line013_pointed, {"1": F(2)})
     assert fixed_point(action, seed) == seed
+
+
+def test_fixed_point_refuses_a_molecule_over_another_space(line013_pointed):
+    action = rotation_action(3)
+    seed = Molecule.make(line013_pointed, {"1": F(2)})
+    with pytest.raises(
+        DomainError, match="^action and molecule live on different spaces$"
+    ):
+        fixed_point(action, seed)
 
 
 def test_fixed_point_swap():
@@ -822,6 +848,47 @@ def test_plan_check_names_an_arc_at_a_point_with_no_supply():
             freespace._check_plan(supply, plan + [arc])
 
 
+def test_primal_refuses_a_path_round_a_predecessor_cycle(monkeypatch):
+    """Tampered: the second augmentation's Bellman-Ford runs no residual
+    round, so it ships along a path that is not a shortest one and leaves a
+    negative cycle in the residual network.  A later search's predecessors
+    run round that cycle, and the path walk stops there."""
+    space = space_from_rows(
+        ["0", "1", "2", "3", "4"],
+        [[0, 2, 1, 1, 1], [2, 0, 2, 1, 2], [1, 2, 0, 1, 2],
+         [1, 1, 1, 0, 1], [1, 2, 2, 1, 0]],
+    )
+    m = Molecule.make(PointedSpace(space, 0), {"1": 1, "2": 1, "3": -1, "4": -2})
+    assert aell_norm_primal(m)[0] == aell_norm_dual(m)[0] == 4
+    searches = []
+
+    def tampered(rounds):
+        searches.append(rounds)
+        return range(0 if len(searches) == 2 else rounds)
+
+    monkeypatch.setattr(freespace, "range", tampered, raising=False)
+    with pytest.raises(InternalCheckError, match="^augmenting path revisits a point$"):
+        aell_norm_primal(m)
+    assert len(searches) > 2
+
+
+def test_primal_refuses_a_path_that_ships_nothing(monkeypatch, line013_pointed):
+    """Tampered: the first augmentation's amount, the one ``min`` of two
+    values for a molecule with one source and one sink, reads 0."""
+    zeroed = []
+
+    def tampered(values, key=None):
+        if key is None and len(values) == 2 and not zeroed:
+            zeroed.append(values)
+            return 0
+        return min(values, key=key)
+
+    monkeypatch.setattr(freespace, "min", tampered, raising=False)
+    with pytest.raises(InternalCheckError, match="^augmenting path ships 0$"):
+        aell_norm_primal(Molecule.point(line013_pointed, "3"))
+    assert zeroed == [[1, 1]]
+
+
 def _parent_make(pointed, mapping):
     """``Molecule.make`` before it looked labels up once and skipped the
     conversion of ``Fraction`` values, kept as its oracle."""
@@ -906,7 +973,7 @@ def test_dual_refuses_a_vertex_that_does_not_attain_the_optimum(
 
     def origin(c, a, b):
         value, x = simplex_max(c, a, b)
-        return value, [F(0)] * len(x)
+        return value, [0] * len(x)
 
     monkeypatch.setattr(freespace, "simplex_max", origin)
     m = Molecule.make(line013_pointed, {"1": F(2), "3": F(-1)})

@@ -70,6 +70,17 @@ def test_float_value_rejected(two_points):
     assert is_katetov(two_points, {"a": 1, "b": F(1)}).ok
 
 
+@pytest.mark.parametrize("values, side", [
+    ({"a": F(1), "b": F(4)}, "upper"),  # |f(a) - f(b)| = 3 > d(a, b) = 2
+    ({"a": F(0), "b": F(1)}, "lower"),  # d(a, b) = 2 > f(a) + f(b) = 1
+])
+def test_a_katetov_function_refuses_values_that_are_not_katetov(two_points, values, side):
+    with pytest.raises(
+        DomainError, match=rf"^not Katetov: {side} inequality fails at \('a', 'b'\)$"
+    ):
+        KatetovFunction(two_points, ("a", "b"), values)
+
+
 def test_a_katetov_function_given_a_list_support_is_stored_as_a_tuple(two_points):
     values = {"a": F(1), "b": F(1)}
     f = KatetovFunction(two_points, ["a", "b"], values)
@@ -169,6 +180,23 @@ def test_tower_singleton_grid_one():
 def test_tower_budget_exceeded(line013):
     with pytest.raises(BudgetExceededError):
         tower(line013, 2, TowerPolicy(2, F(1), F(3), 8))
+
+
+def test_a_tower_level_may_hold_exactly_its_point_budget():
+    """Level one over a point adds one hat per grid value: 3 points.  A
+    grid of 2 values under a budget of 2 passes the grid check and is
+    refused at the level, with its count."""
+    sp = space_from_rows(["a"], [[0]])
+    out = tower(sp, 1, TowerPolicy(1, F(1), F(2), 3))
+    assert out.points == ("a", "p1", "p2")
+    with pytest.raises(
+        BudgetExceededError, match=r"^tower level would have 3 points \(budget 2\)$"
+    ):
+        tower(sp, 1, TowerPolicy(1, F(1), F(2), 2))
+    with pytest.raises(
+        BudgetExceededError, match="^the value grid alone exceeds the budget 1$"
+    ):
+        tower(sp, 1, TowerPolicy(1, F(1), F(2), 1))
 
 
 def test_tower_planted_pair():
@@ -323,6 +351,18 @@ def test_is_katetov_without_a_support_reads_it_as_the_space_points(two_points):
 def test_tower_policy_refuses_wrongly_typed_fields(fields):
     with pytest.raises(DomainError, match="must be"):
         TowerPolicy(**fields)
+
+
+@pytest.mark.parametrize("step", [F(0), F(-1)])
+def test_tower_policy_refuses_a_grid_step_that_is_not_positive(step):
+    with pytest.raises(DomainError, match="^grid step must be positive$"):
+        TowerPolicy(grid_step=step)
+
+
+def test_tower_policy_takes_a_point_budget_of_zero():
+    assert TowerPolicy(point_budget=0).point_budget == 0
+    with pytest.raises(DomainError, match="^point budget must be non-negative$"):
+        TowerPolicy(point_budget=-1)
 
 
 def star_fragment_scan(space, attachments):

@@ -504,6 +504,19 @@ def test_float_distance_is_a_domain_error():
         FiniteMetricSpace(("a", "b"), ((F(0), 0.5), (0.5, F(0)))).scaled
 
 
+@pytest.mark.parametrize("den", [0, -1])
+def test_from_scaled_refuses_a_denominator_that_is_not_positive(den):
+    with pytest.raises(DomainError, match="^distances must be exact rationals$"):
+        FiniteMetricSpace.from_scaled(("a", "b"), den, ((0, 1), (1, 0)))
+
+
+@pytest.mark.parametrize("basepoint", [-1, 3])
+def test_a_basepoint_outside_the_points_is_structural(line013, basepoint):
+    with pytest.raises(StructuralError, match="^basepoint index out of range$"):
+        PointedSpace(line013, basepoint)
+    assert PointedSpace(line013, 2).basepoint_label == "3"
+
+
 @pytest.mark.parametrize("basepoint", [1.0, "1", None])
 def test_a_basepoint_that_is_not_an_integer_is_structural(line013, basepoint):
     with pytest.raises(StructuralError, match="basepoint must be an integer"):

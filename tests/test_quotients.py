@@ -401,6 +401,44 @@ def test_fvf_budget_is_enforced():
         min_fvf_cover(group, [group.identity], budget=0)
 
 
+def test_fvf_budget_of_one_admits_a_one_subset_search():
+    group = cyclic_group(3)
+    assert min_fvf_cover(group, [0, 1, 2], budget=1) == (1, (0,))
+
+
+@pytest.mark.parametrize("v", [[3], [0, 3], [-1]])
+def test_fvf_v_outside_the_group_is_a_domain_error(v):
+    with pytest.raises(DomainError, match="^V contains an invalid element index$"):
+        min_fvf_cover(cyclic_group(3), v)
+
+
+@pytest.mark.parametrize("order, budget, size, visited", [
+    # depth 0, 1, 2 visit one subset each; the leaf that finds (0, 1, 2, 5)
+    # counts its 3 subsets
+    (8, 5, 4, 6),
+    # depth 0 to 3 visit one subset each; the first leaf finds no cover and
+    # counts all 8 of its subsets
+    (12, 4, 5, 12),
+])
+def test_fvf_refusal_counts_each_visited_subset(order, budget, size, visited):
+    group = cyclic_group(order)
+    with pytest.raises(BudgetExceededError, match=(
+        rf"^FVF search on \|G\| = {order} with \|V\| = 1 exceeded its budget of "
+        rf"{budget} subsets at size {size} \({visited} visited\)$"
+    )):
+        min_fvf_cover(group, [group.identity], budget=budget)
+
+
+def test_fvf_cut_bounds_the_whole_search():
+    """A branch is cut when the pairs still to come cannot reach |G|: with
+    that bound the search of C6 with V = {e} visits 35 subsets in all, and
+    a looser bound visits more."""
+    group = cyclic_group(6)
+    assert min_fvf_cover(group, [group.identity], budget=35) == (4, (0, 1, 2, 3))
+    with pytest.raises(BudgetExceededError, match=r"at size 4 \(35 visited\)$"):
+        min_fvf_cover(group, [group.identity], budget=34)
+
+
 def test_fvf_c36_identity_fails_fast_under_the_default_budget():
     group = cyclic_group(36)
     start = time.perf_counter()

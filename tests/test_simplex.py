@@ -5,80 +5,65 @@ from random import Random
 import pytest
 
 from exactmetric import DomainError, InternalCheckError, Molecule, freespace, simplex
+from exactmetric.metric import scale
 from exactmetric.randgen import rand_coeffs, rand_fraction, rand_metric_space, rand_pointed
 from exactmetric.simplex import simplex_max
 
 F = Fraction
 ZERO = F(0)
 
-# Beale's cycling example: its A is fractional, outside the unit-pivot
-# contract
-BEALE = (
-    [F(3, 4), F(-150), F(1, 50), F(-6)],
-    [
-        [F(1, 4), F(-60), F(-1, 25), F(9)],
-        [F(1, 2), F(-90), F(-1, 50), F(3)],
-        [F(0), F(0), F(1), F(0)],
-    ],
-    [F(0), F(0), F(1)],
-)
+# the constraint matrix of Beale's cycling example: it is fractional,
+# outside the unit-pivot contract
+BEALE_A = [
+    [F(1, 4), F(-60), F(-1, 25), F(9)],
+    [F(1, 2), F(-90), F(-1, 50), F(3)],
+    [F(0), F(0), F(1), F(0)],
+]
 # the Dantzig budget factor of ``_rational_simplex_max``, simplex's own
 DANTZIG_FACTOR = 20
 
 
 def test_single_variable():
-    value, x = simplex_max([F(3)], [[1]], [F(2)])
-    assert value == 6 and x == [F(2)]
+    value, x = simplex_max([3], [[1]], [2])
+    assert value == 6 and x == [2]
 
 
 def test_two_variable_textbook():
     # max 3x + 5y s.t. x <= 4, y <= 6, x + y <= 8
     value, x = simplex_max(
-        [F(3), F(5)],
+        [3, 5],
         [[1, 0], [0, 1], [1, 1]],
-        [F(4), F(6), F(8)],
+        [4, 6, 8],
     )
-    assert value == 36 and x == [F(2), F(6)]
-
-
-def test_exact_rational_data():
-    value, x = simplex_max(
-        [F(1, 3), F(1, 7)],
-        [[1, 0], [1, 1]],
-        [F(1, 2), F(3, 4)],
-    )
-    # x yields 1/3 per unit of the shared budget 3/4, y only 1/7, and x is
-    # capped at 1/2
-    assert value == F(1, 6) + F(1, 28)
-    assert x == [F(1, 2), F(1, 4)]
+    assert value == 36 and x == [2, 6]
 
 
 def test_no_profitable_direction():
-    value, x = simplex_max([F(-1), F(-2)], [[1, 1]], [F(5)])
-    assert value == 0 and x == [F(0), F(0)]
+    value, x = simplex_max([-1, -2], [[1, 1]], [5])
+    assert value == 0 and x == [0, 0]
 
 
 def test_unbounded_detected():
     with pytest.raises(DomainError):
-        simplex_max([F(1)], [[-1]], [F(1)])
+        simplex_max([1], [[-1]], [1])
 
 
 def test_negative_rhs_rejected():
     with pytest.raises(DomainError):
-        simplex_max([F(1)], [[1]], [F(-1)])
+        simplex_max([1], [[1]], [-1])
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(DomainError):
-        simplex_max([F(1), F(1)], [[1]], [F(1)])
+        simplex_max([1, 1], [[1]], [1])
 
 
 # max x1 + x2 + x3 over a cycle of difference constraints, all tight at the
 # origin, and a bound on x1
 DEGENERATE = (
-    [F(1), F(1), F(1)],
+    [1, 1, 1],
     [[1, -1, 0], [0, 1, -1], [-1, 0, 1], [1, 0, 0]],
-    [F(0), F(0), F(0), F(1)],
+    [0, 0, 0, 1],
 )
 
 
@@ -88,36 +73,48 @@ def test_degenerate_cycling_candidate(monkeypatch):
     for factor in (DANTZIG_FACTOR, 0):
         monkeypatch.setattr(simplex, "DANTZIG_FACTOR", factor)
         value, x = simplex_max(*DEGENERATE)
-        assert value == 3 and x == [F(1)] * 3
+        assert value == 3 and x == [1] * 3
+
+
+def test_pivot_budget_stops_a_simplex_that_never_moves(monkeypatch):
+    """Tampered: a pivot that changes nothing leaves the same entering
+    column forever, and the run stops after 2000 (m + n) + 1 pivots."""
+    pivots = []
+    monkeypatch.setattr(simplex, "pivot", lambda *args: pivots.append(args[3:]))
+    with pytest.raises(InternalCheckError, match="^simplex pivot budget exhausted$"):
+        simplex_max([1], [[1]], [2])
+    assert pivots == [(0, 0)] * (2000 * (1 + 1) + 1)
 
 
 @pytest.mark.parametrize("c, a, b", [
     ([0.1], [[1]], [1]),
     ([1], [[1]], [0.5]),
     ([1, 1.0], [[1, 0]], [1]),
+    ([1], [[1]], [F(1, 2)]),
 ])
 def test_float_data_is_a_domain_error(c, a, b):
-    with pytest.raises(DomainError, match="exact rationals"):
+    with pytest.raises(DomainError, match="LP data must be ints"):
         simplex_max(c, a, b)
 
 
-@pytest.mark.parametrize("a", [[[1.0]], [[F(1)]], [[F(1, 2)]], BEALE[1]])
+@pytest.mark.parametrize("a", [[[1.0]], [[F(1)]], [[F(1, 2)]], BEALE_A])
 def test_non_int_constraint_matrix_is_a_domain_error(a):
-    c = [F(1)] * len(a[0])
+    c = [1] * len(a[0])
     with pytest.raises(DomainError, match="constraint matrix must hold ints"):
-        simplex_max(c, a, [F(1)] * len(a))
+        simplex_max(c, a, [1] * len(a))
 
 
 @pytest.mark.parametrize("c, a, b", [
-    ([F(1)], [[2]], [F(1)]),
-    # Beale's LP times 100, row by row: its entering column has 25 and 50
-    ([F(3, 4), F(-150), F(1, 50), F(-6)],
+    ([1], [[2]], [1]),
+    # Beale's LP times 100, row by row, and its objective times 100: its
+    # entering column has 25 and 50
+    ([75, -15000, 2, -600],
      [[25, -6000, -4, 900], [50, -9000, -2, 300], [0, 0, 1, 0]],
-     [F(0), F(0), F(1)]),
+     [0, 0, 1]),
     # a 3 in the column that enters second
-    ([F(2), F(1)], [[1, 0], [0, 1], [0, 3]], [F(1), F(1), F(1)]),
+    ([2, 1], [[1, 0], [0, 1], [0, 3]], [1, 1, 1]),
     # a 2 that the first pivot makes: max x + y s.t. x - y <= 0, x + y <= 2
-    ([F(1), F(1)], [[1, -1], [1, 1]], [F(0), F(2)]),
+    ([1, 1], [[1, -1], [1, 1]], [0, 2]),
 ])
 def test_non_unit_pivot_entry_is_a_domain_error(c, a, b):
     with pytest.raises(DomainError, match="not totally unimodular"):
@@ -240,7 +237,8 @@ def _unit_lps(count):
             a.append(row)
         b = [ZERO if rng.random() < 0.3 else rand_fraction(rng, 0, 5) for _ in range(m)]
         c = [rand_fraction(rng, -3, 4) for _ in range(n)]
-        lps.append((c, a, b))
+        # b and c as ints: scaling each by a positive factor keeps the pivots
+        lps.append((scale(c, "c")[1], a, scale(b, "b")[1]))
     return lps
 
 
@@ -276,13 +274,17 @@ def _pivot_sequences(monkeypatch, lps):
 
 def test_integer_tableau_matches_the_rational_tableau(monkeypatch):
     """Same optimum, same vertex and the same pivots, in order, as the
-    ``Fraction`` tableau, on dual-norm LPs and random unimodular LPs."""
+    ``Fraction`` tableau, on dual-norm LPs and random unimodular LPs; the
+    optimum and the vertex are ints."""
     assert simplex.DANTZIG_FACTOR == DANTZIG_FACTOR
     lps = _dual_lps(monkeypatch, 150) + _unit_lps(150)
     outcomes = set()
     for (c, a, b), (got, want) in zip(lps, _pivot_sequences(monkeypatch, lps)):
         assert got == want, (c, a, b)
         answer, pivots = want
+        if answer != "unbounded":
+            value, x = got[0]
+            assert {type(value), *map(type, x)} == {int}
         outcomes.add(answer if answer == "unbounded" else bool(pivots))
     # all three kinds of outcome occurred
     assert outcomes == {"unbounded", True, False}
@@ -311,17 +313,17 @@ def test_against_brute_force_vertices():
     for _ in range(40):
         n = rng.randint(1, 3)
         m = rng.randint(1, 3)
-        c = [F(rng.randint(-4, 4)) for _ in range(n)]
+        c = [rng.randint(-4, 4) for _ in range(n)]
         a = []
         for _ in range(m):
             row = [0] * n
             for j, v in zip(rng.sample(range(n), min(n, 2)), (1, -1)):
                 row[j] = v if rng.random() < 0.8 else 0
             a.append(row)
-        b = [F(rng.randint(0, 6)) for _ in range(m)]
+        b = [rng.randint(0, 6) for _ in range(m)]
         box = 10
         a_full = a + [[1 if j == k else 0 for j in range(n)] for k in range(n)]
-        b_full = b + [F(box)] * n
+        b_full = b + [box] * n
         value, x = simplex_max(c, a_full, b_full)
         assert all(
             sum(a_full[i][j] * x[j] for j in range(n)) <= b_full[i]
@@ -340,13 +342,13 @@ def test_against_brute_force_vertices():
 
 @pytest.mark.parametrize("c, a, b, rational", [
     # a -2 in a column that never enters
-    ([F(1), F(-5)], [[1, -2]], [F(1)], (1, [1, 0])),
+    ([1, -5], [[1, -2]], [1], (1, [1, 0])),
     # a -2 that the first pivot makes off the entering column
-    ([F(1), F(-5)], [[1, 1], [1, -1]], [F(1), F(1)], (1, [1, 0])),
+    ([1, -5], [[1, 1], [1, -1]], [1, 1], (1, [1, 0])),
     # an unbounded LP whose A holds a -2
-    ([F(1), F(0)], [[1, -2]], [F(1)], "unbounded"),
+    ([1, 0], [[1, -2]], [1], "unbounded"),
     # an entry beyond a signed byte
-    ([F(1)], [[300]], [F(1)], (F(1, 300), [F(1, 300)])),
+    ([1], [[300]], [1], (F(1, 300), [F(1, 300)])),
 ])
 def test_entries_outside_the_unit_range_are_not_totally_unimodular(c, a, b, rational):
     """The ternary tableau refuses every entry outside {-1, 0, 1}, in A or
@@ -361,17 +363,17 @@ def test_entries_outside_the_unit_range_are_not_totally_unimodular(c, a, b, rati
 
 
 @pytest.mark.parametrize("c, a, b, message", [
-    ([F(1)], [[1.5, -2]], [F(-1)], "inconsistent LP dimensions"),
-    ([F(1), F(1)], [[-2, 0.5]], [F(-1)], "constraint matrix must hold ints"),
+    ([1], [[1.5, -2]], [-1], "inconsistent LP dimensions"),
+    ([1, 1], [[-2, 0.5]], [-1], "constraint matrix must hold ints"),
     # the entry beyond a byte comes first, the float after it
-    ([F(1), F(1)], [[300, 0.5]], [F(-1)], "constraint matrix must hold ints"),
-    ([F(1), F(1)], [[300, 1], [0, F(1)]], [F(1), F(1)], "constraint matrix must hold ints"),
-    ([F(1), F(1)], [[-2, 300]], [0.5], "exact rationals"),
-    ([F(1), F(1)], [[-2, 300]], [F(-1)], "right-hand side must be non-negative"),
-    ([F(1), F(1)], [[-2, 300]], [F(1)], "not totally unimodular"),
+    ([1, 1], [[300, 0.5]], [-1], "constraint matrix must hold ints"),
+    ([1, 1], [[300, 1], [0, F(1)]], [1, 1], "constraint matrix must hold ints"),
+    ([1, 1], [[-2, 300]], [0.5], "LP data must be ints"),
+    ([1, 1], [[-2, 300]], [-1], "right-hand side must be non-negative"),
+    ([1, 1], [[-2, 300]], [1], "not totally unimodular"),
 ])
 def test_checks_run_in_order(c, a, b, message):
-    """Dimensions, then ints in A, then exact rationals in b and c, then the
+    """Dimensions, then ints in A, then ints in b and c, then the
     sign of b, then total unimodularity: an LP failing several checks gets
     the first one's message."""
     with pytest.raises(DomainError, match=message):

@@ -4,7 +4,8 @@ classes, methods and properties that no caller reads, a second copy of the
 axiom scans, spaces built around the one constructor from the int form,
 an error message raised from two places, a computation on the
 ``Fraction`` matrix outside the two checks parked on it, a molecule solver
-that reads ``Fraction`` coefficients or point labels, command-line
+that reads ``Fraction`` coefficients or point labels, a ``Fraction`` in the
+simplex or read off its answer, command-line
 I/O outside the two functions that do it, a procedure written in the
 command line instead of the library, an argument error mapped by hand
 instead of by ``errors.refusing``, and a randomized trial that fails
@@ -299,6 +300,26 @@ def test_molecules_are_solved_on_their_ints():
         if isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == "Fraction"
     }
     assert makers == {"aell_norm_dual", "aell_norm_primal"}
+
+
+def test_the_simplex_takes_and_returns_ints():
+    """The simplex reads int LP data and returns an int optimum and vertex:
+    it imports neither ``fractions`` nor ``metric``'s ``scale``, and the
+    dual norm route reads no ``.numerator`` off its answer."""
+    tree = parse(PACKAGE / "simplex.py")
+    modules = {
+        alias.name if isinstance(node, ast.Import) else node.module
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not modules & {"fractions", "metric"}
+    assert "Fraction" not in referenced_names(tree)
+    dual = next(
+        node for node in parse(PACKAGE / "freespace.py").body
+        if isinstance(node, ast.FunctionDef) and node.name == "aell_norm_dual"
+    )
+    assert "numerator" not in referenced_names(dual)
 
 
 # The handlers that still map a Python error by hand: the two label lookups,

@@ -2,23 +2,29 @@
 
     python tools/mutation_sweep.py freespace [--scratch DIR]
 
-The script copies ``src``, ``tests``, ``bench`` and ``pyproject.toml`` to a
-fresh directory (under ``--scratch``, else the system's temporary
-directory) and reads the working tree only.  In the copy it applies one
-mutation at a time to ``src/exactmetric/<module>.py`` and runs
-``tests/test_<module>.py`` and ``tests/test_acceptance.py`` with ``-x``.
+The script copies ``src``, ``tests``, ``bench`` and the three root files
+the tests read to a fresh directory (under ``--scratch``, made if missing, else the system's
+temporary directory) and reads the working tree only.  In the copy it
+applies one mutation at a time to ``src/exactmetric/<module>.py`` and runs
+``tests/test_<module>.py`` and ``tests/test_acceptance.py`` with ``-x``; a
+module without its own test file is not swept (exit 2).  A mutant that
+passes them runs again against the whole test suite, which the unmutated
+copy must pass first, so a mutant that another file's test kills is not
+reported.
 
 A mutation swaps ``<`` with ``<=``, ``>`` with ``>=``, ``==`` with ``!=``,
 ``+`` with ``-`` (also in ``+=`` and ``-=``), or ``min`` with ``max``.  It
 edits the source text at the operator, so every other byte of the module
-stays as it is.  A mutant that the tests pass is a survivor.  It is either
+stays as it is.  A mutant that the whole suite passes is a survivor.  It is either
 a missing test, code that does nothing, or an equivalent mutant.  An
 equivalent mutant belongs in ``ALLOWLIST`` with the reason why it changes
 nothing.  A mutant that runs past the time bound counts as killed.
 
 The script prints each survivor and a summary, and exits with 1 if a
 survivor is not on the allowlist.  The script is not part of the test
-suite; a module's full sweep takes about 3-9 s per site.
+suite; a module's full sweep takes about 3-9 s per site, plus a run of the
+whole suite (about a minute) for the unmutated copy and for each mutant
+that the module's tests miss.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "bench", "pyproject.toml")
+COPIED = ("src", "tests", "bench", "pyproject.toml", "BENCHMARK.json", "README.md")
 SWAPS = {
     ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"),
     ast.Gt: (">", ">="), ast.GtE: (">=", ">"),
@@ -47,14 +53,22 @@ GAP = b" \t\r\n\\()"
 
 # Survivors that change nothing: "module:scope: line [old -> new]" -> reason.
 ALLOWLIST = {
-    "freespace.py:aell_norm_primal: if amount <= 0: [<= -> <]":
-        "no input ships 0: the basepoint balances the excess, each path starts"
-        " at a live source, ends at a live sink and cancels only arcs that"
-        " carry flow",
+    "simplex.py:simplex_max:"
+    " if pivots <= dantzig_budget and cost.count(best) == 1: [<= -> <]":
+        "at pivots == dantzig_budget the general branch still takes Dantzig's"
+        " rule, and with one largest reduced cost it enters that same column",
+    "simplex.py:simplex_max:"
+    " rhs[i] == rhs[leave] and basis[i] < basis[leave] [< -> <=]":
+        "the basis holds each variable once, so two rows never tie on it",
+    "metric.py:_scan: if di.count(0) > 1: [> -> >=]":
+        "every row holds its diagonal zero, so the loop then also scans rows"
+        " with no second zero and finds nothing there: the first row with a"
+        " second zero right of the diagonal is reached either way",
     "freespace.py:aell_norm_primal:"
     " if len(path) > len(sources) + len(sinks): [> -> >=]":
-        "a path holds each source and sink at most once, so either bound"
-        " fires only on a predecessor cycle, one step apart",
+        "a path holds each source and sink at most once, so the walk reaches"
+        " that length only on a predecessor cycle (the tampered test), where"
+        " either bound raises the same error, one step apart",
     "freespace.py:moving_lower_bound:"
     " if not set(mol.support) <= set(phi_plus): [<= -> <]":
         "the support never holds the basepoint and phi_plus always does,"
@@ -155,6 +169,11 @@ def sweep(module: str, scratch: str | None) -> int:
     source = (ROOT / path).read_bytes()
     todo = sites(path.name, source)
     tests = [f"tests/test_{module}.py", "tests/test_acceptance.py"]
+    if not (ROOT / tests[0]).is_file():
+        print(f"{tests[0]} does not exist; nothing swept")
+        return 2
+    if scratch:
+        Path(scratch).mkdir(parents=True, exist_ok=True)
     copy = Path(tempfile.mkdtemp(prefix="mutation-", dir=scratch))
     try:
         for name in COPIED:
@@ -165,17 +184,24 @@ def sweep(module: str, scratch: str | None) -> int:
             else:
                 shutil.copy2(src, copy / name)
         passed, seconds = run_tests(copy, tests, None)
-        if not passed:
-            print(f"the unmutated tests fail in {copy}; nothing swept")
+        whole, whole_seconds = run_tests(copy, ["tests"], None)
+        if not (passed and whole):
+            failing = "the whole suite" if passed else " and ".join(tests)
+            print(f"the unmutated copy fails {failing}; nothing swept")
             return 2
         bound = max(30.0, 5 * seconds)
+        whole_bound = max(bound, 5 * whole_seconds)
         target = copy / path
-        killed = timed_out = 0
+        killed = timed_out = by_suite = 0
         survivors = []
         for site in todo:
             target.write_bytes(source[:site.start] + site.new.encode()
                                + source[site.end:])
             passed, seconds = run_tests(copy, tests, bound)
+            timed_out += seconds >= bound
+            if passed:  # the module's tests miss it: does another file's?
+                passed, _ = run_tests(copy, ["tests"], whole_bound)
+                by_suite += not passed
             if passed:
                 survivors.append(site)
                 reason = ALLOWLIST.get(site.key, "NOT ON THE ALLOWLIST")
@@ -183,20 +209,21 @@ def sweep(module: str, scratch: str | None) -> int:
                       flush=True)
             else:
                 killed += 1
-                timed_out += seconds >= bound
         target.write_bytes(source)
     finally:
         shutil.rmtree(copy, ignore_errors=True)
     new = [s for s in survivors if s.key not in ALLOWLIST]
-    print(f"{path}: {len(todo)} mutants, {killed} killed ({timed_out} past the "
-          f"{bound:.0f} s bound), {len(survivors)} survived, {len(new)} not allowlisted")
+    print(f"{path}: {len(todo)} mutants, {killed} killed ({by_suite} only by the "
+          f"whole suite, {timed_out} past the {bound:.0f} s bound), "
+          f"{len(survivors)} survived, {len(new)} not allowlisted")
     return 1 if new else 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("module", help="a module of src/exactmetric, e.g. freespace")
-    parser.add_argument("--scratch", help="directory for the copy (default: temp)")
+    parser.add_argument("--scratch",
+                        help="directory for the copy, made if missing (default: temp)")
     args = parser.parse_args(argv)
     return sweep(args.module, args.scratch)
 
