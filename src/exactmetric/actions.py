@@ -65,8 +65,8 @@ class Isometry:
 
 
 def _unchecked(space: FiniteMetricSpace, perm: tuple[int, ...]) -> Isometry:
-    """An ``Isometry`` of a permutation already known to preserve distances,
-    built without the constructor's O(n^2) check."""
+    """An ``Isometry`` built without the constructor's O(n^2) check, for a
+    permutation known to preserve distances, or an image ``GroupAction`` checks."""
     iso = object.__new__(Isometry)
     iso.__dict__.update(space=space, perm=perm)
     return iso
@@ -111,7 +111,8 @@ def enumerate_isometries(space: FiniteMetricSpace) -> list[Isometry]:
 @dataclass(frozen=True)
 class GroupAction:
     """A homomorphism from a finite group into Iso(space), stored as explicit
-    images for every element."""
+    images for every element.  Construction verifies every image as an
+    isometry, so an image may be built by ``_unchecked``."""
 
     group: FiniteGroup
     space: FiniteMetricSpace
@@ -130,11 +131,10 @@ class GroupAction:
             raise DomainError("images must act on the action's space")
         if images[g.identity].perm != tuple(range(space.n)):
             raise DomainError("identity element must act as the identity map")
+        # compose builds a checked Isometry, so (a, e) verifies image a
         for a in range(g.order):
             for b in range(g.order):
-                lhs = self.images[g.mul(a, b)].perm
-                rhs = self.images[a].compose(self.images[b]).perm
-                if lhs != rhs:
+                if images[g.mul(a, b)].perm != images[a].compose(images[b]).perm:
                     raise DomainError(
                         "images do not form a homomorphism at "
                         f"({g.elements[a]}, {g.elements[b]})"
@@ -176,12 +176,13 @@ def action_from_closure(
 
     Elements are the closure of the generators under composition, ordered
     lexicographically by permutation (so the labeling is deterministic), with
-    an abstract multiplication table read off from composition.
+    an abstract multiplication table read off from composition.  ``GroupAction``
+    verifies each image once.
     """
     with refusing(DomainError, "generators must be isometries"):
         for gen in generators:
             if gen.space is not space and gen.space != space:
-                raise DomainError("cannot compose isometries of different spaces")
+                raise DomainError("generators must act on the given space")
         gens = [gen.perm for gen in generators]
     frontier = [tuple(range(space.n))]
     seen = set(frontier)
@@ -198,7 +199,7 @@ def action_from_closure(
     group = FiniteGroup(
         tuple(f"g{i}" for i in range(len(perms))), permutation_table(perms)
     )
-    images = tuple(Isometry(space, p) for p in perms)
+    images = tuple(_unchecked(space, p) for p in perms)
     return GroupAction(group, space, images)
 
 

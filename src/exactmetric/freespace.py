@@ -397,8 +397,8 @@ def moving_lower_bound(
     The bound is the gap d(phi + basepoint, g(phi + basepoint)).  The gap and
     the witness come from one row, each point's distance to phi + basepoint:
     the gap is its least value on the translate, and the witness, the row
-    capped at the gap, vanishes on phi + basepoint and equals the gap on the
-    translate, so its pairing with the difference is exactly the gap.
+    capped at the gap, vanishes on phi + basepoint, so on w, and equals the
+    gap on the translate: its pairing with g.v - w, that is with g.v, is the gap.
     """
     space = pointed.space
     phi_plus = _phi_plus(pointed, phi)
@@ -416,7 +416,7 @@ def moving_lower_bound(
     h = map(Fraction, map(min, repeat(gap), near), repeat(den))
     witness = LipschitzWitness(pointed, dict(zip(space.points, h)))
     bound = Fraction(gap, den)
-    if witness.pair(moved - w) != bound:
+    if witness.pair(moved) != bound:
         raise InternalCheckError("witness pairing missed the certified bound")
     return bound
 

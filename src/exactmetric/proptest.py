@@ -167,9 +167,9 @@ def suite_prop_k(rng: Random):
     space = rand_metric_space(rng, rng.randint(2, 6))
     pts = list(space.points)
     rng.shuffle(pts)
-    cut = rng.randint(1, space.n - 1) if space.n > 1 else 1
+    cut = rng.randint(1, space.n - 1)
     a = tuple(sorted(pts[:cut]))
-    b = tuple(sorted(pts[cut:])) or a
+    b = tuple(sorted(pts[cut:]))
     phi = rand_katetov(rng, space, a)
     psi = rand_katetov(rng, space, b)
     res = prop_k_gap(phi, psi)
@@ -252,7 +252,7 @@ def suite_extension(rng: Random):
     pointed = rand_pointed(rng, space)
     pts = list(space.points)
     rng.shuffle(pts)
-    phi = sorted(pts[: rng.randint(1, max(1, space.n // 2))])
+    phi = sorted(pts[: rng.randint(1, space.n // 2)])
     free = [x for x in phi if x != pointed.basepoint_label]
     v = Molecule(pointed, {x: rand_fraction(rng, -3, 3) for x in free})
     w = Molecule(pointed, {x: rand_fraction(rng, -3, 3) for x in free})

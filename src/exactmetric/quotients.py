@@ -8,8 +8,9 @@ from fractions import Fraction
 from operator import index, or_
 from typing import Optional, Sequence
 
-from .actions import GroupAction, Isometry
-from .errors import BudgetExceededError, DomainError, StructuralError, refusing
+from .actions import GroupAction, _unchecked
+from .errors import BudgetExceededError, DomainError, InternalCheckError
+from .errors import StructuralError, refusing
 from .groups import FiniteGroup
 from .metric import FiniteMetricSpace, scale, validate
 
@@ -59,17 +60,10 @@ class InvariantPseudometric:
 
 
 def kernel_subgroup(pm: InvariantPseudometric) -> tuple[int, ...]:
-    """Indices of the null subgroup {g : d(g, e) = 0}; closure verified."""
-    g = pm.group
-    h = tuple(i for i, v in enumerate(pm.scaled[1]) if v == 0)
-    members = set(h)
-    for a in h:
-        if g.inv(a) not in members:
-            raise DomainError("kernel not closed under inverse")
-        for b in h:
-            if g.mul(a, b) not in members:
-                raise DomainError("kernel not closed under product")
-    return h
+    """Indices of the null subgroup {g : d(g, e) = 0}, read off the lengths:
+    the axioms checked at construction make it a subgroup, since
+    delta(g^-1) = delta(g) and delta(gh) <= delta(g) + delta(h)."""
+    return tuple(i for i, v in enumerate(pm.scaled[1]) if v == 0)
 
 
 def _coset_space(
@@ -100,14 +94,14 @@ def _coset_space(
     for i, ci in enumerate(cosets):
         for j, cj in enumerate(cosets):
             if any(d[a][b] != dist[i][j] for a in ci for b in cj):
-                raise DomainError(
+                raise InternalCheckError(
                     "quotient metric not constant on coset pair "
                     f"({labels[i]}, {labels[j]})"
                 )
     space = FiniteMetricSpace.from_scaled(labels, den, dist)
     report = validate(space)
     if not report.ok:
-        raise DomainError(
+        raise InternalCheckError(
             f"quotient is not a metric space: {report.axiom} at {report.witness}"
         )
     return space, coset_of, reps
@@ -120,18 +114,18 @@ def quotient_space(
     translation action.
 
     Well-definedness of the metric is asserted across all representative
-    pairs, and the action is verified to be isometric and transitive.
+    pairs.  ``GroupAction`` verifies each image as an isometry, and the
+    action is verified to be transitive.
     """
     g = pm.group
     space, coset_of, reps = _coset_space(pm)
-    images = []
-    for a in range(g.order):
-        perm = tuple(coset_of[g.mul(a, r)] for r in reps)
-        images.append(Isometry(space, perm))
-    action = GroupAction(g, space, tuple(images))
-    reached = {iso.apply(0) for iso in images}
-    if reached != set(range(space.n)):
-        raise DomainError("left translation action is not transitive")
+    images = tuple(
+        _unchecked(space, tuple(coset_of[g.mul(a, r)] for r in reps))
+        for a in range(g.order)
+    )
+    action = GroupAction(g, space, images)
+    if {iso.apply(0) for iso in images} != set(range(space.n)):
+        raise InternalCheckError("left translation action is not transitive")
     return space, action
 
 
@@ -160,15 +154,9 @@ def orbit_isomorphism(
     for p, a in enumerate(orb):
         for q, b in enumerate(orb):
             if qd[p][q] * den != d[a][b] * qden:
-                raise DomainError("quotient and orbit fail to match isometrically")
+                raise InternalCheckError("quotient and orbit fail to match isometrically")
     points = action.space.points
     return {label: points[a] for label, a in zip(qspace.points, orb)}
-
-
-def _fvf(group: FiniteGroup, f: Sequence[int], v: Sequence[int]) -> set[int]:
-    """The product set F V F, as F V and then (F V) F."""
-    fv = {group.mul(a, b) for a in f for b in v}
-    return {group.mul(a, b) for a in fv for b in f}
 
 
 FVF_BUDGET = 1_000_000
@@ -255,7 +243,7 @@ def min_fvf_cover(
         found = search(size, 0, 0, 0, diagonal, ())
         if found:
             return size, found
-    raise DomainError("no cover found")  # unreachable for non-empty V
+    raise InternalCheckError("no cover found")  # unreachable for non-empty V
 
 
 @dataclass(frozen=True)
@@ -282,9 +270,9 @@ def moving_certificate(
 
     V is the open ball of the given radius around the identity.  Each phi
     must be non-empty and is symmetrized internally (the displacement
-    argument needs inverses).  When
-    phi V phi already covers the group no witness exists, which is the
-    expected outcome for large phi on a finite group.
+    argument needs inverses).  When phi V phi already covers the group no
+    witness exists, which is the expected outcome for large phi on a finite
+    group.  The gap is read as delta(a^-1 w b) through the group table.
     """
     den, delta = pm.scaled
     unit, (r,) = scale([radius], "ball radius", den)
@@ -292,27 +280,25 @@ def moving_certificate(
         raise DomainError("ball radius must be positive")
     g = pm.group
     ball = [i for i, v in enumerate(delta) if v * unit < r * den]
-    d = pm.layout(delta)
     entries = []
     with refusing(DomainError, "moving_certificate requires non-empty sets") as refuse:
         sets = [sorted({g.index(x) for x in phi}) for phi in phis]
         refuse.unless(all(sets))
     for idx in sets:
         sym = sorted(set(idx) | {g.inv(i) for i in idx})
-        covered = _fvf(g, sym, ball)
+        fv = {g.mul(a, v) for a in sym for v in ball}  # phi V, then phi V phi
+        covered = {g.mul(x, b) for x in fv for b in sym}
         outside = [i for i in range(g.order) if i not in covered]
         phi_labels = tuple(g.elements[i] for i in idx)
         if not outside:
             entries.append(CertificateEntry(phi_labels, None, None))
             continue
         witness = outside[0]
-        # d(aH, wbH) = d(a, wb): the gap between the coset images of phi and
-        # w phi, read on the group
-        gap = min(d[a][g.mul(witness, b)] for a in sym for b in sym)
+        # d(aH, wbH) = d(a, wb) = delta(a^-1 w b): the gap between the coset
+        # images of phi and w phi, read on the group through its table
+        gap = min(delta[g.mul(g.inv(a), g.mul(witness, b))] for a in sym for b in sym)
         if gap * unit < r * den:
-            raise DomainError(
-                "exhibited element fails the quotient gap bound"
-            )
+            raise InternalCheckError("exhibited element fails the quotient gap bound")
         entries.append(
             CertificateEntry(phi_labels, g.elements[witness], Fraction(gap, den))
         )

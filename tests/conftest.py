@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from exactmetric import FiniteMetricSpace, PointedSpace
+from exactmetric import FiniteMetricSpace, Isometry, PointedSpace
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ROOT = Path(__file__).parent.parent
@@ -74,6 +74,20 @@ def within_bound(run, *args, bound):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def isometry_checks(monkeypatch):
+    """The permutation of each ``Isometry`` checked while the test runs."""
+    checked = []
+    check = Isometry.__post_init__
+
+    def counted(self):
+        checked.append(self.perm)
+        check(self)
+
+    monkeypatch.setattr(Isometry, "__post_init__", counted)
+    return checked
 
 
 @pytest.fixture

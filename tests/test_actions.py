@@ -20,6 +20,7 @@ from exactmetric import (
     set_distance,
     translation_gap,
 )
+from exactmetric.actions import _unchecked
 from exactmetric.randgen import (
     cycle_space,
     rand_action,
@@ -404,12 +405,36 @@ def test_closure_rejects_a_generator_on_another_space():
     other = space_from_rows([str(i) for i in range(5)],
                             [[int(i != j) for j in range(5)] for i in range(5)])
     foreign = Isometry(other, (1, 0, 2, 3, 4))
-    for closure in (action_from_closure, closure_by_composition):
-        with pytest.raises(DomainError, match="^cannot compose isometries of different spaces$"):
-            closure(space, [foreign])
-    # checked up front, so a foreign identity is no longer skipped silently
     with pytest.raises(DomainError, match="^cannot compose isometries of different spaces$"):
-        action_from_closure(space, [Isometry.identity(other)])
+        closure_by_composition(space, [foreign])
+    # checked up front, so a foreign identity is no longer skipped silently
+    for gen in (foreign, Isometry.identity(other)):
+        with pytest.raises(DomainError, match="^generators must act on the given space$"):
+            action_from_closure(space, [gen])
+
+
+def test_closure_checks_each_image_once_as_groupaction_composes_it(isometry_checks):
+    """D6 on the hexagon: one check per product that ``GroupAction``
+    composes, |G|^2 = 144, and none when the images are built."""
+    space = cycle_space(6)
+    rotate = Isometry(space, (1, 2, 3, 4, 5, 0))
+    reflect = Isometry(space, (0, 5, 4, 3, 2, 1))
+    isometry_checks.clear()
+    action = action_from_closure(space, [rotate, reflect])
+    assert action.group.order == 12
+    assert len(isometry_checks) == 12 ** 2
+
+
+@pytest.mark.parametrize("perm, match", [
+    # d(0, 2) = 2 on the 4-cycle, but d(1, 2) = 1
+    ((1, 0, 2, 3), r"^permutation does not preserve distances at \(0, 2\)$"),
+    ((0, 0, 2, 3), "^not a permutation of the point set$"),
+])
+def test_group_action_checks_an_image_built_unchecked(perm, match):
+    space = cycle_space(4)
+    images = (Isometry.identity(space), _unchecked(space, perm))
+    with pytest.raises(DomainError, match=match):
+        GroupAction(cyclic_group(2), space, images)
 
 
 def label_translate(action, g, labels):

@@ -292,6 +292,34 @@ def test_prop_k_equal_supports(two_points):
     assert res.gap == 0 and res.epsilon == 0 and res.certified
 
 
+def test_star_fragment_refuses_an_attachment_on_another_space(two_points, line05):
+    with pytest.raises(DomainError, match="^attachment lives on a different space$"):
+        star_fragment(two_points, [point_function(line05, "a")])
+
+
+@pytest.mark.parametrize("other", [
+    lambda two_points, line05: point_function(line05, "a"),
+    lambda two_points, line05: KatetovFunction(two_points, ("a",), {"a": F(2)}),
+])
+def test_sup_distance_refuses_functions_on_different_domains(two_points, line05, other):
+    with pytest.raises(DomainError, match="^sup_distance requires a common domain$"):
+        sup_distance(point_function(two_points, "a"), other(two_points, line05))
+
+
+def test_act_on_katetov_refuses_an_isometry_of_another_space(two_points, line05):
+    with pytest.raises(
+        DomainError, match="^isometry and function live on different spaces$"
+    ):
+        act_on_katetov(Isometry.identity(line05), point_function(two_points, "a"))
+
+
+def test_prop_k_refuses_functions_on_different_spaces(two_points, line05):
+    with pytest.raises(
+        DomainError, match="^both functions must live on the same space$"
+    ):
+        prop_k_gap(point_function(two_points, "a"), point_function(line05, "b"))
+
+
 def test_star_fragment_always_metric_random():
     rng = Random(3)
     for _ in range(40):

@@ -11,6 +11,7 @@ from exactmetric import (
     StarFragment,
     katetov,
 )
+from exactmetric import proptest
 from exactmetric.proptest import MAX_FAILURES, SUITES, run_suite
 
 
@@ -140,3 +141,79 @@ def test_a_fragment_that_fails_the_axioms_is_reported_with_its_seed(monkeypatch)
     monkeypatch.setattr(katetov, "_assemble", collapsed)
     failures = planted_fault_failures("katetov", "failed metric validation")
     assert len(failures) == MAX_FAILURES
+
+
+KINDS = ["symmetry", "diagonal", "triangle", "separation"]
+
+
+class Planting(Random):
+    """A ``Random`` that picks the given kind of metric break."""
+
+    def __init__(self, seed, kind):
+        super().__init__(seed)
+        self.kind = kind
+
+    def choice(self, seq):
+        return self.kind if seq == KINDS else super().choice(seq)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_metric_fuzz_plants_the_break_it_names(monkeypatch, kind):
+    """The broken space differs from the valid one exactly as its kind says:
+    one distance raised by 1, a diagonal entry 1, or a symmetric pair set
+    past three times the diameter, or to 0."""
+    checked = []
+    validate = proptest.validate
+    monkeypatch.setattr(proptest, "validate",
+                        lambda space: checked.append(space.dist) or validate(space))
+    for seed in range(12):
+        checked.clear()
+        assert SUITES["metric-fuzz"](Planting(seed, kind)) is None
+        valid, broken = checked
+        changed = sorted((i, j) for i, row in enumerate(broken)
+                         for j, v in enumerate(row) if v != valid[i][j])
+        (i, j), *rest = changed
+        if kind == "symmetry":
+            assert rest == [] and i != j and broken[i][j] == valid[i][j] + 1
+        elif kind == "diagonal":
+            assert rest == [] and i == j and broken[i][i] == 1
+        else:
+            assert rest == [(j, i)] and i != j
+            big = 3 * max(map(max, valid)) + 1 if kind == "triangle" else 0
+            assert broken[i][j] == broken[j][i] == big
+
+
+def test_duality_reports_a_sum_past_the_triangle_bound(monkeypatch):
+    """``m + m2`` tripled breaks the triangle inequality that the duality
+    suite checks on the sum, and on nothing else it checks."""
+    add = Molecule.__add__
+    monkeypatch.setattr(Molecule, "__add__", lambda m, other: add(m, other).scale(3))
+    failures = run_suite("duality", 40, 0)["failures"]
+    assert len(failures) == MAX_FAILURES
+    assert {f["what"] for f in failures} == {"triangle inequality failure"}
+
+
+def test_prop_k_splits_the_points_into_two_supports(monkeypatch):
+    pairs = []
+    gap = proptest.prop_k_gap
+    monkeypatch.setattr(proptest, "prop_k_gap",
+                        lambda phi, psi: pairs.append((phi, psi)) or gap(phi, psi))
+    assert run_suite("prop-k", 30, 0)["passed"]
+    for phi, psi in pairs:
+        assert phi.support and psi.support
+        assert sorted(phi.support + psi.support) == sorted(phi.space.points)
+
+
+def test_extension_draws_molecules_on_phi_without_the_basepoint(monkeypatch):
+    drawn = []
+    certificate = proptest.extension_certificate
+
+    def recorded(action, pointed, phi, v, w):
+        drawn.append((pointed, phi, v, w))
+        return certificate(action, pointed, phi, v, w)
+
+    monkeypatch.setattr(proptest, "extension_certificate", recorded)
+    assert run_suite("extension", 30, 0)["passed"]
+    for pointed, phi, v, w in drawn:
+        assert set(v.support) | set(w.support) <= set(phi) - {pointed.basepoint_label}
+    assert sum(bool(v.support) for _, _, v, _ in drawn) > len(drawn) / 2

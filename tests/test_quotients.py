@@ -13,7 +13,9 @@ from conftest import cli_env
 from exactmetric import (
     BudgetExceededError,
     DomainError,
+    FiniteGroup,
     GroupAction,
+    InternalCheckError,
     InvariantPseudometric,
     StructuralError,
     cyclic_group,
@@ -27,6 +29,8 @@ from exactmetric import (
     set_distance,
     symmetric_group,
 )
+from exactmetric import quotients
+from exactmetric.actions import _unchecked
 from exactmetric.jsonio import group_to_json, pseudometric_from_json
 from exactmetric.metric import scale_rows
 from exactmetric.randgen import (
@@ -66,6 +70,9 @@ def coset_indicator_pm(group, subgroup):
     (3, (0, 1, 2), DomainError, "symmetric"),
     (4, (0, 1, 3, 1), DomainError, "triangle"),
     (3, (0, 1), StructuralError, "size"),
+    # the null set {0, 1, 3} is not closed under inverse, {0, 1} not under product
+    (4, (0, 0, 1, 1), DomainError, "^pseudometric is not symmetric at 1$"),
+    (4, (0, 0, 1, 0), DomainError, r"^pseudometric triangle .* fails at \(1, 1\)$"),
 ])
 def test_length_function_axioms_enforced(order, delta, error, match):
     with pytest.raises(error, match=match):
@@ -131,6 +138,72 @@ def test_quotient_s3_by_index_two_kernel():
     # the translation action permutes the three cosets transitively
     reached = {iso.apply(0) for iso in action.images}
     assert reached == {0, 1, 2}
+
+
+def test_quotient_checks_each_image_once_as_groupaction_composes_it(isometry_checks):
+    """C6 by the word metric: one check per product that ``GroupAction``
+    composes, |G|^2 = 36, and none when the images are built."""
+    quotient_space(cycle_pm(6))
+    assert len(isometry_checks) == 6 ** 2
+
+
+def test_a_kernel_holding_a_moved_element_breaks_coset_constancy(monkeypatch):
+    monkeypatch.setattr(quotients, "kernel_subgroup", lambda pm: (0, 2))
+    with pytest.raises(
+        InternalCheckError,
+        match=r"^quotient metric not constant on coset pair \(0H, 0H\)$",
+    ):
+        quotient_space(cycle_pm(4))  # delta(2) = 2
+
+
+def test_a_kernel_missing_a_null_element_leaves_no_metric_space(monkeypatch):
+    pm = InvariantPseudometric(cyclic_group(4), tuple(map(F, (0, 1, 0, 1))))
+    monkeypatch.setattr(quotients, "kernel_subgroup", lambda pm: (0,))
+    with pytest.raises(InternalCheckError, match="^quotient is not a metric space: "):
+        quotient_space(pm)
+
+
+def test_a_translation_action_that_moves_nothing_is_not_transitive(monkeypatch):
+    def identity(space, perm):
+        return _unchecked(space, tuple(range(space.n)))
+
+    monkeypatch.setattr(quotients, "_unchecked", identity)
+    with pytest.raises(
+        InternalCheckError, match="^left translation action is not transitive$"
+    ):
+        quotient_space(cycle_pm(4))
+
+
+def test_a_stretched_pullback_fails_to_match_the_orbit(monkeypatch):
+    pullback = quotients.pullback_pseudometric
+
+    def stretched(action, xi):
+        pm = pullback(action, xi)
+        return InvariantPseudometric(pm.group, tuple(2 * v for v in pm.delta))
+
+    monkeypatch.setattr(quotients, "pullback_pseudometric", stretched)
+    with pytest.raises(
+        InternalCheckError, match="^quotient and orbit fail to match isometrically$"
+    ):
+        orbit_isomorphism(rotation_action(6), "0")
+
+
+def test_a_group_with_wrong_inverses_fails_the_gap_bound(monkeypatch):
+    pm = cycle_pm(4)
+    # phi = {1} symmetrizes to {0, 1}, which covers {0, 1, 2} with V = {0};
+    # the witness 3 is then read at distance delta(0 + 3 + 1) = 0 from phi
+    monkeypatch.setattr(FiniteGroup, "inv", lambda self, g: self.identity)
+    with pytest.raises(
+        InternalCheckError, match="^exhibited element fails the quotient gap bound$"
+    ):
+        moving_certificate(pm, F(1), [["1"]])
+
+
+def test_a_search_whose_pairs_bring_nothing_finds_no_cover(monkeypatch):
+    # with only the diagonals c V c = {2c} of C4, no F covers 1 and 3
+    monkeypatch.setattr(quotients, "or_", lambda gain, new: gain)
+    with pytest.raises(InternalCheckError, match="^no cover found$"):
+        min_fvf_cover(cyclic_group(4), [0])
 
 
 def test_quotient_cycle_metric():

@@ -206,12 +206,6 @@ def test_spaces_are_built_only_through_from_scaled():
     assert callers == []
 
 
-# The same words for two different relations: ``Isometry.compose`` refuses
-# isometries of two spaces, and ``action_from_closure`` refuses a generator
-# whose space is not the acted-on space.
-SHARED_MESSAGES = {"cannot compose isometries of different spaces"}
-
-
 def message_of(node):
     """The plain-string message of a raised error, ``Error("…")``, or of a
     ``refusing(Error, "…")`` block, which raises it; else ``None``."""
@@ -237,11 +231,7 @@ def test_each_error_message_is_raised_once():
             text = message_of(node)
             if text is not None:
                 places.setdefault(text, []).append(f"{path.name}:{node.lineno}")
-    repeated = {
-        message: where
-        for message, where in places.items()
-        if len(where) > 1 and message not in SHARED_MESSAGES
-    }
+    repeated = {message: where for message, where in places.items() if len(where) > 1}
     assert repeated == {}
 
 

@@ -73,10 +73,6 @@ ALLOWLIST = {
     " if not set(mol.support) <= set(phi_plus): [<= -> <]":
         "the support never holds the basepoint and phi_plus always does,"
         " so the subset is always proper",
-    "freespace.py:moving_lower_bound:"
-    " if witness.pair(moved - w) != bound: [- -> +]":
-        "the witness vanishes on phi plus the basepoint, where w lives, so"
-        " its pairing with w is 0",
 }
 
 
