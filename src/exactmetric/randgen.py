@@ -127,22 +127,36 @@ def rand_katetov(
 
     Proposals are virtual-point profiles c + d(. , z), optionally the minimum
     of two such (rejected when the lower Katetov bound fails), which covers a
-    reasonable variety of admissible functions.
+    reasonable variety of admissible functions.  They are drawn as ints over
+    lcm(den, 1..4), c's denominator being at most 4; each candidate is
+    checked once, by ``is_katetov``, and a support the record refuses is
+    refused before any draw.
     """
+    support = tuple(support)
+    den, rows = space.scaled
+    at = [space.index(x) for x in support]
+    if len(set(at)) < len(at) or not at:
+        # the record refuses a repeated label or an empty support
+        KatetovFunction(space, support, dict.fromkeys(support, ZERO))
+    unit = lcm(den, 1, 2, 3, 4)
+    rows = [[rows[i][j] * (unit // den) for j in at] for i in at]
     for _ in range(64):
-        values = _propose(rng, space, support)
+        values = _propose(rng, rows, unit)
         if rng.random() < 0.5:
-            other = _propose(rng, space, support)
-            values = {x: min(values[x], other[x]) for x in support}
+            values = list(map(min, values, _propose(rng, rows, unit)))
+        values = dict(zip(support, map(Fraction, values, repeat(unit))))
         if is_katetov(space, values, support).ok:
-            return KatetovFunction(space, support, values)
+            f = object.__new__(KatetovFunction)
+            f.__dict__.update(space=space, support=support, values=values)
+            return f
     raise DomainError("failed to sample a Katetov function")
 
 
-def _propose(rng, space, support):
-    z = rng.choice(support)
-    c = rand_fraction(rng, 0, 4)
-    return {x: c + space.d_label(z, x) for x in support}
+def _propose(rng: Random, rows: list[list[int]], unit: int) -> list[int]:
+    """``unit·(c + d(z, ·))`` on the support for random z and c in [0, 4]."""
+    z = rng.choice(rows)
+    num, d = _draw(rng, 0, 4)
+    return [num * (unit // d) + v for v in z]
 
 
 def rand_group(rng: Random, max_order: int = 24) -> FiniteGroup:
