@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 from .actions import GroupAction, Isometry, moving_gap, translation_gap
 from .errors import DomainError, InternalCheckError, refusing
 from .metric import PointedSpace, min_plus, scale
-from .simplex import simplex_max
+from .simplex import difference_max
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -165,28 +165,15 @@ def aell_norm_dual(m: Molecule) -> tuple[Fraction, LipschitzWitness]:
     c = [m.ints[x] for x in supp]
     # the LP on the ints and the distances times den: its optimum is unit den
     # times that of the LP on the rationals, and its vertex den times theirs
-    dbp = [sd[x][bp] for x in supp]
-    nvar = len(supp)
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    for i, x in enumerate(supp):
-        # g(x) <= 2 d(x, *)
-        only_x = [0] * nvar
-        only_x[i] = 1
-        rows.append(only_x)
-        rhs.append(2 * dbp[i])
-        sx, di = sd[x], dbp[i]
-        for j, y in enumerate(supp):
-            if i != j:
-                # g(x) - g(y) <= d(x, y) + d(x, *) - d(y, *)
-                row = only_x.copy()
-                row[j] = -1
-                rows.append(row)
-                rhs.append(sx[y] + di - dbp[j])
-    value, g = simplex_max(c, rows, rhs)
+    rows = [sd[x] for x in supp]
+    dbp = [row[bp] for row in rows]
+    # g(x) <= 2 d(x, *), and g(x) - g(y) <= d(x, y) + d(x, *) - d(y, *)
+    upper = [2 * v for v in dbp]
+    w = [[sx[y] + di - dj for y, dj in zip(supp, dbp)] for sx, di in zip(rows, dbp)]
+    value, g = difference_max(c, upper, w)
     # the optimum on support + basepoint, extended by min-plus to every
     # point, as ints in units of 1/den (the int vertex g less the shift)
-    f = min_plus([sd[x] for x in supp] + [sd[bp]], [*map(sub, g, dbp), 0])
+    f = min_plus(rows + [sd[bp]], [*map(sub, g, dbp), 0])
     as_fraction = {v: Fraction(v, den) for v in set(f)}.__getitem__
     witness = LipschitzWitness(pointed, dict(zip(space.points, map(as_fraction, f))))
     # the shift and the pairing of m with the witness, in units of

@@ -16,6 +16,11 @@ entry of B^-1 [A | I] is 0, 1 or -1, so a column is two ints, ``pos`` and
 reduced costs and the right-hand side are int lists.  Every pivot entry is
 1, so every pivot is the rational tableau's.  An entry of A outside
 {-1, 0, 1}, or one that a pivot would make, raises ``DomainError``.
+
+``simplex_max`` reads A row by row; ``difference_max`` poses the dual norm
+LP's family, bounds x_i <= u_i and differences x_i - x_j <= w_ij, and builds
+its columns in closed form, so that no row is written out.  Both run the same
+pivot loop, and on the same LP they pivot alike.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from typing import Sequence
 
 from .errors import DomainError, InternalCheckError, refusing
 
+_DIMENSIONS = refusing(DomainError, "inconsistent LP dimensions")
 # from the signed bytes of A: 1 where an entry is -1, 0 where it is 0 or 1
 _NEG = bytes.maketrans(b"\x01\xff", b"\x00\x01")
 # Dantzig's rule chooses the first DANTZIG_FACTOR * (m + n) pivots, Bland's
@@ -42,8 +48,7 @@ def simplex_max(
     """Return (optimal value, optimal x) of max c.x s.t. A x <= b, x >= 0."""
     m = len(a)
     n = len(c)
-    if len(b) != m or any(len(row) != n for row in a):
-        raise DomainError("inconsistent LP dimensions")
+    _DIMENSIONS.unless(len(b) == m and all(len(row) == n for row in a))
     entries = list(chain.from_iterable(a))  # A row by row
     with refusing(DomainError, "LP constraint matrix must hold ints"):
         try:
@@ -51,15 +56,63 @@ def simplex_max(
         except OverflowError:  # refused below, once all entries are ints
             list(map(index, entries))
             flat = b"\x02"
-    with refusing(DomainError, "LP data must be ints"):
-        rhs, obj = list(map(index, b)), list(map(index, c))
-    if any(bi < 0 for bi in rhs):
-        raise DomainError("right-hand side must be non-negative")
+    obj, rhs = _int_data(c, b)
     if flat.translate(None, b"\x00\x01\xff"):
         raise DomainError("LP constraint matrix is not totally unimodular")
     plus, minus = flat.replace(b"\xff", b"\x00"), flat.translate(_NEG)
     pos = [int.from_bytes(plus[j::n], "little") for j in range(n)]
     neg = [int.from_bytes(minus[j::n], "little") for j in range(n)]
+    return _solve(obj, pos, neg, rhs)
+
+
+def difference_max(
+    c: Sequence[int],
+    upper: Sequence[int],
+    w: Sequence[Sequence[int]],
+) -> tuple[int, list[int]]:
+    """Return (optimal value, optimal x) of max c.x s.t. x_i <= upper[i],
+    x_i - x_j <= w[i][j] for j != i (``w[i][i]`` is not read) and x >= 0,
+    with the pivots ``simplex_max`` makes on those rows, none written out.
+
+    The rows come in blocks of n, block i for x_i: its bound at row i n, then
+    x_i - x_j at row i n + 1 + j - (j > i), by j.  So column j is 1 on all of
+    block j, and -1 at byte j of every earlier block and at byte j + 1 of
+    every later one: two shifts of the mask of block starts.
+    """
+    n = len(c)
+    _DIMENSIONS.unless(len(upper) == len(w) == n and all(len(row) == n for row in w))
+    b = []
+    for i, row in enumerate(w):
+        b += [upper[i], *row[:i], *row[i + 1:]]
+    obj, rhs = _int_data(c, b)
+    width = 8 * n  # the bits of one row block
+    block = int.from_bytes(b"\x01" * n, "little")
+    starts = int.from_bytes(b"\x01".ljust(n, b"\x00") * n, "little")
+    pos, neg = [], []
+    for j in range(n):
+        pos.append(block << width * j)
+        earlier = starts & (1 << width * j) - 1
+        later = starts >> width * (j + 1) << width * (j + 1)
+        neg.append(earlier << 8 * j | later << 8 * (j + 1))
+    return _solve(obj, pos, neg, rhs)
+
+
+def _int_data(c: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """``c`` and ``b`` as int lists, once they are ints and b >= 0."""
+    with refusing(DomainError, "LP data must be ints"):
+        rhs, obj = list(map(index, b)), list(map(index, c))
+    if min(rhs, default=0) < 0:
+        raise DomainError("right-hand side must be non-negative")
+    return obj, rhs
+
+
+def _solve(
+    obj: list[int], pos: list[int], neg: list[int], rhs: list[int]
+) -> tuple[int, list[int]]:
+    """The pivot loop on the condensed tableau of the slack basis: column j
+    of A is ``pos[j]`` and ``neg[j]``, and ``rhs`` is b."""
+    m = len(rhs)
+    n = len(obj)
     cost = obj[:]
     tab = (pos, neg, cost, rhs)
     cols = list(range(n))

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from exactmetric import actions, cli, freespace, jsonio, katetov, quotients, randgen
+from exactmetric import actions, cli, freespace, jsonio, katetov, quotients, randgen, simplex
 from exactmetric.freespace import Molecule, aell_norm_dual, aell_norm_primal
 from exactmetric.randgen import (
     rand_coeffs,
@@ -21,10 +21,9 @@ from exactmetric.randgen import (
     rand_pointed,
     rotation_action,
 )
-from exactmetric.simplex import simplex_max
 
 from conftest import BENCH, FIXTURES, bench_module, cli_env
-from test_simplex import _rational_simplex_max
+from test_simplex import _difference_rows, _dual_args, _rational_simplex_max
 
 
 def test_tracing_wraps_every_layer_entry_point():
@@ -47,27 +46,28 @@ def test_tracing_wraps_every_layer_entry_point():
 
 def test_traced_pivot_count_matches_the_rational_tableau(monkeypatch):
     """``simplex.pivots`` counts calls of ``simplex.pivot``, one per pivot
-    of the tableau that the rational oracle pivots."""
+    of the tableau that the rational oracle pivots: in ``simplex_max`` on
+    the rows of a dual norm LP, which counts one ``simplex.calls``, and in
+    ``aell_norm_dual``, which poses that LP to ``difference_max``."""
     tracing = bench_module("tracing")
     rng = Random(104)
     space = rand_metric_space(rng, 10)
     pointed = rand_pointed(rng, space)
     m = Molecule.make(pointed, {x: randgen.rand_fraction(rng, -5, 5) for x in space.points})
-    tracer = tracing.Tracer()
-    undo = tracing.instrument(tracer)
-    try:
-        aell_norm_dual(m)
-    finally:
-        tracing.restore(undo)
-    lps = []
-    monkeypatch.setattr(
-        freespace, "simplex_max", lambda c, a, b: lps.append((c, a, b)) or simplex_max(c, a, b)
-    )
-    aell_norm_dual(m)
+    lp = _difference_rows(*_dual_args(monkeypatch, m))
+    tracers = []
+    for run in (lambda: simplex.simplex_max(*lp), lambda: aell_norm_dual(m)):
+        tracers.append(tracing.Tracer())
+        undo = tracing.instrument(tracers[-1])
+        try:
+            run()
+        finally:
+            tracing.restore(undo)
     pivots = []
-    _rational_simplex_max(*lps[0], pivots)
-    assert tracer.counts["simplex.calls"] == 1
-    assert tracer.counts["simplex.pivots"] == len(pivots) > 10
+    _rational_simplex_max(*lp, pivots)
+    rows, dual = (tracer.counts for tracer in tracers)
+    assert rows["simplex.calls"] == 1
+    assert rows["simplex.pivots"] == dual["simplex.pivots"] == len(pivots) > 10
 
 
 def test_norms_match_the_network_simplex_oracle():

@@ -39,7 +39,7 @@ from exactmetric.randgen import (
     rand_pointed,
     rotation_action,
 )
-from exactmetric.simplex import simplex_max
+from exactmetric.simplex import difference_max
 
 from conftest import FIXTURES, fixture_generator, space_from_rows
 
@@ -60,12 +60,12 @@ def test_solver_answers_match_the_recorded_fixture(monkeypatch):
     assumes."""
     vertices = []
 
-    def recorded_vertex(c, a, b):
-        value, x = simplex_max(c, a, b)
+    def recorded_vertex(c, upper, w):
+        value, x = difference_max(c, upper, w)
         vertices.append(x)
         return value, x
 
-    monkeypatch.setattr(freespace, "simplex_max", recorded_vertex)
+    monkeypatch.setattr(freespace, "difference_max", recorded_vertex)
     generate = fixture_generator()
     recorded = json.loads((FIXTURES / "solver_answers.json").read_text())
     cases = generate.solver_cases()
@@ -971,11 +971,11 @@ def test_dual_refuses_a_vertex_that_does_not_attain_the_optimum(
     """A feasible but not optimal vertex, the origin, reported with the LP's
     optimum: its witness pairs below the norm."""
 
-    def origin(c, a, b):
-        value, x = simplex_max(c, a, b)
+    def origin(c, upper, w):
+        value, x = difference_max(c, upper, w)
         return value, [0] * len(x)
 
-    monkeypatch.setattr(freespace, "simplex_max", origin)
+    monkeypatch.setattr(freespace, "difference_max", origin)
     m = Molecule.make(line013_pointed, {"1": F(2), "3": F(-1)})
     with pytest.raises(
         InternalCheckError, match="optimal witness does not attain the optimum"

@@ -7,7 +7,7 @@ import pytest
 from exactmetric import DomainError, InternalCheckError, Molecule, freespace, simplex
 from exactmetric.metric import scale
 from exactmetric.randgen import rand_coeffs, rand_fraction, rand_metric_space, rand_pointed
-from exactmetric.simplex import simplex_max
+from exactmetric.simplex import difference_max, simplex_max
 
 F = Fraction
 ZERO = F(0)
@@ -196,24 +196,56 @@ def _rational_simplex_max(c, a, b, pivots):
     return sum((Fraction(c[j]) * x[j] for j in range(n)), ZERO), x
 
 
+def _difference_rows(c, upper, w):
+    """``(c, A, b)`` of the LP ``difference_max(c, upper, w)`` solves, as
+    ``simplex_max`` reads it: for each i, the row x_i <= upper[i], then
+    x_i - x_j <= w[i][j] for each j != i, in order."""
+    n = len(c)
+    a, b = [], []
+    for i in range(n):
+        only_i = [0] * n
+        only_i[i] = 1
+        a.append(only_i)
+        b.append(upper[i])
+        for j in range(n):
+            if j != i:
+                row = only_i.copy()
+                row[j] = -1
+                a.append(row)
+                b.append(w[i][j])
+    return c, a, b
+
+
+def _dual_args(monkeypatch, m):
+    """The arguments ``(c, upper, w)`` that ``aell_norm_dual(m)`` passes to
+    ``difference_max``, or ``None`` for the zero molecule, which poses no LP;
+    a non-zero molecule whose LP goes elsewhere fails at once."""
+    calls = []
+
+    def capture(*args):
+        calls.append(args)
+        return difference_max(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(freespace, "difference_max", capture)
+        freespace.aell_norm_dual(m)
+    assert len(calls) == any(m.ints), "aell_norm_dual posed no LP to difference_max"
+    return calls[0] if calls else None
+
+
 def _dual_lps(monkeypatch, count):
     """The LPs ``aell_norm_dual`` solves for seeded molecules over spaces of
-    2..10 points, every other space with distances from {1, 2, 3}."""
+    2..10 points, every other space with distances from {1, 2, 3}, as rows."""
     rng = Random(5005)
     lps = []
-
-    def capture(c, a, b):
-        lps.append((c, a, b))
-        return simplex_max(c, a, b)
-
     palette = [F(1), F(2), F(3)]
-    with monkeypatch.context() as patch:
-        patch.setattr(freespace, "simplex_max", capture)
-        while len(lps) < count:
-            k = len(lps)
-            space = rand_metric_space(rng, 2 + k % 9, palette=palette if k % 2 else None)
-            pointed = rand_pointed(rng, space)
-            freespace.aell_norm_dual(Molecule.make(pointed, rand_coeffs(rng, pointed, space.n)))
+    while len(lps) < count:
+        k = len(lps)
+        space = rand_metric_space(rng, 2 + k % 9, palette=palette if k % 2 else None)
+        pointed = rand_pointed(rng, space)
+        m = Molecule.make(pointed, rand_coeffs(rng, pointed, space.n))
+        if args := _dual_args(monkeypatch, m):
+            lps.append(_difference_rows(*args))
     return lps
 
 
@@ -382,22 +414,16 @@ def test_checks_run_in_order(c, a, b, message):
 
 def _large_dual_lps(monkeypatch):
     """The LPs ``aell_norm_dual`` solves for full-support molecules over
-    11- to 13-point spaces: 100 to 144 rows, so each mask of the tableau is
-    wider than 64 rows."""
+    11- to 13-point spaces, as rows: 100 to 144 rows, so each mask of the
+    tableau is wider than 64 rows."""
     rng = Random(7007)
     lps = []
-
-    def capture(c, a, b):
-        lps.append((c, a, b))
-        return simplex_max(c, a, b)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(freespace, "simplex_max", capture)
-        for n in (11, 12, 13) * 4:
-            space = rand_metric_space(rng, n)
-            pointed = rand_pointed(rng, space)
-            coeffs = {x: rand_fraction(rng, -5, 5) or F(1) for x in space.points}
-            freespace.aell_norm_dual(Molecule.make(pointed, coeffs))
+    for n in (11, 12, 13) * 4:
+        space = rand_metric_space(rng, n)
+        pointed = rand_pointed(rng, space)
+        coeffs = {x: rand_fraction(rng, -5, 5) or F(1) for x in space.points}
+        args = _dual_args(monkeypatch, Molecule.make(pointed, coeffs))
+        lps.append(_difference_rows(*args))
     assert all(len(a) > 64 for _, a, _ in lps)
     return lps
 
@@ -416,3 +442,71 @@ def test_wide_masks_match_the_rational_tableau(monkeypatch, factor):
         rows += [r for r, _ in want[1]]
     # pivots on both sides of the 64th row
     assert min(rows) < 64 <= max(rows)
+
+
+@pytest.mark.parametrize("factor", [DANTZIG_FACTOR, 0])
+def test_difference_max_pivots_as_simplex_max_on_its_rows(monkeypatch, factor):
+    """On the dual LPs of seeded full-support molecules over 2..14 points,
+    with and without a palette, ``difference_max`` and ``simplex_max`` on its
+    rows give the same value, the same vertex and the same ``(row,
+    variable)`` pivots, under Dantzig's rule and under Bland's."""
+    rng = Random(9009)
+    cases = []
+    for n in range(2, 15):
+        for palette in (None, [F(1), F(2), F(3)]):
+            space = rand_metric_space(rng, n, palette=palette)
+            pointed = rand_pointed(rng, space)
+            coeffs = {x: rand_fraction(rng, -5, 5) or F(1) for x in space.points}
+            cases.append(_dual_args(monkeypatch, Molecule.make(pointed, coeffs)))
+    monkeypatch.setattr(simplex, "DANTZIG_FACTOR", factor)
+    real_pivot = simplex.pivot
+    seen = []
+
+    def record(tab, cols, basis, r, e):
+        seen.append((r, cols[e]))
+        return real_pivot(tab, cols, basis, r, e)
+
+    monkeypatch.setattr(simplex, "pivot", record)
+    rows = []
+    for args in cases:
+        runs = []
+        for solve, lp in ((difference_max, args), (simplex_max, _difference_rows(*args))):
+            seen.clear()
+            runs.append((solve(*lp), seen[:]))
+        assert runs[0] == runs[1], args
+        rows += [r for r, _ in seen]
+    # pivots on both sides of the 64th row
+    assert min(rows) < 64 <= max(rows)
+
+
+@pytest.mark.parametrize("c, upper, w, message", [
+    ([1], [1, 1], [[0]], "inconsistent LP dimensions"),
+    ([1, 1], [1, 1], [[0, 1]], "inconsistent LP dimensions"),
+    ([1, 1], [1, 1], [[0, 1], [1]], "inconsistent LP dimensions"),
+    ([1, 1], [1, 0.5], [[0, 1], [1, 0]], "LP data must be ints"),
+    ([1, F(1)], [1, 1], [[0, 1], [1, 0]], "LP data must be ints"),
+    ([1, 1], [1, 1], [[0, -1], [1, 0]], "right-hand side must be non-negative"),
+    ([1, 1], [-1, 1], [[0, 1], [1, 0]], "right-hand side must be non-negative"),
+])
+def test_difference_max_refuses_as_simplex_max_does(c, upper, w, message):
+    """``difference_max`` refuses with ``simplex_max``'s messages, and
+    ``simplex_max`` refuses the same rows, where they can be written out."""
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        difference_max(c, upper, w)
+    if message != "inconsistent LP dimensions":
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            simplex_max(*_difference_rows(c, upper, w))
+
+
+@pytest.mark.parametrize("c, upper, w, answer", [
+    ([], [], [], (0, [])),
+    ([3], [4], [[0]], (12, [4])),
+    # the diagonal of w is not read, not even when it is negative
+    ([1, 1], [1, 1], [[-1, 0], [0, -1]], (2, [1, 1])),
+    # max 2 x0 - x1 + x2: x0 at its bound, x1 kept within 1 below it, x2
+    # within 2 above x1 and below its own bound
+    ([2, -1, 1], [5, 9, 5], [[0, 1, 9], [9, 0, 9], [9, 2, 0]], (11, [5, 4, 5])),
+])
+def test_difference_max_answers(c, upper, w, answer):
+    assert difference_max(c, upper, w) == answer
+    assert simplex_max(*_difference_rows(c, upper, w)) == answer

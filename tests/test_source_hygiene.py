@@ -207,8 +207,10 @@ def test_spaces_are_built_only_through_from_scaled():
 
 
 def message_of(node):
-    """The plain-string message of a raised error, ``Error("…")``, or of a
-    ``refusing(Error, "…")`` block, which raises it; else ``None``."""
+    """The message of a raised error, ``Error("…")``, or of a
+    ``refusing(Error, "…")`` block, which raises it; else ``None``.  An
+    f-string message reads as its template: its constant parts, with ``{}``
+    for each field."""
     if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
         args = node.exc.args[:1]
     elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "refusing":
@@ -217,14 +219,18 @@ def message_of(node):
         return None
     if args and isinstance(args[0], ast.Constant) and isinstance(args[0].value, str):
         return args[0].value
+    if args and isinstance(args[0], ast.JoinedStr):
+        return "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                       for part in args[0].values)
     return None
 
 
 def test_each_error_message_is_raised_once():
-    """A plain-string message passed to a raised error or to
-    ``errors.refusing`` names one rule, and one place in ``src/`` checks that
-    rule; a second ``raise`` or ``refusing`` with the same words is a second
-    copy of the check.  One ``refusing`` shared by two blocks is one place."""
+    """A message passed to a raised error or to ``errors.refusing``, a plain
+    string or an f-string's template, names one rule, and one place in
+    ``src/`` checks that rule; a second ``raise`` or ``refusing`` with the
+    same words is a second copy of the check.  One ``refusing`` shared by
+    two blocks is one place."""
     places = {}
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(parse(path)):

@@ -53,11 +53,11 @@ GAP = b" \t\r\n\\()"
 
 # Survivors that change nothing: "module:scope: line [old -> new]" -> reason.
 ALLOWLIST = {
-    "simplex.py:simplex_max:"
+    "simplex.py:_solve:"
     " if pivots <= dantzig_budget and cost.count(best) == 1: [<= -> <]":
         "at pivots == dantzig_budget the general branch still takes Dantzig's"
         " rule, and with one largest reduced cost it enters that same column",
-    "simplex.py:simplex_max:"
+    "simplex.py:_solve:"
     " rhs[i] == rhs[leave] and basis[i] < basis[leave] [< -> <=]":
         "the basis holds each variable once, so two rows never tie on it",
     "metric.py:_scan: if di.count(0) > 1: [> -> >=]":
