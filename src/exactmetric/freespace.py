@@ -200,59 +200,55 @@ def aell_norm_primal(
     ints; the plan is checked against the molecule's marginals, and plan and
     cost become Fractions on return.
 
-    Each Bellman-Ford round relaxes the forward arcs (sources in index
-    order), then the residual arcs (in the order the flow first used them).
-    The first half-round of an augmentation gives each sink the first
-    minimum of its column of live-source costs.  Its labels and predecessors
-    are kept across augmentations, and each augmentation starts from a copy:
-    a sink's entry changes only when the source that was its first nearest
-    one is spent, so only those sinks are recomputed.  Later half-rounds
-    relax only from the labels the previous half-round lowered.  A label
-    that was not lowered cannot strictly improve another: its candidates
-    were compared against labels that have only fallen since.  So labels,
-    predecessors, round count and paths are those of relaxing every arc
-    every round.
-    Dijkstra would break ties differently, and the plan would change.
+    Each Bellman-Ford round relaxes the forward arcs s -> t, cost d(s, t),
+    in source order, then the residual arcs t -> s of the arcs with flow,
+    cost -d(s, t), in the order the flow first used them.  The first
+    half-round's labels and predecessors, each sink's first nearest live
+    source, are kept across augmentations: only the sinks whose first
+    nearest source is spent are recomputed.  One round loop runs each
+    search, reading those labels in place and copying them only when a
+    residual arc first lowers a source (once a source is spent).  Later
+    half-rounds relax only from the labels the previous one lowered: a
+    label that was not lowered cannot strictly improve another, as its
+    candidates were compared against labels that have only fallen since.
+    So labels, predecessors, round count and paths are those of relaxing
+    every arc every round.  Dijkstra would break ties otherwise.
     """
     space = m.pointed.space
     den, d = space.scaled
-    unit = m.unit
     # remaining supply (> 0) or demand (< 0) of each point, times unit
     excess = list(m.ints)
     excess[m.pointed.basepoint] -= sum(excess)
     supply = excess[:]
     sources = [i for i, v in enumerate(excess) if v > 0]
     sinks = [i for i, v in enumerate(excess) if v < 0]
-    # each sink's costs from the sources, in source order.  Every label is
-    # at most the largest cost, so far marks a point not reached yet, and a
-    # spent source's cost in the first half-round.
-    column = {t: [d[s][t] for s in sources] for t in sinks}
-    far = max(map(max, column.values()), default=0) + 1
-    # labels and predecessors after the first half-round, updated as
-    # sources are spent
-    start = [far] * space.n
+    # each sink's costs from the sources, in source order; far, above every
+    # label, marks a point not reached yet and a spent source's cost
+    column = [[d[s][t] for s in sources] for t in sinks]
+    far = max(map(max, column), default=0) + 1
+    # the first half-round's labels and predecessors, kept up to date
+    start = [0 if v > 0 else far for v in excess]
     start_pred = [-1] * space.n
-    for s in sources:
-        start[s] = 0
-    for t, costs in column.items():
+    for t, costs in zip(sinks, column):
         start[t] = best = min(costs)
         start_pred[t] = sources[costs.index(best)]
+    every_sink = set(sinks)
+    limit = len(sources) + len(sinks)
     # (source, sink) -> shipped amount, in the order the arcs were first used
     flow: dict[tuple[int, int], int] = {}
 
     live = len(sources)
     while live:
-        # forward arcs source -> sink cost d(s, t), residual arcs
-        # sink -> source with flow cost -d(s, t)
-        dist = start[:]
-        pred = start_pred[:]
-        lowered = set(sinks)
-        for _ in range(len(sources) + len(sinks)):
+        dist, pred = start, start_pred
+        lowered = every_sink
+        for _ in range(limit):
             lowered_sources = set()
             for (s, t), amount in flow.items():
                 if amount > 0 and t in lowered:
                     nd = dist[t] - d[s][t]
                     if nd < dist[s]:
+                        if dist is start:
+                            dist, pred = start[:], start_pred[:]
                         dist[s] = nd
                         pred[s] = t
                         lowered_sources.add(s)
@@ -270,35 +266,39 @@ def aell_norm_primal(
                         lowered.add(t)
             if not lowered:
                 break
-        ends = [t for t in sinks if excess[t] < 0]
-        if not ends:
+        end, best = -1, far
+        for t in sinks:
+            if excess[t] < 0 and dist[t] < best:
+                end, best = t, dist[t]
+        if end < 0:
             raise InternalCheckError("imbalance left unshipped")
-        # path alternates source, sink, source, ..., sink
-        path = [min(ends, key=dist.__getitem__)]
-        while pred[path[-1]] >= 0:
-            if len(path) > len(sources) + len(sinks):
+        # walk the path back from its end: it ships the least of the end's
+        # demand, the flows it takes back and its origin's supply
+        amount, origin, hops = -excess[end], pred[end], 0
+        while (t := pred[origin]) >= 0:
+            hops += 1
+            if hops > limit:
                 raise InternalCheckError("augmenting path revisits a point")
-            path.append(pred[path[-1]])
-        path.reverse()
-        forward = list(zip(path[0::2], path[1::2]))
-        backward = list(zip(path[2::2], path[1::2]))
-        amount = min([excess[path[0]], -excess[path[-1]]] + [flow[a] for a in backward])
+            amount = min(amount, flow[origin, t])
+            origin = pred[t]
+        amount = min(amount, excess[origin])
         if amount <= 0:
             raise InternalCheckError(f"augmenting path ships {amount}")
-        for arc in forward:
-            flow[arc] = flow.get(arc, 0) + amount
-        for arc in backward:
-            flow[arc] -= amount
-        excess[path[0]] -= amount
-        excess[path[-1]] += amount
-        if not excess[path[0]]:
+        t = end  # and walk it again to ship that
+        while t >= 0:
+            s = pred[t]
+            flow[s, t] = flow.get((s, t), 0) + amount
+            if (t := pred[s]) >= 0:
+                flow[s, t] -= amount
+        excess[end] += amount
+        excess[origin] -= amount
+        if not excess[origin]:
             live -= 1
-            s = path[0]
-            start[s] = far
-            k = sources.index(s)
-            for t, costs in column.items():
+            start[origin] = far
+            k = sources.index(origin)
+            for t, costs in zip(sinks, column):
                 costs[k] = far
-                if start_pred[t] == s:
+                if start_pred[t] == origin:
                     start[t] = best = min(costs)
                     start_pred[t] = sources[costs.index(best)]
 
@@ -306,8 +306,8 @@ def aell_norm_primal(
     _check_plan(supply, arcs)
     cost = sum(amount * d[s][t] for s, t, amount in arcs)
     pts = space.points
-    plan = tuple((pts[s], pts[t], Fraction(amount, unit)) for s, t, amount in arcs)
-    return Fraction(cost, den * unit), plan
+    plan = tuple((pts[s], pts[t], Fraction(amount, m.unit)) for s, t, amount in arcs)
+    return Fraction(cost, den * m.unit), plan
 
 
 def _check_plan(supply: list[int], arcs: list[tuple[int, int, int]]) -> None:

@@ -346,6 +346,20 @@ def test_moving_lower_bound_zero_gap():
     assert moving_lower_bound(pointed, ["0", "1"], ident, v, v) == 0
 
 
+def test_moving_lower_bound_refuses_a_witness_that_misses_the_bound(monkeypatch):
+    """Tampered: the affine image of v reads as the zero molecule, so the
+    witness pairs with it to 0, not to the gap 5."""
+    action = rotation_action(12)
+    pointed = PointedSpace(action.space, 0)
+    g6 = action.images[action.group.index("g6")]
+    v = Molecule.make(pointed, {"1": F(1)})
+    monkeypatch.setattr(freespace, "affine_extend", lambda g, m: Molecule.zero(m.pointed))
+    with pytest.raises(
+        InternalCheckError, match="^witness pairing missed the certified bound$"
+    ):
+        moving_lower_bound(pointed, ["0", "1"], g6, v, v)
+
+
 def _set_distance_moving_lower_bound(pointed, phi, g, v, w):
     """``moving_lower_bound`` with a label-level gap and one ``set_distance``
     call per point, kept as the oracle of the one that reads one
@@ -815,6 +829,32 @@ def test_the_kept_first_half_round_gives_the_rebuilt_plans():
     assert sum(len(others) for _, others in spent) > 1000
 
 
+def test_the_kept_first_half_round_gives_the_rebuilt_plans_at_workload_sizes():
+    """Same cost and plan, arc for arc, at the distance workload's sizes,
+    n = 12..28, on full-support molecules: default random spaces, distances
+    from {1, 2, 3}, and pseudometrics whose palettes hold 0, so that many
+    arcs cost nothing.  Half the molecules of each kind of space have
+    coefficients from {-2, -1, 1, 2}, so that amounts tie too."""
+    rng = Random(3838)
+    palettes = [None, [F(1), F(2), F(3)], [F(0), F(1), F(2), F(3)], [F(0), F(1)]]
+    free_arcs = 0
+    for k in range(680):
+        palette = palettes[k % 4]
+        space = rand_metric_space(
+            rng, 12 + k % 17, pseudo=k % 4 >= 2, palette=palette
+        )
+        pointed = rand_pointed(rng, space)
+        if k % 8 < 4:
+            coeffs = {x: F(rng.choice([-2, -1, 1, 2])) for x in space.points}
+        else:
+            coeffs = {x: rand_fraction(rng, -5, 5) or F(1) for x in space.points}
+        m = Molecule.make(pointed, coeffs)
+        want = _rebuilt_start_primal(m)
+        assert aell_norm_primal(m) == want, m
+        free_arcs += sum(space.d_label(s, t) == 0 for s, t, _ in want[1])
+    assert free_arcs > 1000
+
+
 def test_plan_check_rejects_a_tampered_plan():
     # supply 3 at point 0 and 1 at point 1; demand 2 at points 2 and 3
     supply = [3, 1, -2, -2]
@@ -873,20 +913,37 @@ def test_primal_refuses_a_path_round_a_predecessor_cycle(monkeypatch):
 
 
 def test_primal_refuses_a_path_that_ships_nothing(monkeypatch, line013_pointed):
-    """Tampered: the first augmentation's amount, the one ``min`` of two
-    values for a molecule with one source and one sink, reads 0."""
+    """Tampered: the first augmentation's amount, the ``min`` of the end's
+    demand and the origin's supply for a molecule with one source and one
+    sink, reads 0."""
     zeroed = []
 
-    def tampered(values, key=None):
-        if key is None and len(values) == 2 and not zeroed:
+    def tampered(*values, key=None):
+        if len(values) == 2 and not zeroed:
             zeroed.append(values)
             return 0
-        return min(values, key=key)
+        return min(*values, key=key)
 
     monkeypatch.setattr(freespace, "min", tampered, raising=False)
     with pytest.raises(InternalCheckError, match="^augmenting path ships 0$"):
         aell_norm_primal(Molecule.point(line013_pointed, "3"))
-    assert zeroed == [[1, 1]]
+    assert zeroed == [(1, 1)]
+
+
+def test_primal_refuses_an_imbalance_left_unshipped(monkeypatch, line013_pointed):
+    """Tampered: the basepoint absorbs one unit too few of the molecule's
+    total 2, so after the first augmentation fills the only sink its source
+    is still live."""
+    totals = []
+
+    def tampered(values, start=0):
+        totals.append(sum(values, start))
+        return totals[-1] - (len(totals) == 1)
+
+    monkeypatch.setattr(freespace, "sum", tampered, raising=False)
+    with pytest.raises(InternalCheckError, match="^imbalance left unshipped$"):
+        aell_norm_primal(Molecule.make(line013_pointed, {"3": F(2)}))
+    assert totals == [2]
 
 
 def _parent_make(pointed, mapping):

@@ -13,12 +13,15 @@ copy must pass first, so a mutant that another file's test kills is not
 reported.
 
 A mutation swaps ``<`` with ``<=``, ``>`` with ``>=``, ``==`` with ``!=``,
-``+`` with ``-`` (also in ``+=`` and ``-=``), or ``min`` with ``max``.  It
-edits the source text at the operator, so every other byte of the module
-stays as it is.  A mutant that the whole suite passes is a survivor.  It is either
-a missing test, code that does nothing, or an equivalent mutant.  An
-equivalent mutant belongs in ``ALLOWLIST`` with the reason why it changes
-nothing.  A mutant that runs past the time bound counts as killed.
+``+`` with ``-`` (also in ``+=`` and ``-=``), or ``min`` with ``max``, or
+drops a ``raise`` by turning the keyword into ``pass;`` (its expression is
+then evaluated and discarded; ``raise ... from ...`` is left alone, as it
+would not parse).  It edits the source text at the operator or keyword, so
+every other byte of the module stays as it is.  A mutant that the whole
+suite passes is a survivor.  It is either a missing test, code that does
+nothing, or an equivalent mutant.  An equivalent mutant belongs in
+``ALLOWLIST`` with the reason why it changes nothing.  A mutant that runs
+past the time bound counts as killed.
 
 The script prints each survivor and a summary, and exits with 1 if a
 survivor is not on the allowlist.  The script is not part of the test
@@ -48,6 +51,8 @@ SWAPS = {
     ast.Add: ("+", "-"), ast.Sub: ("-", "+"),
 }
 CALLS = {"min": "max", "max": "min"}
+# the same byte length, so that the mutant's lines keep their offsets
+DROP_RAISE = ("raise", "pass;")
 # characters that may stand between an operand and its operator
 GAP = b" \t\r\n\\()"
 
@@ -65,7 +70,10 @@ ALLOWLIST = {
         " with no second zero and finds nothing there: the first row with a"
         " second zero right of the diagonal is reached either way",
     "freespace.py:aell_norm_primal:"
-    " if len(path) > len(sources) + len(sinks): [> -> >=]":
+    " start = [0 if v > 0 else far for v in excess] [> -> >=]":
+        "a point with no excess is neither a source nor a sink, and no"
+        " half-round, end pick or path walk reads the label of such a point",
+    "freespace.py:aell_norm_primal: if hops > limit: [> -> >=]":
         "a path holds each source and sink at most once, so the walk reaches"
         " that length only on a predecessor cycle (the tampered test), where"
         " either bound raises the same error, one step apart",
@@ -136,6 +144,11 @@ def sites(module: str, source: bytes) -> list[Site]:
             elif isinstance(child, ast.AugAssign) and type(child.op) in SWAPS:
                 old, new = SWAPS[type(child.op)]
                 operator(inner, child.target, child.value, old + "=", new + "=")
+            elif isinstance(child, ast.Raise) and child.cause is None:
+                old, new = DROP_RAISE
+                at = starts[child.lineno] + child.col_offset
+                found.append(Site(module, inner, source, at, at + len(old), old, new,
+                                  child.lineno))
             elif isinstance(child, ast.Name) and child.id in CALLS:
                 at = starts[child.lineno] + child.col_offset
                 found.append(Site(module, inner, source, at, at + len(child.id),
