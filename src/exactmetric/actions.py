@@ -66,7 +66,8 @@ class Isometry:
 
 def _unchecked(space: FiniteMetricSpace, perm: tuple[int, ...]) -> Isometry:
     """An ``Isometry`` built without the constructor's O(n^2) check, for a
-    permutation known to preserve distances, or an image ``GroupAction`` checks."""
+    permutation known to preserve distances, or an image ``GroupAction`` checks:
+    a closure's, a quotient's, or one that ``action_from_json`` composes."""
     iso = object.__new__(Isometry)
     iso.__dict__.update(space=space, perm=perm)
     return iso
@@ -145,10 +146,11 @@ def translation_gap(
     action: GroupAction, idx: Sequence[int], g: int
 ) -> Fraction:
     """d(F, gF) for the non-empty set F of points given by index."""
-    if not idx:
-        raise DomainError("a translation gap requires a non-empty set")
     den, d = action.space.scaled
     with refusing(DomainError, "element or point index out of range") as refuse:
+        idx = list(idx)  # read once: the range check below would spend an iterator
+        if not idx:
+            raise DomainError("a translation gap requires a non-empty set")
         refuse.unless(min(g, *idx) >= 0)  # -1 would read the last image or point
         moved = list(map(action.images[g].perm.__getitem__, idx))
     return Fraction(min(d[i][j] for i in idx for j in moved), den)
@@ -180,22 +182,20 @@ def action_from_closure(
     verifies each image once.
     """
     with refusing(DomainError, "generators must be isometries"):
+        generators = tuple(generators)  # read twice below
         for gen in generators:
             if gen.space is not space and gen.space != space:
                 raise DomainError("generators must act on the given space")
         gens = [gen.perm for gen in generators]
-    frontier = [tuple(range(space.n))]
-    seen = set(frontier)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in gens:
-                c = tuple(map(a.__getitem__, b))
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    perms = sorted(seen)
+    reached = [tuple(range(space.n))]  # the queue: each new element joins its end
+    seen = set(reached)
+    for a in reached:
+        for b in gens:
+            c = tuple(map(a.__getitem__, b))
+            if c not in seen:
+                seen.add(c)
+                reached.append(c)
+    perms = sorted(reached)
     group = FiniteGroup(
         tuple(f"g{i}" for i in range(len(perms))), permutation_table(perms)
     )

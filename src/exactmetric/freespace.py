@@ -141,6 +141,8 @@ class LipschitzWitness:
                         )
 
     def pair(self, m: Molecule) -> Fraction:
+        if m.pointed is not self.pointed and m.pointed != self.pointed:
+            raise DomainError("molecule is not over the witness's pointed space")
         return sum((v * self.values[x] for x, v in m.coeffs), ZERO)
 
 
@@ -426,7 +428,7 @@ def extension_certificate(
         gap, witness = moving_gap(action, phi_plus)
         best = group.index(witness) if gap else group.identity
     g = action.images[best]
-    bound = moving_lower_bound(pointed, phi, g, v, w)
+    bound = moving_lower_bound(pointed, phi_plus, g, v, w)
     lp = norm_distance(affine_extend(g, v), w)
     return group.elements[best], gap, bound, lp, bound == gap and lp >= bound
 

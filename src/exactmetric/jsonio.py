@@ -13,7 +13,7 @@ from itertools import chain, repeat
 from math import gcd, lcm
 from typing import Any, Mapping
 
-from .actions import GroupAction, Isometry
+from .actions import GroupAction, Isometry, _unchecked
 from .errors import DomainError, StructuralError
 from .freespace import Molecule
 from .groups import FiniteGroup
@@ -230,8 +230,8 @@ def action_from_json(data: Mapping[str, Any]) -> GroupAction:
 
     Images may be supplied for generators only; the rest are filled in by
     one breadth-first pass from the given images, which right-multiplies
-    each reached element by each given image and composes each new element
-    once, then the homomorphism law is verified as usual.
+    each reached element by each given image.  A given image is checked as
+    it loads; a composed one is built unchecked, for ``GroupAction`` to check.
     """
     raw_group, raw_space, raw_images = require(
         data, "group", "space", "images", what="action record"
@@ -249,7 +249,8 @@ def action_from_json(data: Mapping[str, Any]) -> GroupAction:
         for b in given:
             c = group.mul(a, b)
             if c not in images:
-                images[c] = images[a].compose(images[b])
+                perm = tuple(map(images[a].perm.__getitem__, images[b].perm))
+                images[c] = _unchecked(space, perm)
                 reached.append(c)
     if len(images) != group.order:
         missing = [

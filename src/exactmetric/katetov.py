@@ -181,6 +181,7 @@ def star_fragment(
     point absorbs.
     """
     with refusing(DomainError, "attachments must be Katetov functions"):
+        attachments = tuple(attachments)  # read twice below
         for f in attachments:
             if f.space != space:
                 raise DomainError("attachment lives on a different space")

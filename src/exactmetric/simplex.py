@@ -17,24 +17,21 @@ reduced costs and the right-hand side are int lists.  Every pivot entry is
 1, so every pivot is the rational tableau's.  An entry of A outside
 {-1, 0, 1}, or one that a pivot would make, raises ``DomainError``.
 
-``simplex_max`` reads A row by row; ``difference_max`` poses the dual norm
-LP's family, bounds x_i <= u_i and differences x_i - x_j <= w_ij, and builds
-its columns in closed form, so that no row is written out.  Both run the same
-pivot loop, and on the same LP they pivot alike.
+``difference_max``, which the dual norm route calls, poses that LP's family,
+bounds x_i <= u_i and differences x_i - x_j <= w_ij, with no row written out.
+``simplex_max``, the plain general entry that no library path calls, reads A
+row by row.  Both run the same pivot loop, and on the same LP they pivot alike.
 """
 
 from __future__ import annotations
 
-from array import array
-from itertools import chain, compress
+from itertools import compress
 from operator import index, mul
 from typing import Sequence
 
 from .errors import DomainError, InternalCheckError, refusing
 
 _DIMENSIONS = refusing(DomainError, "inconsistent LP dimensions")
-# from the signed bytes of A: 1 where an entry is -1, 0 where it is 0 or 1
-_NEG = bytes.maketrans(b"\x01\xff", b"\x00\x01")
 # Dantzig's rule chooses the first DANTZIG_FACTOR * (m + n) pivots, Bland's
 # rule the rest
 DANTZIG_FACTOR = 20
@@ -46,22 +43,15 @@ def simplex_max(
     b: Sequence[int],
 ) -> tuple[int, list[int]]:
     """Return (optimal value, optimal x) of max c.x s.t. A x <= b, x >= 0."""
-    m = len(a)
     n = len(c)
-    _DIMENSIONS.unless(len(b) == m and all(len(row) == n for row in a))
-    entries = list(chain.from_iterable(a))  # A row by row
+    _DIMENSIONS.unless(len(b) == len(a) and all(len(row) == n for row in a))
     with refusing(DomainError, "LP constraint matrix must hold ints"):
-        try:
-            flat = array("b", entries).tobytes()  # a signed byte per entry
-        except OverflowError:  # refused below, once all entries are ints
-            list(map(index, entries))
-            flat = b"\x02"
+        rows = [list(map(index, row)) for row in a]
     obj, rhs = _int_data(c, b)
-    if flat.translate(None, b"\x00\x01\xff"):
+    if any(v not in (-1, 0, 1) for row in rows for v in row):
         raise DomainError("LP constraint matrix is not totally unimodular")
-    plus, minus = flat.replace(b"\xff", b"\x00"), flat.translate(_NEG)
-    pos = [int.from_bytes(plus[j::n], "little") for j in range(n)]
-    neg = [int.from_bytes(minus[j::n], "little") for j in range(n)]
+    pos = [int.from_bytes(bytes(r[j] == 1 for r in rows), "little") for j in range(n)]
+    neg = [int.from_bytes(bytes(r[j] == -1 for r in rows), "little") for j in range(n)]
     return _solve(obj, pos, neg, rhs)
 
 

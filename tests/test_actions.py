@@ -413,6 +413,16 @@ def test_closure_rejects_a_generator_on_another_space():
             action_from_closure(space, [gen])
 
 
+def test_closure_reads_its_generators_once():
+    """An iterator of generators gives the action that a list gives; read
+    twice, it would be spent by the space check, leaving the trivial group."""
+    space = cycle_space(6)
+    gens = [Isometry(space, (1, 2, 3, 4, 5, 0)), Isometry(space, (0, 5, 4, 3, 2, 1))]
+    action = action_from_closure(space, gens)
+    assert action.group.order == 12
+    assert action_from_closure(space, iter(gens)) == action
+
+
 def test_closure_checks_each_image_once_as_groupaction_composes_it(isometry_checks):
     """D6 on the hexagon: one check per product that ``GroupAction``
     composes, |G|^2 = 144, and none when the images are built."""

@@ -39,7 +39,7 @@ from exactmetric import (
     moving_gap,
     translation_gap,
 )
-from exactmetric.errors import DomainError, ExactMetricError
+from exactmetric.errors import DomainError, ExactMetricError, StructuralError
 from exactmetric.proptest import run_suite
 from exactmetric.randgen import cycle_space, rotation_action
 
@@ -227,6 +227,45 @@ def test_valid_call_answers(name):
 def test_plain_arguments_are_refused_not_escaped(name):
     fn, args = TABLE[name]
     assert escapes(fn, args) == []
+
+
+# Rows that take no one-shot iterator today: a space refuses one for its
+# rows (``StructuralError``), and a ``StarFragment`` is a plain record that
+# stores what it is given.
+ITERATOR_EXEMPT = {"FiniteMetricSpace", "FiniteMetricSpace.from_scaled", "StarFragment"}
+
+
+def iterator_swaps(args):
+    """``args`` with each list or tuple argument swapped, one at a time, for
+    a one-shot iterator over it."""
+    for k, arg in enumerate(args):
+        if isinstance(arg, (list, tuple)):
+            yield args[:k] + (iter(arg),) + args[k + 1:]
+
+
+@pytest.mark.parametrize("name", sorted(set(TABLE) - ITERATOR_EXEMPT))
+def test_a_one_shot_iterator_gets_the_valid_answer(name):
+    """A documented list or tuple is read once: an iterator over it gives
+    the valid call's answer, not a silent other answer or a refusal."""
+    fn, args = TABLE[name]
+    want = fn(*args)
+    for swapped in iterator_swaps(args):
+        assert fn(*swapped) == want
+
+
+def test_the_exempt_rows_take_no_iterator():
+    """Each exemption holds: a space refuses an iterator of rows, and a
+    ``StarFragment`` keeps the iterator it is given."""
+    for name in ITERATOR_EXEMPT - {"StarFragment"}:
+        fn, args = TABLE[name]
+        *_, rows_swapped = iterator_swaps(args)  # the rows come after the labels
+        with pytest.raises(
+            StructuralError, match="^distance matrix shape does not match point count$"
+        ):
+            fn(*rows_swapped)
+    fn, (attached, space) = TABLE["StarFragment"]
+    attached = iter(attached)
+    assert fn(attached, space).attached is attached
 
 
 @pytest.mark.parametrize("name", sorted(REFUSED_CALLS))

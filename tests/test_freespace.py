@@ -137,6 +137,25 @@ def test_witness_validation(line013_pointed):
         LipschitzWitness(line013_pointed, {"0": F(0), "1": F(2), "3": F(0)})
 
 
+@pytest.mark.parametrize("pointed", ["other labels", "other basepoint"])
+def test_witness_pair_refuses_a_molecule_over_another_pointed_space(
+    line013_pointed, pointed
+):
+    """Over a space with other labels the pairing would miss a label; over
+    the same space with another basepoint it would pair against a witness
+    that does not vanish at the molecule's basepoint."""
+    witness = LipschitzWitness(line013_pointed, {"0": F(0), "1": F(1), "3": F(3)})
+    if pointed == "other labels":
+        m = Molecule.make(PointedSpace(cycle_space(3), 0), {"2": F(1)})
+    else:
+        m = Molecule.make(PointedSpace(line013_pointed.space, 1), {"3": F(1)})
+    with pytest.raises(
+        DomainError, match="^molecule is not over the witness's pointed space$"
+    ):
+        witness.pair(m)
+    assert witness.pair(Molecule.make(line013_pointed, {"3": F(1)})) == 3
+
+
 def test_float_coefficient_is_a_domain_error(line013_pointed):
     with pytest.raises(DomainError, match="exact rationals"):
         Molecule.make(line013_pointed, {"1": 0.1})

@@ -262,6 +262,17 @@ def test_pseudo_flag_must_be_a_json_boolean(pseudo):
         parse_space({**data, "pseudo": pseudo})
 
 
+@pytest.mark.parametrize("bad", [1.5, True, None, ["a"], {"a": 1}])
+def test_labels_must_be_json_strings_or_integers(bad):
+    """An integer label is read as its string; a bool is no integer here."""
+    data = {"points": ["a", 7], "dist": [["0", "1"], ["1", "0"]]}
+    assert parse_space(data).points == ("a", "7")
+    with pytest.raises(
+        StructuralError, match="^points must hold string or integer labels$"
+    ):
+        parse_space({**data, "points": ["a", bad]})
+
+
 def test_pointed_requires_basepoint():
     data = space_to_json(rand_metric_space(Random(1), 3))
     with pytest.raises(StructuralError):
@@ -357,6 +368,18 @@ def test_action_from_generators_only():
     assert action_from_json(data) == action
 
 
+def test_loading_action_c6_checks_each_given_image_and_each_product_once(
+    isometry_checks,
+):
+    """The identity and the one given image are checked as they load, the
+    four composed images are built unchecked, and ``GroupAction`` checks
+    each of the 6^2 products once: 38 checks."""
+    data = json.loads((FIXTURES / "action_c6.json").read_text())["action"]
+    action = action_from_json(data)
+    assert len(isometry_checks) == 1 + 1 + 6 ** 2
+    assert action == rotation_action(6)
+
+
 def test_action_missing_generators_rejected():
     action = rotation_action(6)
     data = action_to_json(action)
@@ -383,5 +406,5 @@ def test_molecule_basepoint_inside_space_record():
     }
     m = molecule_from_json(data)
     assert m.pointed.basepoint_label == sp.points[0]
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError, match="^molecule requires a basepoint$"):
         molecule_from_json({"space": space_to_json(sp), "coeffs": {}})

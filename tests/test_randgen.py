@@ -99,6 +99,21 @@ def test_rand_katetov_checks_each_candidate_once(monkeypatch):
     assert len(calls) == candidates
 
 
+def test_rand_katetov_gives_up_after_64_refused_candidates(monkeypatch):
+    """Tampered: ``is_katetov`` refuses every candidate, and the draw is
+    refused after exactly 64 of them."""
+    calls = []
+
+    def refuse_all(space, values, support):
+        calls.append(support)
+        return katetov.KatetovReport(False, (support[0], support[0]), "upper")
+
+    monkeypatch.setattr(randgen, "is_katetov", refuse_all)
+    with pytest.raises(DomainError, match="^failed to sample a Katetov function$"):
+        rand_katetov(Random(1), cycle_space(4), ("0", "2"))
+    assert calls == [("0", "2")] * 64
+
+
 @pytest.mark.parametrize("support, message", [
     ((), "a Katetov function needs a non-empty support"),
     (("0", "1", "0"), "support repeats the label '0'"),
