@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, refusing
-from .groups import FiniteGroup, permutation_table
+from .groups import FiniteGroup, closure, compose, permutation_table
 from .metric import FiniteMetricSpace
 
 
@@ -51,7 +51,7 @@ class Isometry:
         """self after other: (self . other)(x) = self(other(x))."""
         if self.space is not other.space and self.space != other.space:
             raise DomainError("cannot compose isometries of different spaces")
-        return Isometry(self.space, tuple(self.perm[j] for j in other.perm))
+        return Isometry(self.space, compose(self.perm, other.perm))
 
     def inverse(self) -> "Isometry":
         inv = [0] * len(self.perm)
@@ -67,7 +67,7 @@ class Isometry:
 def _unchecked(space: FiniteMetricSpace, perm: tuple[int, ...]) -> Isometry:
     """An ``Isometry`` built without the constructor's O(n^2) check, for a
     permutation known to preserve distances, or an image ``GroupAction`` checks:
-    a closure's, a quotient's, or one that ``action_from_json`` composes."""
+    a closure's, a quotient's, or one that ``action_from_json`` builds."""
     iso = object.__new__(Isometry)
     iso.__dict__.update(space=space, perm=perm)
     return iso
@@ -187,15 +187,7 @@ def action_from_closure(
             if gen.space is not space and gen.space != space:
                 raise DomainError("generators must act on the given space")
         gens = [gen.perm for gen in generators]
-    reached = [tuple(range(space.n))]  # the queue: each new element joins its end
-    seen = set(reached)
-    for a in reached:
-        for b in gens:
-            c = tuple(map(a.__getitem__, b))
-            if c not in seen:
-                seen.add(c)
-                reached.append(c)
-    perms = sorted(reached)
+    perms = sorted(closure([tuple(range(space.n))], gens, compose))
     group = FiniteGroup(
         tuple(f"g{i}" for i in range(len(perms))), permutation_table(perms)
     )

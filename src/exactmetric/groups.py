@@ -1,11 +1,12 @@
-"""Finite groups given by multiplication tables, plus a small catalog."""
+"""Finite groups given by multiplication tables, a small catalog, and the
+permutation composition and queue closure that actions share."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
 from operator import index, itemgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError, StructuralError, refusing
 
@@ -110,16 +111,32 @@ def dihedral_group(n: int) -> FiniteGroup:
     return FiniteGroup(labels, table)
 
 
+def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """The permutation p after q: i -> p[q[i]]."""
+    return tuple(map(p.__getitem__, q))
+
+
+def closure(seeds: Iterable, gens: Sequence, mul) -> dict:
+    """The closure of ``seeds`` under right multiplication ``mul`` by
+    ``gens``, by one queue pass: each element in the order reached, mapped
+    to the pair ``(a, b)`` whose product first reached it (``None`` for a seed)."""
+    reached = dict.fromkeys(seeds)
+    queue = list(reached)  # each new element joins its end
+    for a in queue:
+        for b in gens:
+            if (c := mul(a, b)) not in reached:
+                reached[c] = a, b
+                queue.append(c)
+    return reached
+
+
 def permutation_table(
     perms: Sequence[tuple[int, ...]],
 ) -> tuple[tuple[int, ...], ...]:
     """The multiplication table of permutations closed under composition:
     entry (i, j) indexes ``perms[i]`` after ``perms[j]``."""
     index = {p: i for i, p in enumerate(perms)}
-    return tuple(
-        tuple(index[tuple(map(p.__getitem__, q))] for q in perms)
-        for p in perms
-    )
+    return tuple(tuple(index[compose(p, q)] for q in perms) for p in perms)
 
 
 def symmetric_group(n: int) -> FiniteGroup:

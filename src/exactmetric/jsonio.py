@@ -16,7 +16,7 @@ from typing import Any, Mapping
 from .actions import GroupAction, Isometry, _unchecked
 from .errors import DomainError, StructuralError
 from .freespace import Molecule
-from .groups import FiniteGroup
+from .groups import FiniteGroup, closure, compose
 from .katetov import KatetovFunction, StarFragment
 from .metric import FiniteMetricSpace, PointedSpace, require_valid
 from .quotients import InvariantPseudometric
@@ -228,30 +228,23 @@ def pseudometric_to_json(pm: InvariantPseudometric):
 def action_from_json(data: Mapping[str, Any]) -> GroupAction:
     """Load an action, completing missing images by composing given ones.
 
-    Images may be supplied for generators only; the rest are filled in by
-    one breadth-first pass from the given images, which right-multiplies
-    each reached element by each given image.  A given image is checked as
-    it loads; a composed one is built unchecked, for ``GroupAction`` to check.
+    Images may be supplied for generators only; ``closure`` of the given
+    images reaches the rest.  A given image is checked as it loads; the
+    identity's and each composed one are built unchecked, for ``GroupAction``.
     """
     raw_group, raw_space, raw_images = require(
         data, "group", "space", "images", what="action record"
     )
     group = group_from_json(raw_group)
     space = space_from_json(raw_space)
-    images: dict[int, Isometry] = {
-        group.identity: Isometry.identity(space)
-    }
+    images = {group.identity: _unchecked(space, tuple(range(space.n)))}
     for name, perm in mapping(raw_images, "images").items():
         images[group.index(name)] = Isometry(space, indices(perm, "images"))
     given = list(images)
-    reached = given.copy()  # the queue: each new element joins its end
-    for a in reached:
-        for b in given:
-            c = group.mul(a, b)
-            if c not in images:
-                perm = tuple(map(images[a].perm.__getitem__, images[b].perm))
-                images[c] = _unchecked(space, perm)
-                reached.append(c)
+    for c, pair in closure(given, given, group.mul).items():
+        if pair:
+            a, b = pair
+            images[c] = _unchecked(space, compose(images[a].perm, images[b].perm))
     if len(images) != group.order:
         missing = [
             group.elements[i] for i in range(group.order) if i not in images

@@ -34,22 +34,11 @@ def scale(
         return den, [v.numerator * (den // v.denominator) for v in values]
 
 
-def scale_rows(
-    rows: Sequence[Sequence[Fraction]],
-) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """``scale`` over a rational matrix: ``(den, ints)`` with the int matrix
-    ``ints[i][j] == den * rows[i][j]``."""
-    with _INEXACT:
-        den, flat = scale([v for row in rows for v in row], "distances")
-        it = iter(flat)
-        return den, tuple(tuple(islice(it, len(row))) for row in rows)
-
-
 @dataclass(frozen=True, init=False)
 class FiniteMetricSpace:
     """Labeled points with a square rational distance matrix, stored once as
     ``scaled = (den, rows)``: int rows over ``den``, reduced by the gcd of
-    ``den`` and every entry, so that ``scaled == scale_rows(dist)``.  The
+    ``den`` and every entry, so that equal matrices store equal ints.  The
     fields ``points``, ``scaled`` and ``pseudo`` make equality and hashing.
 
     ``pseudo=True`` permits d(x, y) = 0 for distinct x, y.  Construction does
@@ -61,8 +50,12 @@ class FiniteMetricSpace:
     pseudo: bool = False
 
     def __init__(self, points, dist, pseudo: bool = False):
-        """The space with the rational matrix ``dist``, scaled once."""
-        self._store(points, *scale_rows(dist), pseudo)
+        """The space with the rational matrix ``dist``, read once."""
+        with _INEXACT:
+            rows = [tuple(row) for row in dist]
+        den, flat = scale(list(chain.from_iterable(rows)), "distances")
+        it = iter(flat)
+        self._store(points, den, [tuple(islice(it, len(r))) for r in rows], pseudo)
 
     @classmethod
     def from_scaled(cls, points, den: int, rows, pseudo: bool = False):
@@ -71,10 +64,11 @@ class FiniteMetricSpace:
         return object.__new__(cls)._store(points, den, rows, pseudo)
 
     def _store(self, points, den: int, rows, pseudo: bool):
-        """Both constructors' one store step: labels, shape, gcd reduction."""
+        """Both constructors' one store step: labels, rows read once, shape, gcd."""
         with refusing(StructuralError,
                       "distance matrix shape does not match point count") as refuse:
             points = tuple(points)
+            rows = tuple(map(tuple, rows))
             index = {label: i for i, label in enumerate(points)}
             if len(index) != len(points):
                 raise StructuralError("duplicate point labels")
@@ -82,8 +76,9 @@ class FiniteMetricSpace:
         with _INEXACT as refuse:
             refuse.unless(den > 0)
             g = gcd(den, *chain.from_iterable(rows))
-        rows = rows if g == 1 else [map(g.__rfloordiv__, r) for r in rows]
-        scaled = den // g, tuple(map(tuple, rows))
+        if g != 1:
+            rows = tuple(tuple(map(g.__rfloordiv__, r)) for r in rows)
+        scaled = den // g, rows
         self.__dict__.update(points=points, scaled=scaled, pseudo=pseudo, _index=index)
         return self
 

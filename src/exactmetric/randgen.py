@@ -22,7 +22,7 @@ from .groups import (
     symmetric_group,
 )
 from .katetov import KatetovFunction, is_katetov
-from .metric import FiniteMetricSpace, PointedSpace, pack_rows, scale, scale_rows
+from .metric import FiniteMetricSpace, PointedSpace, pack_rows, scale
 from .quotients import InvariantPseudometric
 
 ZERO = Fraction(0)
@@ -192,7 +192,7 @@ def rand_invariant_pseudometric(
         weight[z] = weight[group.inv(z)] = ZERO
     # delta(x) = cheapest factorization of x into weighted letters: the
     # shortest path from e to x, as ints, where the step a -> b costs w(a^-1 b)
-    den, (w,) = scale_rows([weight])
+    den, w = scale(weight, "weights")
     steps = [[w[c] for c in group.table[group.inv(a)]] for a in range(n)]
     delta = _closure(steps)[e]
     return InvariantPseudometric(group, tuple(map(Fraction, delta, repeat(den))))

@@ -229,10 +229,9 @@ def test_plain_arguments_are_refused_not_escaped(name):
     assert escapes(fn, args) == []
 
 
-# Rows that take no one-shot iterator today: a space refuses one for its
-# rows (``StructuralError``), and a ``StarFragment`` is a plain record that
-# stores what it is given.
-ITERATOR_EXEMPT = {"FiniteMetricSpace", "FiniteMetricSpace.from_scaled", "StarFragment"}
+# Rows that take no one-shot iterator: a ``StarFragment`` is a plain record
+# that stores what it is given.
+ITERATOR_EXEMPT = {"StarFragment"}
 
 
 def iterator_swaps(args):
@@ -254,15 +253,7 @@ def test_a_one_shot_iterator_gets_the_valid_answer(name):
 
 
 def test_the_exempt_rows_take_no_iterator():
-    """Each exemption holds: a space refuses an iterator of rows, and a
-    ``StarFragment`` keeps the iterator it is given."""
-    for name in ITERATOR_EXEMPT - {"StarFragment"}:
-        fn, args = TABLE[name]
-        *_, rows_swapped = iterator_swaps(args)  # the rows come after the labels
-        with pytest.raises(
-            StructuralError, match="^distance matrix shape does not match point count$"
-        ):
-            fn(*rows_swapped)
+    """The exemption holds: a ``StarFragment`` keeps the iterator it is given."""
     fn, (attached, space) = TABLE["StarFragment"]
     attached = iter(attached)
     assert fn(attached, space).attached is attached

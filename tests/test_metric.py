@@ -1,6 +1,6 @@
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import repeat
+from itertools import chain, repeat
 from math import lcm
 from operator import add, sub
 from random import Random
@@ -22,7 +22,7 @@ from exactmetric import (
 )
 from exactmetric.jsonio import parse_space, space_from_json, space_to_json
 import exactmetric.metric as metric_module
-from exactmetric.metric import ValidationReport, _scan, min_plus, scale_rows
+from exactmetric.metric import ValidationReport, _scan, min_plus, scale
 from exactmetric.randgen import _closure, cycle_space, rand_fraction, rand_metric_space
 
 from conftest import space_from_rows
@@ -374,6 +374,25 @@ def test_shape_mismatch_is_structural():
         FiniteMetricSpace(("a", "a"), ((Fraction(0), Fraction(0)),) * 2)
 
 
+def test_rows_are_read_once_from_any_iterable():
+    """An iterator of rows, or rows given as iterators, make the space that
+    a tuple of tuples makes, through either constructor, reduced rows too;
+    a short iterator still fails the shape check."""
+    c4 = cycle_space(4)
+    den, ints = c4.scaled
+    for rows in (iter(c4.dist), [iter(r) for r in c4.dist], map(list, c4.dist)):
+        assert FiniteMetricSpace(c4.points, rows) == c4
+    doubled = [[2 * v for v in r] for r in ints]  # reduced by the gcd 2
+    for over, rows in ((den, iter(ints)), (den, [iter(r) for r in ints]),
+                       (2 * den, map(iter, doubled))):
+        assert FiniteMetricSpace.from_scaled(c4.points, over, rows) == c4
+    shape = "^distance matrix shape does not match point count$"
+    with pytest.raises(StructuralError, match=shape):
+        FiniteMetricSpace(c4.points, iter(c4.dist[:3]))
+    with pytest.raises(StructuralError, match=shape):
+        FiniteMetricSpace.from_scaled(c4.points, den, [iter(r[:3]) for r in ints])
+
+
 @pytest.mark.parametrize("labels", [("a", "a"), (1, True)])
 def test_duplicate_labels_are_structural(labels):
     # 1 == True, so a label map would merge them just as a set does
@@ -469,7 +488,10 @@ def test_from_scaled_matches_the_fraction_path():
             assert built == other and hash(built) == hash(other)
         assert all(type(v) is Fraction for row in built.dist for v in row)
         assert "scaled" in vars(built)
-        assert built.scaled == scale_rows(built.dist) == oracle.scaled
+        lcm_den, flat = scale(list(chain.from_iterable(built.dist)), "distances")
+        assert built.scaled == oracle.scaled
+        assert (built.scaled[0], list(chain.from_iterable(built.scaled[1]))) \
+            == (lcm_den, flat)
         assert all(type(v) is int for row in built.scaled[1] for v in row)
         seen.add((built.scaled[0] < den, validate(built).ok))
     assert seen == {(False, True), (True, True), (False, False), (True, False)}
@@ -634,7 +656,7 @@ def min_loop_closure(rows):
 
 def min_loop_metric_space(rng, n, pseudo=False, palette=None):
     """``rand_metric_space`` as it was with ``rand_fraction`` weights scaled
-    by ``scale_rows`` and closed by ``min_loop_closure``."""
+    by a space's constructor and closed by ``min_loop_closure``."""
     labels = tuple(f"x{i}" for i in range(n))
     w = [[F(0)] * n for _ in range(n)]
     for i in range(n):
@@ -646,7 +668,7 @@ def min_loop_metric_space(rng, n, pseudo=False, palette=None):
             if pseudo and rng.random() < 0.2:
                 v = F(0)
             w[i][j] = w[j][i] = v
-    den, rows = scale_rows(w)
+    den, rows = FiniteMetricSpace(labels, w).scaled
     return FiniteMetricSpace.from_scaled(labels, den, min_loop_closure(rows), pseudo)
 
 

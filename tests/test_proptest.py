@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -7,11 +10,13 @@ from exactmetric import (
     ExactMetricError,
     FiniteMetricSpace,
     InternalCheckError,
+    Isometry,
     Molecule,
     StarFragment,
     katetov,
 )
 from exactmetric import proptest
+from exactmetric.metric import ValidationReport
 from exactmetric.proptest import MAX_FAILURES, SUITES, run_suite
 
 
@@ -217,3 +222,74 @@ def test_extension_draws_molecules_on_phi_without_the_basepoint(monkeypatch):
     for pointed, phi, v, w in drawn:
         assert set(v.support) | set(w.support) <= set(phi) - {pointed.basepoint_label}
     assert sum(bool(v.support) for _, _, v, _ in drawn) > len(drawn) / 2
+
+
+def zero_space(rng, n, **_):
+    """A space on ``n`` points with every distance 0: a pseudometric, where
+    the suite asked for a metric."""
+    labels = tuple(f"x{i}" for i in range(n))
+    return FiniteMetricSpace.from_scaled(labels, 1, [[0] * n] * n, pseudo=True)
+
+
+# Each counterexample a suite can return, by its "what": the suite, and the
+# one name patched to answer wrong, with the wrong answer made from the
+# real one.  The duality suite's "triangle inequality failure" has its own
+# test above.
+TAMPERS = {
+    "valid space rejected": (
+        "metric-fuzz", proptest, "validate", lambda real: lambda space:
+        ValidationReport(False)),
+    "planted (symmetry|diagonal|triangle|separation) violation not found": (
+        "metric-fuzz", proptest, "validate", lambda real: lambda space:
+        ValidationReport(True)),
+    "duality gap": (
+        "duality", proptest, "aell_norm_dual", lambda real: lambda m:
+        (real(m)[0] + 1, real(m)[1])),
+    "homogeneity failure": (
+        "duality", Molecule, "scale", lambda real: lambda m, q: real(m, 2 * q)),
+    "nonzero molecule with zero norm": (
+        "duality", proptest, "rand_metric_space", lambda real: zero_space),
+    "embedding not isometric": (
+        "embedding", proptest, "norm_distance", lambda real: lambda a, b:
+        real(a, b) + 1),
+    "hat not maximal": (
+        "katetov", proptest, "hat_extension", lambda real: lambda f:
+        proptest.point_function(f.space, f.support[0])),
+    "point profiles not isometric": (
+        "katetov", proptest, "sup_distance", lambda real: lambda f, g:
+        real(f, g) + 1),
+    "gap below separation": (
+        "prop-k", proptest, "prop_k_gap", lambda real: lambda phi, psi:
+        replace(real(phi, psi), certified=False)),
+    "equivariance failure": (
+        "equivariance", proptest, "act_on_katetov", lambda real: lambda g, f: f),
+    "composition law failure": (
+        "affine-laws", Isometry, "compose", lambda real: lambda g, h: g),
+    "norm not preserved": (
+        "affine-laws", proptest, "norm_distance", lambda real: lambda a, b:
+        real(a, b) + Fraction(a.ints[0], a.unit)),
+    "extension bound failure": (
+        "extension", proptest, "extension_certificate", lambda real: lambda *args:
+        (*real(*args)[:4], False)),
+    "rebase changed a norm distance": (
+        "rebase", proptest, "rebase", lambda real: lambda m, basepoint:
+        real(m, basepoint).scale(2)),
+    "cover size grew with larger V": (
+        "fvf-monotone", proptest, "min_fvf_cover", lambda real: lambda group, v:
+        (len(v), None)),
+}
+
+
+@pytest.mark.parametrize("what", sorted(TAMPERS))
+def test_each_counterexample_is_reported_and_replays(monkeypatch, what):
+    """With one name answering wrong, the suite's failures are all this
+    counterexample, and each replays from its ``trial_seed``."""
+    name, owner, attribute, wrong = TAMPERS[what]
+    monkeypatch.setattr(owner, attribute, wrong(getattr(owner, attribute)))
+    failures = run_suite(name, 40, 0)["failures"]
+    assert failures
+    for failure in failures:
+        assert re.fullmatch(what, failure["what"])
+        replay = SUITES[name](Random(failure["trial_seed"]))
+        assert {**replay, "trial": failure["trial"],
+                "trial_seed": failure["trial_seed"]} == failure

@@ -32,7 +32,7 @@ from exactmetric import (
 from exactmetric import quotients
 from exactmetric.actions import _unchecked
 from exactmetric.jsonio import group_to_json, pseudometric_from_json
-from exactmetric.metric import scale_rows
+from exactmetric.metric import scale
 from exactmetric.randgen import (
     rand_action,
     rand_fraction,
@@ -341,7 +341,7 @@ def min_map_pseudometric(rng, group):
     if n > 1:
         z = rng.choice([i for i in range(n) if i != e])
         weight[z] = weight[group.inv(z)] = F(0)
-    den, (delta,) = scale_rows([weight])
+    den, delta = scale(weight, "weights")
     shifts = [group.table[group.inv(a)] for a in range(n)]
     settled = None
     while delta != settled:
