@@ -215,6 +215,14 @@ def aell_norm_primal(
     candidates were compared against labels that have only fallen since.
     So labels, predecessors, round count and paths are those of relaxing
     every arc every round.  Dijkstra would break ties otherwise.
+
+    A residual arc never lowers a live source, whose label is 0.  If one
+    did, the path from another live source to it, of negative cost, would
+    close a negative cycle through a super-source feeding every source; but
+    successive shortest paths keep the flow of least cost for its amount,
+    so its residual network has no negative cycle.  The residual half-round
+    still reads the arcs out of live sources: skipping them gave the same
+    plans and measured slower.
     """
     space = m.pointed.space
     den, d = space.scaled

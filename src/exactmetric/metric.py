@@ -5,7 +5,8 @@ A space stores its distances once, as int rows over a common denominator,
 of the API, ``space.dist``, is made from it when first read.  No floating
 point enters any computation, so every check is decided exactly.
 ``validate`` certifies a valid space on its int rows packed one int each
-(``pack_rows``), and finds the first violation of any other by ``_scan``.
+(``pack_rows``), testing each pair of points once in one int of twice a
+row's width, and finds the first violation of any other by ``_scan``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain, islice, product, repeat
 from math import gcd, lcm
-from operator import add, and_, getitem, lshift, lt, ne, sub, xor
+from operator import add, and_, getitem, lshift, lt, ne, sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, StructuralError, refusing
@@ -144,19 +145,37 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
     int matrix of ``space.scaled``, which holds only exact rationals.
 
     First a certificate: a symmetric matrix, a zero diagonal, no negative
-    entry, n zeros unless ``pseudo``, and, on the rows P of ``pack_rows``,
-    every guard of ``P[j] + d(i, j)·ONES - P[i]`` set, in one C-level
-    pipeline over all i, j: field k is the guard plus d(i, j) + d(j, k) -
-    d(i, k).  A space that fails it goes to ``_scan``.
+    entry, n zeros unless ``pseudo``, and a pair test in one C-level
+    pipeline over the pairs i < j.  On the rows P of ``pack_rows``, with G
+    their guards and h = n·w bits a row, the pair's int holds two rows of
+    fields.  Its low h bits are ``P[j] + d(i, j)·ONES - (P[i] ^ G)``, whose
+    field k is the guard plus d(i, j) + d(j, k) - d(i, k); the bits above
+    them are the same with i and j swapped.  So one pair tests the
+    triangles through j from i and through i from j, and the pair (i, i)
+    would test only d(i, k) <= d(i, k).  The int is ``lo[j] + hi[i] +
+    spread[d(i, j)]``, with ``lo[j] = P[j] - ((P[j] ^ G) << h)``,
+    ``hi[i] = (P[i] << h) - (P[i] ^ G)`` and ``spread[v] = t | t << h``
+    for ``t = v·ONES``, one product per distinct value.  No borrow or
+    carry crosses a field, nor the halves: the guard is 2**(w-1) > 2·max,
+    so every field lies in [guard - max, guard + 2·max], within 0 and
+    2**w.  The space is certified when every guard of both halves is set
+    in every pair's int; otherwise ``_scan`` runs.
     """
     d, n = space.scaled[1], space.n
     if (d == tuple(zip(*d)) and not any(map(getitem, d, range(n)))
             and min(chain.from_iterable(d), default=0) >= 0
             and (space.pseudo or sum(map(tuple.count, d, repeat(0))) == n)):
-        _, _, ones, guards, packed = pack_rows(d)
-        via = map(add, chain(*repeat(packed, n)), map(ones.__mul__, chain(*d)))
-        pi = chain(*map(repeat, map(xor, packed, repeat(guards)), repeat(n)))
-        if reduce(and_, map(sub, via, pi), guards) == guards:
+        w, _, ones, guards, packed = pack_rows(d)
+        h, r = n * w, range(n)
+        lo = [p - ((p ^ guards) << h) for p in packed]
+        hi = [(p << h) - (p ^ guards) for p in packed]
+        spread = {v: (t := v * ones) | t << h for v in set(chain(*d))}
+        pairs = map(add, chain.from_iterable([lo[i + 1:] for i in r]),
+                    map(add, chain.from_iterable(map(repeat, hi, reversed(r))),
+                        map(spread.__getitem__,
+                            chain.from_iterable([di[i + 1:] for i, di in enumerate(d)]))))
+        both = guards | guards << h
+        if reduce(and_, pairs, both) == both:
             return ValidationReport(True)
     return _scan(space, d)
 

@@ -274,16 +274,20 @@ def path_rows(rng, n, gap):
 
 
 def certificate_cases():
-    """Spaces for the packed-row certificate: n = 0, 1, 2 by hand; random
-    spaces up to 60 points, valid or with planted faults (asymmetric,
-    diagonal, negative, triangle, a copied point), as metrics and as
-    pseudometrics, some scaled past 2**64; and all-zero pseudometrics."""
+    """Spaces for the packed-row certificate: n = 0, 1, 2 by hand; two
+    3-point spaces whose one violated triangle has its middle point at the
+    highest index, which only the low half of each pair's int tests, or at
+    the lowest, which only the high half tests; random spaces up to 60
+    points, valid or with planted faults (asymmetric, diagonal, negative,
+    triangle, a copied point), as metrics and as pseudometrics, some scaled
+    past 2**64; and all-zero pseudometrics."""
     rng = Random(2828)
     yield int_space([])
     for rows in (
         [[0]], [[1]], [[-1]], [[0, 1], [1, 0]], [[0, 0], [0, 0]],
         [[0, -1], [-1, 0]], [[0, 1], [2, 0]], [[1, 1], [1, 0]],
         [[0, 2**70], [2**70, 0]], [[0, -(2**70)], [-(2**70), 0]],
+        [[0, 3, 1], [3, 0, 1], [1, 1, 0]], [[0, 1, 1], [1, 0, 3], [1, 3, 0]],
     ):
         for pseudo in (False, True):
             yield int_space(rows, pseudo)
@@ -335,18 +339,26 @@ def test_packed_certificate_reports_what_the_scan_reports(monkeypatch):
 @pytest.mark.parametrize("gap", [1, 10**6, 2**64 + 1])
 @pytest.mark.parametrize("n", [3, 12, 60])
 def test_a_tight_triangle_at_the_largest_entry_is_certified(n, gap):
-    """d(0, n-1) = d(0, k) + d(k, n-1) passes; one more fails, with the
-    scan's witness."""
-    rows = path_rows(Random(n), n, gap)
-    assert validate(int_space(rows)) == ValidationReport(True)
-    rows[0][n - 1] += 1
-    rows[n - 1][0] += 1
-    space = int_space(rows)
-    report = validate(space)
-    assert report.axiom == "triangle"
-    assert report == _scan(space, space.scaled[1])
-    if n <= 12:
-        assert (report.ok, report.axiom, report.witness) == full_scan_validate(space)
+    """d(a, n-1) = d(a, k) + d(k, n-1) passes; one more fails, with the
+    scan's witness.  The line's ends are a = 0 and n - 1, where the pairs
+    {0, k} test the tight triangle in the low half's top field, or a = n - 2
+    and n - 1, where every middle point k has a lower index than both ends,
+    so only the high half tests it, the pairs {k, n-2} in the int's top
+    field."""
+    line = path_rows(Random(n), n, gap)
+    # point i sits at place[i] on the line; its ends are a and n - 1
+    for place in (range(n), [*range(1, n - 1), 0, n - 1]):
+        a = place.index(0)
+        rows = [[line[p][q] for q in place] for p in place]
+        assert validate(int_space(rows)) == ValidationReport(True)
+        rows[a][n - 1] += 1
+        rows[n - 1][a] += 1
+        space = int_space(rows)
+        report = validate(space)
+        assert report.axiom == "triangle"
+        assert report == _scan(space, space.scaled[1])
+        if n <= 12:
+            assert (report.ok, report.axiom, report.witness) == full_scan_validate(space)
 
 
 @pytest.mark.parametrize(
