@@ -132,10 +132,13 @@ class GroupAction:
             raise DomainError("images must act on the action's space")
         if images[g.identity].perm != tuple(range(space.n)):
             raise DomainError("identity element must act as the identity map")
-        # compose builds a checked Isometry, so (a, e) verifies image a
-        for a in range(g.order):
-            for b in range(g.order):
-                if images[g.mul(a, b)].perm != images[a].compose(images[b]).perm:
+        # each product is built as a checked Isometry, so (a, e) verifies
+        # image a; the spaces are equal, as checked above
+        perms = [iso.perm for iso in images]
+        for a, row in enumerate(g.table):
+            pa = perms[a]
+            for b, ab in enumerate(row):
+                if Isometry(space, compose(pa, perms[b])).perm != perms[ab]:
                     raise DomainError(
                         "images do not form a homomorphism at "
                         f"({g.elements[a]}, {g.elements[b]})"

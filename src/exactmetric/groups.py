@@ -16,7 +16,8 @@ class FiniteGroup:
     """A group on abstract element labels with an explicit table.
 
     ``table[i][j]`` is the index of the product (element i) * (element j).
-    The group laws are verified at construction.
+    The group laws are verified at construction, associativity by Light's
+    test on a generating set.
     """
 
     elements: tuple[str, ...]
@@ -34,21 +35,36 @@ class FiniteGroup:
             raise StructuralError("duplicate element labels")
         if len(t) != n or any(len(row) != n for row in t):
             raise StructuralError("multiplication table shape mismatch")
+        # C-level passes over each row; a row that fails is read entry by entry
+        valid = frozenset(range(n))  # 1.0 and True hash as 1: types first
         for row in t:
-            for v in row:
-                if type(v) is not int:  # 1.0 equals 1 but cannot index a row
-                    raise StructuralError("table entries must be integers")
-                if not 0 <= v < n:
-                    raise StructuralError("table entry out of range")
+            if not ({int}.issuperset(map(type, row)) and valid.issuperset(row)):
+                for v in row:
+                    if type(v) is not int:  # 1.0 equals 1 but cannot index a row
+                        raise StructuralError("table entries must be integers")
+                    if not 0 <= v < n:
+                        raise StructuralError("table entry out of range")
         e = self._find_identity()
-        # (gh)k == g(hk) for all k at once: row gh against row g gathered
-        # through row h.  An itemgetter of one index returns a bare entry,
-        # so a one-element table (associative anyway) is skipped.
-        gathers = [itemgetter(*row) for row in t] if n > 1 else []
-        for tg in t:
-            for gh, gather in zip(tg, gathers):
-                if t[gh] != gather(tg):
-                    raise DomainError("multiplication table is not associative")
+        # Light's test: if (x s) y == x (s y) for all x, y and each s in a set
+        # S whose right products reach every element from the identity, the
+        # table is associative, since the s that pass are closed under the
+        # product.  S takes, in order, each element not yet reached.  In a
+        # group each new s at least doubles the subgroup reached, so a table
+        # where one does not is no group, and S is then every element.
+        gens = []
+        reached = {e: None}
+        for x in range(n):
+            if x not in reached:
+                gens.append(x)
+                grown = closure([e], gens, self.mul)
+                if len(grown) < 2 * len(reached):
+                    gens = range(n)
+                    break
+                reached = grown
+        # for all y at once: row xs against row x gathered through row s
+        for s in gens:
+            if list(map(itemgetter(*t[s]), t)) != [t[row[s]] for row in t]:
+                raise DomainError("multiplication table is not associative")
         for g in range(n):
             if e not in t[g]:
                 raise DomainError(f"element {self.elements[g]!r} has no inverse")
@@ -56,9 +72,10 @@ class FiniteGroup:
         self.__dict__.update(_index=index, _identity=e, _inverses=inverses)
 
     def _find_identity(self) -> int:
-        n = len(self.elements)
-        for e in range(n):
-            if all(self.table[e][g] == g and self.table[g][e] == g for g in range(n)):
+        t = self.table
+        ident = tuple(range(len(t)))
+        for e, row in enumerate(t):
+            if row == ident and tuple(map(itemgetter(e), t)) == ident:
                 return e
         raise DomainError("multiplication table has no identity")
 

@@ -8,13 +8,14 @@ violating the mathematical contracts.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, lcm
 from typing import Any, Mapping
 
 from .actions import GroupAction, Isometry, _unchecked
-from .errors import DomainError, StructuralError
+from .errors import DomainError, StructuralError, refusing
 from .freespace import Molecule
 from .groups import FiniteGroup, closure, compose
 from .katetov import KatetovFunction, StarFragment
@@ -31,19 +32,27 @@ def parse_rational(value: Any) -> Fraction:
 def _ratio(value: Any) -> tuple[int, int]:
     """``parse_rational``'s value as a reduced ``(p, q)``, ``q > 0``.  An int
     or an ASCII ``[-]digits[/digits]`` with a non-zero denominator is read
-    by ``int``; any other form by ``Fraction``, which decides what passes."""
+    by ``int``, within its digit limit; any other form by ``Fraction``,
+    which decides what passes."""
     if type(value) is int:
         return value, 1
     if isinstance(value, str) and "e" not in value.lower():
         num, slash, den = value.partition("/")
+        digits = (value.isascii() and num.removeprefix("-").isdigit()
+                  and (not slash or den.isdigit() and den.strip("0")))
         try:
-            if (value.isascii() and num.removeprefix("-").isdigit()
-                    and (not slash or den.isdigit() and den.strip("0"))):
+            if digits:
                 p, q = int(num), int(den or 1)
                 g = gcd(p, q)
                 return p // g, q // g
             return Fraction(value).as_integer_ratio()
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
+            if digits:  # int's limit on the digits it reads
+                raise StructuralError(
+                    "a rational's integers may have at most "
+                    f"{sys.get_int_max_str_digits()} digits"
+                ) from None
+        except ZeroDivisionError:
             pass
     raise StructuralError(f"not a rational: {value!r}")
 
@@ -75,8 +84,12 @@ def require(data: Any, *keys: str, what: str = "input") -> list:
 
 def label(value: Any, what: str) -> str:
     """A point or element label: a JSON string, or an integer read as one."""
-    if isinstance(value, str) or type(value) is int:
+    if isinstance(value, str):
         return str(value)
+    if type(value) is int:
+        with refusing(StructuralError, f"{what} labels may have at most "
+                      f"{sys.get_int_max_str_digits()} digits"):
+            return str(value)
     raise StructuralError(f"{what} must hold string or integer labels")
 
 
@@ -110,7 +123,7 @@ def rational_matrix(value: Any, what: str) -> tuple[int, list[list]]:
 def indices(value: Any, what: str) -> tuple[int, ...]:
     """A list of JSON integers (point or element indices)."""
     out = tuple(array(value, what))
-    if any(type(v) is not int for v in out):
+    if not {int}.issuperset(map(type, out)):
         raise StructuralError(f"{what} must hold JSON integers")
     return out
 
@@ -209,7 +222,10 @@ def pseudometric_from_json(data: Mapping[str, Any]) -> InvariantPseudometric:
         raise StructuralError("pseudometric matrix shape mismatch")
     delta = d[group.identity]
     pm = InvariantPseudometric(group, tuple(map(Fraction, delta, repeat(den))))
+    # one C-level comparison per row; a row that fails is read entry by entry
     for a, (row, want) in enumerate(zip(d, pm.layout(delta))):
+        if row == want:
+            continue
         for b, (v, w) in enumerate(zip(row, want)):
             if v != w:
                 raise DomainError(
@@ -241,10 +257,11 @@ def action_from_json(data: Mapping[str, Any]) -> GroupAction:
     for name, perm in mapping(raw_images, "images").items():
         images[group.index(name)] = Isometry(space, indices(perm, "images"))
     given = list(images)
-    for c, pair in closure(given, given, group.mul).items():
-        if pair:
-            a, b = pair
-            images[c] = _unchecked(space, compose(images[a].perm, images[b].perm))
+    if len(given) < group.order:  # else there is nothing to complete
+        for c, pair in closure(given, given, group.mul).items():
+            if pair:
+                a, b = pair
+                images[c] = _unchecked(space, compose(images[a].perm, images[b].perm))
     if len(images) != group.order:
         missing = [
             group.elements[i] for i in range(group.order) if i not in images

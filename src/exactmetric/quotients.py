@@ -82,7 +82,7 @@ def _coset_space(
     for a in range(g.order):
         if coset_of[a] >= 0:
             continue
-        members = sorted(g.mul(a, b) for b in h)
+        members = sorted(map(g.table[a].__getitem__, h))
         for mem in members:
             coset_of[mem] = len(cosets)
         cosets.append(members)
@@ -120,8 +120,7 @@ def quotient_space(
     g = pm.group
     space, coset_of, reps = _coset_space(pm)
     images = tuple(
-        _unchecked(space, tuple(coset_of[g.mul(a, r)] for r in reps))
-        for a in range(g.order)
+        _unchecked(space, tuple(coset_of[row[r]] for r in reps)) for row in g.table
     )
     action = GroupAction(g, space, images)
     if {iso.apply(0) for iso in images} != set(range(space.n)):
@@ -191,8 +190,8 @@ def min_fvf_cover(
     # x -> a x b is a bijection, so the m bits of a V b are distinct and
     # their sum is their union
     pair = []
-    for a in range(n):
-        av = [bits[group.mul(a, x)] for x in vset]
+    for row in group.table:
+        av = [bits[row[x]] for x in vset]
         pair.append([sum(row[b] for row in av) for b in range(n)])
     # both[c][a]: the new pairs (a, c) and (c, a) when c joins a set holding a;
     # at most 2|V| elements, and |V| when a V c = c V a (as in abelian groups)
@@ -279,6 +278,7 @@ def moving_certificate(
     if r <= 0:
         raise DomainError("ball radius must be positive")
     g = pm.group
+    t = g.table
     ball = [i for i, v in enumerate(delta) if v * unit < r * den]
     entries = []
     with refusing(DomainError, "moving_certificate requires non-empty sets") as refuse:
@@ -286,8 +286,8 @@ def moving_certificate(
         refuse.unless(all(sets))
     for idx in sets:
         sym = sorted(set(idx) | {g.inv(i) for i in idx})
-        fv = {g.mul(a, v) for a in sym for v in ball}  # phi V, then phi V phi
-        covered = {g.mul(x, b) for x in fv for b in sym}
+        fv = {t[a][v] for a in sym for v in ball}  # phi V, then phi V phi
+        covered = {t[x][b] for x in fv for b in sym}
         outside = [i for i in range(g.order) if i not in covered]
         phi_labels = tuple(g.elements[i] for i in idx)
         if not outside:
@@ -296,7 +296,7 @@ def moving_certificate(
         witness = outside[0]
         # d(aH, wbH) = d(a, wb) = delta(a^-1 w b): the gap between the coset
         # images of phi and w phi, read on the group through its table
-        gap = min(delta[g.mul(g.inv(a), g.mul(witness, b))] for a in sym for b in sym)
+        gap = min(delta[t[g.inv(a)][t[witness][b]]] for a in sym for b in sym)
         if gap * unit < r * den:
             raise InternalCheckError("exhibited element fails the quotient gap bound")
         entries.append(

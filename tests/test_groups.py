@@ -2,18 +2,22 @@
 ``actions`` and ``jsonio`` share."""
 
 from itertools import permutations, product
+from operator import itemgetter
 
 import pytest
 
 from exactmetric import (
     DomainError,
     FiniteGroup,
+    StructuralError,
     cyclic_group,
     dihedral_group,
     direct_product,
     symmetric_group,
 )
 from exactmetric.groups import closure, compose, permutation_table
+
+from test_actions import LOOP5
 
 
 def test_compose_is_p_after_q():
@@ -118,3 +122,117 @@ def test_group_sizes_must_be_integers():
     for build in (cyclic_group, dihedral_group, symmetric_group):
         with pytest.raises(DomainError, match="^a group size must be an integer$"):
             build(2.0)
+
+
+def gather_scan_verdict(elements, table):
+    """The first message ``FiniteGroup`` gave before it tested associativity
+    on a generating set, kept as the oracle (``None`` for a group): entries
+    read one by one, then the identity, then (gh)k == g(hk) for every g
+    and h at once over k, row gh against row g gathered through row h, then
+    the inverses."""
+    n = len(table)
+    for row in table:
+        for v in row:
+            if type(v) is not int:
+                return "table entries must be integers"
+            if not 0 <= v < n:
+                return "table entry out of range"
+    ids = [e for e in range(n)
+           if all(table[e][g] == g and table[g][e] == g for g in range(n))]
+    if not ids:
+        return "multiplication table has no identity"
+    gathers = [itemgetter(*row) for row in table] if n > 1 else []
+    for tg in table:
+        for gh, gather in zip(tg, gathers):
+            if table[gh] != gather(tg):
+                return "multiplication table is not associative"
+    for g in range(n):
+        if ids[0] not in table[g]:
+            return f"element {elements[g]!r} has no inverse"
+    return None
+
+
+def verdict(elements, table):
+    try:
+        FiniteGroup(elements, table)
+    except (DomainError, StructuralError) as exc:
+        return str(exc)
+    return None
+
+
+SMALL_TABLES = {
+    "Z6": cyclic_group(6),
+    "D4": dihedral_group(4),
+    "S3": symmetric_group(3),
+    "Z2xZ4": direct_product(cyclic_group(2), cyclic_group(4)),
+    "loop5": (tuple("abcde"), LOOP5),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_TABLES)
+def test_generating_set_test_matches_the_gather_scan(name):
+    """Every single-entry change of a small table, to each other index and to
+    -1, n, 1.0 and True, is accepted or refused as the full gather scan
+    accepts or refuses it, with the same first message."""
+    made = SMALL_TABLES[name]
+    elements, table = made if isinstance(made, tuple) else (made.elements, made.table)
+    n = len(table)
+    messages = {verdict(elements, table)}
+    assert messages == {gather_scan_verdict(elements, table)}
+    for i, j in product(range(n), repeat=2):
+        for v in [*range(-1, n + 1), 1.0, True]:
+            if type(v) is int and v == table[i][j]:
+                continue  # the entry unchanged
+            rows = [list(row) for row in table]
+            rows[i][j] = v
+            want = gather_scan_verdict(elements, rows)
+            assert verdict(elements, rows) == want, (i, j, v)
+            messages.add(want)
+    assert {"multiplication table is not associative",
+            "multiplication table has no identity",
+            "table entry out of range",
+            "table entries must be integers"} <= messages
+
+
+def gathered_rows(monkeypatch, elements, table):
+    """The labels of the rows s whose gather ``FiniteGroup`` makes to test
+    associativity (the identity's column is read with one index), and its
+    verdict."""
+    rows = []
+
+    def recording(*items):
+        if len(items) > 1:
+            rows.append(elements[table.index(items)])
+        return itemgetter(*items)
+
+    monkeypatch.setattr("exactmetric.groups.itemgetter", recording)
+    try:
+        return rows, verdict(elements, table)
+    finally:
+        monkeypatch.undo()
+
+
+def test_associativity_is_tested_on_a_greedy_generating_set(monkeypatch):
+    """S4 in lexicographic order: each element not yet reached from the
+    identity joins S, and each doubles the subgroup reached or more
+    (2, 6, 24 elements), so only their three rows are gathered."""
+    s4 = symmetric_group(4)
+    rows = ["0132", "0213", "1023"]
+    assert gathered_rows(monkeypatch, s4.elements, s4.table) == (rows, None)
+
+
+def test_a_generator_that_does_not_double_the_reach_tests_every_row(monkeypatch):
+    """The null semigroup on a, b, z with an identity adjoined is associative
+    but no group: a reaches e, a, z, and b then only itself, fewer than
+    twice as many, so every row is tested, and all pass."""
+    elements = ("e", "a", "b", "z")
+    table = ((0, 1, 2, 3), (1, 3, 3, 3), (2, 3, 3, 3), (3, 3, 3, 3))
+    assert gathered_rows(monkeypatch, elements, table) == (
+        list(elements), "element 'a' has no inverse"
+    )
+
+
+@pytest.mark.parametrize("table", [((0, 1),), ((0, 1), (1,)), ((0, 1), (1, 0, 0))])
+def test_a_table_of_the_wrong_shape_is_structural(table):
+    with pytest.raises(StructuralError, match="^multiplication table shape mismatch$"):
+        FiniteGroup(("e", "a"), table)

@@ -15,6 +15,7 @@ from exactmetric.jsonio import (
     group_from_json,
     group_to_json,
     katetov_from_json,
+    labels,
     katetov_to_json,
     molecule_from_json,
     molecule_to_json,
@@ -273,6 +274,31 @@ def test_labels_must_be_json_strings_or_integers(bad):
         parse_space({**data, "points": ["a", bad]})
 
 
+def test_an_integer_label_past_the_digit_limit_is_structural():
+    """``str`` of an int past int's digit limit raises ``ValueError``; the
+    command line refuses such a literal as it reads JSON, a library caller
+    gets a short refusal that names the limit."""
+    limit = sys.get_int_max_str_digits()
+    assert labels([10**(limit - 1)], "points") == (str(10**(limit - 1)),)
+    with pytest.raises(
+        StructuralError, match=f"^points labels may have at most {limit} digits$"
+    ):
+        labels(["a", 10**5000], "points")
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "-" + "1" * 5000, "1/" + "7" * 5000])
+def test_a_rational_past_the_digit_limit_is_refused_briefly(text):
+    """A valid integer too long for ``int`` is refused as too long, not as
+    "not a rational" with the whole input echoed."""
+    limit = sys.get_int_max_str_digits()
+    message = f"^a rational's integers may have at most {limit} digits$"
+    with pytest.raises(StructuralError, match=message):
+        parse_rational(text)
+    with pytest.raises(StructuralError, match=message):
+        rational_matrix([[0, text], [text, 0]], "dist")
+    assert parse_rational("9" * limit) == 10**limit - 1
+
+
 def test_pointed_requires_basepoint():
     data = space_to_json(rand_metric_space(Random(1), 3))
     with pytest.raises(StructuralError):
@@ -356,8 +382,13 @@ def test_pseudometric_loader_matches_the_cubic_check():
                     ("right", True), ("right", False)}
 
 
-def test_action_round_trip():
+def test_action_round_trip(monkeypatch):
+    """Every image is given, so no closure runs to complete them."""
+    def no_closure(*args):
+        raise AssertionError("closure run with every image given")
+
     action = rotation_action(6)
+    monkeypatch.setattr("exactmetric.jsonio.closure", no_closure)
     assert action_from_json(action_to_json(action)) == action
 
 

@@ -398,7 +398,7 @@ def test_fvf_z4_identity_only():
 
 
 def test_fvf_empty_v_rejected():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^V must be non-empty$"):
         min_fvf_cover(cyclic_group(3), [])
 
 

@@ -16,7 +16,7 @@ from random import Random
 
 import pytest
 
-from exactmetric import Molecule, cli, jsonio, norm_distance
+from exactmetric import Molecule, cli, jsonio, norm_distance, symmetric_group
 from exactmetric.errors import ExactMetricError
 from exactmetric.randgen import rand_fraction, rand_metric_space
 
@@ -79,6 +79,27 @@ def test_distance_answers_on_120_points():
     code, payload = within_bound(distance_request, text, bound=BOUND_S)
     assert code == 0, payload
     assert jsonio.parse_rational(payload["distance"]) > 0
+
+
+def s6_table_doc():
+    """S6's 720 x 720 table as a group record (about 2.5 MB of JSON)."""
+    return jsonio.group_to_json(symmetric_group(6))
+
+
+def test_group_from_json_answers_on_s6():
+    doc = s6_table_doc()
+    group = within_bound(jsonio.group_from_json, doc, bound=BOUND_S)
+    assert group.order == 720 and group.identity == 0
+
+
+def test_cli_fvf_on_s6_refuses_at_its_budget():
+    doc = s6_table_doc()
+    text = json.dumps({"group": doc, "V": doc["elements"][:2]})
+    code, payload = within_bound(run_main, ["fvf"], text, bound=BOUND_S)
+    assert (code, payload["error"]["kind"]) == (1, "BudgetExceededError")
+    assert payload["error"]["message"].endswith(
+        "exceeded its budget of 1000000 subsets at size 19 (1000001 visited)"
+    )
 
 
 def test_an_overrun_is_cut_off_and_the_timer_restored():
