@@ -132,13 +132,11 @@ class GroupAction:
             raise DomainError("images must act on the action's space")
         if images[g.identity].perm != tuple(range(space.n)):
             raise DomainError("identity element must act as the identity map")
-        # each product is built as a checked Isometry, so (a, e) verifies
-        # image a; the spaces are equal, as checked above
-        perms = [iso.perm for iso in images]
+        # compose builds a checked Isometry, so (a, e) verifies image a
         for a, row in enumerate(g.table):
-            pa = perms[a]
+            ia = images[a]
             for b, ab in enumerate(row):
-                if Isometry(space, compose(pa, perms[b])).perm != perms[ab]:
+                if ia.compose(images[b]).perm != images[ab].perm:
                     raise DomainError(
                         "images do not form a homomorphism at "
                         f"({g.elements[a]}, {g.elements[b]})"

@@ -35,15 +35,12 @@ class FiniteGroup:
             raise StructuralError("duplicate element labels")
         if len(t) != n or any(len(row) != n for row in t):
             raise StructuralError("multiplication table shape mismatch")
-        # C-level passes over each row; a row that fails is read entry by entry
-        valid = frozenset(range(n))  # 1.0 and True hash as 1: types first
         for row in t:
-            if not ({int}.issuperset(map(type, row)) and valid.issuperset(row)):
-                for v in row:
-                    if type(v) is not int:  # 1.0 equals 1 but cannot index a row
-                        raise StructuralError("table entries must be integers")
-                    if not 0 <= v < n:
-                        raise StructuralError("table entry out of range")
+            for v in row:
+                if type(v) is not int:  # 1.0 equals 1 but cannot index a row
+                    raise StructuralError("table entries must be integers")
+                if not 0 <= v < n:
+                    raise StructuralError("table entry out of range")
         e = self._find_identity()
         # Light's test: if (x s) y == x (s y) for all x, y and each s in a set
         # S whose right products reach every element from the identity, the

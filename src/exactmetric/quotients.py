@@ -190,8 +190,8 @@ def min_fvf_cover(
     # x -> a x b is a bijection, so the m bits of a V b are distinct and
     # their sum is their union
     pair = []
-    for row in group.table:
-        av = [bits[row[x]] for x in vset]
+    for ta in group.table:
+        av = [bits[ta[x]] for x in vset]
         pair.append([sum(row[b] for row in av) for b in range(n)])
     # both[c][a]: the new pairs (a, c) and (c, a) when c joins a set holding a;
     # at most 2|V| elements, and |V| when a V c = c V a (as in abelian groups)
