@@ -223,6 +223,18 @@ def aell_norm_primal(
     so its residual network has no negative cycle.  The residual half-round
     still reads the arcs out of live sources: skipping them gave the same
     plans and measured slower.
+
+    An augmentation that leaves its origin live and every flow it takes back
+    positive keeps the labels and predecessors for the next one, which runs
+    no search.  It shipped its end sink's whole demand, and the residual
+    network only gained arcs t -> s along its path.  Each is tight, dist(t)
+    - d(s, t) = dist(s), and t took its final label from s one half-round
+    after s took its own.  So such an arc can lower only a label that is not
+    final yet, and never sets a final one: each label reaches its final
+    value in the same half-round, from the same predecessor, as before, and
+    a search would return what is kept.  A spent source or a flow taken back to zero marks the labels
+    stale, and the next augmentation searches from the kept first
+    half-round.
     """
     space = m.pointed.space
     den, d = space.scaled
@@ -248,34 +260,36 @@ def aell_norm_primal(
     flow: dict[tuple[int, int], int] = {}
 
     live = len(sources)
+    stale = True
     while live:
-        dist, pred = start, start_pred
-        lowered = every_sink
-        for _ in range(limit):
-            lowered_sources = set()
-            for (s, t), amount in flow.items():
-                if amount > 0 and t in lowered:
-                    nd = dist[t] - d[s][t]
-                    if nd < dist[s]:
-                        if dist is start:
-                            dist, pred = start[:], start_pred[:]
-                        dist[s] = nd
-                        pred[s] = t
-                        lowered_sources.add(s)
-            if not lowered_sources:
-                break
-            lowered = set()
-            for s in sorted(lowered_sources):
-                ds = dist[s]
-                row = d[s]
-                for t in sinks:
-                    nd = ds + row[t]
-                    if nd < dist[t]:
-                        dist[t] = nd
-                        pred[t] = s
-                        lowered.add(t)
-            if not lowered:
-                break
+        if stale:
+            dist, pred = start, start_pred
+            lowered = every_sink
+            for _ in range(limit):
+                lowered_sources = set()
+                for (s, t), amount in flow.items():
+                    if amount > 0 and t in lowered:
+                        nd = dist[t] - d[s][t]
+                        if nd < dist[s]:
+                            if dist is start:
+                                dist, pred = start[:], start_pred[:]
+                            dist[s] = nd
+                            pred[s] = t
+                            lowered_sources.add(s)
+                if not lowered_sources:
+                    break
+                lowered = set()
+                for s in sorted(lowered_sources):
+                    ds = dist[s]
+                    row = d[s]
+                    for t in sinks:
+                        nd = ds + row[t]
+                        if nd < dist[t]:
+                            dist[t] = nd
+                            pred[t] = s
+                            lowered.add(t)
+                if not lowered:
+                    break
         end, best = -1, far
         for t in sinks:
             if excess[t] < 0 and dist[t] < best:
@@ -295,14 +309,17 @@ def aell_norm_primal(
         if amount <= 0:
             raise InternalCheckError(f"augmenting path ships {amount}")
         t = end  # and walk it again to ship that
+        stale = False
         while t >= 0:
             s = pred[t]
             flow[s, t] = flow.get((s, t), 0) + amount
             if (t := pred[s]) >= 0:
                 flow[s, t] -= amount
+                stale |= not flow[s, t]
         excess[end] += amount
         excess[origin] -= amount
         if not excess[origin]:
+            stale = True
             live -= 1
             start[origin] = far
             k = sources.index(origin)

@@ -33,12 +33,15 @@ def _ratio(value: Any) -> tuple[int, int]:
     """``parse_rational``'s value as a reduced ``(p, q)``, ``q > 0``.  An int
     or an ASCII ``[-]digits[/digits]`` with a non-zero denominator is read
     by ``int``, within its digit limit; any other form by ``Fraction``,
-    which decides what passes."""
+    which decides what passes.  ``Fraction`` reads a plain ASCII decimal
+    ``[-]digits.digits`` (either side may be empty, not both) by ``int``
+    too, so such a decimal fails only past the digit limit."""
     if type(value) is int:
         return value, 1
     if isinstance(value, str) and "e" not in value.lower():
         num, slash, den = value.partition("/")
-        digits = (value.isascii() and num.removeprefix("-").isdigit()
+        unsigned = num.removeprefix("-")
+        digits = (value.isascii() and unsigned.isdigit()
                   and (not slash or den.isdigit() and den.strip("0")))
         try:
             if digits:
@@ -47,7 +50,9 @@ def _ratio(value: Any) -> tuple[int, int]:
                 return p // g, q // g
             return Fraction(value).as_integer_ratio()
         except ValueError:
-            if digits:  # int's limit on the digits it reads
+            decimal = (value.isascii() and not slash
+                       and unsigned.replace(".", "", 1).isdigit())
+            if digits or decimal:  # int's limit on the digits it reads
                 raise StructuralError(
                     "a rational's integers may have at most "
                     f"{sys.get_int_max_str_digits()} digits"

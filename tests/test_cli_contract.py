@@ -321,6 +321,20 @@ def test_integer_literal_past_the_digit_limit_is_a_structural_error(tmp_path):
         assert error["message"].startswith(f"{where}: Exceeds the limit")
 
 
+def test_a_decimal_past_the_digit_limit_is_refused_briefly():
+    """A decimal in a JSON string is not a literal, so the input's digit
+    check does not see it; the rational reader refuses it as too long,
+    without echoing it."""
+    doc = load("space_line.json")
+    doc["space"]["dist"][0][1] = doc["space"]["dist"][1][0] = "1." + "0" * 5000
+    code, out = run_main(["validate"], doc)
+    assert code == 1, out
+    limit = sys.get_int_max_str_digits()
+    assert json.loads(out)["error"] == {
+        "kind": "StructuralError",
+        "message": f"a rational's integers may have at most {limit} digits"}
+
+
 def test_deeply_nested_input_is_an_error_object(tmp_path):
     nested = tmp_path / "nested.json"
     nested.write_text("[" * 200000)

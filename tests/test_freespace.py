@@ -617,10 +617,11 @@ def test_uniform_metric_free_norm_differs_from_l1():
     assert sum(abs(v) for _, v in diff.coeffs) == 2
 
 
-def _full_scan_primal(m):
+def _full_scan_primal(m, paths=None):
     """The transport solver that relaxed every arc in every Bellman-Ford
     round, kept as the oracle of the change-driven one: the same
-    ``(cost, plan)``."""
+    ``(cost, plan)``.  It searches afresh for each augmentation; ``paths``
+    (a list) gets each augmenting path, as point labels from its source."""
     space = m.pointed.space
     den, d = space.scaled
     unit, amounts = scale([v for _, v in m.coeffs], "molecule coefficients")
@@ -659,6 +660,8 @@ def _full_scan_primal(m):
         while path[-1] in pred:
             path.append(pred[path[-1]])
         path.reverse()
+        if paths is not None:
+            paths.append([space.points[x] for x in path])
         forward = list(zip(path[0::2], path[1::2]))
         backward = list(zip(path[2::2], path[1::2]))
         amount = min([excess[path[0]], -excess[path[-1]]] + [flow[a] for a in backward])
@@ -677,10 +680,27 @@ def _full_scan_primal(m):
     return Fraction(cost, den * unit), tuple(plan)
 
 
-def test_change_driven_bellman_ford_matches_the_full_scan():
+def _counting_searches(monkeypatch):
+    """A list that gets one entry per Bellman-Ford search the primal runs:
+    its round loop is its one call of ``range``."""
+    searches = []
+
+    def counting(rounds):
+        searches.append(rounds)
+        return range(rounds)
+
+    monkeypatch.setattr(freespace, "range", counting, raising=False)
+    return searches
+
+
+def test_change_driven_bellman_ford_matches_the_full_scan(monkeypatch):
     """Same cost and plan, arc for arc, as relaxing every arc every round, on
     3000 molecules over 2..13 points; every other space has distances from
-    {1, 2, 3} and integer coefficients, so that paths tie often."""
+    {1, 2, 3} and integer coefficients, so that paths tie often.  Then on
+    360 molecules over 14..28 points, the distance workload's sizes: three
+    in four spaces have distances from a palette of one to three values,
+    and those molecules have coefficients from {-2, -1, 1, 2}.  Over 1000
+    of their augmentations keep the last one's labels and run no search."""
     rng = Random(7007)
     palette = [F(1), F(2), F(3)]
     multi_arc = 0
@@ -697,6 +717,66 @@ def test_change_driven_bellman_ford_matches_the_full_scan():
         assert aell_norm_primal(m) == want, m
         multi_arc += len(want[1]) > 2
     assert multi_arc > 1000
+
+    palettes = [None, [F(1), F(2), F(3)], [F(1), F(2)], [F(2), F(3), F(4)]]
+    searches = _counting_searches(monkeypatch)
+    paths = []
+    for k in range(360):
+        palette = palettes[k % 4]
+        space = rand_metric_space(rng, 14 + k % 15, palette=palette)
+        pointed = rand_pointed(rng, space)
+        if palette:
+            coeffs = {x: F(rng.choice([-2, -1, 1, 2])) for x in space.points}
+        else:
+            coeffs = rand_coeffs(rng, pointed, space.n)
+        m = Molecule.make(pointed, coeffs)
+        want = _full_scan_primal(m, paths)
+        assert aell_norm_primal(m) == want, m
+    assert len(paths) - len(searches) > 1000
+    assert sum(len(path) > 2 for path in paths) > 600
+
+
+def _on_a_line(at, coeffs):
+    """The molecule ``coeffs`` over the points ``at`` of the real line, based
+    at the first point."""
+    labels = list(at)
+    space = space_from_rows(
+        labels, [[abs(at[a] - at[b]) for b in labels] for a in labels]
+    )
+    return Molecule.make(PointedSpace(space, 0), {x: F(v) for x, v in coeffs.items()})
+
+
+def test_a_spent_source_makes_the_next_augmentation_search_again(monkeypatch):
+    """Two sources far apart, each with its own sinks, so that no path takes
+    flow back.  s1 fills t1 and stays live, so the second augmentation keeps
+    the labels; s2 fills t2 and is spent, so the third searches again."""
+    m = _on_a_line(
+        {"bp": 1000, "s1": 0, "t1": 1, "u1": 2, "s2": 100, "t2": 101},
+        {"s1": 2, "t1": -1, "u1": -1, "s2": 1, "t2": -1},
+    )
+    paths = []
+    want = _full_scan_primal(m, paths)
+    assert paths == [["s1", "t1"], ["s2", "t2"], ["s1", "u1"]]
+    searches = _counting_searches(monkeypatch)
+    assert aell_norm_primal(m) == want
+    assert len(searches) == 2
+
+
+def test_a_zeroed_back_arc_makes_the_next_augmentation_search_again(monkeypatch):
+    """s1 fills t and is spent, so the second augmentation searches.  Its
+    path s2 -> t <- s1 -> u takes back all of s1's flow to t and leaves s2
+    live: only the zeroed back arc makes the third search.  The kept labels
+    would walk that path again and ship nothing."""
+    m = _on_a_line(
+        {"bp": 1000, "u": 0, "s1": 4, "t": 5, "s2": 7},
+        {"s1": 1, "t": -1, "u": -2, "s2": 2},
+    )
+    paths = []
+    want = _full_scan_primal(m, paths)
+    assert paths == [["s1", "t"], ["s2", "t", "s1", "u"], ["s2", "u"]]
+    searches = _counting_searches(monkeypatch)
+    assert aell_norm_primal(m) == want
+    assert len(searches) == 3
 
 
 def _rebuilt_start_primal(m, spent=None):
@@ -806,15 +886,7 @@ def _rebuilt_start_primal(m, spent=None):
 def test_a_spent_source_moves_only_the_sinks_it_was_first_nearest_to(
     coeffs, spent
 ):
-    # points on a line: bp at 100, s1 at 0, t at 1, s2 at 3, u at 5
-    at = {"bp": 100, "s1": 0, "t": 1, "s2": 3, "u": 5}
-    labels = list(at)
-    space = space_from_rows(
-        labels, [[abs(at[a] - at[b]) for b in labels] for a in labels]
-    )
-    m = Molecule.make(
-        PointedSpace(space, 0), {x: F(v) for x, v in coeffs.items()}
-    )
+    m = _on_a_line({"bp": 100, "s1": 0, "t": 1, "s2": 3, "u": 5}, coeffs)
     log = []
     assert aell_norm_primal(m) == _rebuilt_start_primal(m, log)
     assert log == spent
@@ -908,17 +980,23 @@ def test_plan_check_names_an_arc_at_a_point_with_no_supply():
 
 
 def test_primal_refuses_a_path_round_a_predecessor_cycle(monkeypatch):
-    """Tampered: the second augmentation's Bellman-Ford runs no residual
-    round, so it ships along a path that is not a shortest one and leaves a
-    negative cycle in the residual network.  A later search's predecessors
-    run round that cycle, and the path walk stops there."""
+    """Tampered: the second Bellman-Ford search runs no residual round.
+    Every source here supplies 1, so each augmentation spends its origin and
+    searches afresh: the second search is the second augmentation's.  It
+    ships along a path that is not a shortest one and leaves a negative
+    cycle in the residual network.  The third search's predecessors run
+    round that cycle, and the path walk stops there."""
     space = space_from_rows(
         ["0", "1", "2", "3", "4"],
         [[0, 2, 1, 1, 1], [2, 0, 2, 1, 2], [1, 2, 0, 1, 2],
          [1, 1, 1, 0, 1], [1, 2, 2, 1, 0]],
     )
     m = Molecule.make(PointedSpace(space, 0), {"1": 1, "2": 1, "3": -1, "4": -2})
-    assert aell_norm_primal(m)[0] == aell_norm_dual(m)[0] == 4
+    assert aell_norm_dual(m)[0] == 4
+    paths = []
+    searches = _counting_searches(monkeypatch)
+    assert aell_norm_primal(m) == _full_scan_primal(m, paths)
+    assert len(paths) == len(searches) == 3
     searches = []
 
     def tampered(rounds):
@@ -928,7 +1006,7 @@ def test_primal_refuses_a_path_round_a_predecessor_cycle(monkeypatch):
     monkeypatch.setattr(freespace, "range", tampered, raising=False)
     with pytest.raises(InternalCheckError, match="^augmenting path revisits a point$"):
         aell_norm_primal(m)
-    assert len(searches) > 2
+    assert len(searches) == 3
 
 
 def test_primal_refuses_a_path_that_ships_nothing(monkeypatch, line013_pointed):

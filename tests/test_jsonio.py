@@ -286,10 +286,13 @@ def test_an_integer_label_past_the_digit_limit_is_structural():
         labels(["a", 10**5000], "points")
 
 
-@pytest.mark.parametrize("text", ["1" * 5000, "-" + "1" * 5000, "1/" + "7" * 5000])
+@pytest.mark.parametrize("text", [
+    "1" * 5000, "-" + "1" * 5000, "1/" + "7" * 5000,
+    "1." + "0" * 5000, "-." + "5" * 5000, "7" * 5000 + ".",
+])
 def test_a_rational_past_the_digit_limit_is_refused_briefly(text):
-    """A valid integer too long for ``int`` is refused as too long, not as
-    "not a rational" with the whole input echoed."""
+    """A valid integer or decimal too long for ``int`` is refused as too
+    long, not as "not a rational" with the whole input echoed."""
     limit = sys.get_int_max_str_digits()
     message = f"^a rational's integers may have at most {limit} digits$"
     with pytest.raises(StructuralError, match=message):
@@ -297,6 +300,7 @@ def test_a_rational_past_the_digit_limit_is_refused_briefly(text):
     with pytest.raises(StructuralError, match=message):
         rational_matrix([[0, text], [text, 0]], "dist")
     assert parse_rational("9" * limit) == 10**limit - 1
+    assert parse_rational("1." + "0" * limit) == 1
 
 
 def test_pointed_requires_basepoint():
