@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd, lcm
@@ -53,15 +54,22 @@ class Molecule:
 
     def __init__(self, pointed: PointedSpace, mapping: Mapping[str, Fraction]):
         index = pointed.space.index
-        ints = [0] * pointed.space.n
         with _INEXACT:  # a float has no numerator
-            spots = [(index(x), v.numerator, v.denominator) for x, v in mapping.items()]
-            unit = lcm(*{den for _, _, den in spots})
-            for i, num, den in spots:
-                ints[i] = num * (unit // den)
-        self._store(pointed, unit, ints)
+            self._read(pointed, [(index(x), v.numerator, v.denominator)
+                                 for x, v in mapping.items()])
 
     make = classmethod(type.__call__)
+
+    def _read(self, pointed: PointedSpace, spots: list[tuple[int, int, int]]):
+        """Fill this blank molecule with ``p / q`` at point ``i`` for each int
+        triple ``(i, p, q)`` of ``spots`` (``q > 0``; a later triple at ``i``
+        replaces an earlier one) and 0 elsewhere, and return it: the int entry
+        of the constructor and of ``jsonio.molecule_from_json``."""
+        ints = [0] * pointed.space.n
+        unit = lcm(*{q for _, _, q in spots})
+        for i, p, q in spots:
+            ints[i] = p * (unit // q)
+        return self._store(pointed, unit, ints)
 
     def _store(self, pointed: PointedSpace, unit: int, ints: list[int]) -> "Molecule":
         """Fill this blank molecule with ``ints[i] / unit`` (``unit > 0``),
@@ -110,25 +118,43 @@ class Molecule:
         return object.__new__(Molecule)._store(self.pointed, self.unit * den, ints)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LipschitzWitness:
     """A 1-Lipschitz function vanishing at the basepoint; pairing with a
-    molecule lower-bounds the norm."""
+    molecule lower-bounds the norm.
+
+    ``LipschitzWitness(pointed, values)`` reads a label -> exact rational
+    mapping that assigns every point.  The value at point i is ``ints[i] /
+    unit``, reduced by the gcd as a molecule's coefficients are; ``values``
+    reads them back as a label -> ``Fraction`` dict, one ``Fraction`` per
+    distinct value, made the first time it is read.
+    """
 
     pointed: PointedSpace
-    values: Mapping[str, Fraction]
+    unit: int
+    ints: tuple[int, ...]
 
-    def __post_init__(self):
-        space, values = self.pointed.space, self.values
-        pts = space.points
+    def __init__(self, pointed: PointedSpace, values: Mapping[str, Fraction]):
+        space = pointed.space
         with refusing(DomainError,
                       "witness must assign a value to every point") as refuse:
-            refuse.unless(values.keys() == set(pts))  # a list has no keys
-        if values[self.pointed.basepoint_label] != ZERO:
+            refuse.unless(values.keys() == set(space.points))  # a list has no keys
+        unit, f = scale([values[x] for x in space.points], "witness values",
+                        space.scaled[0])
+        self._store(pointed, unit, f)
+
+    def _store(self, pointed: PointedSpace, unit: int, f: Sequence[int]):
+        """Fill this blank witness with ``f[i] / unit`` at point i, reduced by
+        the gcd, and return it, once the ints vanish at the basepoint and are
+        1-Lipschitz: the one check of every witness, on the ints of the public
+        constructor, the dual route and ``moving_lower_bound``.  ``unit`` is a
+        multiple of the space's denominator."""
+        if f[pointed.basepoint]:
             raise DomainError("witness must vanish at the basepoint")
+        space = pointed.space
+        pts = space.points
         # compare as ints, in units of 1/unit
         den, sd = space.scaled
-        unit, f = scale([values[x] for x in pts], "witness values", den)
         step = unit // den
         d = sd if step == 1 else [[step * v for v in row] for row in sd]
         for i, fi in enumerate(f):
@@ -139,11 +165,20 @@ class LipschitzWitness:
                         raise DomainError(
                             f"witness is not 1-Lipschitz at ({pts[i]}, {pts[j]})"
                         )
+        g = gcd(unit, *f)
+        self.__dict__.update(pointed=pointed, unit=unit // g,
+                             ints=tuple(f if g == 1 else map(g.__rfloordiv__, f)))
+        return self
+
+    @cached_property
+    def values(self) -> dict[str, Fraction]:
+        value = {v: Fraction(v, self.unit) for v in set(self.ints)}
+        return dict(zip(self.pointed.space.points, map(value.__getitem__, self.ints)))
 
     def pair(self, m: Molecule) -> Fraction:
         if m.pointed is not self.pointed and m.pointed != self.pointed:
             raise DomainError("molecule is not over the witness's pointed space")
-        return sum((v * self.values[x] for x, v in m.coeffs), ZERO)
+        return Fraction(sum(map(mul, m.ints, self.ints)), m.unit * self.unit)
 
 
 def aell_norm_dual(m: Molecule) -> tuple[Fraction, LipschitzWitness]:
@@ -154,15 +189,18 @@ def aell_norm_dual(m: Molecule) -> tuple[Fraction, LipschitzWitness]:
     the min-plus extension used for the returned witness does exactly that).
     Variables are shifted by the basepoint distance to become non-negative;
     the shift bounds are implied by the Lipschitz constraints, so the feasible
-    region is unchanged.
+    region is unchanged.  The witness is stored from its ints, in units of
+    1/den for the space's denominator den, and checked on them; the zero
+    molecule gets the zero witness.
     """
     pointed = m.pointed
     space = pointed.space
     supp = list(compress(range(space.n), m.ints))
-    if not supp:
-        return ZERO, LipschitzWitness(pointed, dict.fromkeys(space.points, ZERO))
-
     den, sd = space.scaled
+    if not supp:
+        zero = object.__new__(LipschitzWitness)._store(pointed, den, [0] * space.n)
+        return ZERO, zero
+
     bp = pointed.basepoint
     c = [m.ints[x] for x in supp]
     # the LP on the ints and the distances times den: its optimum is unit den
@@ -176,8 +214,7 @@ def aell_norm_dual(m: Molecule) -> tuple[Fraction, LipschitzWitness]:
     # the optimum on support + basepoint, extended by min-plus to every
     # point, as ints in units of 1/den (the int vertex g less the shift)
     f = min_plus(rows + [sd[bp]], [*map(sub, g, dbp), 0])
-    as_fraction = {v: Fraction(v, den) for v in set(f)}.__getitem__
-    witness = LipschitzWitness(pointed, dict(zip(space.points, map(as_fraction, f))))
+    witness = object.__new__(LipschitzWitness)._store(pointed, den, f)
     # the shift and the pairing of m with the witness, in units of
     # 1/(unit den): the LP optimum is their sum, and the norm the pairing
     shift = sum(map(mul, c, dbp))
@@ -413,6 +450,7 @@ def moving_lower_bound(
     the gap is its least value on the translate, and the witness, the row
     capped at the gap, vanishes on phi + basepoint, so on w, and equals the
     gap on the translate: its pairing with g.v - w, that is with g.v, is the gap.
+    The witness is stored from that row's ints and paired with g.v on ints.
     """
     space = pointed.space
     phi_plus = _phi_plus(pointed, phi)
@@ -427,8 +465,8 @@ def moving_lower_bound(
     gap = min(near[space.index(g.apply_label(x))] for x in phi_plus)
     if not gap:
         return ZERO
-    h = map(Fraction, map(min, repeat(gap), near), repeat(den))
-    witness = LipschitzWitness(pointed, dict(zip(space.points, h)))
+    h = tuple(map(min, repeat(gap), near))
+    witness = object.__new__(LipschitzWitness)._store(pointed, den, h)
     bound = Fraction(gap, den)
     if witness.pair(moved) != bound:
         raise InternalCheckError("witness pairing missed the certified bound")

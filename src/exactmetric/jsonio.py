@@ -1,13 +1,17 @@
 """JSON encoding and decoding for every shipped artifact type.
 
 Rationals travel as reduced "p/q" strings ("p" when the denominator is 1),
-giving bit-exact round trips.  Loaders validate eagerly and raise
-:class:`StructuralError` for malformed shapes, :class:`DomainError` for data
-violating the mathematical contracts.
+giving bit-exact round trips.  A distance matrix and a molecule's
+coefficients are read to ints, each rational to an int pair, and stored
+with no ``Fraction`` made; the other records' rationals are read to
+``Fraction``s.  Loaders validate eagerly and raise :class:`StructuralError`
+for malformed shapes, :class:`DomainError` for data violating the
+mathematical contracts.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from itertools import chain, repeat
@@ -22,6 +26,9 @@ from .katetov import KatetovFunction, StarFragment
 from .metric import FiniteMetricSpace, PointedSpace, require_valid
 from .quotients import InvariantPseudometric
 
+# a group of digits as ``Fraction`` reads one, ``_`` between digits
+_DIGIT_GROUP = re.compile(r"\d+(?:_\d+)*")
+
 
 def parse_rational(value: Any) -> Fraction:
     """A JSON integer, or a string ``p``, ``p/q`` or decimal.  Exponents are
@@ -33,15 +40,16 @@ def _ratio(value: Any) -> tuple[int, int]:
     """``parse_rational``'s value as a reduced ``(p, q)``, ``q > 0``.  An int
     or an ASCII ``[-]digits[/digits]`` with a non-zero denominator is read
     by ``int``, within its digit limit; any other form by ``Fraction``,
-    which decides what passes.  ``Fraction`` reads a plain ASCII decimal
-    ``[-]digits.digits`` (either side may be empty, not both) by ``int``
-    too, so such a decimal fails only past the digit limit."""
+    which decides what passes.  Past the digit limit ``int`` and
+    ``Fraction`` raise ``ValueError`` as they do on a malformed text; a text
+    that still reads with each group of digits cut to ``1`` is of a form
+    ``Fraction`` reads (a sign, spaces, ``_`` between digits, a decimal), so
+    it is refused as too long, not echoed."""
     if type(value) is int:
         return value, 1
     if isinstance(value, str) and "e" not in value.lower():
         num, slash, den = value.partition("/")
-        unsigned = num.removeprefix("-")
-        digits = (value.isascii() and unsigned.isdigit()
+        digits = (value.isascii() and num.removeprefix("-").isdigit()
                   and (not slash or den.isdigit() and den.strip("0")))
         try:
             if digits:
@@ -50,9 +58,11 @@ def _ratio(value: Any) -> tuple[int, int]:
                 return p // g, q // g
             return Fraction(value).as_integer_ratio()
         except ValueError:
-            decimal = (value.isascii() and not slash
-                       and unsigned.replace(".", "", 1).isdigit())
-            if digits or decimal:  # int's limit on the digits it reads
+            try:
+                Fraction(_DIGIT_GROUP.sub("1", value))
+            except ValueError:
+                pass
+            else:  # int's limit on the digits it reads
                 raise StructuralError(
                     "a rational's integers may have at most "
                     f"{sys.get_int_max_str_digits()} digits"
@@ -291,16 +301,21 @@ def action_to_json(action: GroupAction):
 
 
 def molecule_from_json(data: Mapping[str, Any]) -> Molecule:
+    """The molecule of a record with ``space``, ``coeffs`` (a label ->
+    rational object) and a basepoint, its own or its space's.  Each
+    coefficient is read by ``_ratio`` to an int pair and stored by
+    ``Molecule._read``, so no ``Fraction`` is made."""
     raw_space, raw_coeffs = require(
         data, "space", "coeffs", what="molecule record"
     )
     space = space_from_json(raw_space)
-    coeffs = rationals(raw_coeffs, "coeffs")
+    ratios = [(str(x), *_ratio(v)) for x, v in mapping(raw_coeffs, "coeffs").items()]
     bp = data.get("basepoint", raw_space.get("basepoint"))
     if bp is None:
         raise StructuralError("molecule requires a basepoint")
     pointed = PointedSpace(space, space.index(label(bp, "basepoint")))
-    return Molecule(pointed, coeffs)
+    spots = [(space.index(x), p, q) for x, p, q in ratios]
+    return object.__new__(Molecule)._read(pointed, spots)
 
 
 def molecule_to_json(m: Molecule):

@@ -335,6 +335,22 @@ def test_a_decimal_past_the_digit_limit_is_refused_briefly():
         "message": f"a rational's integers may have at most {limit} digits"}
 
 
+@pytest.mark.parametrize("text", [
+    "+" + "1" * 5000, " 1." + "0" * 5000, "1_0" + "0" * 5000,
+], ids=["plus sign", "spaced decimal", "underscores"])
+def test_a_molecule_coefficient_past_the_digit_limit_is_refused_briefly(text):
+    """A coefficient of another form ``Fraction`` reads, past the digit
+    limit, is refused as too long by the molecule loader, not echoed."""
+    doc = load("molecule.json")
+    doc["molecule"]["coeffs"]["1"] = text
+    code, out = run_main(["norm"], doc)
+    assert code == 1, out
+    limit = sys.get_int_max_str_digits()
+    assert json.loads(out)["error"] == {
+        "kind": "StructuralError",
+        "message": f"a rational's integers may have at most {limit} digits"}
+
+
 def test_deeply_nested_input_is_an_error_object(tmp_path):
     nested = tmp_path / "nested.json"
     nested.write_text("[" * 200000)

@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from numbers import Rational
 from random import Random
 
@@ -400,12 +400,14 @@ def test_moving_lower_bound_matches_the_set_distance_loop(monkeypatch):
     and positive ones."""
     rng = Random(2424)
     witnesses = []
+    store = LipschitzWitness._store
 
-    def recorded(pointed, values):
-        witnesses.append(values)
-        return LipschitzWitness(pointed, values)
+    def recorded(self, pointed, unit, f):
+        witness = store(self, pointed, unit, f)
+        witnesses.append(witness.values)
+        return witness
 
-    monkeypatch.setattr(freespace, "LipschitzWitness", recorded)
+    monkeypatch.setattr(LipschitzWitness, "_store", recorded)
     gaps = set()
     for k in range(150):
         n = 2 + k % 5
@@ -1135,6 +1137,60 @@ def test_dual_refuses_a_vertex_that_does_not_attain_the_optimum(
         InternalCheckError, match="optimal witness does not attain the optimum"
     ):
         aell_norm_dual(m)
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda f: (1, *f[1:]), "^witness must vanish at the basepoint$"),
+    (lambda f: (*f[:2], f[2] + 100), r"^witness is not 1-Lipschitz at \(0, 3\)$"),
+], ids=["not vanishing", "not 1-Lipschitz"])
+def test_dual_refuses_a_tampered_witness_on_its_ints(monkeypatch, line013_pointed,
+                                                     tamper, message):
+    """The dual's int witness goes through the same two checks as a public
+    one: tampered after its min-plus extension, it is refused before the
+    norm is returned."""
+    real = freespace.min_plus
+    monkeypatch.setattr(freespace, "min_plus", lambda rows, vals: tamper(real(rows, vals)))
+    m = Molecule.make(line013_pointed, {"1": F(2), "3": F(-1)})
+    with pytest.raises(DomainError, match=message):
+        aell_norm_dual(m)
+
+
+def test_moving_lower_bound_pairs_in_the_molecules_unit(monkeypatch):
+    """Tampered: the affine image of v is halved, so the int pairing over
+    the image's unit gives half the gap 5, not the gap."""
+    action = rotation_action(12)
+    pointed = PointedSpace(action.space, 0)
+    g6 = action.images[action.group.index("g6")]
+    v = Molecule.make(pointed, {"1": F(1)})
+    real = freespace.affine_extend
+    assert moving_lower_bound(pointed, ["0", "1"], g6, v, v) == 5
+    monkeypatch.setattr(freespace, "affine_extend",
+                        lambda g, m: real(g, m).scale(F(1, 2)))
+    with pytest.raises(
+        InternalCheckError, match="^witness pairing missed the certified bound$"
+    ):
+        moving_lower_bound(pointed, ["0", "1"], g6, v, v)
+
+
+def test_a_witness_built_on_ints_equals_the_public_one():
+    """The dual's witness, stored from its ints, equals and hashes as the
+    public constructor's on its ``values``; ``values`` is the mapping passed
+    in, and ``pair`` on the ints is the ``Fraction`` sum."""
+    rng = Random(4545)
+    for k in range(60):
+        pointed = rand_pointed(rng, rand_metric_space(rng, 2 + k % 7))
+        m = Molecule.make(pointed, rand_coeffs(rng, pointed))
+        _, witness = aell_norm_dual(m)
+        public = LipschitzWitness(pointed, dict(witness.values))
+        assert public == witness and hash(public) == hash(witness)
+        assert public.values == witness.values
+        assert gcd(public.unit, *public.ints) == 1
+        assert public.pair(m) == sum(
+            (v * witness.values[x] for x, v in m.coeffs), F(0))
+        # c d(x, *) with |c| <= 1 is 1-Lipschitz, and finer than the distances
+        c, bp = rand_fraction(rng, -1, 1, 5), pointed.basepoint_label
+        values = {x: c * pointed.space.d_label(x, bp) for x in pointed.space.points}
+        assert LipschitzWitness(pointed, values).values == values
 
 
 @pytest.mark.parametrize("values", [

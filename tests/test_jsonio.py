@@ -25,6 +25,7 @@ from exactmetric.jsonio import (
     pseudometric_from_json,
     pseudometric_to_json,
     rational_matrix,
+    rationals,
     space_from_json,
     space_to_json,
 )
@@ -303,6 +304,44 @@ def test_a_rational_past_the_digit_limit_is_refused_briefly(text):
     assert parse_rational("1." + "0" * limit) == 1
 
 
+def _refused_briefly(text):
+    """``text``, of a form ``Fraction`` reads but past ``int``'s digit limit,
+    gets the short refusal that names the limit, through ``parse_rational``
+    and through ``rational_matrix``."""
+    limit = sys.get_int_max_str_digits()
+    message = f"^a rational's integers may have at most {limit} digits$"
+    with pytest.raises(StructuralError, match=message):
+        parse_rational(text)
+    with pytest.raises(StructuralError, match=message):
+        rational_matrix([[0, text], [text, 0]], "dist")
+
+
+def test_a_plus_signed_integer_past_the_digit_limit_is_refused_briefly():
+    limit = sys.get_int_max_str_digits()
+    _refused_briefly("+" + "1" * 5000)
+    assert parse_rational("+" + "1" * limit) == int("1" * limit)
+
+
+def test_a_spaced_decimal_past_the_digit_limit_is_refused_briefly():
+    limit = sys.get_int_max_str_digits()
+    _refused_briefly(" 1." + "0" * 5000)
+    assert parse_rational(" 1." + "0" * (limit - 1)) == 1
+
+
+def test_an_underscored_integer_past_the_digit_limit_is_refused_briefly():
+    limit = sys.get_int_max_str_digits()
+    _refused_briefly("1_0" + "0" * 5000)
+    assert parse_rational("1_0" + "0" * (limit - 2)) == 10 ** (limit - 1)
+
+
+@pytest.mark.parametrize("text", [
+    "1__0" + "0" * 5000, "+-" + "1" * 5000, "1." + "0" * 5000 + ".", "x" + "1" * 5000,
+])
+def test_a_long_text_of_no_rational_form_is_still_not_a_rational(text):
+    with pytest.raises(StructuralError, match="^not a rational: "):
+        parse_rational(text)
+
+
 def test_pointed_requires_basepoint():
     data = space_to_json(rand_metric_space(Random(1), 3))
     with pytest.raises(StructuralError):
@@ -432,6 +471,63 @@ def test_molecule_round_trip():
         assert molecule_from_json(molecule_to_json(m)) == m
 
 
+MOLECULE_COEFFS = {
+    "a JSON int": -3, "p": "5", "-p/q": "-7/3", "unreduced": "2/4",
+    "a decimal": "-1.25", "zero": "0", "on the basepoint": "9/2",
+}
+
+
+@pytest.mark.parametrize("form", MOLECULE_COEFFS)
+def test_molecule_from_json_reads_each_coefficient_form_as_the_constructor(form):
+    """The int loader gives the molecule that ``Molecule`` gives on the
+    ``Fraction``s that ``rationals`` reads, for each coefficient form, alone
+    and beside the others."""
+    sp = rand_metric_space(Random(5), 1 + len(MOLECULE_COEFFS))
+    bp = sp.points[0]
+    spots = {form: bp if form == "on the basepoint" else sp.points[k]
+             for k, form in enumerate(MOLECULE_COEFFS, 1)}
+    every = {spots[f]: v for f, v in MOLECULE_COEFFS.items()}
+    for coeffs in ({spots[form]: MOLECULE_COEFFS[form]}, every):
+        data = {"space": space_to_json(sp), "basepoint": bp, "coeffs": coeffs}
+        want = Molecule(PointedSpace(sp, 0), rationals(coeffs, "coeffs"))
+        assert molecule_from_json(data) == want
+
+
+def test_loading_a_molecule_makes_no_fraction(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} made while loading")
+
+    sp = rand_metric_space(Random(6), 4)
+    data = {"space": space_to_json(sp), "basepoint": sp.points[0],
+            "coeffs": dict(zip(sp.points, [1, "-2/6", "3", "0"]))}
+    monkeypatch.setattr("exactmetric.jsonio.Fraction", no_fraction)
+    monkeypatch.setattr("exactmetric.freespace.Fraction", no_fraction)
+    m = molecule_from_json(data)
+    monkeypatch.undo()
+    assert m.coeffs == ((sp.points[1], F(-1, 3)), (sp.points[2], F(3)))
+
+
+@pytest.mark.parametrize("coeffs, basepoint, message", [
+    ([["1", "2"]], "0", "^coeffs must be a JSON object$"),
+    ({"1": "2", "3": "x"}, None, "^not a rational: 'x'$"),
+    ({"zz": "1", "3": "x"}, "0", "^not a rational: 'x'$"),
+    ({"1": "2", "zz": "1"}, "0", "^unknown point label 'zz'$"),
+    ({"1": 0.5}, "0", "^not a rational: 0.5$"),
+    ({"1": "2"}, "zz", "^unknown point label 'zz'$"),
+    ({"1": "2"}, None, "^molecule requires a basepoint$"),
+], ids=["not an object", "bad rational before no basepoint",
+        "bad rational before unknown label", "unknown label", "float",
+        "unknown basepoint", "no basepoint"])
+def test_molecule_from_json_refuses_in_order(line013, coeffs, basepoint, message):
+    """Every coefficient is read before the basepoint is looked for, and
+    the basepoint before the coefficients' labels."""
+    data = {"space": space_to_json(line013), "coeffs": coeffs}
+    if basepoint is not None:
+        data["basepoint"] = basepoint
+    with pytest.raises((StructuralError, DomainError), match=message):
+        molecule_from_json(data)
+
+
 def test_molecule_basepoint_inside_space_record():
     rng = Random(101)
     sp = rand_metric_space(rng, 3)
@@ -443,3 +539,17 @@ def test_molecule_basepoint_inside_space_record():
     assert m.pointed.basepoint_label == sp.points[0]
     with pytest.raises(StructuralError, match="^molecule requires a basepoint$"):
         molecule_from_json({"space": space_to_json(sp), "coeffs": {}})
+
+
+def test_pseudometric_loader_names_the_first_entry_that_breaks_invariance():
+    """Row 2 of the S3 record agrees with delta's layout up to column 3, so
+    the refusal names (element 2, element 3), not an entry that agrees."""
+    record = json.loads((FIXTURES / "pseudometric_s3.json").read_text())["group"]
+    rows = record["pseudometric"]
+    rows[2][3] = rows[3][2] = str(Fraction(rows[2][3]) + 1)
+    a, b = record["elements"][2], record["elements"][3]
+    with pytest.raises(DomainError) as err:
+        pseudometric_from_json(record)
+    assert str(err.value) == (
+        "pseudometric is not left-invariant: d(a, b) != d(e, a^-1 b) "
+        f"at ({a}, {b})")

@@ -4,7 +4,8 @@ classes, methods and properties that no caller reads, a second copy of the
 axiom scans, spaces built around the one constructor from the int form,
 an error message raised from two places, a computation on the
 ``Fraction`` matrix outside the two checks parked on it, a molecule solver
-that reads ``Fraction`` coefficients or point labels, a ``Fraction`` in the
+that reads ``Fraction`` coefficients or point labels, a molecule loader
+that reads its coefficients to ``Fraction``s, a ``Fraction`` in the
 simplex or read off its answer, command-line
 I/O outside the two functions that do it, a procedure written in the
 command line instead of the library, an argument error mapped by hand
@@ -267,17 +268,18 @@ MOLECULE_SOLVERS = {"aell_norm_dual", "aell_norm_primal", "affine_extend", "reba
 
 def test_molecules_are_solved_on_their_ints():
     """A molecule stores int coefficients over one ``unit``, by point index,
-    and the solvers read them as stored: only ``LipschitzWitness`` scales
-    ``Fraction``s with ``metric.scale``, and no solver reads the ``Fraction``
-    coefficients, looks up a point's label or index, or makes a ``Fraction``
-    before its answer (``rebase`` looks up only its new basepoint)."""
+    and the solvers read them as stored: only the public ``LipschitzWitness``
+    constructor scales ``Fraction``s with ``metric.scale``, and no solver
+    reads the ``Fraction`` coefficients, looks up a point's label or index,
+    or makes a ``Fraction`` before its answer (``rebase`` looks up only its
+    new basepoint)."""
     tree = parse(PACKAGE / "freespace.py")
     scalers = {
         scope
         for scope, node in scoped(tree)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "scale"
     }
-    assert scalers == {"LipschitzWitness.__post_init__"}
+    assert scalers == {"LipschitzWitness.__init__"}
     reads = [
         (node.name, ast.unparse(inner))
         for node in tree.body
@@ -296,6 +298,23 @@ def test_molecules_are_solved_on_their_ints():
         if isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == "Fraction"
     }
     assert makers == {"aell_norm_dual", "aell_norm_primal"}
+
+
+def test_molecules_are_loaded_on_their_ints():
+    """``molecule_from_json`` reads each coefficient to an int pair and
+    stores it through the molecule's int entry: it calls neither
+    ``rationals`` nor ``parse_rational``, which make a ``Fraction``."""
+    (loader,) = [
+        node for node in parse(PACKAGE / "jsonio.py").body
+        if isinstance(node, ast.FunctionDef) and node.name == "molecule_from_json"
+    ]
+    called = {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(loader)
+        if isinstance(node, ast.Call)
+    }
+    assert "_ratio" in called
+    assert not called & {"rationals", "parse_rational", "Fraction", "Molecule"}
 
 
 def test_the_simplex_takes_and_returns_ints():
