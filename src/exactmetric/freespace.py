@@ -6,8 +6,10 @@ bounded by the distance on point differences.  Two independent exact solvers
 compute it:
 
 * dual route: maximize the pairing against 1-Lipschitz functions vanishing
-  at the basepoint (an int LP solved by the simplex, which returns an int
-  vertex);
+  at the basepoint.  That LP's own dual, a min-cost flow over the support
+  and the basepoint, is solved by an int network simplex, and the witness
+  returned is the canonical f*, the pointwise largest optimal one, found
+  from the flow's plan by one Dijkstra reweighted by the tree's potentials;
 * primal route: minimum-cost shipment realizing the molecule's imbalance,
   with the basepoint absorbing the total mass (successive shortest
   augmenting paths).
@@ -23,18 +25,21 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd, lcm
-from operator import add, lt, mul, sub
+from operator import add, itemgetter, lt, mul, sub
 from typing import Optional, Sequence
 
 from .actions import GroupAction, Isometry, moving_gap, translation_gap
 from .errors import DomainError, InternalCheckError, refusing
 from .metric import PointedSpace, min_plus, scale
-from .simplex import difference_max
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 # the molecule constructor and Molecule.scale refuse a value in these words
 _INEXACT = refusing(DomainError, "molecule coefficients must be exact rationals")
+# the dual's network simplex prices _BLOCK rows of arcs at a time, and on k
+# nodes gives up after _PIVOTS_PER_ARC * k * k pivots, about that many per arc
+_BLOCK = 4
+_PIVOTS_PER_ARC = 1
 
 
 @dataclass(frozen=True, init=False)
@@ -182,16 +187,22 @@ class LipschitzWitness:
 
 
 def aell_norm_dual(m: Molecule) -> tuple[Fraction, LipschitzWitness]:
-    """Norm via the Lipschitz-function LP, with an optimal witness.
+    """Norm via the Lipschitz-function LP, with its canonical optimal witness.
 
     Only the support plus the basepoint enters the LP: a 1-Lipschitz function
     on that subspace extends to the whole space with the same constant (and
     the min-plus extension used for the returned witness does exactly that).
-    Variables are shifted by the basepoint distance to become non-negative;
-    the shift bounds are implied by the Lipschitz constraints, so the feasible
-    region is unchanged.  The witness is stored from its ints, in units of
-    1/den for the space's denominator den, and checked on them; the zero
-    molecule gets the zero witness.
+    Its LP dual is a min-cost flow on the complete digraph over those nodes,
+    arc costs the int distances (in units of 1/den for the space's
+    denominator den) and supplies the molecule's ints, which
+    ``_network_simplex`` solves.  The tree's flow, each path of it made one
+    source-to-sink arc, is the plan that ``_check_plan`` checks; the tree's
+    potentials are an optimal witness g.  The returned witness is f*, the
+    pointwise largest optimal one, which depends on neither: the largest
+    1-Lipschitz f vanishing at the basepoint with f(s) - f(t) = d(s, t) on
+    every plan arc, found by ``_largest_witness`` with g's reweighting.  It
+    is stored from its ints and checked on them, and its pairing must equal
+    the plan's cost; the zero molecule gets the zero witness.
     """
     pointed = m.pointed
     space = pointed.space
@@ -202,26 +213,195 @@ def aell_norm_dual(m: Molecule) -> tuple[Fraction, LipschitzWitness]:
         return ZERO, zero
 
     bp = pointed.basepoint
-    c = [m.ints[x] for x in supp]
-    # the LP on the ints and the distances times den: its optimum is unit den
-    # times that of the LP on the rationals, and its vertex den times theirs
-    rows = [sd[x] for x in supp]
-    dbp = [row[bp] for row in rows]
-    # g(x) <= 2 d(x, *), and g(x) - g(y) <= d(x, y) + d(x, *) - d(y, *)
-    upper = [2 * v for v in dbp]
-    w = [[sx[y] + di - dj for y, dj in zip(supp, dbp)] for sx, di in zip(rows, dbp)]
-    value, g = difference_max(c, upper, w)
-    # the optimum on support + basepoint, extended by min-plus to every
-    # point, as ints in units of 1/den (the int vertex g less the shift)
-    f = min_plus(rows + [sd[bp]], [*map(sub, g, dbp), 0])
+    nodes = [*supp, bp]
+    rows = [sd[x] for x in nodes]
+    cost = list(map(itemgetter(*nodes), rows))
+    supply = [*map(m.ints.__getitem__, supp), -sum(m.ints)]
+    flow, g = _network_simplex(cost, supply)
+    plan = _direct(supply, flow)
+    excess = list(m.ints)
+    excess[bp] = supply[-1]
+    _check_plan(excess, [(nodes[s], nodes[t], amount) for s, t, amount in plan])
+    # f* on support + basepoint, extended by min-plus to every point, as ints
+    # in units of 1/den; its pairing with m and the plan's cost are in units
+    # of 1/(unit den)
+    f = min_plus(rows, _largest_witness(cost, g, plan))
     witness = object.__new__(LipschitzWitness)._store(pointed, den, f)
-    # the shift and the pairing of m with the witness, in units of
-    # 1/(unit den): the LP optimum is their sum, and the norm the pairing
-    shift = sum(map(mul, c, dbp))
-    paired = sum(map(mul, c, map(f.__getitem__, supp)))
-    if value != paired + shift:
+    value = sum(amount * cost[s][t] for s, t, amount in plan)
+    if sum(map(mul, m.ints, f)) != value:
         raise InternalCheckError("optimal witness does not attain the optimum")
-    return Fraction(paired, m.unit * den), witness
+    return Fraction(value, m.unit * den), witness
+
+
+def _network_simplex(
+    cost: Sequence[Sequence[int]], supply: Sequence[int],
+) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """A min-cost flow on the complete digraph over nodes 0..k-1, arc u -> v
+    of cost ``cost[u][v]`` >= 0, with net outflow ``supply[v]`` at each node
+    (the root, the last node, takes the rest): ``(arcs, g)``, the arcs ``(u,
+    v, amount)`` of positive flow of an optimal spanning tree and its node
+    potentials, with g(root) = 0, g(u) - g(v) <= cost[u][v] on every arc and
+    equality on the tree's.
+
+    A primal network simplex on strongly feasible trees (Cunningham 1976),
+    on ints.  The first tree is the star at the root: x -> root carries
+    supply[x] >= 0, and root -> x carries -supply[x] otherwise.  Arcs are
+    priced a block of ``_BLOCK`` rows (about ``_BLOCK`` k arcs) at a time,
+    the blocks in turn from where the last search stopped; the first block
+    with a negative reduced cost enters its most negative arc (the first
+    row, then the first column, among equals).  The leaving arc is the last
+    blocking arc met on the pivot cycle, traversed from its apex along the
+    entering arc; that keeps every tree strongly feasible, which rules out
+    cycling.  More than ``_PIVOTS_PER_ARC`` k k pivots raise
+    ``InternalCheckError``.
+    """
+    k = len(supply)
+    root = k - 1
+    # the tree: each node's parent, whether its tree arc points up (x ->
+    # parent[x]) and that arc's flow, its depth, children and potential
+    parent = [root] * k
+    up = [b >= 0 for b in supply]
+    flow = list(map(abs, supply))
+    depth = [1] * k
+    children: list[list[int]] = [[] for _ in supply]
+    children[root] = list(range(root))
+    g = [row[root] if b >= 0 else -cost[root][x]
+         for x, (row, b) in enumerate(zip(cost, supply))]
+    parent[root], depth[root], g[root] = -1, 0, 0
+    first = 0  # the first row of the next block to price
+    for _ in range(_PIVOTS_PER_ARC * k * k + 1):
+        best = 0
+        for _ in range(0, k, _BLOCK):
+            for u in range(first, min(first + _BLOCK, k)):
+                reduced = min(map(add, cost[u], g)) - g[u]
+                if reduced < best:
+                    best, a = reduced, u
+            first = first + _BLOCK if first + _BLOCK < k else 0
+            if best:
+                break
+        else:  # no arc prices below 0: the tree is optimal
+            return [(x, parent[x], flow[x]) if up[x] else (parent[x], x, flow[x])
+                    for x in range(root) if flow[x]], g
+        b = list(map(add, cost[a], g)).index(best + g[a])
+        # the tree paths from a and from b up to their apex
+        side_a, side_b = [], []
+        x, y = a, b
+        while x != y:
+            if depth[x] >= depth[y]:
+                side_a.append(x)
+                x = parent[x]
+            else:
+                side_b.append(y)
+                y = parent[y]
+        # flow falls on the arcs against the cycle apex -> a -> b -> apex:
+        # the upward ones on a's side and the downward ones on b's; the
+        # last of the least met from the apex leaves
+        leave, delta = -1, 0
+        for x in side_a:
+            if up[x] and (leave < 0 or flow[x] < delta):
+                leave, delta = x, flow[x]
+        for y in side_b:
+            if not up[y] and (leave < 0 or flow[y] <= delta):
+                leave, delta = y, flow[y]
+        if leave < 0:
+            raise InternalCheckError("pivot cycle has no arc to leave")
+        for x in side_a:
+            flow[x] += -delta if up[x] else delta
+        for y in side_b:
+            flow[y] += delta if up[y] else -delta
+        # the leaving arc's subtree hangs from the entering arc instead: the
+        # stem from the entering arc's end to the leaving arc turns over,
+        # and the subtree's potentials move by the reduced cost
+        if leave in side_a:
+            stem, p, arc_up, shift = side_a[:side_a.index(leave) + 1], b, True, best
+        else:
+            stem, p, arc_up, shift = side_b[:side_b.index(leave) + 1], a, False, -best
+        amount = delta
+        for x in stem:
+            children[parent[x]].remove(x)
+            children[p].append(x)
+            parent[x], up[x], flow[x], arc_up, amount = p, arc_up, amount, not up[x], flow[x]
+            p = x
+        depth[stem[0]] = depth[parent[stem[0]]] + 1
+        subtree = stem[:1]
+        for x in subtree:
+            g[x] += shift
+            for y in children[x]:
+                depth[y] = depth[x] + 1
+                subtree.append(y)
+    raise InternalCheckError("network simplex pivot budget exhausted")
+
+
+def _direct(
+    supply: Sequence[int], arcs: Sequence[tuple[int, int, int]],
+) -> list[tuple[int, int, int]]:
+    """The source-to-sink plan ``(s, t, amount)`` of a flow on the arcs
+    ``(u, v, amount)`` of a tree, with net outflow ``supply[v]`` at each
+    node: each path of the flow from a source to a sink becomes one arc s ->
+    t, no dearer under the triangle inequality.  Sources are drained in node
+    order, each walk taking the last arc out of a node that still carries
+    flow, up to the first node of unmet demand.  A walk that finds no such
+    arc ends the plan there, short of the supplies, for ``_check_plan`` to
+    refuse."""
+    heads: list[list[list[int]]] = [[] for _ in supply]
+    for u, v, amount in arcs:
+        heads[u].append([v, amount])
+    left = list(supply)
+    plan = []
+    for s in range(len(supply)):
+        while left[s] > 0:
+            path, t = [], s
+            while left[t] >= 0:
+                out = heads[t]
+                while out and not out[-1][1]:
+                    out.pop()
+                if not out:
+                    return plan
+                path.append(out[-1])
+                t = out[-1][0]
+            amount = min(left[s], -left[t], *[arc[1] for arc in path])
+            for arc in path:
+                arc[1] -= amount
+            left[s] -= amount
+            left[t] += amount
+            plan.append((s, t, amount))
+    return plan
+
+
+def _largest_witness(
+    cost: Sequence[Sequence[int]], g: Sequence[int],
+    plan: Sequence[tuple[int, int, int]],
+) -> list[int]:
+    """The pointwise largest f with f(v) <= f(u) + cost[u][v] for all nodes
+    u, v and f(t) <= f(s) - cost[s][t] on each plan arc ``(s, t, _)``, and
+    f(root) = 0 at the last node: the shortest paths from the root, by one
+    dense Dijkstra (Johnson 1977).  Its labels are f less the potentials
+    ``g``, under which every arc length is >= 0 when g is 1-Lipschitz and
+    tight on the plan arcs; any other g still gives the length of some
+    path, so f no smaller than the shortest.
+
+    The root's arcs are relaxed first.  A node's other arcs are relaxed only
+    when a plan arc set its label: a label from a node's arc u -> x makes
+    x's arcs x -> v no shorter, by the triangle inequality, than the arcs
+    u -> v relaxed already."""
+    back: list[list[int]] = [[] for _ in g]
+    for s, t, _ in plan:
+        back[s].append(t)
+    label = list(map(sub, cost[-1], g))
+    # each node's label from its plan arcs, while no arc did better
+    via: list[Optional[int]] = [None] * len(g)
+    todo = list(range(len(g)))
+    while todo:
+        u = min(todo, key=label.__getitem__)
+        todo.remove(u)
+        fu = label[u] + g[u]
+        if label[u] == via[u]:
+            label = list(map(min, label, map(sub, map(add, cost[u], repeat(fu)), g)))
+        for t in back[u]:
+            reached = fu - cost[u][t] - g[t]
+            if reached < label[t]:
+                label[t] = via[t] = reached
+    return list(map(add, label, g))
 
 
 def aell_norm_primal(

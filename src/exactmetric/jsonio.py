@@ -28,6 +28,8 @@ from .quotients import InvariantPseudometric
 
 # a group of digits as ``Fraction`` reads one, ``_`` between digits
 _DIGIT_GROUP = re.compile(r"\d+(?:_\d+)*")
+# a refusal echoes at most this many characters of a value's text
+_ECHOED = 32
 
 
 def parse_rational(value: Any) -> Fraction:
@@ -44,7 +46,9 @@ def _ratio(value: Any) -> tuple[int, int]:
     ``Fraction`` raise ``ValueError`` as they do on a malformed text; a text
     that still reads with each group of digits cut to ``1`` is of a form
     ``Fraction`` reads (a sign, spaces, ``_`` between digits, a decimal), so
-    it is refused as too long, not echoed."""
+    it is refused as too long, not echoed.  Any other refused value is
+    echoed, a text (or another value's repr) past ``_ECHOED`` characters cut
+    short, with its length."""
     if type(value) is int:
         return value, 1
     if isinstance(value, str) and "e" not in value.lower():
@@ -69,6 +73,11 @@ def _ratio(value: Any) -> tuple[int, int]:
                 ) from None
         except ZeroDivisionError:
             pass
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) > _ECHOED:
+        raise StructuralError(
+            f"not a rational: {text[:_ECHOED]!r}... ({len(text)} characters)"
+        )
     raise StructuralError(f"not a rational: {value!r}")
 
 

@@ -17,11 +17,11 @@ reduced costs and the right-hand side are int lists.  Every pivot entry is
 1, so every pivot is the rational tableau's.  An entry of A outside
 {-1, 0, 1}, or one that a pivot would make, raises ``DomainError``.
 
-``difference_max``, which the dual norm route calls, poses that LP's family,
-bounds x_i <= u_i and differences x_i - x_j <= w_ij, with no row written out.
-``simplex_max``, the plain general entry that no library path calls, reads A
-row by row.  Both run the same pivot loop, and on the same LP they pivot alike.
-"""
+No library path calls ``simplex_max``: the dual norm route solves its LP's
+own dual, a min-cost flow, with ``freespace``'s network simplex.  The
+tableau stays for the benchmark, which traces ``simplex_max`` and
+``pivot``, and for the tests, which solve the dual norm LP with it, until
+the benchmark stops reading it."""
 
 from __future__ import annotations
 
@@ -52,38 +52,6 @@ def simplex_max(
         raise DomainError("LP constraint matrix is not totally unimodular")
     pos = [int.from_bytes(bytes(r[j] == 1 for r in rows), "little") for j in range(n)]
     neg = [int.from_bytes(bytes(r[j] == -1 for r in rows), "little") for j in range(n)]
-    return _solve(obj, pos, neg, rhs)
-
-
-def difference_max(
-    c: Sequence[int],
-    upper: Sequence[int],
-    w: Sequence[Sequence[int]],
-) -> tuple[int, list[int]]:
-    """Return (optimal value, optimal x) of max c.x s.t. x_i <= upper[i],
-    x_i - x_j <= w[i][j] for j != i (``w[i][i]`` is not read) and x >= 0,
-    with the pivots ``simplex_max`` makes on those rows, none written out.
-
-    The rows come in blocks of n, block i for x_i: its bound at row i n, then
-    x_i - x_j at row i n + 1 + j - (j > i), by j.  So column j is 1 on all of
-    block j, and -1 at byte j of every earlier block and at byte j + 1 of
-    every later one: two shifts of the mask of block starts.
-    """
-    n = len(c)
-    _DIMENSIONS.unless(len(upper) == len(w) == n and all(len(row) == n for row in w))
-    b = []
-    for i, row in enumerate(w):
-        b += [upper[i], *row[:i], *row[i + 1:]]
-    obj, rhs = _int_data(c, b)
-    width = 8 * n  # the bits of one row block
-    block = int.from_bytes(b"\x01" * n, "little")
-    starts = int.from_bytes(b"\x01".ljust(n, b"\x00") * n, "little")
-    pos, neg = [], []
-    for j in range(n):
-        pos.append(block << width * j)
-        earlier = starts & (1 << width * j) - 1
-        later = starts >> width * (j + 1) << width * (j + 1)
-        neg.append(earlier << 8 * j | later << 8 * (j + 1))
     return _solve(obj, pos, neg, rhs)
 
 

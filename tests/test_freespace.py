@@ -39,9 +39,10 @@ from exactmetric.randgen import (
     rand_pointed,
     rotation_action,
 )
-from exactmetric.simplex import difference_max
+from exactmetric.simplex import simplex_max
 
 from conftest import FIXTURES, fixture_generator, space_from_rows
+from test_simplex import _difference_rows, _dual_args
 
 F = Fraction
 
@@ -53,27 +54,83 @@ def test_point_molecule_norm_is_basepoint_distance(line013_pointed):
 
 
 def test_solver_answers_match_the_recorded_fixture(monkeypatch):
-    """Plans and witnesses, not only norms: each solver's tie-breaks among
-    optimal answers stay as recorded in ``fixtures/solver_answers.json``.
-    The dual LP has a totally unimodular matrix and an int right-hand side,
-    so every vertex the simplex returns is integral, as the dual's witness
-    assumes."""
-    vertices = []
+    """Plans and witnesses, not only norms: the primal's tie-breaks among
+    optimal plans and the dual's witness, the largest optimal one, stay as
+    recorded in ``fixtures/solver_answers.json``.  The dual's network simplex
+    runs on ints: every flow and potential it returns is an int, as the
+    dual's witness assumes."""
+    trees = []
+    real = freespace._network_simplex
 
-    def recorded_vertex(c, upper, w):
-        value, x = difference_max(c, upper, w)
-        vertices.append(x)
-        return value, x
+    def recorded_tree(cost, supply):
+        trees.append(real(cost, supply))
+        return trees[-1]
 
-    monkeypatch.setattr(freespace, "difference_max", recorded_vertex)
+    monkeypatch.setattr(freespace, "_network_simplex", recorded_tree)
     generate = fixture_generator()
     recorded = json.loads((FIXTURES / "solver_answers.json").read_text())
     cases = generate.solver_cases()
     assert len(cases) == len(recorded) == 300
     for m, want in zip(cases, recorded):
         assert generate.solver_answer(m) == want, m
-    assert len(vertices) == sum(bool(m.coeffs) for m in cases) > 0
-    assert all(xi.denominator == 1 for x in vertices for xi in x)
+    assert len(trees) == sum(bool(m.coeffs) for m in cases) > 0
+    assert {type(v) for arcs, g in trees for v in [*g, *(x for arc in arcs for x in arc)]} == {int}
+
+
+def _largest_optimal_witness(m, plan):
+    """f*, label -> Fraction: on support + basepoint, the largest f with
+    f(*) = 0, f(v) <= f(u) + d(u, v) for all u, v and f(t) <= f(s) - d(s, t)
+    on each arc of ``plan``, by Bellman-Ford on ``Fraction`` distances;
+    elsewhere, its min-plus extension."""
+    space = m.pointed.space
+    d = space.dist
+    nodes = [space.index(x) for x in m.support] + [m.pointed.basepoint]
+    arcs = [(u, v, d[u][v]) for u in nodes for v in nodes if u != v]
+    arcs += [(space.index(s), space.index(t), -d[space.index(s)][space.index(t)])
+             for s, t, _ in plan]
+    f = {v: None for v in nodes}
+    f[m.pointed.basepoint] = F(0)
+    for _ in nodes:
+        for u, v, length in arcs:
+            if f[u] is not None and (f[v] is None or f[u] + length < f[v]):
+                f[v] = f[u] + length
+    return {x: min(f[v] + d[v][i] for v in nodes) for i, x in enumerate(space.points)}
+
+
+def test_the_dual_witness_is_the_largest_optimal_witness():
+    """On the recorded solver cases and on spaces with distances from {1, 2,
+    3}, where optimal witnesses tie, the dual's witness of a non-zero
+    molecule is f*, computed here from the primal's plan, another solver's;
+    and at every point it is at least the witness of the vertex the tableau
+    finds for the dual LP."""
+    rng = Random(4114)
+    cases = fixture_generator().solver_cases()
+    for k in range(120):
+        space = rand_metric_space(rng, 2 + k % 9, palette=[F(1), F(2), F(3)])
+        pointed = rand_pointed(rng, space)
+        cases.append(Molecule.make(pointed, rand_coeffs(rng, pointed, space.n)))
+    below = 0
+    for m in cases:
+        norm, witness = aell_norm_dual(m)
+        if not (args := _dual_args(m)):
+            # every witness is optimal for the zero molecule, which gets 0
+            assert set(witness.values.values()) == {0}
+            continue
+        assert witness.values == _largest_optimal_witness(m, aell_norm_primal(m)[1]), m
+        # the tableau's vertex, shifted back by the basepoint distances and
+        # extended by min-plus as the witness is
+        space = m.pointed.space
+        den, _ = space.scaled
+        _, x = simplex_max(*_difference_rows(*args))
+        nodes = [space.index(p) for p in m.support] + [m.pointed.basepoint]
+        _, upper, _ = args
+        g = [F(xi - u // 2, den) for xi, u in zip(x, upper)] + [F(0)]
+        vertex = {p: min(gv + space.dist[v][i] for v, gv in zip(nodes, g))
+                  for i, p in enumerate(space.points)}
+        assert sum(F(c) * vertex[p] for p, c in m.coeffs) == norm
+        assert all(witness.values[p] >= vertex[p] for p in space.points)
+        below += witness.values != vertex
+    assert below > 0
 
 
 def test_point_difference_norm_is_distance(line013_pointed):
@@ -1121,22 +1178,154 @@ def test_make_add_and_sub_match_the_parent():
     }
 
 
-def test_dual_refuses_a_vertex_that_does_not_attain_the_optimum(
-    monkeypatch, line013_pointed
+def test_dual_refuses_a_vertex_that_does_not_attain_the_optimum(monkeypatch):
+    """Potentials that are not optimal, the network simplex's negated, order
+    the Dijkstra of f* wrongly.  Where it then misses a shortest path, its
+    witness, still 1-Lipschitz and vanishing at the basepoint, pairs below
+    the plan's cost and is refused; elsewhere the answer is unchanged."""
+    cases = [m for m in fixture_generator().solver_cases() if m.coeffs]
+    answers = [aell_norm_dual(m) for m in cases]
+    real = freespace._network_simplex
+
+    def negated(cost, supply):
+        arcs, g = real(cost, supply)
+        return arcs, [-v for v in g]
+
+    monkeypatch.setattr(freespace, "_network_simplex", negated)
+    refused = 0
+    for m, answer in zip(cases, answers):
+        try:
+            assert aell_norm_dual(m) == answer
+        except InternalCheckError as exc:
+            assert str(exc) == "optimal witness does not attain the optimum"
+            refused += 1
+    assert refused > 0
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda arcs: arcs[1:], "^transport plan does not match the molecule$"),
+    (lambda arcs: [(s, t, -a) for s, t, a in arcs[:1]] + arcs[1:],
+     "^transport plan ships -1 from point 1 to point 0$"),
+], ids=["an arc dropped", "an amount negated"])
+def test_dual_refuses_a_tree_flow_that_the_plan_check_refuses(
+    monkeypatch, line013_pointed, tamper, message
 ):
-    """A feasible but not optimal vertex, the origin, reported with the LP's
-    optimum: its witness pairs below the norm."""
+    """The tree's flow, ``1 -> 0`` and ``1 -> 3`` one unit each, becomes the
+    plan that ``_check_plan`` checks: without an arc it ships short of the
+    molecule, and a negated amount is shipped as it stands."""
+    real = freespace._network_simplex
 
-    def origin(c, upper, w):
-        value, x = difference_max(c, upper, w)
-        return value, [0] * len(x)
+    def tampered(cost, supply):
+        arcs, g = real(cost, supply)
+        return tamper(arcs), g
 
-    monkeypatch.setattr(freespace, "difference_max", origin)
+    monkeypatch.setattr(freespace, "_network_simplex", tampered)
     m = Molecule.make(line013_pointed, {"1": F(2), "3": F(-1)})
-    with pytest.raises(
-        InternalCheckError, match="optimal witness does not attain the optimum"
-    ):
+    with pytest.raises(InternalCheckError, match=message):
         aell_norm_dual(m)
+
+
+def _reference_network_simplex(cost, supply):
+    """``freespace._network_simplex`` as its docstring states it, written
+    plainly: the tree is a dict of arcs ``(u, v) -> flow``, and each pivot
+    finds the parents and the potentials again from the root."""
+    k = len(supply)
+    root = k - 1
+    tree = {(x, root) if b >= 0 else (root, x): abs(b) for x, b in enumerate(supply[:-1])}
+    first = 0
+    while True:
+        parent, g, reached = {root: None}, {root: 0}, [root]
+        for p in reached:
+            for u, v in tree:
+                if p in (u, v) and (x := v if u == p else u) not in g:
+                    parent[x] = p
+                    g[x] = g[p] - cost[p][x] if u == p else g[p] + cost[x][p]
+                    reached.append(x)
+        entering = None
+        for _ in range(0, k, 4):
+            block = range(first, min(first + 4, k))
+            first = first + 4 if first + 4 < k else 0
+            best = min((cost[u][v] - g[u] + g[v], u, v) for u in block for v in range(k))
+            if best[0] < 0:
+                entering = best
+                break
+        if entering is None:
+            return sorted((u, v, f) for (u, v), f in tree.items() if f), [g[x] for x in range(k)]
+        _, a, b = entering
+        paths = []
+        for x in (a, b):
+            paths.append([x])
+            while parent[paths[-1][-1]] is not None:
+                paths[-1].append(parent[paths[-1][-1]])
+        path_a, path_b = paths
+        apex = next(x for x in path_a if x in path_b)
+        # the cycle's tree steps from the apex down to a, then from b up to it
+        steps = [(parent[x], x) for x in reversed(path_a[:path_a.index(apex)])]
+        steps += [(y, parent[y]) for y in path_b[:path_b.index(apex)]]
+        backward = [(t, s) for s, t in steps if (t, s) in tree]
+        delta = min(tree[arc] for arc in backward)
+        # the last blocking arc met from the apex leaves
+        leave = [arc for arc in backward if tree[arc] == delta][-1]
+        for s, t in steps:
+            if (s, t) in tree:
+                tree[s, t] += delta
+            else:
+                tree[t, s] -= delta
+        del tree[leave]
+        tree[a, b] = delta
+
+
+def test_the_network_simplex_pivots_as_its_plain_reference():
+    """On the recorded solver cases and on full-support molecules over up to
+    30 points, with and without a palette, the network simplex ends on the
+    tree, flows and potentials of the plain reference: the same pricing
+    blocks, entering arcs, tie-breaks and leaving arcs."""
+    rng = Random(5115)
+    cases = fixture_generator().solver_cases()
+    for k in range(60):
+        space = rand_metric_space(rng, 11 + k % 20, palette=[F(1), F(2)] if k % 2 else None)
+        pointed = rand_pointed(rng, space)
+        cases.append(Molecule.make(pointed, {x: rand_fraction(rng, -5, 5) or F(1)
+                                             for x in space.points}))
+    pivoted = 0
+    for m in cases:
+        supp = [i for i, v in enumerate(m.ints) if v]
+        if not supp:
+            continue
+        nodes = [*supp, m.pointed.basepoint]
+        _, d = m.pointed.space.scaled
+        cost = [tuple(d[u][v] for v in nodes) for u in nodes]
+        supply = [m.ints[x] for x in supp] + [-sum(m.ints)]
+        arcs, g = freespace._network_simplex(cost, supply)
+        assert (sorted(arcs), g) == _reference_network_simplex(cost, supply), m
+        pivoted += sorted(arcs) != sorted(
+            (x, len(supp), b) if b > 0 else (len(supp), x, -b) for x, b in enumerate(supply[:-1])
+        )
+    assert pivoted > 150
+
+
+def test_the_network_simplex_stops_at_its_pivot_budget(monkeypatch, line013_pointed):
+    """With no pivot allowed, the star tree answers only where it is
+    optimal: a point molecule, not 2 [1] - [3], whose plan ships 1 -> 3."""
+    monkeypatch.setattr(freespace, "_PIVOTS_PER_ARC", 0)
+    assert aell_norm_dual(Molecule.point(line013_pointed, "3"))[0] == 3
+    m = Molecule.make(line013_pointed, {"1": F(2), "3": F(-1)})
+    with pytest.raises(InternalCheckError, match="^network simplex pivot budget exhausted$"):
+        aell_norm_dual(m)
+
+
+def test_the_network_simplex_refuses_a_cycle_with_no_arc_to_leave():
+    """A cycle of negative cost, which no metric has, lowers the cost
+    without bound: no arc of the pivot cycle blocks."""
+    with pytest.raises(InternalCheckError, match="^pivot cycle has no arc to leave$"):
+        freespace._network_simplex([[0, -1], [-1, 0]], [1, -1])
+
+
+def test_the_plan_of_a_tree_flow_ships_through_a_source_directly():
+    """Node 1, a source, passes node 0's unit on to node 3: the plan ships
+    it 0 -> 3, and node 1's own unit 1 -> 2."""
+    flow = [(0, 1, 1), (1, 2, 1), (1, 3, 1)]
+    assert freespace._direct([1, 1, -1, -1], flow) == [(0, 3, 1), (1, 2, 1)]
 
 
 @pytest.mark.parametrize("tamper, message", [

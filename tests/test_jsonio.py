@@ -342,6 +342,24 @@ def test_a_long_text_of_no_rational_form_is_still_not_a_rational(text):
         parse_rational(text)
 
 
+@pytest.mark.parametrize("value, message", [
+    ("x" + "1" * 5000, "not a rational: 'x" + "1" * 31 + "'... (5001 characters)"),
+    ("1__0" + "0" * 5000, "not a rational: '1__0" + "0" * 28 + "'... (5004 characters)"),
+    ([1] * 2000, "not a rational: '[1" + ", 1" * 10 + "'... (6000 characters)"),
+    ("x" * 32, "not a rational: '" + "x" * 32 + "'"),
+    ([1] * 10, "not a rational: [1, 1, 1, 1, 1, 1, 1, 1, 1, 1]"),
+], ids=["x then 5000 ones", "1__0 then 5000 zeros", "a long list", "32 characters",
+        "a short list"])
+def test_a_refused_value_is_echoed_at_most_32_characters_with_its_length(value, message):
+    """A long text of no rational form is echoed cut to its first 32
+    characters, with its length, through ``parse_rational`` and through the
+    CLI's readers; a value whose text fits is echoed whole, as before."""
+    for read in (parse_rational, lambda v: rational_matrix([[0, v], [v, 0]], "dist")):
+        with pytest.raises(StructuralError) as caught:
+            read(value)
+        assert str(caught.value) == message
+
+
 def test_pointed_requires_basepoint():
     data = space_to_json(rand_metric_space(Random(1), 3))
     with pytest.raises(StructuralError):

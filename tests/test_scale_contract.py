@@ -12,11 +12,21 @@ import io
 import json
 import signal
 import sys
+from fractions import Fraction
 from random import Random
 
 import pytest
 
-from exactmetric import Molecule, cli, jsonio, norm_distance, symmetric_group
+from exactmetric import (
+    Molecule,
+    PointedSpace,
+    aell_norm_dual,
+    aell_norm_primal,
+    cli,
+    jsonio,
+    norm_distance,
+    symmetric_group,
+)
 from exactmetric.errors import ExactMetricError
 from exactmetric.randgen import rand_fraction, rand_metric_space
 
@@ -79,6 +89,20 @@ def test_distance_answers_on_120_points():
     code, payload = within_bound(distance_request, text, bound=BOUND_S)
     assert code == 0, payload
     assert jsonio.parse_rational(payload["distance"]) > 0
+
+
+def test_dual_norm_answers_on_300_points():
+    """The dual route on a full-support molecule over 300 points, each
+    coefficient p/q with p in -5..5 (0 read as 1) and q in 1..4: the norm
+    the primal route finds, and a witness that pairs to it."""
+    rng = Random(300)
+    space = rand_metric_space(rng, 300)
+    pointed = PointedSpace(space, 0)
+    m = Molecule.make(pointed, {
+        x: Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4)) for x in space.points[1:]
+    })
+    norm, witness = within_bound(aell_norm_dual, m, bound=BOUND_S)
+    assert norm == aell_norm_primal(m)[0] == witness.pair(m) > 0
 
 
 def s6_table_doc():

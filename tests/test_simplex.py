@@ -4,10 +4,10 @@ from random import Random
 
 import pytest
 
-from exactmetric import DomainError, InternalCheckError, Molecule, freespace, simplex
+from exactmetric import DomainError, InternalCheckError, Molecule, simplex
 from exactmetric.metric import scale
 from exactmetric.randgen import rand_coeffs, rand_fraction, rand_metric_space, rand_pointed
-from exactmetric.simplex import difference_max, simplex_max
+from exactmetric.simplex import simplex_max
 
 F = Fraction
 ZERO = F(0)
@@ -197,9 +197,10 @@ def _rational_simplex_max(c, a, b, pivots):
 
 
 def _difference_rows(c, upper, w):
-    """``(c, A, b)`` of the LP ``difference_max(c, upper, w)`` solves, as
-    ``simplex_max`` reads it: for each i, the row x_i <= upper[i], then
-    x_i - x_j <= w[i][j] for each j != i, in order."""
+    """``(c, A, b)`` of the LP max c.x s.t. x_i <= upper[i], x_i - x_j <=
+    w[i][j] for j != i and x >= 0, as ``simplex_max`` reads it: for each i,
+    the row x_i <= upper[i], then x_i - x_j <= w[i][j] for each j != i, in
+    order."""
     n = len(c)
     a, b = [], []
     for i in range(n):
@@ -216,26 +217,25 @@ def _difference_rows(c, upper, w):
     return c, a, b
 
 
-def _dual_args(monkeypatch, m):
-    """The arguments ``(c, upper, w)`` that ``aell_norm_dual(m)`` passes to
-    ``difference_max``, or ``None`` for the zero molecule, which poses no LP;
-    a non-zero molecule whose LP goes elsewhere fails at once."""
-    calls = []
+def _dual_args(m):
+    """``(c, upper, w)`` of the dual norm LP of a molecule, or ``None`` for
+    the zero molecule, which poses none: max c.x over the support's values
+    x, each shifted up by its distance to the basepoint so that x >= 0, with
+    x_i <= 2 d(i, *) and x_i - x_j <= d(i, j) + d(i, *) - d(j, *), all on
+    the ints of ``space.scaled``.  Its optimum is den times the norm, in
+    units of 1/unit."""
+    supp = [i for i, v in enumerate(m.ints) if v]
+    if not supp:
+        return None
+    den, sd = m.pointed.space.scaled
+    dbp = [sd[x][m.pointed.basepoint] for x in supp]
+    w = [[sd[x][y] + di - dj for y, dj in zip(supp, dbp)] for x, di in zip(supp, dbp)]
+    return [m.ints[x] for x in supp], [2 * v for v in dbp], w
 
-    def capture(*args):
-        calls.append(args)
-        return difference_max(*args)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(freespace, "difference_max", capture)
-        freespace.aell_norm_dual(m)
-    assert len(calls) == any(m.ints), "aell_norm_dual posed no LP to difference_max"
-    return calls[0] if calls else None
-
-
-def _dual_lps(monkeypatch, count):
-    """The LPs ``aell_norm_dual`` solves for seeded molecules over spaces of
-    2..10 points, every other space with distances from {1, 2, 3}, as rows."""
+def _dual_lps(count):
+    """The dual norm LPs of seeded molecules over spaces of 2..10 points,
+    every other space with distances from {1, 2, 3}, as rows."""
     rng = Random(5005)
     lps = []
     palette = [F(1), F(2), F(3)]
@@ -244,7 +244,7 @@ def _dual_lps(monkeypatch, count):
         space = rand_metric_space(rng, 2 + k % 9, palette=palette if k % 2 else None)
         pointed = rand_pointed(rng, space)
         m = Molecule.make(pointed, rand_coeffs(rng, pointed, space.n))
-        if args := _dual_args(monkeypatch, m):
+        if args := _dual_args(m):
             lps.append(_difference_rows(*args))
     return lps
 
@@ -309,7 +309,7 @@ def test_integer_tableau_matches_the_rational_tableau(monkeypatch):
     ``Fraction`` tableau, on dual-norm LPs and random unimodular LPs; the
     optimum and the vertex are ints."""
     assert simplex.DANTZIG_FACTOR == DANTZIG_FACTOR
-    lps = _dual_lps(monkeypatch, 150) + _unit_lps(150)
+    lps = _dual_lps(150) + _unit_lps(150)
     outcomes = set()
     for (c, a, b), (got, want) in zip(lps, _pivot_sequences(monkeypatch, lps)):
         assert got == want, (c, a, b)
@@ -326,7 +326,7 @@ def test_blands_rule_matches_the_rational_tableau(monkeypatch):
     """With no Dantzig budget, both tableaux pick every pivot after the
     first by Bland's rule, and still agree; on some LPs that changes the
     pivots."""
-    lps = _dual_lps(monkeypatch, 150) + _unit_lps(150)
+    lps = _dual_lps(150) + _unit_lps(150)
     dantzig = _pivot_sequences(monkeypatch, lps)
     monkeypatch.setattr(simplex, "DANTZIG_FACTOR", 0)
     monkeypatch.setitem(globals(), "DANTZIG_FACTOR", 0)
@@ -412,9 +412,9 @@ def test_checks_run_in_order(c, a, b, message):
         simplex_max(c, a, b)
 
 
-def _large_dual_lps(monkeypatch):
-    """The LPs ``aell_norm_dual`` solves for full-support molecules over
-    11- to 13-point spaces, as rows: 100 to 144 rows, so each mask of the
+def _large_dual_lps():
+    """The dual norm LPs of full-support molecules over 11- to 13-point
+    spaces, as rows: 100 to 144 rows, so each mask of the
     tableau is wider than 64 rows."""
     rng = Random(7007)
     lps = []
@@ -422,8 +422,7 @@ def _large_dual_lps(monkeypatch):
         space = rand_metric_space(rng, n)
         pointed = rand_pointed(rng, space)
         coeffs = {x: rand_fraction(rng, -5, 5) or F(1) for x in space.points}
-        args = _dual_args(monkeypatch, Molecule.make(pointed, coeffs))
-        lps.append(_difference_rows(*args))
+        lps.append(_difference_rows(*_dual_args(Molecule.make(pointed, coeffs))))
     assert all(len(a) > 64 for _, a, _ in lps)
     return lps
 
@@ -433,7 +432,7 @@ def test_wide_masks_match_the_rational_tableau(monkeypatch, factor):
     """On dual LPs with more than 64 rows, the same optimum, vertex and
     ``(row, variable)`` pivots as the ``Fraction`` tableau, under Dantzig's
     rule and under Bland's from the second pivot on."""
-    lps = _large_dual_lps(monkeypatch)
+    lps = _large_dual_lps()
     monkeypatch.setattr(simplex, "DANTZIG_FACTOR", factor)
     monkeypatch.setitem(globals(), "DANTZIG_FACTOR", factor)
     rows = []
@@ -444,58 +443,25 @@ def test_wide_masks_match_the_rational_tableau(monkeypatch, factor):
     assert min(rows) < 64 <= max(rows)
 
 
-@pytest.mark.parametrize("factor", [DANTZIG_FACTOR, 0])
-def test_difference_max_pivots_as_simplex_max_on_its_rows(monkeypatch, factor):
-    """On the dual LPs of seeded full-support molecules over 2..14 points,
-    with and without a palette, ``difference_max`` and ``simplex_max`` on its
-    rows give the same value, the same vertex and the same ``(row,
-    variable)`` pivots, under Dantzig's rule and under Bland's."""
-    rng = Random(9009)
-    cases = []
-    for n in range(2, 15):
-        for palette in (None, [F(1), F(2), F(3)]):
-            space = rand_metric_space(rng, n, palette=palette)
-            pointed = rand_pointed(rng, space)
-            coeffs = {x: rand_fraction(rng, -5, 5) or F(1) for x in space.points}
-            cases.append(_dual_args(monkeypatch, Molecule.make(pointed, coeffs)))
-    monkeypatch.setattr(simplex, "DANTZIG_FACTOR", factor)
-    real_pivot = simplex.pivot
-    seen = []
-
-    def record(tab, cols, basis, r, e):
-        seen.append((r, cols[e]))
-        return real_pivot(tab, cols, basis, r, e)
-
-    monkeypatch.setattr(simplex, "pivot", record)
-    rows = []
-    for args in cases:
-        runs = []
-        for solve, lp in ((difference_max, args), (simplex_max, _difference_rows(*args))):
-            seen.clear()
-            runs.append((solve(*lp), seen[:]))
-        assert runs[0] == runs[1], args
-        rows += [r for r, _ in seen]
-    # pivots on both sides of the 64th row
-    assert min(rows) < 64 <= max(rows)
-
-
+# the cases keep the ids they had after three of inconsistent dimensions,
+# which only a solver taking (c, upper, w) itself could be given
 @pytest.mark.parametrize("c, upper, w, message", [
-    ([1], [1, 1], [[0]], "inconsistent LP dimensions"),
-    ([1, 1], [1, 1], [[0, 1]], "inconsistent LP dimensions"),
-    ([1, 1], [1, 1], [[0, 1], [1]], "inconsistent LP dimensions"),
     ([1, 1], [1, 0.5], [[0, 1], [1, 0]], "LP data must be ints"),
     ([1, F(1)], [1, 1], [[0, 1], [1, 0]], "LP data must be ints"),
     ([1, 1], [1, 1], [[0, -1], [1, 0]], "right-hand side must be non-negative"),
     ([1, 1], [-1, 1], [[0, 1], [1, 0]], "right-hand side must be non-negative"),
+], ids=[
+    "c3-upper3-w3-LP data must be ints",
+    "c4-upper4-w4-LP data must be ints",
+    "c5-upper5-w5-right-hand side must be non-negative",
+    "c6-upper6-w6-right-hand side must be non-negative",
 ])
 def test_difference_max_refuses_as_simplex_max_does(c, upper, w, message):
-    """``difference_max`` refuses with ``simplex_max``'s messages, and
-    ``simplex_max`` refuses the same rows, where they can be written out."""
+    """``simplex_max`` refuses the rows of a difference LP, bounds x_i <=
+    upper[i] and differences x_i - x_j <= w[i][j], that are not ints or
+    have a negative right-hand side."""
     with pytest.raises(DomainError, match=f"^{message}$"):
-        difference_max(c, upper, w)
-    if message != "inconsistent LP dimensions":
-        with pytest.raises(DomainError, match=f"^{message}$"):
-            simplex_max(*_difference_rows(c, upper, w))
+        simplex_max(*_difference_rows(c, upper, w))
 
 
 @pytest.mark.parametrize("c, upper, w, answer", [
@@ -508,5 +474,6 @@ def test_difference_max_refuses_as_simplex_max_does(c, upper, w, message):
     ([2, -1, 1], [5, 9, 5], [[0, 1, 9], [9, 0, 9], [9, 2, 0]], (11, [5, 4, 5])),
 ])
 def test_difference_max_answers(c, upper, w, answer):
-    assert difference_max(c, upper, w) == answer
+    """``simplex_max`` on the rows of a difference LP, max c.x with bounds
+    x_i <= upper[i] and differences x_i - x_j <= w[i][j]."""
     assert simplex_max(*_difference_rows(c, upper, w)) == answer

@@ -77,6 +77,20 @@ ALLOWLIST = {
         "a path holds each source and sink at most once, so the walk reaches"
         " that length only on a predecessor cycle (the tampered test), where"
         " either bound raises the same error, one step apart",
+    "freespace.py:_network_simplex: up = [b >= 0 for b in supply] [>= -> >]":
+        "every supply but the root's is a non-zero support coefficient, and"
+        " the root's entry is never read as an arc",
+    "freespace.py:_network_simplex:"
+    " g = [row[root] if b >= 0 else -cost[root][x] [>= -> >]":
+        "every supply but the root's is a non-zero support coefficient, and"
+        " the root's potential is set to 0 on the next line",
+    "freespace.py:_network_simplex: if depth[x] >= depth[y]: [>= -> >]":
+        "at equal depths either node may step up first: the two tree paths"
+        " to the apex, so both sides of the cycle, are the same",
+    "freespace.py:_largest_witness: if reached < label[t]: [< -> <=]":
+        "a tie leaves the label as it is and only marks it as set by a plan"
+        " arc, so t's arcs are relaxed once more; by the triangle inequality"
+        " that lowers no label",
     "freespace.py:moving_lower_bound:"
     " if not set(mol.support) <= set(phi_plus): [<= -> <]":
         "the support never holds the basepoint and phi_plus always does,"
